@@ -12,12 +12,12 @@ import os
 import sys
 from pathlib import Path
 
-from .checker import TypeEnv, check, check_ds
-from .errors import CertificationFailure, IllTyped, ParseError, PiError, SortError
+from .checker import TypeEnv, derive
+from .errors import CertificationFailure, IllTyped, IllTypedLambda, ParseError, PiError, SortError
 from .impure import ImpureEnv, check_impure
 from .inference import DS_EQUALITY, FLEXIBLE, infer
 from .lam import encode, parse_lambda_file
-from .measure import format_multiset, measure
+from .measure import format_multiset
 from .parser import parse_env_file, parse_process
 from .semantics import certified_run, explore
 from .syntax import ChanT, Name, Process, fresh, free_names, pretty_process, pretty_type
@@ -40,6 +40,12 @@ class _Report:
 
     def say(self, line: str) -> None:
         self.prose.append(line)
+
+    def reject(self, exc: PiError) -> int:
+        self.add("VERDICT", "Rejected")
+        self.add("CODE", exc.code)
+        self.say(exc.render())
+        return 1
 
     def emit(self) -> None:
         if self.fmt == "lines":
@@ -101,17 +107,14 @@ def cmd_check(args, report: _Report) -> int:
             report.add("VERDICT", "Accepted")
             report.add("WEIGHT", weight)
         else:
-            weight = check_ds(tenv, proc) if args.ds else check(tenv, proc)
+            typing = derive(tenv, proc, ds=args.ds)
             report.add("VERDICT", "Accepted")
-            report.add("WEIGHT", weight)
-            m = measure(tenv, proc)
-            report.add("MEASURE", format_multiset(m), f"measure: {format_multiset(m)}")
+            report.add("WEIGHT", typing.weight)
+            m = format_multiset(typing.measure)
+            report.add("MEASURE", m, f"measure: {m}")
         return 0
     except (IllTyped, SortError) as exc:
-        report.add("VERDICT", "Rejected")
-        report.add("CODE", exc.code)
-        report.say(exc.render())
-        return 1
+        return report.reject(exc)
 
 
 def cmd_infer(args, report: _Report) -> int:
@@ -120,10 +123,7 @@ def cmd_infer(args, report: _Report) -> int:
     try:
         result = infer(proc, mode)
     except PiError as exc:
-        report.add("VERDICT", "Rejected")
-        report.add("CODE", exc.code)
-        report.say(exc.render())
-        return 1
+        return report.reject(exc)
     report.add("VERDICT", "Accepted")
     report.add("WEIGHT", result.weight)
     for name, ty in result.env.items():
@@ -146,10 +146,7 @@ def cmd_run(args, report: _Report) -> int:
         try:
             rep = certified_run(tenv, proc, max_states=args.max_states, max_depth=args.max_depth)
         except (IllTyped, SortError, CertificationFailure) as exc:
-            report.add("VERDICT", "Rejected")
-            report.add("CODE", exc.code)
-            report.say(exc.render())
-            return 1
+            return report.reject(exc)
     else:
         rep = explore(proc, max_states=args.max_states, max_depth=args.max_depth)
     report.add("VERDICT", rep.verdict.value)
@@ -166,16 +163,16 @@ def cmd_run(args, report: _Report) -> int:
 
 def cmd_encode(args, report: _Report) -> int:
     decls, term = parse_lambda_file(Path(args.file).read_text(encoding="utf-8"))
-    proc = encode(term, fresh("p"), decls)
+    try:
+        proc = encode(term, fresh("p"), decls)
+    except IllTypedLambda as exc:
+        return report.reject(exc)
     report.add("PROCESS", pretty_process(proc), pretty_process(proc))
     if args.infer:
         try:
             result = infer(proc)
         except PiError as exc:
-            report.add("VERDICT", "Rejected")
-            report.add("CODE", exc.code)
-            report.say(exc.render())
-            return 1
+            return report.reject(exc)
         report.add("VERDICT", "Accepted")
         report.add("WEIGHT", result.weight)
         return 0

@@ -7,27 +7,28 @@ a functional restriction swaps the isolated name, an imperative restriction
 extends the ordinary part with a full-capability type. Inputs on imperative
 names, replicated or not, need a subject level strictly above the body
 weight and contribute weight zero.
+
+The isolation and level rules are this module's own; subject capabilities,
+payload arity, unit elision, value fit and restriction annotations follow
+the checker's rules (`checker.subject_chan`, `check_values`, `bind_payload`,
+`annotation`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .checker import TypeEnv, subtype, value_type
+from .checker import TypeEnv, annotation, bind_payload, check_values, subject_chan
 from .errors import (
     CapabilityError,
     FunctionalInputNotIsolated,
     LevelViolation,
-    MissingAnnotation,
-    PayloadMismatch,
     UnboundName,
 )
 from .syntax import (
     IN,
     OUT,
     SHARP,
-    STAR,
-    UNIT,
     ChanT,
     In,
     Name,
@@ -39,7 +40,6 @@ from .syntax import (
     Res,
     pretty_process,
     pretty_type,
-    pretty_value,
 )
 
 
@@ -84,66 +84,6 @@ class ImpureEnv:
         return n in self.functional
 
 
-def _out_weight(env: ImpureEnv, p: Out) -> int:
-    where = pretty_process(p)
-    venv = env.value_env()
-    ty = venv.get(p.subject)
-    if not isinstance(ty, ChanT) or ty.cap == IN:
-        raise CapabilityError(
-            f"{p.subject.display}: no output capability in {pretty_type(ty)}",
-            where=where,
-        )
-    values = p.payload if p.payload else (STAR,)
-    if len(values) != len(ty.payload):
-        raise PayloadMismatch(
-            f"{p.subject.display} expects {len(ty.payload)} value(s), got {len(values)}",
-            where=where,
-        )
-    for v, want in zip(values, ty.payload):
-        got = value_type(venv, v)
-        if not subtype(got, want):
-            raise PayloadMismatch(
-                f"value {pretty_value(v)} : {pretty_type(got)} does not fit "
-                f"{pretty_type(want)}",
-                where=where,
-            )
-    return ty.level
-
-
-def _input_chan(env: ImpureEnv, p: In | RepIn) -> ChanT:
-    where = pretty_process(p)
-    if env.is_functional(p.subject):
-        raise FunctionalInputNotIsolated(
-            f"input on functional name {p.subject.display} outside its defining scope",
-            where=where,
-        )
-    ty = env.gamma.get(p.subject)
-    if not isinstance(ty, ChanT) or ty.cap == OUT:
-        raise CapabilityError(
-            f"{p.subject.display}: no input capability in {pretty_type(ty)}",
-            where=where,
-        )
-    return ty
-
-
-def _bind_payload(p: In | RepIn, chan: ChanT, gamma: TypeEnv) -> TypeEnv:
-    where = pretty_process(p)
-    if not p.binders:
-        if chan.payload != (UNIT,):
-            raise PayloadMismatch(
-                f"{p.subject.display} carries a non-unit message, cannot elide it",
-                where=where,
-            )
-        return gamma
-    if len(p.binders) != len(chan.payload):
-        raise PayloadMismatch(
-            f"{p.subject.display} expects {len(chan.payload)} binder(s), "
-            f"got {len(p.binders)}",
-            where=where,
-        )
-    return gamma.bind_all(list(zip(p.binders, chan.payload)))
-
-
 def check_impure(env: ImpureEnv, p: Process) -> int:
     """Least weight of `p` in the impure discipline; raises IllTyped otherwise."""
     if isinstance(p, Nil):
@@ -151,66 +91,55 @@ def check_impure(env: ImpureEnv, p: Process) -> int:
     if isinstance(p, Par):
         return max(check_impure(env, p.left), check_impure(env, p.right))
     if isinstance(p, Out):
-        return _out_weight(env, p)
-    if isinstance(p, RepIn):
-        if env.isolated is not None and p.subject == env.isolated[0]:
-            name, ty = env.isolated
-            gamma = _bind_payload(p, ty, env.gamma)
-            # the defining body may not use f at all: keep it flagged but unbound
-            w = check_impure(ImpureEnv(gamma, None, env.functional | {name}), p.body)
-            if not ty.level >= w:
-                raise LevelViolation(
-                    f"functional input on {name.display}: level {ty.level} "
-                    f"below body weight {w}",
-                    where=pretty_process(p),
-                )
-            return 0
-        chan = _input_chan(env, p)
-        inner = env.demoted()
-        gamma = _bind_payload(p, chan, inner.gamma)
-        w = check_impure(replace(inner, gamma=gamma), p.body)
-        if not chan.level > w:
+        venv = env.value_env()
+        chan = subject_chan(venv, p, OUT)
+        check_values(venv, p, chan)
+        return chan.level
+    if isinstance(p, RepIn) and env.isolated is not None and p.subject == env.isolated[0]:
+        name, ty = env.isolated
+        gamma = bind_payload(env.gamma, p, ty)
+        # the defining body may not use f at all: keep it flagged but unbound
+        w = check_impure(ImpureEnv(gamma, None, env.functional | {name}), p.body)
+        if not ty.level >= w:
             raise LevelViolation(
-                f"replicated input on {p.subject.display}: level {chan.level} "
-                f"does not dominate body weight {w}",
+                f"functional input on {name.display}: level {ty.level} "
+                f"below body weight {w}",
                 where=pretty_process(p),
             )
         return 0
-    if isinstance(p, In):
-        chan = _input_chan(env, p)
+    if isinstance(p, (In, RepIn)):
+        if env.is_functional(p.subject):
+            raise FunctionalInputNotIsolated(
+                f"input on functional name {p.subject.display} outside its defining scope",
+                where=pretty_process(p),
+            )
+        chan = subject_chan(env.gamma, p, IN)
         inner = env.demoted()
-        gamma = _bind_payload(p, chan, inner.gamma)
-        w = check_impure(replace(inner, gamma=gamma), p.body)
+        w = check_impure(replace(inner, gamma=bind_payload(inner.gamma, p, chan)), p.body)
         if not chan.level > w:
+            kind = "replicated input" if isinstance(p, RepIn) else "input"
             raise LevelViolation(
-                f"input on {p.subject.display}: level {chan.level} "
+                f"{kind} on {p.subject.display}: level {chan.level} "
                 f"does not dominate body weight {w}",
                 where=pretty_process(p),
             )
         return 0
     if isinstance(p, Res):
-        if p.annotation is None:
-            raise MissingAnnotation(
-                f"restriction on {p.name.display} lacks a type annotation",
-                where=pretty_process(p),
-            )
+        ty = annotation(p)
         if p.functional:
-            if not isinstance(p.annotation, ChanT) or p.annotation.cap != OUT:
+            if not isinstance(ty, ChanT) or ty.cap != OUT:
                 raise CapabilityError(
                     f"functional restriction on {p.name.display} needs an o-type "
-                    f"annotation, has {pretty_type(p.annotation)}",
+                    f"annotation, has {pretty_type(ty)}",
                     where=pretty_process(p),
                 )
             inner = env.demoted()
-            new_env = ImpureEnv(inner.gamma, (p.name, p.annotation), inner.functional)
-            return check_impure(new_env, p.body)
-        if not isinstance(p.annotation, ChanT) or p.annotation.cap != SHARP:
+            return check_impure(ImpureEnv(inner.gamma, (p.name, ty), inner.functional), p.body)
+        if not isinstance(ty, ChanT) or ty.cap != SHARP:
             raise CapabilityError(
                 f"imperative restriction on {p.name.display} needs a full-capability "
-                f"annotation, has {pretty_type(p.annotation)}",
+                f"annotation, has {pretty_type(ty)}",
                 where=pretty_process(p),
             )
-        return check_impure(
-            replace(env, gamma=env.gamma.bind(p.name, p.annotation)), p.body
-        )
+        return check_impure(replace(env, gamma=env.gamma.bind(p.name, ty)), p.body)
     raise TypeError(f"not a process: {p!r}")

@@ -1,74 +1,18 @@
-"""The multiset termination measure and the multiset order on naturals.
+"""The multiset order on naturals that the termination measure decreases in.
 
-The measure of a process collects the declared level of the subject of every
-output that does not sit under a replication; levels are read off the
-environment and the restriction annotations directly, never via subtyping.
+The measure itself, the multiset of the levels of the outputs of a process
+not under replication, comes out of the checker's typing walk together with
+the weight (`checker.derive`); it is re-exported here and, like the weight,
+is defined on well-typed processes only.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from itertools import product
 
-from .errors import CapabilityError, MissingAnnotation
-from .syntax import (
-    ChanT,
-    In,
-    Nil,
-    Out,
-    Par,
-    Process,
-    RepIn,
-    Res,
-    pretty_process,
-    pretty_type,
-)
-from .checker import TypeEnv
+from .checker import Multiset, as_multiset, measure
 
-Multiset = tuple[int, ...]
-
-
-def as_multiset(values) -> Multiset:
-    return tuple(sorted(values, reverse=True))
-
-
-def measure(env: TypeEnv, p: Process) -> Multiset:
-    """Multiset of levels of the outputs of `p` not under replication."""
-
-    def walk(q: Process, env: TypeEnv) -> list[int]:
-        if isinstance(q, Nil):
-            return []
-        if isinstance(q, Par):
-            return walk(q.left, env) + walk(q.right, env)
-        if isinstance(q, Out):
-            ty = env.get(q.subject)
-            if not isinstance(ty, ChanT):
-                raise CapabilityError(
-                    f"{q.subject.display} has non-channel type {pretty_type(ty)}",
-                    where=pretty_process(q),
-                )
-            return [ty.level]
-        if isinstance(q, RepIn):
-            return []
-        if isinstance(q, In):
-            ty = env.get(q.subject)
-            if not isinstance(ty, ChanT):
-                raise CapabilityError(
-                    f"{q.subject.display} has non-channel type {pretty_type(ty)}",
-                    where=pretty_process(q),
-                )
-            inner = env.bind_all(list(zip(q.binders, ty.payload)))
-            return walk(q.body, inner)
-        if isinstance(q, Res):
-            if q.annotation is None:
-                raise MissingAnnotation(
-                    f"restriction on {q.name.display} lacks a type annotation",
-                    where=pretty_process(q),
-                )
-            return walk(q.body, env.bind(q.name, q.annotation))
-        raise TypeError(f"not a process: {q!r}")
-
-    return as_multiset(walk(p, env))
+__all__ = ["Multiset", "as_multiset", "format_multiset", "measure", "multiset_greater"]
 
 
 def multiset_greater(m1: Multiset, m2: Multiset) -> bool:
@@ -81,44 +25,6 @@ def multiset_greater(m1: Multiset, m2: Multiset) -> bool:
         return False
     top = max(n2)
     return all(e < top for e in n1)
-
-
-def multiset_geq(m1: Multiset, m2: Multiset) -> bool:
-    return Counter(m1) == Counter(m2) or multiset_greater(m1, m2)
-
-
-def multiset_greater_oracle(m1: Multiset, m2: Multiset) -> bool:
-    """Brute-force reference: search all decompositions m1 = N + N2, m2 = N + N1
-    with N a maximal common part, then compare the residues elementwise."""
-    c1, c2 = Counter(m1), Counter(m2)
-    elements = sorted(set(c1) | set(c2))
-    ranges = [range(min(c1[e], c2[e]) + 1) for e in elements]
-    best: list[Counter] = []
-    best_size = -1
-    for counts in product(*ranges):
-        n = Counter({e: k for e, k in zip(elements, counts) if k})
-        if sum(n.values()) > best_size:
-            best = [n]
-            best_size = sum(n.values())
-        elif sum(n.values()) == best_size:
-            best.append(n)
-    # the maximal common part is unique (pointwise minimum), but we derive it
-    # by search: keep only candidates not dominated by another candidate
-    maximal = [
-        n
-        for n in best
-        if not any(m != n and all(m[e] >= n[e] for e in elements) for m in best)
-    ]
-    results = set()
-    for n in maximal:
-        n2 = c1 - n
-        n1 = c2 - n
-        ok = bool(n2) and all(
-            any(e1 < e2 for e2 in n2.elements()) for e1 in n1.elements()
-        )
-        results.add(ok)
-    assert len(results) == 1
-    return results.pop()
 
 
 def format_multiset(m: Multiset) -> str:

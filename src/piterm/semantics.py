@@ -271,10 +271,8 @@ def _explore(
 
     def state_measure(key: str) -> Multiset:
         if key not in measures:
-            proc = states[key].rebuild()
             try:
-                check(env, proc)
-                measures[key] = measure(env, proc)
+                measures[key] = measure(env, states[key].rebuild())
             except PiError as exc:
                 raise CertificationFailure(
                     f"reachable state is not typable: {exc}", where=key

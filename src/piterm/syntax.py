@@ -217,34 +217,6 @@ def free_names(p: Process) -> set[Name]:
     raise TypeError(f"not a process: {p!r}")
 
 
-def bound_names(p: Process) -> list[Name]:
-    """All binder occurrences, in traversal order (with duplicates if any)."""
-    out: list[Name] = []
-
-    def walk(q: Process) -> None:
-        if isinstance(q, Par):
-            walk(q.left)
-            walk(q.right)
-        elif isinstance(q, (In, RepIn)):
-            out.extend(q.binders)
-            walk(q.body)
-        elif isinstance(q, Res):
-            out.append(q.name)
-            walk(q.body)
-
-    walk(p)
-    return out
-
-
-def well_scoped(p: Process) -> bool:
-    """Check the bound-name uniqueness discipline."""
-    bound = bound_names(p)
-    ids = [n.id for n in bound]
-    if len(set(ids)) != len(ids):
-        return False
-    return not (set(ids) & {n.id for n in free_names(p)})
-
-
 # ---------------------------------------------------------------------------
 # Substitution
 

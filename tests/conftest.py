@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import random
+import sys
+from collections import Counter
+from itertools import product
 from pathlib import Path
 
 import pytest
 
 from piterm.checker import TypeEnv, check, subtype
+from piterm.measure import Multiset, multiset_greater
 from piterm.syntax import (
     NAT,
     UNIT,
@@ -27,6 +31,7 @@ from piterm.syntax import (
     Star,
     Type,
     Value,
+    free_names,
     fresh,
 )
 
@@ -36,6 +41,22 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(20240811)
+
+
+def count_calls(monkeypatch, fn) -> list:
+    """Wrap `fn` wherever a piterm module holds it; the list gets one entry per call."""
+    calls: list = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "piterm" or name.startswith("piterm."):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
 
 
 # ---------------------------------------------------------------------------
@@ -241,3 +262,73 @@ def typed_instance(rng: random.Random, fuel: int = 7, exact: bool = False) -> tu
     env = TypeEnv(dict(pool))
     assert check(env, p) == w
     return env, p, w
+
+
+# ---------------------------------------------------------------------------
+# Reference oracles
+
+
+def multiset_geq(m1: Multiset, m2: Multiset) -> bool:
+    return Counter(m1) == Counter(m2) or multiset_greater(m1, m2)
+
+
+def multiset_greater_oracle(m1: Multiset, m2: Multiset) -> bool:
+    """Brute-force reference: search all decompositions m1 = N + N2, m2 = N + N1
+    with N a maximal common part, then compare the residues elementwise."""
+    c1, c2 = Counter(m1), Counter(m2)
+    elements = sorted(set(c1) | set(c2))
+    ranges = [range(min(c1[e], c2[e]) + 1) for e in elements]
+    best: list[Counter] = []
+    best_size = -1
+    for counts in product(*ranges):
+        n = Counter({e: k for e, k in zip(elements, counts) if k})
+        if sum(n.values()) > best_size:
+            best = [n]
+            best_size = sum(n.values())
+        elif sum(n.values()) == best_size:
+            best.append(n)
+    # the maximal common part is unique (pointwise minimum), but we derive it
+    # by search: keep only candidates not dominated by another candidate
+    maximal = [
+        n
+        for n in best
+        if not any(m != n and all(m[e] >= n[e] for e in elements) for m in best)
+    ]
+    results = set()
+    for n in maximal:
+        n2 = c1 - n
+        n1 = c2 - n
+        ok = bool(n2) and all(
+            any(e1 < e2 for e2 in n2.elements()) for e1 in n1.elements()
+        )
+        results.add(ok)
+    assert len(results) == 1
+    return results.pop()
+
+
+def bound_names(p: Process) -> list[Name]:
+    """All binder occurrences, in traversal order (with duplicates if any)."""
+    out: list[Name] = []
+
+    def walk(q: Process) -> None:
+        if isinstance(q, Par):
+            walk(q.left)
+            walk(q.right)
+        elif isinstance(q, (In, RepIn)):
+            out.extend(q.binders)
+            walk(q.body)
+        elif isinstance(q, Res):
+            out.append(q.name)
+            walk(q.body)
+
+    walk(p)
+    return out
+
+
+def well_scoped(p: Process) -> bool:
+    """Check the bound-name uniqueness discipline."""
+    bound = bound_names(p)
+    ids = [n.id for n in bound]
+    if len(set(ids)) != len(ids):
+        return False
+    return not (set(ids) & {n.id for n in free_names(p)})

@@ -24,12 +24,12 @@ from piterm.errors import (
 from piterm.impure import check_impure
 from piterm.inference import DS_EQUALITY, FLEXIBLE, infer
 from piterm.lam import encode, parse_lambda_term
-from piterm.measure import measure, multiset_greater, multiset_greater_oracle, as_multiset
+from piterm.measure import measure, multiset_greater, as_multiset
 from piterm.parser import parse_process, parse_type
 from piterm.semantics import Verdict, explore, step
 from piterm.syntax import UNIT, fresh, pretty_type
 
-from conftest import typed_instance
+from conftest import multiset_greater_oracle, typed_instance
 from test_checker import assert_matches_oracle, enumerate_universe
 from test_impure import impure_env
 from test_inference import LOCAL_CORPUS, enumeration_typable

@@ -6,6 +6,7 @@ from itertools import product
 
 import pytest
 
+from piterm import syntax
 from piterm.checker import TypeEnv, check, check_ds, env_for, subtype, value_type
 from piterm.errors import (
     CapabilityError,
@@ -16,10 +17,12 @@ from piterm.errors import (
     SortError,
     UnboundName,
 )
+from piterm.impure import ImpureEnv, check_impure
+from piterm.measure import measure
 from piterm.parser import parse_process, parse_type
 from piterm.syntax import NAT, UNIT, Add, ChanT, Mul, NatLit, NameRef, Star, Type, fresh
 
-from conftest import sample_subtype, sample_supertype, typed_instance
+from conftest import count_calls, sample_subtype, sample_supertype, typed_instance
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +293,27 @@ class TestCheck:
             lowered = dict(env.bindings)
             lowered[x] = sample_subtype(rng, lowered[x])
             assert check(TypeEnv(lowered), p) <= w
+
+
+class TestLazyLocations:
+    """An accepted process is never printed; a rejection still says where."""
+
+    def test_accepted_process_is_not_printed(self, monkeypatch):
+        env, p = server_instance()
+        ds = parse_process("new a:#1[Unit].(!a.0 | a<> | a<*>)")
+        printed = count_calls(monkeypatch, syntax.pretty_process)
+        assert check(env, p) == 3
+        assert measure(env, p) == (3, 3)
+        assert check_impure(ImpureEnv(env), p) == 3
+        assert check_ds(TypeEnv(), ds) == 1
+        assert printed == []
+
+    def test_rejection_renders_the_offending_prefix(self):
+        p = parse_process("b<> | a(x).x<*>")
+        env = env_for(p, {"a": parse_type("#1[i0[Unit]]"), "b": parse_type("#0[Unit]")})
+        with pytest.raises(CapabilityError) as exc:
+            check(env, p)
+        assert exc.value.where == "x<*>"
 
 
 class TestCheckDs:

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
+import re
+
+import pytest
 
 from piterm.cli import main
 
@@ -137,6 +142,14 @@ class TestEncode:
         assert code == 0
         assert "verdict: Terminated" in out
 
+    def test_term_without_simple_type_rejected(self, capsys, tmp_path):
+        lam = tmp_path / "selfapp.lam"
+        lam.write_text("\\y. y y\n")
+        code, out = run(capsys, "encode", lam, "--infer", "--format=lines")
+        assert code == 1
+        assert "VERDICT=Rejected" in out
+        assert "CODE=LAM" in out
+
     def test_plain_encode_prints_process(self, capsys):
         code, out = run(capsys, "encode", FIXTURES / "compose.lam")
         assert code == 0
@@ -152,8 +165,13 @@ class TestStateBudgetEnvVar:
 
         pi = tmp_path / "chain.pi"
         pi.write_text("a1<> " + "".join(f"| a{i}.a{i+1}<>" for i in range(1, 20)))
+        import piterm
+
         env = dict(os.environ)
         env["PITERM_MAX_STATES"] = "3"
+        # the child imports the same piterm as this test, installed or not
+        src = os.path.dirname(os.path.dirname(piterm.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "piterm.cli", "run", str(pi), "--format=lines"],
             capture_output=True,
@@ -172,3 +190,62 @@ class TestDeterminism:
         _, out3 = run(capsys, "run", FIXTURES / "server.pi", "--certify", FIXTURES / "server.env")
         _, out4 = run(capsys, "run", FIXTURES / "server.pi", "--certify", FIXTURES / "server.env")
         assert out3 == out4
+
+
+# ---------------------------------------------------------------------------
+# Golden `--format=lines` output of every fixture
+
+PI_COMMANDS = [
+    ["check"],
+    ["check", "--ds"],
+    ["check", "--impure"],
+    ["infer", "--dump-graph"],
+    ["infer", "--ds-equality"],
+    ["run"],
+]
+LAM_COMMANDS = [["encode", "--infer"], ["encode", "--run"]]
+GOLDEN = FIXTURES.parent / "tests" / "golden" / "lines.txt"
+
+
+def golden_cases() -> list[list[str]]:
+    """Command lines, relative to the fixtures directory, in golden-file order."""
+    cases = []
+    for path in sorted(FIXTURES.iterdir()):
+        if path.suffix == ".pi":
+            cases += [cmd + [path.name] for cmd in PI_COMMANDS]
+            if path.with_suffix(".env").exists():
+                cases.append(["run", path.name, "--certify", path.with_suffix(".env").name])
+        elif path.suffix == ".lam":
+            cases += [cmd + [path.name] for cmd in LAM_COMMANDS]
+    return cases
+
+
+def render_case(case: list[str]) -> str:
+    """The golden-file section of one command: header, stdout, exit code."""
+    argv = [str(FIXTURES / a) if (FIXTURES / a).is_file() else a for a in case]
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv + ["--format=lines"])
+    return f"$ piterm {' '.join(case)}\n{buf.getvalue()}exit {code}\n"
+
+
+def golden_sections() -> dict[str, str]:
+    sections = re.split(r"^(?=\$ piterm )", GOLDEN.read_text(encoding="utf-8"), flags=re.M)
+    return {s.splitlines()[0]: s for s in sections if s}
+
+
+class TestGolden:
+    """Byte-identical `--format=lines` output against a recorded run.
+
+    `tests/golden/lines.txt` is the concatenation of `render_case` over
+    `golden_cases()`; regenerate it only for a deliberate change of output.
+    """
+
+    @pytest.mark.parametrize("case", golden_cases(), ids=" ".join)
+    def test_lines_output(self, case):
+        text = render_case(case)
+        assert text == golden_sections()[text.splitlines()[0]]
+
+    def test_every_section_is_a_case(self):
+        headers = {f"$ piterm {' '.join(c)}" for c in golden_cases()}
+        assert set(golden_sections()) == headers

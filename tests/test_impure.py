@@ -36,6 +36,25 @@ def impure_env(p, gamma_decl, isolated=None, functional=()):
     return ImpureEnv(TypeEnv(gamma), iso, frozenset(fun))
 
 
+@pytest.mark.parametrize(
+    "src, decl, code",
+    [
+        ("a<*>", {"a": "Nat"}, "CAP"),  # non-channel output subject
+        ("a(x).0", {"a": "o1[Unit]"}, "CAP"),  # output-only input subject
+        ("!a(x).0", {"a": "o1[Unit]"}, "CAP"),
+        ("a.0", {"a": "#1[Nat]"}, "PAY"),  # elided input on a non-Unit channel
+        ("a(x, y).0", {"a": "#1[Nat]"}, "PAY"),  # binder count
+        ("a<1, 2>", {"a": "#1[Nat]"}, "PAY"),  # value count
+        ("a<*>", {"a": "#1[Nat]"}, "PAY"),  # a value that does not fit
+    ],
+)
+def test_shared_rules_reject_with_the_checker_codes(src, decl, code):
+    p = parse_process(src)
+    with pytest.raises(IllTyped) as exc:
+        check_impure(impure_env(p, decl), p)
+    assert exc.value.code == code
+
+
 class TestFunctionalDiscipline:
     def test_divergent_nested_definition_rejected(self):
         # a replicated input on a functional name under an input prefix

@@ -4,16 +4,15 @@ from __future__ import annotations
 
 from itertools import combinations_with_replacement
 
+import pytest
+
 from piterm.checker import env_for
-from piterm.measure import (
-    as_multiset,
-    multiset_geq,
-    multiset_greater,
-    multiset_greater_oracle,
-    measure,
-)
+from piterm.errors import CapabilityError, LevelViolation
+from piterm.measure import as_multiset, multiset_greater, measure
 from piterm.parser import parse_process, parse_type
 from piterm.syntax import ChanT, In, Nil, Out, Par, RepIn, Res
+
+from conftest import multiset_geq, multiset_greater_oracle
 
 
 def all_multisets(max_element: int, max_size: int):
@@ -147,3 +146,13 @@ class TestMeasure:
         p = parse_process("a(x).b<>")
         env = env_for(p, {"a": parse_type("#1[Unit]"), "b": parse_type("#4[Unit]")})
         assert measure(env, p) == (4,)
+
+    def test_defined_on_well_typed_processes_only(self):
+        # the measure comes out of the typing walk, so it rejects what check rejects
+        p = parse_process("!a(x).a<x>")
+        env = env_for(p, {"a": parse_type("#1[o1[Unit]]")})
+        with pytest.raises(LevelViolation):
+            measure(env, p)
+        p = parse_process("a<*>")
+        with pytest.raises(CapabilityError):
+            measure(env_for(p, {"a": parse_type("i1[Unit]")}), p)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from piterm import checker
 from piterm.checker import TypeEnv, env_for
 from piterm.measure import multiset_greater
 from piterm.parser import parse_process, parse_type
@@ -17,7 +18,7 @@ from piterm.semantics import (
 )
 from piterm.syntax import In, Out, Res, pretty_process
 
-from conftest import typed_instance
+from conftest import count_calls, typed_instance
 
 
 class TestNormalize:
@@ -210,6 +211,14 @@ class TestCertifiedRun:
         assert r.measure_trace
         for edge in r.measure_trace:
             assert multiset_greater(edge.src_measure, edge.dst_measure)
+
+    def test_one_typing_walk_per_state(self, monkeypatch):
+        env, p = self.server()
+        walks = count_calls(monkeypatch, checker.derive)
+        r = certified_run(env, p, 1000, 1000)
+        assert r.states_explored > 1
+        # one walk per reached state, plus the precondition check of the start
+        assert len(walks) == r.states_explored + 1
 
     def test_unit_race_trace(self):
         p = parse_process("a<*> | a<*> | a().0")

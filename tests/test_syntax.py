@@ -30,8 +30,9 @@ from piterm.syntax import (
     pretty_process,
     pretty_type,
     substitute,
-    well_scoped,
 )
+
+from conftest import well_scoped
 
 
 def free_displays(p: Process) -> set[str]:
