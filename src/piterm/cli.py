@@ -100,8 +100,8 @@ def _verdict_exit(verdict: str) -> int:
 def cmd_check(args, report: _Report) -> int:
     proc = _load_process(args.file)
     env_path = args.env or _sibling_env(args.file)
-    tenv, ienv = _load_env(env_path, proc) if env_path else (TypeEnv(), ImpureEnv())
     try:
+        tenv, ienv = _load_env(env_path, proc) if env_path else (TypeEnv(), ImpureEnv())
         if args.impure:
             weight = check_impure(ienv, proc)
             report.add("VERDICT", "Accepted")
@@ -142,8 +142,8 @@ def cmd_infer(args, report: _Report) -> int:
 def cmd_run(args, report: _Report) -> int:
     proc = _load_process(args.file)
     if args.certify:
-        tenv, _ = _load_env(args.certify, proc)
         try:
+            tenv, _ = _load_env(args.certify, proc)
             rep = certified_run(tenv, proc, max_states=args.max_states, max_depth=args.max_depth)
         except (IllTyped, SortError, CertificationFailure) as exc:
             return report.reject(exc)

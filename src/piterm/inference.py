@@ -1,16 +1,20 @@
 """Type inference for the localised fragment.
 
-Pipeline: simple-type inference by first-order unification, a locality check
-(no received name may be used as an input subject), construction of a level
-constraint graph, minimal level assignment by SCC condensation, and
-reconstruction of an environment that the checker accepts.
+Pipeline: simple-type inference by first-order unification; one walk that
+gathers the name facts (restricted names, receptions, input subjects,
+outputs, replicated inputs and the outputs they guard); a locality check on
+those facts (no received name may be used as an input subject); one
+generator of level constraints over slots, a slot being a name with a
+payload path into its type; minimal level assignment by SCC condensation;
+and reconstruction of an environment that the checker accepts.
 
-The public `LevelGraph` holds one node per free or restricted name plus one
-per payload position of its channel type, with received names recorded as
-labels on their carrier's payload node. Constraints touching deeper payload
-positions (which arise when a received name is itself used as an output
-subject) are tracked on an extended, private slot system that shares the
-same solver; they never show up in the dumped graph.
+Output edges are `>=` and run down every nested payload position;
+replication edges are `>`. The public `LevelGraph` is a projection of this
+one constraint system: the slots of free and restricted names down to their
+first payload positions, with received names as labels on their carrier's
+payload slot, and the constraints among those slots. ds-equality mode solves
+the same system with every `>=` edge also read backwards, so levels are
+equal along every flow.
 """
 
 from __future__ import annotations
@@ -182,6 +186,7 @@ def infer_simple(p: Process) -> SimpleEnv:
     default to channels (of a fresh payload) when nothing constrains them."""
     uni = _Unifier()
     vars_: dict[Name, SVar] = {}
+    restricted: list[Name] = []
 
     def var(n: Name) -> SVar:
         if n not in vars_:
@@ -210,100 +215,73 @@ def infer_simple(p: Process) -> SimpleEnv:
             return
         if isinstance(q, Res):
             var(q.name)
+            restricted.append(q.name)
             walk(q.body)
             return
         raise TypeError(f"not a process: {q!r}")
 
     walk(p)
-    for n in _resnames(p):
+    for n in restricted:
         if isinstance(uni.find(var(n)), SVar):
             uni.unify(var(n), SChan((uni.fresh_var(),)))
     return SimpleEnv({n: uni.resolve(v) for n, v in vars_.items()})
 
 
 # ---------------------------------------------------------------------------
-# Name bookkeeping
+# Name facts
 
 
-def _resnames(p: Process) -> list[Name]:
-    out: list[Name] = []
+@dataclass
+class _Facts:
+    """What inference needs to know about the names of a process."""
 
-    def walk(q: Process) -> None:
+    restricted: list[Name] = field(default_factory=list)
+    receptions: list[tuple[Name, int, Name]] = field(default_factory=list)  # (carrier, position, received)
+    input_subjects: set[Name] = field(default_factory=set)
+    outputs: list[Out] = field(default_factory=list)
+    # per replicated input: its subject and the subjects of the outputs in its
+    # body that no further replication shields
+    replicated: list[tuple[Name, list[Name]]] = field(default_factory=list)
+
+    def non_local(self) -> set[Name]:
+        """Received names used as input subjects."""
+        return {x for _, _, x in self.receptions} & self.input_subjects
+
+
+def _facts(p: Process) -> _Facts:
+    """The name facts of a process, gathered in one walk."""
+    f = _Facts()
+
+    def walk(q: Process, served: list[Name]) -> None:
+        # `served`: the output subjects of the nearest enclosing replicated input
         if isinstance(q, Par):
-            walk(q.left)
-            walk(q.right)
-        elif isinstance(q, (In, RepIn)):
-            walk(q.body)
-        elif isinstance(q, Res):
-            out.append(q.name)
-            walk(q.body)
-
-    walk(p)
-    return out
-
-
-def _receptions(p: Process) -> list[tuple[Name, int, Name]]:
-    """(carrier, position, received name) for every input binder."""
-    out: list[tuple[Name, int, Name]] = []
-
-    def walk(q: Process) -> None:
-        if isinstance(q, Par):
-            walk(q.left)
-            walk(q.right)
-        elif isinstance(q, (In, RepIn)):
-            for i, x in enumerate(q.binders):
-                out.append((q.subject, i, x))
-            walk(q.body)
-        elif isinstance(q, Res):
-            walk(q.body)
-
-    walk(p)
-    return out
-
-
-def _input_subjects(p: Process) -> set[Name]:
-    out: set[Name] = set()
-
-    def walk(q: Process) -> None:
-        if isinstance(q, Par):
-            walk(q.left)
-            walk(q.right)
-        elif isinstance(q, (In, RepIn)):
-            out.add(q.subject)
-            walk(q.body)
-        elif isinstance(q, Res):
-            walk(q.body)
-
-    walk(p)
-    return out
-
-
-def _outputs(p: Process) -> list[Out]:
-    out: list[Out] = []
-
-    def walk(q: Process) -> None:
-        if isinstance(q, Par):
-            walk(q.left)
-            walk(q.right)
+            walk(q.left, served)
+            walk(q.right, served)
         elif isinstance(q, Out):
-            out.append(q)
+            f.outputs.append(q)
+            served.append(q.subject)
         elif isinstance(q, (In, RepIn)):
-            walk(q.body)
+            f.input_subjects.add(q.subject)
+            f.receptions.extend((q.subject, i, x) for i, x in enumerate(q.binders))
+            if isinstance(q, RepIn):
+                served = []
+                f.replicated.append((q.subject, served))
+            walk(q.body, served)
         elif isinstance(q, Res):
-            walk(q.body)
+            f.restricted.append(q.name)
+            walk(q.body, served)
 
-    walk(p)
-    return out
+    walk(p, [])
+    return f
 
 
 def locality_check(p: Process) -> bool:
     """True iff no received name is used as the subject of an input."""
-    received = {x for _, _, x in _receptions(p)}
-    return not (received & _input_subjects(p))
+    return not _facts(p).non_local()
 
 
 # ---------------------------------------------------------------------------
-# The level constraint graph
+# The level constraint system
 
 
 @dataclass(frozen=True)
@@ -341,17 +319,17 @@ class LevelGraph:
 
 
 class _NameInfo:
-    """Shared lookup tables for graph construction."""
+    """The name facts of a process with its simple types: roots, carriers,
+    slots and their displays."""
 
-    def __init__(self, p: Process, env: SimpleEnv):
+    def __init__(self, p: Process, env: SimpleEnv, facts: _Facts):
         self.env = env
+        self.facts = facts
         self.roots: list[Name] = sorted(
-            set(free_names(p)) | set(_resnames(p)), key=lambda n: (n.display, n.id)
+            set(free_names(p)) | set(facts.restricted), key=lambda n: (n.display, n.id)
         )
         self.rootset = set(self.roots)
-        self.carrier: dict[Name, tuple[Name, int]] = {}
-        for a, i, x in _receptions(p):
-            self.carrier[x] = (a, i)
+        self.carrier: dict[Name, tuple[Name, int]] = {x: (a, i) for a, i, x in facts.receptions}
         # displays, qualified when distinct roots share a spelling
         seen: dict[str, int] = {}
         self.root_display: dict[Name, str] = {}
@@ -390,89 +368,17 @@ class _NameInfo:
             base = f"son{i}({base})"
         return base
 
-
-def _repl_output_subjects(p: Process) -> list[tuple[Name, Name]]:
-    """(replicated subject, output subject) pairs: one per output that occurs
-    in the body of a replicated input without a further replication between."""
-    pairs: list[tuple[Name, Name]] = []
-
-    def outputs_not_under_repl(q: Process, acc: list[Name]) -> None:
-        if isinstance(q, Par):
-            outputs_not_under_repl(q.left, acc)
-            outputs_not_under_repl(q.right, acc)
-        elif isinstance(q, Out):
-            acc.append(q.subject)
-        elif isinstance(q, In):
-            outputs_not_under_repl(q.body, acc)
-        elif isinstance(q, Res):
-            outputs_not_under_repl(q.body, acc)
-        # replication shields its body
-
-    def walk(q: Process) -> None:
-        if isinstance(q, Par):
-            walk(q.left)
-            walk(q.right)
-        elif isinstance(q, In):
-            walk(q.body)
-        elif isinstance(q, RepIn):
-            acc: list[Name] = []
-            outputs_not_under_repl(q.body, acc)
-            for w in acc:
-                pairs.append((q.subject, w))
-            walk(q.body)
-        elif isinstance(q, Res):
-            walk(q.body)
-
-    walk(p)
-    return pairs
+    def describe(self, s: Slot) -> str:
+        if s == _FLOOR:
+            return "floor"
+        return self.slot_display(s) if s.root in self.rootset else repr(s)
 
 
-def build_graph(p: Process, env: SimpleEnv) -> LevelGraph:
-    """The visible constraint graph: a node per free/restricted name and per
-    payload position of its channel type; received names label their
-    carrier's payload node; output edges are tagged `>=`, replication edges
-    `>`."""
-    info = _NameInfo(p, env)
-    g = LevelGraph()
-    for n in info.roots:
-        t = info.type_of(n)
-        if isinstance(t, SVar):
-            g.add_node(Slot(n, ()), info.root_display[n])
-        elif isinstance(t, SChan):
-            g.add_node(Slot(n, ()), info.root_display[n])
-            for i, pt in enumerate(t.payload):
-                if isinstance(pt, SNat):
-                    continue
-                slot = Slot(n, (i,))
-                g.add_node(slot, info.slot_display(slot))
-    for a, i, x in _receptions(p):
-        if isinstance(info.type_of(x), SNat):
-            continue
-        slot = Slot(a, (i,))
-        if slot in g.nodes:
-            g.nodes[slot].add(x.display)
-    for out in _outputs(p):
-        if out.subject not in info.rootset:
-            continue  # deep constraint, handled on the extended system
-        values = out.payload if out.payload else (STAR,)
-        for i, v in enumerate(values):
-            if not isinstance(v, NameRef):
-                continue
-            src = Slot(out.subject, (i,))
-            dst = info.slot_of(v.name)
-            if src in g.nodes and dst is not None:
-                g.edges.add((src, dst, False))
-    for a, w in _repl_output_subjects(p):
-        src = info.slot_of(a)
-        dst = info.slot_of(w)
-        if src is not None and dst is not None:
-            g.edges.add((src, dst, True))
-    return g
-
-
-def _extended_constraints(p: Process, info: _NameInfo) -> tuple[set[Slot], set[tuple[Slot, Slot, bool]]]:
-    """All level constraints, including the payload positions below the
-    visible nodes and the floor that keeps replicated subjects above zero."""
+def _extended_constraints(info: _NameInfo) -> tuple[set[Slot], set[tuple[Slot, Slot, bool]]]:
+    """All level constraints: output edges `>=` from each payload position to
+    what it carries (down every nested position), replication edges `>` from
+    a replicated subject to the outputs of its body, and a floor that keeps
+    replicated subjects above zero."""
     slots: set[Slot] = {_FLOOR}
     edges: set[tuple[Slot, Slot, bool]] = set()
 
@@ -499,7 +405,7 @@ def _extended_constraints(p: Process, info: _NameInfo) -> tuple[set[Slot], set[t
                     continue
                 le(Slot(b.root, b.path + (i,)), Slot(a.root, a.path + (i,)))
 
-    for out in _outputs(p):
+    for out in info.facts.outputs:
         subj = info.slot_of(out.subject)
         if subj is None:
             continue
@@ -512,12 +418,15 @@ def _extended_constraints(p: Process, info: _NameInfo) -> tuple[set[Slot], set[t
                 continue
             le(tgt, Slot(subj.root, subj.path + (i,)))
 
-    for a, w in _repl_output_subjects(p):
+    for a, served in info.facts.replicated:
         src = info.slot_of(a)
-        dst = info.slot_of(w)
-        if src is not None and dst is not None:
-            edges.add((src, dst, True))
-    for subj in _replicated_subjects(p):
+        if src is None:
+            continue
+        for w in served:
+            dst = info.slot_of(w)
+            if dst is not None:
+                edges.add((src, dst, True))
+    for subj, _ in info.facts.replicated:
         slot = info.slot_of(subj)
         if slot is not None:
             edges.add((slot, _FLOOR, True))
@@ -526,23 +435,31 @@ def _extended_constraints(p: Process, info: _NameInfo) -> tuple[set[Slot], set[t
     return slots, edges
 
 
-def _replicated_subjects(p: Process) -> list[Name]:
-    out: list[Name] = []
+def _project(
+    info: _NameInfo, slots: set[Slot], edges: set[tuple[Slot, Slot, bool]]
+) -> LevelGraph:
+    """The visible graph: the slots of free and restricted names down to their
+    payload positions, received names as labels on their carrier's position,
+    and the constraints among these slots."""
+    g = LevelGraph()
+    for s in slots:
+        if s.root in info.rootset and len(s.path) <= 1:
+            g.add_node(s, info.slot_display(s))
+    for a, i, x in info.facts.receptions:
+        slot = Slot(a, (i,))
+        if slot in g.nodes and not isinstance(info.type_of(x), SNat):
+            g.nodes[slot].add(x.display)
+    g.edges = {e for e in edges if e[0] in g.nodes and e[1] in g.nodes}
+    return g
 
-    def walk(q: Process) -> None:
-        if isinstance(q, Par):
-            walk(q.left)
-            walk(q.right)
-        elif isinstance(q, In):
-            walk(q.body)
-        elif isinstance(q, RepIn):
-            out.append(q.subject)
-            walk(q.body)
-        elif isinstance(q, Res):
-            walk(q.body)
 
-    walk(p)
-    return out
+def build_graph(p: Process, env: SimpleEnv) -> LevelGraph:
+    """The visible constraint graph: a node per free/restricted name and per
+    payload position of its channel type; received names label their
+    carrier's payload node; output edges are tagged `>=`, replication edges
+    `>`."""
+    info = _NameInfo(p, env, _facts(p))
+    return _project(info, *_extended_constraints(info))
 
 
 # ---------------------------------------------------------------------------
@@ -671,45 +588,6 @@ def assign_levels(graph: LevelGraph) -> dict[Slot, int]:
     )
 
 
-def _solve_ds(
-    nodes: set[Slot],
-    edges: set[tuple[Slot, Slot, bool]],
-    describe,
-) -> dict[Slot, int]:
-    """Levels with every `>=` edge read as an equality (simple-types mode)."""
-    parent: dict[Slot, Slot] = {n: n for n in nodes}
-
-    def find(x: Slot) -> Slot:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a: Slot, b: Slot) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    for src, dst, strict in edges:
-        if not strict:
-            union(src, dst)
-    merged_nodes = {find(n) for n in nodes}
-    merged_edges: set[tuple[Slot, Slot, bool]] = set()
-    for src, dst, strict in edges:
-        if not strict:
-            continue
-        a, b = find(src), find(dst)
-        if a == b:
-            raise CyclicLevelConstraint(
-                f"strict constraint inside a merged level class: "
-                f"{describe(src)} > {describe(dst)}",
-                cycle=[describe(src), describe(dst), describe(src)],
-            )
-        merged_edges.add((a, b, True))
-    merged_levels = _solve(merged_nodes, merged_edges, describe)
-    return {n: merged_levels[find(n)] for n in nodes}
-
-
 # ---------------------------------------------------------------------------
 # Reconstruction
 
@@ -720,9 +598,11 @@ def reconstruct(
     """Types from the level assignment: full capability for input subjects and
     restricted names, output capability elsewhere and on every carried type;
     residual type variables become Unit."""
-    info = _NameInfo(p, env)
-    inputs = _input_subjects(p)
-    res = set(_resnames(p))
+    return _reconstruct(p, _NameInfo(p, env, _facts(p)), levels)
+
+
+def _reconstruct(p: Process, info: _NameInfo, levels: dict[Slot, int]) -> tuple[TypeEnv, Process]:
+    sharp = info.facts.input_subjects | set(info.facts.restricted)
 
     def build(root: Name, path: tuple[int, ...], t: SimpleType, cap: str) -> Type:
         if isinstance(t, SUnit):
@@ -740,7 +620,7 @@ def reconstruct(
         return ChanT(cap, lvl, payload)
 
     def type_of_root(n: Name) -> Type:
-        cap = SHARP if (n in inputs or n in res) else OUT
+        cap = SHARP if n in sharp else OUT
         return build(n, (), info.type_of(n), cap)
 
     tenv = TypeEnv({n: type_of_root(n) for n in free_names(p)})
@@ -781,31 +661,23 @@ def infer(p: Process, mode: str = FLEXIBLE) -> InferResult:
     """Full inference; raises NotLocalised, UnificationFailure,
     OccursCheckFailure or CyclicLevelConstraint on untypable input."""
     env = infer_simple(p)
-    if not locality_check(p):
-        received = {x for _, _, x in _receptions(p)}
-        bad = sorted(
-            (n.display for n in received & _input_subjects(p))
-        )
+    facts = _facts(p)
+    bad = facts.non_local()
+    if bad:
         raise NotLocalised(
-            f"received name(s) used as input subject: {', '.join(bad)}",
+            f"received name(s) used as input subject: {', '.join(sorted(n.display for n in bad))}",
             where=pretty_process(p),
         )
-    graph = build_graph(p, env)
-    info = _NameInfo(p, env)
-    slots, edges = _extended_constraints(p, info)
-
-    def describe(s: Slot) -> str:
-        if s == _FLOOR:
-            return "floor"
-        return info.slot_display(s) if s.root in info.rootset else repr(s)
-
+    info = _NameInfo(p, env, facts)
+    slots, edges = _extended_constraints(info)
+    graph = _project(info, slots, edges)
     if mode == DS_EQUALITY:
-        levels = _solve_ds(slots, edges, describe)
-    elif mode == FLEXIBLE:
-        levels = _solve(slots, edges, describe)
-    else:
+        # every `>=` flow also holds backwards: levels are equal along it
+        edges = edges | {(dst, src, False) for src, dst, strict in edges if not strict}
+    elif mode != FLEXIBLE:
         raise ValueError(f"unknown inference mode {mode!r}")
-    tenv, annotated = reconstruct(p, env, levels)
+    levels = _solve(slots, edges, info.describe)
+    tenv, annotated = _reconstruct(p, info, levels)
     weight = check(tenv, annotated)  # inference soundness: must hold
-    visible = {slot: levels.get(slot, 0) for slot in graph.nodes}
+    visible = {slot: levels[slot] for slot in graph.nodes}
     return InferResult(tenv, annotated, weight, graph, visible, env)

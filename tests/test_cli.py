@@ -63,6 +63,24 @@ class TestCheck:
         code, out = run(capsys, "check", "--impure", pi)
         assert code == 0
 
+    @pytest.mark.parametrize(
+        "argv, isolated, code",
+        [
+            (["check", "x.pi"], "Unit", "ILL"),
+            (["check", "--impure", "x.pi"], "#0[Unit]", "CAP"),
+            (["run", "x.pi", "--certify", "x.env"], "#0[Unit]", "CAP"),
+        ],
+        ids=["check-not-a-channel", "impure-not-output-only", "certify-not-output-only"],
+    )
+    def test_bad_isolated_entry_rejected(self, capsys, tmp_path, argv, isolated, code):
+        (tmp_path / "x.pi").write_text("f<*>\n")
+        (tmp_path / "x.env").write_text(f"isolated f : {isolated}\n")
+        argv = [tmp_path / a if a.endswith((".pi", ".env")) else a for a in argv]
+        exit_code, out = run(capsys, *argv, "--format=lines")
+        assert exit_code == 1
+        assert "VERDICT=Rejected" in out
+        assert f"CODE={code}" in out
+
     def test_impure_isolated_from_env(self, capsys, tmp_path):
         pi = tmp_path / "x.pi"
         pi.write_text("!f().0 | f<>\n")
@@ -96,6 +114,13 @@ class TestInfer:
     def test_ds_equality_mode(self, capsys):
         code, out = run(capsys, "infer", FIXTURES / "server.pi", "--ds-equality")
         assert code == 1
+        # the witness is a closed cycle through the merged payload slot
+        prefix = "[CYC] level constraints form a cycle through a strict edge: "
+        (line,) = [l for l in out.splitlines() if l.startswith(prefix)]
+        cycle = line[len(prefix) :].split(" -> ")
+        assert len(cycle) >= 3
+        assert cycle[0] == cycle[-1]
+        assert "son0(a)" in cycle
 
 
 class TestRun:

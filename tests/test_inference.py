@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import random
 from itertools import product
+from pathlib import Path
 
 import pytest
 
+from piterm import inference
 from piterm.checker import TypeEnv, check
 from piterm.errors import (
     CyclicLevelConstraint,
     NotLocalised,
     OccursCheckFailure,
+    PiError,
     UnificationFailure,
 )
 from piterm.inference import (
@@ -40,8 +44,11 @@ from piterm.syntax import (
     UNIT,
     free_names,
     fresh,
+    pretty_process,
     pretty_type,
 )
+
+from conftest import count_calls
 
 
 def by_display(p):
@@ -388,6 +395,15 @@ class TestInferPipeline:
         report = certified_run(result.env, result.process, 100000, 100000)
         assert report.verdict is Verdict.TERMINATED
 
+    @pytest.mark.parametrize("mode", [FLEXIBLE, DS_EQUALITY])
+    def test_facts_and_constraints_built_once(self, monkeypatch, mode):
+        counted = {
+            name: count_calls(monkeypatch, getattr(inference, name))
+            for name in ("_facts", "_NameInfo", "_extended_constraints")
+        }
+        infer(parse_process("!a(x).b<x> | a<c> | new s.(d<s> | s(y).y<*>)"), mode)
+        assert {name: len(calls) for name, calls in counted.items()} == dict.fromkeys(counted, 1)
+
     def test_alpha_invariant_across_reparses(self):
         # two parses of the same source differ only in name identities
         for src in ["!c(z).b<z> | a<c> | a<b>", "!a(x).x<t> | a<p> | a<q> | !p(z).q<z>"]:
@@ -432,23 +448,6 @@ def _resnames(p):
             walk(q.body)
         elif isinstance(q, Res):
             out.append(q.name)
-            walk(q.body)
-
-    walk(p)
-    return out
-
-
-def _input_subject_names(p):
-    out = set()
-
-    def walk(q):
-        if isinstance(q, Par):
-            walk(q.left)
-            walk(q.right)
-        elif isinstance(q, (In, RepIn)):
-            out.add(q.subject)
-            walk(q.body)
-        elif isinstance(q, Res):
             walk(q.body)
 
     walk(p)
@@ -680,3 +679,63 @@ class TestInferFuzz:
             # the pipeline already re-checked; assert independently anyway
             assert check(result.env, result.process) == result.weight
         assert accepted > 50 and rejected > 20  # the fuzz hits both outcomes
+
+
+# ---------------------------------------------------------------------------
+# Golden record: the full outcome of `infer` in both modes on a fixed corpus,
+# recorded from an earlier implementation. Regenerate it (only for a
+# deliberate change of output) with
+#   PYTHONPATH=src:tests python -c "import test_inference as t; t.write_golden()"
+
+GOLDEN = Path(__file__).resolve().parent / "golden" / "infer.txt"
+GOLDEN_SEED = 4
+GOLDEN_SAMPLES = 300
+
+
+def golden_processes() -> list:
+    """`LOCAL_CORPUS` followed by a fixed-seed sample of localised processes."""
+    procs = [parse_process(src) for src in LOCAL_CORPUS]
+    rng = random.Random(GOLDEN_SEED)
+    for _ in range(GOLDEN_SAMPLES):
+        procs.append(random_local_process(rng, 4, [fresh(d) for d in "abc"], []))
+    return procs
+
+
+def golden_line(p, mode: str) -> str:
+    """One mode's outcome: weight, types, dumped graph and visible levels on
+    acceptance, the error code on rejection."""
+    head = f"{mode}\t{pretty_process(p)}\t"
+    try:
+        r = infer(p, mode)
+    except PiError as exc:
+        return head + f"REJECT {exc.code}"
+    types = sorted(f"{n.display}:{pretty_type(t)}" for n, t in r.env.items())
+    levels = sorted(f"{r.graph.display[s]}={lvl}" for s, lvl in r.levels.items())
+    return head + "\t".join(
+        [
+            f"WEIGHT {r.weight}",
+            "TYPES " + " ".join(types),
+            "PROCESS " + pretty_process(r.process),
+            "GRAPH " + "; ".join(r.graph.dump().splitlines()),
+            "LEVELS " + " ".join(levels),
+        ]
+    )
+
+
+def golden_text() -> str:
+    return "".join(
+        golden_line(p, mode) + "\n" for p in golden_processes() for mode in (FLEXIBLE, DS_EQUALITY)
+    )
+
+
+def write_golden() -> None:
+    GOLDEN.write_text(golden_text(), encoding="utf-8")
+
+
+class TestGolden:
+    def test_infer_outcomes_unchanged(self):
+        expected = GOLDEN.read_text(encoding="utf-8").splitlines()
+        got = golden_text().splitlines()
+        assert len(got) == len(expected)
+        for g, e in zip(got, expected):
+            assert g == e
