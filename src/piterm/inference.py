@@ -545,17 +545,16 @@ def _solve(
     edges: set[tuple[Slot, Slot, bool]],
     describe=lambda s: f"{s.root.display}{list(s.path)}",
 ) -> dict[Slot, int]:
+    ordered = sorted(edges, key=lambda e: (e[0].root.id, e[0].path, e[1].root.id, e[1].path, e[2]))
     adj: dict[Slot, list[tuple[Slot, bool]]] = {n: [] for n in nodes}
-    for src, dst, strict in sorted(
-        edges, key=lambda e: (e[0].root.id, e[0].path, e[1].root.id, e[1].path, e[2])
-    ):
+    for src, dst, strict in ordered:
         adj[src].append((dst, strict))
     comps = _tarjan(nodes, adj)
     comp_of: dict[Slot, int] = {}
     for ci, comp in enumerate(comps):
         for s in comp:
             comp_of[s] = ci
-    for src, dst, strict in edges:
+    for src, dst, strict in ordered:
         if strict and comp_of[src] == comp_of[dst]:
             cycle = _cycle_witness(set(comps[comp_of[src]]), adj, src, dst)
             raise CyclicLevelConstraint(

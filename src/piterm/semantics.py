@@ -1,17 +1,41 @@
 """Structural congruence, one-step reduction and bounded exhaustive execution.
 
-Processes are kept in a canonical normal form: restrictions hoisted to the
-top of every prefix body, parallel compositions flattened into a sorted
-component multiset, inert subterms dropped, bound names compared up to
-alpha-renaming. Reduction then pairs top-level outputs with (replicated)
-inputs on the same name.
+A process is normalised by hoisting restrictions to the top of every scope
+(the process itself and every prefix body), flattening parallel composition
+and dropping inert subterms. Its key is `syntax._serial` of that form, with
+the restricted names of each scope put in a canonical order and the
+components of each scope in a canonical order, so that two processes get
+equal keys exactly when they are structurally congruent:
+
+- Restricted names that never occur free in a common component are
+  independent. They are split into clusters by union-find, each cluster is
+  ordered on its own, and the clusters follow one another in the order of
+  their keys.
+- Inside a cluster the order is the least leaf of an individualise-and-refine
+  search (McKay & Piperno, "Practical graph isomorphism, II", 2014). At each
+  position every remaining name is scored by the key with the names already
+  placed labelled in order, the candidate next and the rest under one
+  anonymous label; only the names that tie for the least score are branched
+  on. A tied candidate is skipped when exchanging it with one already
+  explored maps the cluster onto itself, since its subtree then holds the
+  same leaves.
+- A prefix body is serialised under the labels of the enclosing names, its
+  restricted names ordered by the same search and its components greedily:
+  at the running binder counter the least serial goes first, which is exact
+  because serials are prefix-free.
+
+The cost is polynomial while the symmetries of a cluster are generated by
+exchanges of two names; symmetries that are not (a ring `a<b> | b<c> | c<a>`
+of restricted names, say) still branch once per symmetric candidate.
+Reduction then pairs top-level outputs with (replicated) inputs on the same
+name.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import permutations
+from typing import Callable, Sequence
 
 from .checker import TypeEnv, check
 from .errors import CertificationFailure, PiError, SortError
@@ -36,9 +60,9 @@ from .syntax import (
     substitute_many,
 )
 
-_PERM_CAP = 6
-
 Restriction = tuple[Name, Type | None, bool]
+
+_ANON = "?"  # the one label of the restricted names not yet placed
 
 
 @dataclass(frozen=True)
@@ -48,14 +72,19 @@ class NormalProcess:
     key: str
 
     def rebuild(self) -> Process:
-        body = par(*self.components)
-        for name, ann, functional in reversed(self.restrictions):
-            body = Res(name, ann, functional, body)
-        return body
+        return _wrap(self.restrictions, self.components)
+
+
+def _wrap(restrictions: Sequence[Restriction], components: Sequence[Process]) -> Process:
+    body = par(*components)
+    for name, ann, functional in reversed(restrictions):
+        body = Res(name, ann, functional, body)
+    return body
 
 
 def _flatten(p: Process) -> tuple[list[Restriction], list[Process]]:
-    """Hoist restrictions, flatten parallel composition, drop inert parts."""
+    """Hoist restrictions, flatten parallel composition, drop inert parts;
+    prefix bodies likewise, each left as its restrictions over its components."""
     if isinstance(p, Nil):
         return [], []
     if isinstance(p, Par):
@@ -69,62 +98,234 @@ def _flatten(p: Process) -> tuple[list[Restriction], list[Process]]:
         return [(p.name, p.annotation, p.functional)] + res, comps
     if isinstance(p, Out):
         return [], [p]
-    if isinstance(p, In):
-        return [], [In(p.subject, p.binders, normalize(p.body).rebuild())]
-    if isinstance(p, RepIn):
-        return [], [RepIn(p.subject, p.binders, normalize(p.body).rebuild())]
+    if isinstance(p, (In, RepIn)):
+        return [], [type(p)(p.subject, p.binders, _wrap(*_flatten(p.body)))]
     raise TypeError(f"not a process: {p!r}")
 
 
-def _res_tag(r: Restriction) -> str:
+def _scope(body: Process) -> tuple[list[Restriction], list[Process]]:
+    """The restrictions and components of a body `_flatten` has built."""
+    res = []
+    while isinstance(body, Res):
+        res.append((body.name, body.annotation, body.functional))
+        body = body.body
+    comps = []
+    while isinstance(body, Par):
+        comps.append(body.left)
+        body = body.right
+    return res, comps + [body]
+
+
+def _res_kind(r: Restriction) -> tuple[str, str]:
     _, ann, functional = r
-    kind = "fun" if functional else "imp"
-    return f"{kind}:{pretty_type(ann) if ann is not None else '_'}"
+    return "fun" if functional else "imp", pretty_type(ann) if ann is not None else "_"
 
 
-def _level_key(restrictions: list[Restriction], comps: list[Process], order: list[int]) -> tuple[str, list[str]]:
-    env = {restrictions[idx][0].id: f"v{pos}" for pos, idx in enumerate(order)}
-    serials = sorted(_serial(c, dict(env), [0]) for c in comps)
-    head = "new[" + ",".join(_res_tag(restrictions[i]) for i in order) + "]"
-    return head + ";" + "|".join(serials), serials
+def _res_tag(r: Restriction) -> str:
+    return ":".join(_res_kind(r))
 
 
-def _canonical_order(restrictions: list[Restriction], comps: list[Process]) -> list[int]:
-    n = len(restrictions)
-    if n <= 1:
-        return list(range(n))
-    if n <= _PERM_CAP:
-        best_key = None
-        best = list(range(n))
-        for perm in permutations(range(n)):
-            key, _ = _level_key(restrictions, comps, list(perm))
-            if best_key is None or key < best_key:
-                best_key = key
-                best = list(perm)
-        return best
-    # greedy fallback for very wide restriction lists
-    remaining = list(range(n))
-    order: list[int] = []
-    while remaining:
-        scored = []
-        for idx in remaining:
-            key, _ = _level_key(restrictions, comps, order + [idx])
-            scored.append((key, idx))
-        scored.sort()
-        order.append(scored[0][1])
-        remaining.remove(scored[0][1])
-    return order
+# ---------------------------------------------------------------------------
+# Canonical serials
+
+
+Key = Callable[[list[Process], dict[int, str]], str]
+
+
+class _Canon:
+    """The serials of one `normalize` call: `_serial`'s format, with the
+    restricted names and the components of every scope in canonical order.
+
+    A component's serial depends only on the component, the binder counter it
+    starts at and the labels of its free names. A prefix whose body is a scope
+    of its own is ordered by a search, so within one call its serial is
+    computed once for each of those."""
+
+    def __init__(self) -> None:
+        self.free: dict[int, tuple[int, ...]] = {}
+        self.memo: dict[tuple, tuple[str, int]] = {}
+
+    def names(self, c: Process) -> tuple[int, ...]:
+        ids = self.free.get(id(c))
+        if ids is None:
+            ids = self.free[id(c)] = tuple(n.id for n in free_names(c))
+        return ids
+
+    def comp(self, c: Process, env: dict[int, str], counter: list[int]) -> str:
+        if not isinstance(c, (In, RepIn)):
+            return _serial(c, env, counter)
+        if not isinstance(c.body, (Res, Par)):
+            return self.prefix(c, env, counter)
+        memo_key = (id(c), counter[0], tuple(env.get(i) for i in self.names(c)))
+        known = self.memo.get(memo_key)
+        if known is None:
+            s = self.prefix(c, env, counter)
+            known = self.memo[memo_key] = (s, counter[0])
+        counter[0] = known[1]
+        return known[0]
+
+    def prefix(self, c: In | RepIn, env: dict[int, str], counter: list[int]) -> str:
+        tag = "rep" if isinstance(c, RepIn) else "in"
+        subj = env.get(c.subject.id, f"f:{c.subject.display}")
+        env2 = dict(env)
+        for b in c.binders:
+            env2[b.id] = f"b{counter[0]}"
+            counter[0] += 1
+        if isinstance(c.body, (Res, Par)):
+            inner = self.body(*_scope(c.body), env2, counter)
+        else:
+            inner = self.comp(c.body, env2, counter)
+        return f"({tag} {subj} /{len(c.binders)} {inner})"
+
+    def body(self, res: list[Restriction], comps: list[Process], env: dict[int, str], counter: list[int]) -> str:
+        """A prefix body: its restrictions labelled from the running counter,
+        then its components."""
+        base = counter[0]
+        start = base + len(res)
+
+        def key(cs: list[Process], labels: dict[int, str]) -> str:
+            return self.par(cs, {**env, **labels}, [start])
+
+        env2 = dict(env)
+        heads = []
+        for pos, i in enumerate(self.order(res, comps, lambda pos: f"b{base + pos}", key)):
+            env2[res[i][0].id] = f"b{base + pos}"
+            heads.append("(new {} {} ".format(*_res_kind(res[i])))
+        counter[0] = start
+        return "".join(heads) + self.par(comps, env2, counter) + ")" * len(res)
+
+    def par(self, comps: list[Process], env: dict[int, str], counter: list[int]) -> str:
+        """The components of a prefix body, least serial first at the running counter."""
+        parts = []
+        rest = list(comps)
+        while len(rest) > 1:
+            best = None
+            for i, c in enumerate(rest):
+                after = [counter[0]]
+                s = self.comp(c, env, after)
+                if best is None or s < best[0]:
+                    best = (s, i, after[0])
+            parts.append(best[0])
+            counter[0] = best[2]
+            del rest[best[1]]
+        out = self.comp(rest[0], env, counter)
+        for s in reversed(parts):
+            out = f"(| {s} {out})"
+        return out
+
+    def multiset(self, comps: list[Process], labels: dict[int, str]) -> str:
+        """The top-level components, each from counter 0, sorted."""
+        return "|".join(sorted(self.comp(c, labels, [0]) for c in comps))
+
+    def order(self, res: list[Restriction], comps: list[Process], label: Callable[[int], str], key: Key) -> list[int]:
+        """Indices of `res` in canonical order: clusters of names linked by a
+        common component, each ordered by `search`, concatenated by cluster key.
+        `label(pos)` spells the name at position `pos`; `key(comps, labels)` is
+        a complete invariant of the components under a labelling of the names."""
+        n = len(res)
+        if n <= 1:
+            return list(range(n))
+        index = {r[0].id: i for i, r in enumerate(res)}
+        parent = list(range(n))
+
+        def find(i: int) -> int:
+            while parent[i] != i:
+                parent[i] = parent[parent[i]]
+                i = parent[i]
+            return i
+
+        users: list[tuple[Process, list[int]]] = []
+        for c in comps:
+            mine = [index[m] for m in self.names(c) if m in index]
+            if mine:
+                users.append((c, mine))
+                root = find(mine[0])
+                for i in mine[1:]:
+                    parent[find(i)] = root
+        clusters: dict[int, tuple[list[int], list[Process]]] = {}
+        for i in range(n):
+            clusters.setdefault(find(i), ([], []))[0].append(i)
+        for c, mine in users:
+            clusters[find(mine[0])][1].append(c)
+        if len(clusters) == 1:
+            ((names, cs),) = clusters.values()
+            leaves = self.search(res, names, cs, label, key)
+            return leaves[0][0] if len(leaves) == 1 else _least(res, leaves, cs, key)[1]
+        keyed = sorted(
+            (_least(res, self.search(res, names, cs, label, key), cs, key) for names, cs in clusters.values()),
+            key=lambda leaf: leaf[0],
+        )
+        return [i for _, order in keyed for i in order]
+
+    def search(
+        self, res: list[Restriction], names: list[int], comps: list[Process], label: Callable[[int], str], key: Key
+    ) -> list[tuple[list[int], dict[int, str]]]:
+        """The leaves of the individualise-and-refine tree of one cluster:
+        each an order of `names` and the labelling it gives them."""
+        ids = {i: res[i][0].id for i in names}
+        tags = {i: _res_tag(res[i]) for i in names}
+        leaves: list[tuple[list[int], dict[int, str]]] = []
+
+        def visit(prefix: list[int], rest: list[int]) -> None:
+            labels = {ids[i]: label(pos) for pos, i in enumerate(prefix)}
+            while len(rest) > 1:
+                pos = len(prefix)
+                anon = {**labels, **{ids[i]: _ANON for i in rest}}
+                scored = []
+                for i in rest:
+                    trial = dict(anon)
+                    trial[ids[i]] = label(pos)
+                    scored.append(((tags[i], key(comps, trial)), i))
+                least = min(s for s, _ in scored)
+                tied = [i for s, i in scored if s == least]
+                if len(tied) > 1:
+                    branch(prefix, rest, labels, tied)
+                    return
+                prefix.append(tied[0])
+                rest.remove(tied[0])
+                labels[ids[tied[0]]] = label(pos)
+            labels[ids[rest[0]]] = label(len(prefix))
+            leaves.append((prefix + rest, labels))
+
+        def branch(prefix: list[int], rest: list[int], labels: dict[int, str], tied: list[int]) -> None:
+            # any injective labelling shows whether exchanging two names maps the cluster onto itself
+            full = dict(labels)
+            for off, i in enumerate(rest):
+                full[ids[i]] = label(len(prefix) + off)
+            reference = key(comps, full)
+            explored: list[int] = []
+            for t in tied:
+                a = ids[t]
+                if any(key(comps, {**full, a: full[ids[e]], ids[e]: full[a]}) == reference for e in explored):
+                    continue
+                explored.append(t)
+                visit(prefix + [t], [i for i in rest if i != t])
+
+        visit([], list(names))
+        return leaves
+
+
+def _least(
+    res: list[Restriction], leaves: list[tuple[list[int], dict[int, str]]], comps: list[Process], key: Key
+) -> tuple[tuple[list[str], str], list[int]]:
+    """The leaf with the least key (tags in order, then `key` under its labelling)."""
+    return min(
+        ((([_res_tag(res[i]) for i in order], key(comps, labels)), order) for order, labels in leaves),
+        key=lambda leaf: leaf[0],
+    )
 
 
 def normalize(p: Process) -> NormalProcess:
     """Canonical form modulo the congruence axioms; equal keys mean congruent."""
     restrictions, comps = _flatten(p)
-    order = _canonical_order(restrictions, comps)
-    key, serials = _level_key(restrictions, comps, order)
-    ordered_res = tuple(restrictions[i] for i in order)
-    env = {restrictions[idx][0].id: f"v{pos}" for pos, idx in enumerate(order)}
-    ordered_comps = tuple(sorted(comps, key=lambda c: _serial(c, dict(env), [0])))
-    return NormalProcess(ordered_res, ordered_comps, key)
+    canon = _Canon()
+    order = canon.order(restrictions, comps, lambda pos: f"v{pos}", canon.multiset)
+    ordered = tuple(restrictions[i] for i in order)
+    env = {r[0].id: f"v{pos}" for pos, r in enumerate(ordered)}
+    serials = sorted(((canon.comp(c, env, [0]), c) for c in comps), key=lambda sc: sc[0])
+    head = "new[" + ",".join(_res_tag(r) for r in ordered) + "]"
+    key = head + ";" + "|".join(s for s, _ in serials)
+    return NormalProcess(ordered, tuple([c for _, c in serials]), key)
 
 
 def congruent(p: Process, q: Process) -> bool:
@@ -171,10 +372,7 @@ def step(p: Process | NormalProcess) -> list[NormalProcess]:
             if isinstance(receiver, RepIn):
                 rest.append(receiver)
             rest.append(body)
-            rebuilt = par(*rest)
-            for name, ann, functional in reversed(np.restrictions):
-                rebuilt = Res(name, ann, functional, rebuilt)
-            succ = normalize(rebuilt)
+            succ = normalize(_wrap(np.restrictions, rest))
             succs[succ.key] = succ
     return [succs[k] for k in sorted(succs)]
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 import sys
 from collections import Counter
-from itertools import product
+from itertools import permutations, product
 from pathlib import Path
 
 import pytest
@@ -31,6 +31,7 @@ from piterm.syntax import (
     Star,
     Type,
     Value,
+    _serial,
     free_names,
     fresh,
 )
@@ -332,3 +333,75 @@ def well_scoped(p: Process) -> bool:
     if len(set(ids)) != len(ids):
         return False
     return not (set(ids) & {n.id for n in free_names(p)})
+
+
+# ---------------------------------------------------------------------------
+# Brute-force congruence oracle
+
+
+def scope_parts(p: Process) -> tuple[list[Res], list[Process]]:
+    """Restrictions (the `Res` nodes, bodies ignored) and components of one
+    scope, prefix bodies left as they are; unused restrictions are dropped."""
+    if isinstance(p, Nil):
+        return [], []
+    if isinstance(p, Par):
+        r1, c1 = scope_parts(p.left)
+        r2, c2 = scope_parts(p.right)
+        return r1 + r2, c1 + c2
+    if isinstance(p, Res):
+        res, comps = scope_parts(p.body)
+        return ([p] if p.name in free_names(p.body) else []) + res, comps
+    return [], [p]
+
+
+def _oracle_head(r: Res) -> str:
+    ann = "_" if r.annotation is None else repr(r.annotation)
+    return f"new {'fun' if r.functional else 'imp'} {ann}"
+
+
+def _oracle_comp(c: Process, env: dict[int, str], counter: int) -> tuple[str, int]:
+    if isinstance(c, Out):
+        return _serial(c, env, [counter]), counter
+    env = dict(env)
+    for b in c.binders:
+        env[b.id] = f"b{counter}"
+        counter += 1
+    body, counter = _oracle_body(c.body, env, counter)
+    tag = "rep" if isinstance(c, RepIn) else "in"
+    return f"({tag} {env.get(c.subject.id, 'f:' + c.subject.display)} /{len(c.binders)} {body})", counter
+
+
+def _oracle_body(p: Process, env: dict[int, str], counter: int) -> tuple[str, int]:
+    """The least serial over every restriction order and component order."""
+    res, comps = scope_parts(p)
+    best = None
+    for order in permutations(res):
+        inner = dict(env)
+        for pos, r in enumerate(order):
+            inner[r.name.id] = f"b{counter + pos}"
+        head = "".join(f"({_oracle_head(r)} " for r in order)
+        for arrangement in permutations(comps):
+            parts, at = [], counter + len(res)
+            for c in arrangement:
+                s, at = _oracle_comp(c, inner, at)
+                parts.append(s)
+            text = head + "(| " + " ".join(parts) + ")" + ")" * len(res)
+            if best is None or text < best[0]:
+                best = (text, at)
+    return best if best is not None else ("0", counter)
+
+
+def oracle_key(p: Process) -> str:
+    """Canonical key by brute force: the least serial over every order of the
+    restrictions of every scope and every order of the components of every
+    prefix body. Equal keys exactly for congruent processes; factorial, so
+    for at most about five restrictions."""
+    res, comps = scope_parts(p)
+    best = None
+    for order in permutations(res):
+        env = {r.name.id: f"v{pos}" for pos, r in enumerate(order)}
+        serials = sorted(_oracle_comp(c, env, 0)[0] for c in comps)
+        text = ",".join(_oracle_head(r) for r in order) + ";" + "|".join(serials)
+        if best is None or text < best:
+            best = text
+    return best if best is not None else ";"

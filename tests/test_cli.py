@@ -143,6 +143,15 @@ class TestRun:
         assert code == 0
         assert "steps: 0" in out
 
+    def test_seven_restricted_channels(self, capsys, tmp_path):
+        # up to congruence a state only records how many channels have fired
+        pi = tmp_path / "restricted7.pi"
+        pi.write_text(" | ".join(f"(new c{i})(c{i}<> | c{i}().0 | c{i}().0)" for i in (3, 0, 6, 1, 5, 2, 4)))
+        code, out = run(capsys, "run", pi, "--format=lines")
+        lines = dict(l.split("=", 1) for l in out.strip().splitlines())
+        assert code == 0
+        assert (lines["STATES"], lines["STEPS"], lines["DEPTH"]) == ("8", "7", "7")
+
     def test_bound_flags(self, capsys, tmp_path):
         pi = tmp_path / "chain.pi"
         pi.write_text("a1<> " + "".join(f"| a{i}.a{i+1}<>" for i in range(1, 20)))

@@ -222,6 +222,19 @@ class TestAssignLevels:
             assign_levels(g)
         assert len(exc.value.cycle) >= 3
 
+    def test_cycle_independent_of_edge_insertion_order(self):
+        slots = [Slot(Name(i + 1, f"n{i}"), ()) for i in range(4)]
+        ring = [(slots[i], slots[(i + 1) % 4], True) for i in range(4)]
+        cycles = []
+        for edges in (ring, ring[::-1]):
+            inserted = set(edges)
+            with pytest.raises(CyclicLevelConstraint) as exc:
+                inference._solve(set(slots), inserted)
+            cycles.append((exc.value.cycle, list(inserted)))
+        (first, order1), (second, order2) = cycles
+        assert order1 != order2  # the two sets iterate differently
+        assert first == second
+
     def test_strict_self_loop_fails(self):
         g = raw_graph({"a": [(">", "a")]})
         with pytest.raises(CyclicLevelConstraint):

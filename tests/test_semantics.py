@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import random
+import time
+
 import pytest
 
-from piterm import checker
+from piterm import checker, semantics
 from piterm.checker import TypeEnv, env_for
 from piterm.measure import multiset_greater
 from piterm.parser import parse_process, parse_type
@@ -16,9 +19,126 @@ from piterm.semantics import (
     normalize,
     step,
 )
-from piterm.syntax import In, Out, Res, pretty_process
+from piterm.syntax import (
+    NIL,
+    UNIT,
+    ChanT,
+    In,
+    Name,
+    NameRef,
+    Out,
+    Par,
+    Process,
+    RepIn,
+    Res,
+    free_names,
+    fresh,
+    par,
+    pretty_process,
+)
 
-from conftest import count_calls, typed_instance
+from conftest import count_calls, oracle_key, scope_parts, typed_instance
+
+
+def scoped_process(rng: random.Random, pool: list[Name], top: int, body_res: int, depth: int) -> Process:
+    """`top` restrictions over a few components drawn from them and `pool`;
+    prefix bodies are scopes of their own, with up to `body_res` restrictions,
+    and use the enclosing restricted names too."""
+    own = [fresh("r") for _ in range(top)]
+    names = pool + own
+    comps: list[Process] = []
+    for _ in range(rng.randint(1, max(2, top + 1))):
+        subject = rng.choice(names)
+        if depth > 0 and rng.random() < 0.5:
+            binders = tuple(fresh("x") for _ in range(rng.randint(0, 1)))
+            inner = rng.randint(0, body_res)
+            body = scoped_process(rng, names + list(binders), inner, body_res, depth - 1)
+            comps.append(rng.choice([In, RepIn])(subject, binders, body))
+        else:
+            payload = tuple(NameRef(rng.choice(names)) for _ in range(rng.randint(0, 2)))
+            comps.append(Out(subject, payload))
+    p = par(*comps)
+    for name in reversed(own):
+        ann = rng.choice([None, None, ChanT("#", 1, (UNIT,))])
+        p = Res(name, ann, False, p)
+    return p
+
+
+def edges_process(rng: random.Random, free: Name, n: int, m: int) -> Process:
+    """`n` restricted names joined by `m` edges `x<y>`, some of them inside the
+    bodies of replicated inputs on `free`: regular shapes, rich in names that
+    look alike without being exchangeable."""
+    names = [fresh("r") for _ in range(n)]
+    comps: list[Process] = []
+    for _ in range(m):
+        edge = Out(rng.choice(names), (NameRef(rng.choice(names)),))
+        roll = rng.random()
+        if roll < 0.6:
+            comps.append(edge)
+        else:
+            z = fresh("z")
+            body = par(edge, Out(z, (NameRef(edge.subject),))) if roll < 0.8 else edge
+            comps.append(RepIn(free, (z,), body))
+    p = par(*comps)
+    for name in names:
+        p = Res(name, None, False, p)
+    return p
+
+
+def congruent_variant(rng: random.Random, p: Process) -> Process:
+    """A congruent copy of `p`: in every scope the restrictions and components
+    are shuffled, some restrictions are sunk onto the components that use
+    them, and every bound name is renamed with a new spelling."""
+
+    def rename(n: Name, ren: dict[int, Name]) -> Name:
+        return ren.get(n.id, n)
+
+    def component(c: Process, ren: dict[int, Name]) -> Process:
+        if isinstance(c, Out):
+            payload = tuple(NameRef(rename(v.name, ren)) if isinstance(v, NameRef) else v for v in c.payload)
+            return Out(rename(c.subject, ren), payload)
+        inner = dict(ren)
+        binders = tuple(fresh(rng.choice("xyzuvw")) for _ in c.binders)
+        inner.update({b.id: nb for b, nb in zip(c.binders, binders)})
+        return type(c)(rename(c.subject, ren), binders, scope(c.body, inner))
+
+    def bracket(items: list[Process]) -> Process:
+        if not items:
+            return NIL
+        if len(items) == 1:
+            return Par(items[0], NIL) if rng.random() < 0.2 else items[0]
+        cut = rng.randint(1, len(items) - 1)
+        return Par(bracket(items[:cut]), bracket(items[cut:]))
+
+    def scope(q: Process, ren: dict[int, Name]) -> Process:
+        res, comps = scope_parts(q)
+        ren = dict(ren)
+        for r in res:
+            ren[r.name.id] = fresh(rng.choice(["r", "s", "t", "r0", "r1"]))
+        items = [component(c, ren) for c in comps]
+        rng.shuffle(items)
+        rng.shuffle(res)
+        for r in res:
+            name = ren[r.name.id]
+            if rng.random() < 0.5:
+                users = [c for c in items if name in free_names(c)]
+                items = [c for c in items if name not in free_names(c)] + [Res(name, r.annotation, r.functional, bracket(users))]
+            else:
+                items = [Res(name, r.annotation, r.functional, bracket(items))]
+        rng.shuffle(items)
+        return bracket(items)
+
+    return scope(p, {})
+
+
+def count_restrictions(p: Process) -> int:
+    if isinstance(p, Par):
+        return count_restrictions(p.left) + count_restrictions(p.right)
+    if isinstance(p, (In, RepIn)):
+        return count_restrictions(p.body)
+    if isinstance(p, Res):
+        return 1 + count_restrictions(p.body)
+    return 0
 
 
 class TestNormalize:
@@ -69,6 +189,68 @@ class TestNormalize:
         p = parse_process("new a:#1[o0[Unit]]. new b:#1[o0[Unit]]. (a<c> | b<c>)")
         q = parse_process("new b:#1[o0[Unit]]. new a:#1[o0[Unit]]. (b<c> | a<c>)")
         assert congruent(p, q)
+
+    def test_body_ordered_under_enclosing_labels(self):
+        # the body's components used to be sorted by the spelling of r0 and
+        # r1 before their labels were known, so the swapped copy split
+        p = parse_process("(new r1)((new r0)(b(x).r1<x> | !r1(y).(r0<b> | r1<r1>) | b<>))")
+        q = parse_process("(new r0)((new r1)(b(x).r0<x> | !r0(y).(r1<b> | r0<r0>) | b<>))")
+        assert congruent(p, q)
+
+    def test_ring_is_not_a_line(self):
+        ring = parse_process("(new a)(new b)(new c)(a<b> | b<c> | c<a>)")
+        assert congruent(ring, parse_process("(new c)(new a)(new b)(b<c> | a<b> | c<a>)"))
+        assert not congruent(ring, parse_process("(new a)(new b)(new c)(a<b> | b<c> | c<c>)"))
+        assert not congruent(ring, parse_process("(new a)(new b)(a<b> | b<a>) | (new c)(c<c>)"))
+
+
+class TestExactness:
+    def test_alpha_renamed_shuffles_congruent(self):
+        rng = random.Random(5)
+        a, b = fresh("a"), fresh("b")
+        for top in range(1, 13):
+            for _ in range(10):
+                p = scoped_process(rng, [a, b], top, 2, 2)
+                assert congruent(p, congruent_variant(rng, p)), pretty_process(p)
+            for _ in range(20):
+                p = edges_process(rng, a, top, rng.randint(top, 2 * top))
+                assert congruent(p, congruent_variant(rng, p)), pretty_process(p)
+
+    def test_keys_agree_with_brute_force(self):
+        rng = random.Random(11)
+        a = fresh("a")
+        procs: list[Process] = []
+        while len(procs) < 900:
+            p = scoped_process(rng, [a], rng.randint(0, 3), 1, 2)
+            if count_restrictions(p) <= 5:
+                procs += [p, congruent_variant(rng, p)]
+        for n in range(2, 6):
+            for _ in range(60):
+                p = edges_process(rng, a, n, rng.randint(n - 1, 2 * n))
+                procs += [p, congruent_variant(rng, p)]
+        pairs = {(normalize(p).key, oracle_key(p)) for p in procs}
+        keys = {k for k, _ in pairs}
+        oracle = {o for _, o in pairs}
+        # equal keys exactly when the oracle's are equal
+        assert len(keys) == len(oracle) == len(pairs)
+        assert len(pairs) < len(procs) // 2
+
+    def test_one_symmetric_cluster_of_twelve(self):
+        n = 12
+        inner = "!a(x).(" + " | ".join(f"r{i}<>" for i in range(n)) + ")"
+        comps = " | ".join([inner] + [f"r{i}().0" for i in range(n)])
+        text = "".join(f"(new r{i})(" for i in range(n)) + comps + ")" * n
+        started = time.perf_counter()
+        normalize(parse_process(text))
+        # 12! leaves would take hours; the exchanges of two names prune them all
+        assert time.perf_counter() - started < 2.0
+
+    def test_twelve_independent_channels(self):
+        text = " | ".join(f"(new c{i})(c{i}<> | c{i}().0 | c{i}().0)" for i in range(12))
+        started = time.perf_counter()
+        n = normalize(parse_process(text))
+        assert time.perf_counter() - started < 0.5
+        assert len(n.restrictions) == 12
 
 
 class TestStep:
@@ -160,6 +342,27 @@ class TestExplore:
         assert r2.verdict is Verdict.BOUND_EXCEEDED
         r3 = explore(parse_process(src), max_states=100, max_depth=100)
         assert r3.verdict is Verdict.TERMINATED
+
+    def test_one_normalize_per_successor(self, monkeypatch):
+        # prefix bodies with restrictions and several components are ordered
+        # inside the one key walk, not by normalizing them on their own
+        p = parse_process(
+            "!a(x).(new r)(new s)(r<x> | s<x> | r(y).s(z).b<y>) | a<c> | a<d> | !b(w).(new t)(t<w> | t(u).0)"
+        )
+        normalized = count_calls(monkeypatch, semantics.normalize)
+        fired = []
+        fire = semantics._fire
+
+        def counted_fire(sender, receiver):
+            body = fire(sender, receiver)
+            if body is not None:
+                fired.append(body)
+            return body
+
+        monkeypatch.setattr(semantics, "_fire", counted_fire)
+        r = explore(p, 1000, 1000)
+        assert r.verdict is Verdict.TERMINATED and r.states_explored > 5
+        assert len(normalized) == 1 + len(fired)
 
     def test_deterministic_reports(self):
         src = "a<> | a.b<> | a.c<> | b.0 | c.0"
