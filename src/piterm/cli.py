@@ -1,19 +1,21 @@
 """Command-line front door: check, infer, run and encode.
 
 Exit codes: 0 for Accepted/Terminated, 1 for Rejected/Diverges/BoundExceeded,
-2 for parse or I/O errors. `--format=lines` emits grep-friendly KEY=VALUE
-pairs instead of prose.
+2 for parse, I/O and internal errors; an internal error (`[INTERNAL]`, such as
+a recursion overflow) is a fault of piterm, never a verdict on the input.
+`--format=lines` emits grep-friendly KEY=VALUE pairs instead of prose.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
 
 from .checker import TypeEnv, derive
-from .errors import CertificationFailure, IllTyped, IllTypedLambda, ParseError, PiError, SortError
+from .errors import CertificationFailure, IllTyped, IllTypedLambda, InternalError, ParseError, PiError, SortError
 from .impure import ImpureEnv, check_impure
 from .inference import DS_EQUALITY, FLEXIBLE, infer
 from .lam import encode, parse_lambda_file
@@ -184,33 +186,35 @@ def cmd_encode(args, report: _Report) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="piterm", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def common(sp, handler):
+        sp.set_defaults(handler=handler)
         sp.add_argument("file")
         sp.add_argument("--format", choices=["text", "lines"], default="text")
 
     sp = sub.add_parser("check", help="type-check an annotated process")
-    common(sp)
+    common(sp, cmd_check)
     sp.add_argument("--ds", action="store_true", help="full-capability mode without subtyping")
     sp.add_argument("--impure", action="store_true", help="functional/imperative discipline")
     sp.add_argument("--env", help="environment file (defaults to a sibling .env)")
 
     sp = sub.add_parser("infer", help="infer a typing for a localised process")
-    common(sp)
+    common(sp, cmd_infer)
     sp.add_argument("--ds-equality", action="store_true", help="unify levels across every flow")
     sp.add_argument("--dump-graph", action="store_true")
 
     sp = sub.add_parser("run", help="explore the reduction graph")
-    common(sp)
+    common(sp, cmd_run)
     sp.add_argument("--max-states", type=int, default=DEFAULT_MAX_STATES)
     sp.add_argument("--max-depth", type=int, default=DEFAULT_MAX_DEPTH)
     sp.add_argument("--certify", metavar="ENVFILE", help="certify the measure decrease")
 
     sp = sub.add_parser("encode", help="translate a lambda term")
-    common(sp)
+    common(sp, cmd_encode)
     sp.add_argument("--infer", action="store_true")
     sp.add_argument("--run", action="store_true")
     sp.add_argument("--max-states", type=int, default=DEFAULT_MAX_STATES)
@@ -221,15 +225,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     report = _Report(args.format)
-    handler = {
-        "check": cmd_check,
-        "infer": cmd_infer,
-        "run": cmd_run,
-        "encode": cmd_encode,
-    }[args.command]
     try:
-        code = handler(args, report)
-    except (OSError, ParseError) as exc:
+        code = args.handler(args, report)
+    except (OSError, ParseError, InternalError, RecursionError) as exc:
+        if isinstance(exc, RecursionError):
+            exc = InternalError("the input is nested deeper than the recursion limit")
         print(f"error: {exc}", file=sys.stderr)
         return 2
     report.emit()

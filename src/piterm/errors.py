@@ -19,6 +19,16 @@ class PiError(Exception):
         return f"[{self.code}] {self.message}"
 
 
+class InternalError(Exception):
+    """An invariant of piterm failed: a fault of the program, never a verdict
+    on the input, so it is deliberately not a `PiError`."""
+
+    code = "INTERNAL"
+
+    def __init__(self, message: str):
+        super().__init__(f"[{self.code}] {message}")
+
+
 class ParseError(PiError):
     code = "SYN"
 

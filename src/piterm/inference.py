@@ -24,6 +24,8 @@ from dataclasses import dataclass, field
 from .checker import TypeEnv, check
 from .errors import (
     CyclicLevelConstraint,
+    IllTyped,
+    InternalError,
     NotLocalised,
     OccursCheckFailure,
     UnificationFailure,
@@ -677,6 +679,9 @@ def infer(p: Process, mode: str = FLEXIBLE) -> InferResult:
         raise ValueError(f"unknown inference mode {mode!r}")
     levels = _solve(slots, edges, info.describe)
     tenv, annotated = _reconstruct(p, info, levels)
-    weight = check(tenv, annotated)  # inference soundness: must hold
+    try:
+        weight = check(tenv, annotated)  # inference soundness: must hold
+    except IllTyped as exc:
+        raise InternalError(f"inference built a typing its checker rejects: {exc.render()}") from exc
     visible = {slot: levels[slot] for slot in graph.nodes}
     return InferResult(tenv, annotated, weight, graph, visible, env)

@@ -14,7 +14,7 @@ and restrictions bind tighter than `|`.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from itertools import islice
 
 from .errors import ParseError
 from .syntax import (
@@ -42,285 +42,283 @@ from .syntax import (
     fresh,
 )
 
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<comment>--[^\n]*)
-  | (?P<name>[A-Za-z_][A-Za-z0-9_']*)
-  | (?P<nat>\d+)
-  | (?P<op><|>|\(|\)|\[|\]|\.|:|,|\||!|\*|\+|\#)
-    """,
-    re.VERBOSE,
-)
+# One `findall` scans a text: whitespace and comments give an empty group, a
+# token its text, any other character a one-character token `_Parser` rejects.
+_TOKEN_RE = re.compile(r"\s+|--[^\n]*|([A-Za-z_][A-Za-z0-9_']*|\d+|[<>()\[\].:,|!*+#]|.)")
+
+_NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+_ONE_CHAR_TOKENS = _NAME_START | frozenset("0123456789<>()[].:,|!*+#")
 
 KEYWORDS = {"new", "fun"}
 
 _CAP_NAME = re.compile(r"^([io])(\d+)$")
 
 
-@dataclass
-class Token:
-    kind: str  # 'name' | 'nat' | 'op' | 'eof'
-    text: str
-    line: int
-    col: int
-
-
-def tokenize(text: str) -> list[Token]:
-    tokens: list[Token] = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        kind = m.lastgroup
-        chunk = m.group()
-        if kind not in ("ws", "comment"):
-            tokens.append(Token(kind, chunk, line, col))
-        newlines = chunk.count("\n")
-        if newlines:
-            line += newlines
-            col = len(chunk) - chunk.rfind("\n")
-        else:
-            col += len(chunk)
-        pos = m.end()
-    tokens.append(Token("eof", "", line, col))
-    return tokens
-
-
 class _Parser:
-    def __init__(self, text: str):
-        self.tokens = tokenize(text)
+    """Recursive descent on the token strings of `text[pos:endpos]` and an empty
+    end sentinel. Locations, from line `line` on, are worked out on error only."""
+
+    def __init__(self, text: str, pos: int = 0, endpos: int | None = None, line: int = 1):
+        self.text = text
+        self.span = (pos, len(text) if endpos is None else endpos)
+        self.line = line
+        self.tokens = list(filter(None, _TOKEN_RE.findall(text, *self.span)))
+        bad = [t for t in set(self.tokens) if len(t) == 1 and t not in _ONE_CHAR_TOKENS and not t.isdecimal()]
+        if bad:
+            i = min(map(self.tokens.index, bad))
+            raise self.error(f"unexpected character {self.tokens[i]!r}", i)
+        self.tokens.append("")
         self.pos = 0
-        self.free: dict[str, Name] = {}
+        # Spellings in scope, free names included: a binder's undo restores
+        # whatever its spelling meant before it.
+        self.scope: dict[str, Name] = {}
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+    def error(self, message: str, index: int) -> ParseError:
+        """A `ParseError` located at token `index`, found by scanning again."""
+        starts = (m.start() for m in _TOKEN_RE.finditer(self.text, *self.span) if m.group(1))
+        offset = next(islice(starts, index, None), self.span[1])
+        line = self.line + self.text.count("\n", 0, offset)
+        return ParseError(message, line, offset - self.text.rfind("\n", 0, offset))
 
-    def next(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
+    def peek(self) -> str:
+        return self.tokens[self.pos]
 
-    def expect(self, text: str) -> Token:
+    def next(self) -> str:
+        self.pos += 1
+        return self.tokens[self.pos - 1]
+
+    def expect(self, text: str) -> None:
         tok = self.next()
-        if tok.text != text:
-            raise ParseError(f"expected {text!r}, found {tok.text or 'end of input'!r}", tok.line, tok.col)
-        return tok
+        if tok != text:
+            raise self.error(f"expected {text!r}, found {tok or 'end of input'!r}", self.pos - 1)
 
     def fail(self, message: str) -> ParseError:
-        tok = self.peek()
-        return ParseError(message, tok.line, tok.col)
+        return self.error(message, self.pos)
+
+    def finish(self) -> None:
+        if self.peek():
+            raise self.fail(f"unexpected trailing input {self.peek()!r}")
 
     def at_name(self) -> bool:
         tok = self.peek()
-        return tok.kind == "name" and tok.text not in KEYWORDS
+        return tok[:1] in _NAME_START and tok not in KEYWORDS
 
     def take_name_text(self) -> str:
         tok = self.next()
-        if tok.kind != "name" or tok.text in KEYWORDS:
-            raise ParseError(f"expected a name, found {tok.text or 'end of input'!r}", tok.line, tok.col)
-        return tok.text
+        if tok[:1] not in _NAME_START or tok in KEYWORDS:
+            raise self.error(f"expected a name, found {tok or 'end of input'!r}", self.pos - 1)
+        return tok
 
     # -- names and scoping -------------------------------------------------
 
-    def resolve(self, spelling: str, scope: dict[str, Name]) -> Name:
-        if spelling in scope:
-            return scope[spelling]
-        if spelling not in self.free:
-            self.free[spelling] = fresh(spelling)
-        return self.free[spelling]
+    def resolve(self, spelling: str) -> Name:
+        name = self.scope.get(spelling)
+        if name is None:
+            name = self.scope[spelling] = fresh(spelling)
+        return name
+
+    def bind(self, spellings: list[str], binders: tuple[Name, ...]) -> list[tuple[str, Name | None]]:
+        """Bring binders into scope; returns what `unbind` needs to undo it."""
+        saved = [(s, self.scope.get(s)) for s in spellings]
+        self.scope.update(zip(spellings, binders))
+        return saved
+
+    def unbind(self, saved: list[tuple[str, Name | None]]) -> None:
+        for spelling, old in reversed(saved):
+            if old is None:
+                self.scope.pop(spelling, None)  # `a(x, x)` saved x twice
+            else:
+                self.scope[spelling] = old
 
     # -- types --------------------------------------------------------------
 
     def parse_type(self) -> Type:
         tok = self.peek()
-        if tok.text == "Unit":
-            self.next()
+        if tok == "Unit":
+            self.pos += 1
             return UNIT
-        if tok.text == "Nat":
-            self.next()
+        if tok == "Nat":
+            self.pos += 1
             return NAT
-        if tok.text == "#":
-            self.next()
-            lvl_tok = self.next()
-            if lvl_tok.kind != "nat":
-                raise ParseError("expected a level after '#'", lvl_tok.line, lvl_tok.col)
-            return self._chan(SHARP, int(lvl_tok.text))
-        if tok.kind == "name":
-            m = _CAP_NAME.match(tok.text)
-            if m:
-                self.next()
-                cap = IN if m.group(1) == "i" else OUT
-                return self._chan(cap, int(m.group(2)))
-        raise self.fail(f"expected a type, found {tok.text or 'end of input'!r}")
+        if tok == "#":
+            level = self.tokens[self.pos + 1]
+            self.pos += 2
+            if not level[:1].isdecimal():
+                raise self.error("expected a level after '#'", self.pos - 1)
+            return self._chan(SHARP, int(level))
+        m = _CAP_NAME.match(tok)
+        if m:
+            self.pos += 1
+            cap = IN if m.group(1) == "i" else OUT
+            return self._chan(cap, int(m.group(2)))
+        raise self.fail(f"expected a type, found {tok or 'end of input'!r}")
 
     def _chan(self, cap: str, level: int) -> Type:
         self.expect("[")
         payload = [self.parse_type()]
-        while self.peek().text == ",":
-            self.next()
+        while self.peek() == ",":
+            self.pos += 1
             payload.append(self.parse_type())
         self.expect("]")
         return ChanT(cap, level, tuple(payload))
 
     # -- values ---------------------------------------------------------------
 
-    def parse_value(self, scope: dict[str, Name]) -> Value:
-        left = self._mul(scope)
-        while self.peek().text == "+":
-            self.next()
-            left = Add(left, self._mul(scope))
+    def parse_value(self) -> Value:
+        left = self._mul()
+        while self.peek() == "+":
+            self.pos += 1
+            left = Add(left, self._mul())
         return left
 
-    def _mul(self, scope: dict[str, Name]) -> Value:
-        left = self._value_atom(scope)
-        while self.peek().text == "*":
-            self.next()
-            left = Mul(left, self._value_atom(scope))
+    def _mul(self) -> Value:
+        left = self._value_atom()
+        while self.peek() == "*":
+            self.pos += 1
+            left = Mul(left, self._value_atom())
         return left
 
-    def _value_atom(self, scope: dict[str, Name]) -> Value:
+    def _value_atom(self) -> Value:
         tok = self.peek()
-        if tok.text == "*":
-            self.next()
+        if tok == "*":
+            self.pos += 1
             return STAR
-        if tok.kind == "nat":
-            self.next()
-            return NatLit(int(tok.text))
-        if tok.text == "(":
-            self.next()
-            v = self.parse_value(scope)
+        if tok[:1].isdecimal():
+            self.pos += 1
+            return NatLit(int(tok))
+        if tok == "(":
+            self.pos += 1
+            v = self.parse_value()
             self.expect(")")
             return v
         if self.at_name():
-            return NameRef(self.resolve(self.take_name_text(), scope))
-        raise self.fail(f"expected a value, found {tok.text or 'end of input'!r}")
+            return NameRef(self.resolve(self.take_name_text()))
+        raise self.fail(f"expected a value, found {tok or 'end of input'!r}")
 
     # -- processes ------------------------------------------------------------
 
-    def parse_process(self, scope: dict[str, Name]) -> Process:
-        left = self.parse_term(scope)
-        while self.peek().text == "|":
-            self.next()
-            left = Par(left, self.parse_term(scope))
+    def parse_process(self) -> Process:
+        left = self.parse_term()
+        while self.peek() == "|":
+            self.pos += 1
+            left = Par(left, self.parse_term())
         return left
 
-    def parse_term(self, scope: dict[str, Name]) -> Process:
-        tok = self.peek()
-        if tok.text == "0":
-            self.next()
-            return Nil()
-        if tok.text == "(":
-            # `(new a)(P)` notation or a parenthesized process.
-            if self.peek(1).text == "new":
-                return self._paren_new(scope)
-            self.next()
-            p = self.parse_process(scope)
-            self.expect(")")
-            return p
-        if tok.text == "new":
-            self.next()
-            return self._restriction(scope)
-        if tok.text == "!":
-            self.next()
-            subj = self.resolve(self.take_name_text(), scope)
-            binders, body = self._input_tail(scope)
-            return RepIn(subj, binders, body)
-        if self.at_name():
-            spelling = self.take_name_text()
-            nxt = self.peek()
-            if nxt.text == "<":
-                subj = self.resolve(spelling, scope)
-                return self._output_tail(subj, scope)
-            if nxt.text == "(" or nxt.text == ".":
-                subj = self.resolve(spelling, scope)
-                binders, body = self._input_tail(scope)
-                return In(subj, binders, body)
-            # bare name: discarded unit input with nil continuation
-            return In(self.resolve(spelling, scope), (), Nil())
-        raise self.fail(f"expected a process, found {tok.text or 'end of input'!r}")
+    def parse_term(self) -> Process:
+        """A chain of prefixes and restrictions, then the term that ends it.
 
-    def _output_tail(self, subj: Name, scope: dict[str, Name]) -> Process:
+        A loop reads the links as frames (node class, fields before the body,
+        undo of the binders, whether a `(new a.P | ...)` group closes after
+        it), wrapped around the end term innermost first: no recursion."""
+        frames: list[tuple[type, tuple, list, bool]] = []
+        while True:
+            tok = self.peek()
+            if tok == "0":
+                self.pos += 1
+                proc: Process = Nil()
+                break
+            if tok == "(" and self.tokens[self.pos + 1] == "new":
+                self.pos += 2
+                fields, saved = self._restriction_head()
+                if self.peek() in (")", "."):
+                    # (new a)P, or (new a.P | ...) closed after the frame
+                    frames.append((Res, fields, saved, self.next() == "."))
+                    continue
+                if self.peek() != "(":
+                    raise self.fail("expected '.', ')' or '(' in restriction")
+                proc = self._close_group(Res(*fields, self._group(saved)))
+                break
+            if tok == "(":
+                self.pos += 1
+                proc = self.parse_process()
+                self.expect(")")
+                break
+            if tok == "new":
+                self.pos += 1
+                fields, saved = self._restriction_head()
+                if self.peek() == ".":
+                    self.pos += 1
+                    frames.append((Res, fields, saved, False))
+                    continue
+                if self.peek() != "(":
+                    raise self.fail("expected '.' or '(' after restriction")
+                proc = Res(*fields, self._group(saved))
+                break
+            if tok == "!":
+                self.pos += 1
+                cls: type = RepIn
+                spelling = self.take_name_text()
+            elif self.at_name():
+                self.pos += 1
+                cls, spelling = In, tok
+                if self.peek() == "<":
+                    proc = self._output_tail(self.resolve(spelling))
+                    break
+            else:
+                raise self.fail(f"expected a process, found {tok or 'end of input'!r}")
+            subj = self.resolve(spelling)
+            if cls is In and self.peek() not in ("(", "."):
+                # bare name: discarded unit input with nil continuation
+                proc = In(subj, (), Nil())
+                break
+            spellings = self._binder_spellings()
+            binders = tuple(fresh(s) for s in spellings)
+            if self.peek() != ".":
+                proc = cls(subj, binders, Nil())
+                break
+            self.pos += 1
+            frames.append((cls, (subj, binders), self.bind(spellings, binders), False))
+        for cls, fields, saved, closes in reversed(frames):
+            self.unbind(saved)
+            proc = cls(*fields, proc)
+            if closes:
+                proc = self._close_group(proc)
+        return proc
+
+    def _output_tail(self, subj: Name) -> Process:
         self.expect("<")
         payload: list[Value] = []
-        if self.peek().text != ">":
-            payload.append(self.parse_value(scope))
-            while self.peek().text == ",":
-                self.next()
-                payload.append(self.parse_value(scope))
+        if self.peek() != ">":
+            payload.append(self.parse_value())
+            while self.peek() == ",":
+                self.pos += 1
+                payload.append(self.parse_value())
         self.expect(">")
         return Out(subj, tuple(payload))
 
-    def _input_tail(self, scope: dict[str, Name]) -> tuple[tuple[Name, ...], Process]:
-        binders: list[Name] = []
+    def _binder_spellings(self) -> list[str]:
         spellings: list[str] = []
-        if self.peek().text == "(":
-            self.next()
-            if self.peek().text != ")":
+        if self.peek() == "(":
+            self.pos += 1
+            if self.peek() != ")":
                 spellings.append(self.take_name_text())
-                while self.peek().text == ",":
-                    self.next()
+                while self.peek() == ",":
+                    self.pos += 1
                     spellings.append(self.take_name_text())
             self.expect(")")
-        for s in spellings:
-            binders.append(fresh(s))
-        inner = dict(scope)
-        for s, b in zip(spellings, binders):
-            inner[s] = b
-        if self.peek().text == ".":
-            self.next()
-            body = self.parse_term(inner)
-        else:
-            body = Nil()
-        return tuple(binders), body
+        return spellings
 
-    def _restriction(self, scope: dict[str, Name]) -> Process:
+    def _restriction_head(self) -> tuple[tuple, list]:
+        """`a[:T][ fun]` after `new`: the fields of the `Res` before its body,
+        and the undo of its binder, already in scope."""
         spelling = self.take_name_text()
         annotation, functional = self._res_modifiers()
         binder = fresh(spelling)
-        inner = dict(scope)
-        inner[spelling] = binder
-        if self.peek().text == ".":
-            self.next()
-            body = self.parse_term(inner)
-        elif self.peek().text == "(":
-            self.next()
-            body = self.parse_process(inner)
-            self.expect(")")
-        else:
-            raise self.fail("expected '.' or '(' after restriction")
-        return Res(binder, annotation, functional, body)
+        return (binder, annotation, functional), self.bind([spelling], (binder,))
 
-    def _paren_new(self, scope: dict[str, Name]) -> Process:
-        self.expect("(")
-        self.expect("new")
-        spelling = self.take_name_text()
-        annotation, functional = self._res_modifiers()
-        binder = fresh(spelling)
-        inner = dict(scope)
-        inner[spelling] = binder
-        if self.peek().text == ")":
-            # (new a)(P): the body follows the closing parenthesis
-            self.next()
-            body = self.parse_term(inner)
-            return Res(binder, annotation, functional, body)
-        if self.peek().text == ".":
-            self.next()
-            body = self.parse_term(inner)
-        elif self.peek().text == "(":
-            self.next()
-            body = self.parse_process(inner)
-            self.expect(")")
-        else:
-            raise self.fail("expected '.', ')' or '(' in restriction")
-        # an ordinary restriction that merely opened inside parentheses
-        proc: Process = Res(binder, annotation, functional, body)
-        while self.peek().text == "|":
-            self.next()
-            proc = Par(proc, self.parse_term(scope))
+    def _group(self, saved: list) -> Process:
+        """`(P)` as the body of a restriction, whose binder `saved` undoes."""
+        self.pos += 1
+        body = self.parse_process()
+        self.expect(")")
+        self.unbind(saved)
+        return body
+
+    def _close_group(self, proc: Process) -> Process:
+        """The rest of `(new a.P | Q ...)` after its first component `proc`."""
+        while self.peek() == "|":
+            self.pos += 1
+            proc = Par(proc, self.parse_term())
         self.expect(")")
         return proc
 
@@ -329,11 +327,11 @@ class _Parser:
         functional = False
         while True:
             tok = self.peek()
-            if tok.text == ":" and annotation is None:
-                self.next()
+            if tok == ":" and annotation is None:
+                self.pos += 1
                 annotation = self.parse_type()
-            elif tok.text == "fun" and not functional:
-                self.next()
+            elif tok == "fun" and not functional:
+                self.pos += 1
                 functional = True
             else:
                 return annotation, functional
@@ -342,19 +340,15 @@ class _Parser:
 def parse_process(text: str) -> Process:
     """Parse a process; all binders come out globally fresh."""
     p = _Parser(text)
-    proc = p.parse_process({})
-    tok = p.peek()
-    if tok.kind != "eof":
-        raise ParseError(f"unexpected trailing input {tok.text!r}", tok.line, tok.col)
+    proc = p.parse_process()
+    p.finish()
     return proc
 
 
 def parse_type(text: str) -> Type:
     p = _Parser(text)
     t = p.parse_type()
-    tok = p.peek()
-    if tok.kind != "eof":
-        raise ParseError(f"unexpected trailing input {tok.text!r}", tok.line, tok.col)
+    p.finish()
     return t
 
 
@@ -365,7 +359,8 @@ def parse_env_file(text: str) -> list[tuple[str, str, Type]]:
     """
     entries: list[tuple[str, str, Type]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("--", 1)[0].strip()
+        body = raw.split("--", 1)[0]
+        line = body.strip()
         if not line:
             continue
         role = "imp"
@@ -376,9 +371,12 @@ def parse_env_file(text: str) -> list[tuple[str, str, Type]]:
                 break
         if ":" not in line:
             raise ParseError("expected 'name : type'", lineno, 1)
-        name_part, type_part = line.split(":", 1)
-        spelling = name_part.strip()
+        spelling = line.split(":", 1)[0].strip()
         if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_']*", spelling):
             raise ParseError(f"bad name {spelling!r}", lineno, 1)
-        entries.append((role, spelling, parse_type(type_part.strip())))
+        # the type is read in place, so an error is located in the raw line
+        p = _Parser(raw, raw.index(":") + 1, len(body.rstrip()), lineno)
+        ty = p.parse_type()
+        p.finish()
+        entries.append((role, spelling, ty))
     return entries

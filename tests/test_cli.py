@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import re
 
 import pytest
 
+from piterm import cli, inference
 from piterm.cli import main
+from piterm.errors import LevelViolation
 
 from conftest import FIXTURES
 
@@ -88,6 +91,13 @@ class TestCheck:
         env.write_text("isolated f : o0[Unit]\n")
         code, out = run(capsys, "check", "--impure", pi)
         assert code == 0
+
+    def test_env_type_error_located_in_the_file(self, capsys, tmp_path):
+        (tmp_path / "x.pi").write_text("c<>\n")
+        (tmp_path / "x.env").write_text("a : Unit\nb : Nat\nc : #x[Unit]\n")
+        assert main(["check", str(tmp_path / "x.pi")]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: [SYN] expected a level after '#' (at line 3, column 6)\n"
 
 
 class TestInfer:
@@ -189,6 +199,52 @@ class TestEncode:
         assert code == 0
         assert "!y1(x, q2)" in out  # the translated abstraction server
         assert "q1(f1).r1(z1).f1<z1, p>" in out  # the outermost join
+
+
+class TestFrontDoor:
+    def test_argument_parser_built_once(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        cli.build_parser.cache_clear()
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        assert main(["check", str(FIXTURES / "server.pi")]) == 0
+        assert main(["infer", str(FIXTURES / "relay.pi")]) == 0
+        assert built.count("piterm") == 1  # the subcommands' parsers are "piterm check" etc.
+
+
+class TestInternalErrors:
+    """A fault of piterm exits 2 with `[INTERNAL]`, never 1 with a verdict."""
+
+    @pytest.mark.parametrize(
+        "argv", [["infer", "relay.pi"], ["encode", "--infer", "compose.lam"]], ids=" ".join
+    )
+    def test_failed_inference_recheck(self, capsys, monkeypatch, argv):
+        def refuse(env, p):
+            raise LevelViolation("planted refusal")
+
+        monkeypatch.setattr(inference, "check", refuse)
+        code = main([*argv[:-1], str(FIXTURES / argv[-1]), "--format=lines"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert "VERDICT" not in out
+        assert err.startswith("error: [INTERNAL] inference built a typing its checker rejects: [LVL] planted")
+        assert "Traceback" not in err
+
+    def test_deep_prefix_chain_never_rejected(self, capsys, tmp_path):
+        (tmp_path / "deep.pi").write_text("a()." * 2000 + "a<>\n")
+        (tmp_path / "deep.env").write_text("a : #1[Unit]\n")
+        code = main(["check", str(tmp_path / "deep.pi"), "--format=lines"])
+        out, err = capsys.readouterr()
+        assert code in (0, 2)
+        if code == 0:
+            assert "WEIGHT=1" in out.splitlines()
+        else:
+            assert out == "" and err.startswith("error: [INTERNAL] ")
 
 
 class TestStateBudgetEnvVar:

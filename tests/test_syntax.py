@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import random
+import re
+from pathlib import Path
 
 import pytest
 
 from piterm.errors import ParseError, SortError
-from piterm.parser import parse_process, parse_type
+from piterm.parser import parse_env_file, parse_process, parse_type
 from piterm.syntax import (
     NAT,
     UNIT,
@@ -117,6 +119,28 @@ class TestParseProcess:
     def test_syntax_errors(self, bad):
         with pytest.raises(ParseError):
             parse_process(bad)
+
+    def test_total_on_nesting_depth(self):
+        links = "a(x).new r.(new s)!x(y).(new t."
+        p = parse_process(links * 2000 + "x<y>" + ")" * 2000)
+        depth, q = 0, p
+        while not isinstance(q, Out):
+            if isinstance(q, In):
+                x = q.binders[0]
+            elif isinstance(q, RepIn):
+                assert q.subject == x
+                y = q.binders[0]
+            q, depth = q.body, depth + 1
+        assert depth == 10_000
+        assert q.subject == x and q.payload == (NameRef(y),)
+
+    def test_total_on_width(self):
+        p = parse_process(" | ".join(["a<>"] * 10_000))
+        width = 1
+        while isinstance(p, Par):
+            assert isinstance(p.right, Out)
+            p, width = p.left, width + 1
+        assert width == 10_000 and isinstance(p, Out)
 
     def test_binder_freshness(self):
         p = parse_process("a(x).x<> | b(x).x<>")
@@ -281,3 +305,144 @@ class TestSubstitute:
             assert well_scoped(q)
             allowed = (free_names(p) - {x}) | {v.name}
             assert free_names(q) <= allowed
+
+
+# ---------------------------------------------------------------------------
+# Golden record of the parser's outcomes: the rendered `ParseError` (message,
+# line, column) or, on success, the AST with name ids counted from the first
+# id the parse issued, so that it also pins the order of `fresh()` calls.
+# Regenerate it (only for a deliberate change of output) with
+#   PYTHONPATH=src:tests python -c "import test_syntax as t; t.write_golden()"
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+SYNTAX_GOLDEN = Path(__file__).resolve().parent / "golden" / "syntax_errors.txt"
+
+_TOKEN_END = re.compile(r"--[^\n]*|\s+|([A-Za-z_][A-Za-z0-9_']*|\d+|.)")
+
+MORE_PROCESSES = [
+    # characters the scanner rejects
+    "\u00e9",
+    "a<\u00e9>",
+    "caf\u00e9<>",
+    "-",
+    "a<> - b<>",
+    "a<> -",
+    "'a",
+    "a<'b>",
+    "a<1'>",
+    "@",
+    "a@b",
+    "a<b'> | b'<>",
+    "a<\u0663>",
+    "a<>\u00a0| b<>",
+    # layout: tabs, CRLF line ends, comments
+    "a(x).\tx<*>\t|\t@",
+    "\ta<\t",
+    "a<>\r\n| b<\r\n",
+    "a<>\r\n|\r\n\tb(x).x<\u00e9>",
+    "-- only a comment",
+    "a<> -- trailing comment",
+    "a<> |\n-- comment at end of input",
+    "a<> |\n-- comment\n\n",
+    # unclosed parentheses and types without a level
+    "(a<> | b<>",
+    "(new a.a<> | b<>",
+    "(new a (a<> | b<>) | c<>",
+    "((a<>)",
+    "new a:#[Unit].0",
+    "new a:#",
+    "new a : #x[Unit]. 0",
+    "new a : i[Unit].0",
+    "new a : o1[].0",
+    "new a : o1[Unit,].0",
+    "new a : chan[Unit].0",
+    # other errors
+    "(",
+    "(new",
+    "(new a",
+    "(new a)",
+    "(new a b",
+    "new a b",
+    "new fun",
+    "a(x,",
+    "a(x y)",
+    "a(new)",
+    "a<b c>",
+    "a<> )",
+    "a<>>",
+    "a<+>",
+    "!0",
+    "|",
+    "",
+    # accepted forms
+    "(new a)(a<>)",
+    "(new a.a<> | b<> | c<>)",
+    "(new a (a<> | b<>) | c<>)",
+    "(new a:#1[Unit] fun)(a<>)",
+    "new a fun : o0[Unit]. a<>",
+    "new a : i2[Nat, #0[Unit]] (a<> | a(x, y).0)",
+    "a(x,x).x<>",
+    "a(x).(new x)(x<>) | x<>",
+    "a<1+2*3, (b), *, b*(2+c)>",
+    "!a.b<>",
+    "a.b.c",
+    "0 | 0",
+    "((a<>))",
+    "new a.new b.(a<b> | b<a>)",
+    "x<y> | y(x).x<y> | !x(y).y(x).(x<y> | y<x>)",
+    "new a. a(a). a<a>",
+]
+
+ENV_FILES = [
+    "a : Unit\nb : Nat\nc : #x[Unit]\n",
+    "a : Unit\n\nfun c : i1[Nat\n",
+    "a : Unit\n-- note\nisolated c :  o1[Unit] junk -- comment\n",
+    "a : Unit\nb : Nat\n\tc\t:\t#1[Unit, \u00e9]\n",
+    "a : Unit\r\nb : Nat\r\nc : #1[Unit\r\n",
+    "a : Unit\nb : Nat\nc : #1[Unit   -- comment\n",
+    "a : Unit\nb : Nat\nc : \n",
+    "a : Unit\nb : Nat\nc Unit\n",
+    "a : Unit\nb : Nat\n9c : Unit\n",
+    "a : #3[o2[Unit]]\nfun p : #2[Unit]\nisolated q : o1[Unit] -- ok\n",
+]
+
+
+def syntax_cases() -> list[tuple[str, str]]:
+    """(kind, text): every `fixtures/*.pi` cut after each token, then the
+    inputs above; kind is `process` or `env`."""
+    cases = []
+    for path in sorted(FIXTURES.glob("*.pi")):
+        text = path.read_text(encoding="utf-8")
+        cuts = [m.end() for m in _TOKEN_END.finditer(text) if m.group(1)]
+        cases += [("process", text[:end]) for end in cuts] + [("process", text)]
+    cases += [("process", text) for text in MORE_PROCESSES]
+    cases += [("env", text) for text in ENV_FILES]
+    return cases
+
+
+def syntax_line(kind: str, text: str) -> str:
+    base = fresh("_").id
+    try:
+        result = parse_process(text) if kind == "process" else parse_env_file(text)
+    except ParseError as exc:
+        outcome = exc.render()
+    else:
+        outcome = "ok " + re.sub(r"#(\d+)", lambda m: f"#{int(m.group(1)) - base}", repr(result))
+    return f"{kind}\t{text!r}\t{outcome}"
+
+
+def syntax_text() -> str:
+    return "".join(syntax_line(kind, text) + "\n" for kind, text in syntax_cases())
+
+
+def write_golden() -> None:
+    SYNTAX_GOLDEN.write_text(syntax_text(), encoding="utf-8")
+
+
+class TestSyntaxGolden:
+    def test_parse_outcomes_unchanged(self):
+        expected = SYNTAX_GOLDEN.read_text(encoding="utf-8").splitlines()
+        got = syntax_text().splitlines()
+        assert len(got) == len(expected)
+        for g, e in zip(got, expected):
+            assert g == e
