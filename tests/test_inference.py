@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib.util
 import random
 from itertools import product
 from pathlib import Path
@@ -749,6 +750,65 @@ class TestGolden:
     def test_infer_outcomes_unchanged(self):
         expected = GOLDEN.read_text(encoding="utf-8").splitlines()
         got = golden_text().splitlines()
+        assert len(got) == len(expected)
+        for g, e in zip(got, expected):
+            assert g == e
+
+
+# ---------------------------------------------------------------------------
+# Golden record of the cycle witnesses: for every input that some mode rejects
+# with a cyclic level constraint, the rendered outcome of `infer` in both
+# modes. The inputs are the cyclic ones among the `infer.txt` processes and
+# fixed-seed lambda images from `perfbench/lamgen.py` (loaded read-only).
+# Regenerate it (only for a deliberate change of output) with
+#   PYTHONPATH=src:tests python -c "import test_inference as t; t.write_cycles_golden()"
+
+CYCLES_GOLDEN = Path(__file__).resolve().parent / "golden" / "cycles.txt"
+LAMGEN = Path(__file__).resolve().parents[1] / "perfbench" / "lamgen.py"
+LAMGEN_SEED = 7
+LAMGEN_SIZES = range(8, 33, 4)
+
+
+def lamgen_images() -> list[str]:
+    """Images of the terms `lamgen` builds to close level cycles."""
+    spec = importlib.util.spec_from_file_location("lamgen", LAMGEN)
+    lamgen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(lamgen)
+    rng = random.Random(LAMGEN_SEED)
+    return [
+        lamgen.image(gen(rng, size)[1])
+        for size in LAMGEN_SIZES
+        for gen in (lamgen.discarding_term, lamgen.reused_argument_term)
+    ]
+
+
+def cycle_line(p, mode: str) -> str:
+    head = f"{mode}\t{pretty_process(p)}\t"
+    try:
+        infer(p, mode)
+    except PiError as exc:
+        return head + exc.render()
+    return head + "ACCEPT"
+
+
+def cycles_text() -> str:
+    procs = golden_processes() + [parse_process(src) for src in lamgen_images()]
+    lines = []
+    for p in procs:
+        pair = [cycle_line(p, mode) for mode in (FLEXIBLE, DS_EQUALITY)]
+        if any("\t[CYC] " in line for line in pair):
+            lines.extend(pair)
+    return "".join(line + "\n" for line in lines)
+
+
+def write_cycles_golden() -> None:
+    CYCLES_GOLDEN.write_text(cycles_text(), encoding="utf-8")
+
+
+class TestCyclesGolden:
+    def test_cycle_witnesses_unchanged(self):
+        expected = CYCLES_GOLDEN.read_text(encoding="utf-8").splitlines()
+        got = cycles_text().splitlines()
         assert len(got) == len(expected)
         for g, e in zip(got, expected):
             assert g == e
