@@ -8,6 +8,12 @@ generator of level constraints over slots, a slot being a name with a
 payload path into its type; minimal level assignment by SCC condensation;
 and reconstruction of an environment that the checker accepts.
 
+Slots are numbered once per `infer`: 0 is the floor, a pseudo-slot pinned at
+level zero, then each root's type tree in preorder, roots in `Name.id` order.
+So ids follow `(root.id, path)`, and constraints, solving and reconstruction
+run on ints and lists. `Slot` is only the public face of the visible graph
+and its levels.
+
 Output edges are `>=` and run down every nested payload position;
 replication edges are `>`. The public `LevelGraph` is a projection of this
 one constraint system: the slots of free and restricted names down to their
@@ -19,6 +25,7 @@ equal along every flow.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from .checker import TypeEnv, check
@@ -294,9 +301,6 @@ class Slot:
     path: tuple[int, ...]
 
 
-_FLOOR = Slot(Name(0, "floor"), ())  # pseudo-node pinned at level zero
-
-
 @dataclass
 class LevelGraph:
     nodes: dict[Slot, set[str]] = field(default_factory=dict)  # label sets
@@ -322,7 +326,9 @@ class LevelGraph:
 
 class _NameInfo:
     """The name facts of a process with its simple types: roots, carriers,
-    slots and their displays."""
+    displays and the slot ids. Preorder skips `Nat` positions and `Unit`/`Nat`
+    roots; `children[s]` holds the ids of the payload positions of slot `s`,
+    None at a `Nat` position."""
 
     def __init__(self, p: Process, env: SimpleEnv, facts: _Facts):
         self.env = env
@@ -339,73 +345,62 @@ class _NameInfo:
             k = seen.get(n.display, 0)
             seen[n.display] = k + 1
             self.root_display[n] = n.display if k == 0 else f"{n.display}~{k}"
+        self.children: list[list[int | None]] = [[]]
+        self.root_slot: dict[Name, int] = {}
+        for n in sorted(self.roots, key=lambda n: n.id):
+            t = self.type_of(n)
+            if isinstance(t, (SChan, SVar)):
+                self.root_slot[n] = self._number(t)
+        self._starts = list(self.root_slot.values())
+        self._owners = list(self.root_slot)
+
+    def _number(self, t: SimpleType) -> int:
+        sid = len(self.children)
+        kids: list[int | None] = []
+        self.children.append(kids)
+        if isinstance(t, SChan):
+            kids.extend(None if isinstance(pt, SNat) else self._number(pt) for pt in t.payload)
+        return sid
 
     def type_of(self, n: Name) -> SimpleType:
         return self.env.types.get(n, S_UNIT)
 
-    def slot_of(self, n: Name) -> Slot | None:
+    def slot_of(self, n: Name) -> int | None:
         """The level variable standing for a name, if it has one."""
         if n in self.rootset:
-            t = self.type_of(n)
-            if isinstance(t, (SChan, SVar)):
-                return Slot(n, ())
-            return None
+            return self.root_slot.get(n)
         if n in self.carrier:
             a, i = self.carrier[n]
-            if isinstance(self.type_of(n), SNat):
-                return None
-            return Slot(a, (i,))
+            if a in self.root_slot:
+                return self.children[self.root_slot[a]][i]
         return None
 
-    def type_at(self, slot: Slot) -> SimpleType:
-        t = self.type_of(slot.root)
-        for i in slot.path:
-            assert isinstance(t, SChan)
-            t = t.payload[i]
-        return t
-
-    def slot_display(self, slot: Slot) -> str:
-        base = self.root_display[slot.root]
-        for i in slot.path:
-            base = f"son{i}({base})"
-        return base
-
-    def describe(self, s: Slot) -> str:
-        if s == _FLOOR:
+    def display(self, sid: int) -> str:
+        if sid == 0:
             return "floor"
-        return self.slot_display(s) if s.root in self.rootset else repr(s)
+        k = bisect_right(self._starts, sid) - 1
+        node, text = self._starts[k], self.root_display[self._owners[k]]
+        while node != sid:
+            # preorder: `sid` sits under the last payload slot numbered up to it
+            i = max(i for i, c in enumerate(self.children[node]) if c is not None and c <= sid)
+            node, text = self.children[node][i], f"son{i}({text})"
+        return text
 
 
-def _extended_constraints(info: _NameInfo) -> tuple[set[Slot], set[tuple[Slot, Slot, bool]]]:
+def _extended_constraints(info: _NameInfo) -> set[tuple[int, int, bool]]:
     """All level constraints: output edges `>=` from each payload position to
     what it carries (down every nested position), replication edges `>` from
     a replicated subject to the outputs of its body, and a floor that keeps
     replicated subjects above zero."""
-    slots: set[Slot] = {_FLOOR}
-    edges: set[tuple[Slot, Slot, bool]] = set()
+    children = info.children
+    edges: set[tuple[int, int, bool]] = set()
 
-    def add_tree(root: Name, path: tuple[int, ...], t: SimpleType) -> None:
-        if isinstance(t, SNat):
-            return
-        if not path and isinstance(t, (SUnit, SNat)):
-            return
-        slots.add(Slot(root, path))
-        if isinstance(t, SChan):
-            for i, pt in enumerate(t.payload):
-                add_tree(root, path + (i,), pt)
-
-    for n in info.roots:
-        add_tree(n, (), info.type_of(n))
-
-    def le(a: Slot, b: Slot) -> None:
+    def le(a: int, b: int) -> None:
         # levels of the type sitting at `a` fit below those at `b`
         edges.add((b, a, False))
-        ta = info.type_at(a)
-        if isinstance(ta, SChan):
-            for i, pt in enumerate(ta.payload):
-                if isinstance(pt, SNat):
-                    continue
-                le(Slot(b.root, b.path + (i,)), Slot(a.root, a.path + (i,)))
+        for i, c in enumerate(children[a]):
+            if c is not None:
+                le(children[b][i], c)
 
     for out in info.facts.outputs:
         subj = info.slot_of(out.subject)
@@ -416,9 +411,8 @@ def _extended_constraints(info: _NameInfo) -> tuple[set[Slot], set[tuple[Slot, S
             if not isinstance(v, NameRef):
                 continue
             tgt = info.slot_of(v.name)
-            if tgt is None:
-                continue
-            le(tgt, Slot(subj.root, subj.path + (i,)))
+            if tgt is not None:
+                le(tgt, children[subj][i])
 
     for a, served in info.facts.replicated:
         src = info.slot_of(a)
@@ -428,31 +422,33 @@ def _extended_constraints(info: _NameInfo) -> tuple[set[Slot], set[tuple[Slot, S
             dst = info.slot_of(w)
             if dst is not None:
                 edges.add((src, dst, True))
-    for subj, _ in info.facts.replicated:
-        slot = info.slot_of(subj)
-        if slot is not None:
-            edges.add((slot, _FLOOR, True))
-    slots.update(s for s, _, _ in edges)
-    slots.update(d for _, d, _ in edges)
-    return slots, edges
+        edges.add((src, 0, True))
+    return edges
 
 
 def _project(
-    info: _NameInfo, slots: set[Slot], edges: set[tuple[Slot, Slot, bool]]
-) -> LevelGraph:
+    info: _NameInfo, edges: set[tuple[int, int, bool]]
+) -> tuple[LevelGraph, dict[int, Slot]]:
     """The visible graph: the slots of free and restricted names down to their
     payload positions, received names as labels on their carrier's position,
-    and the constraints among these slots."""
+    and the constraints among these slots; with the `Slot` of each visible id."""
     g = LevelGraph()
-    for s in slots:
-        if s.root in info.rootset and len(s.path) <= 1:
-            g.add_node(s, info.slot_display(s))
-    for a, i, x in info.facts.receptions:
-        slot = Slot(a, (i,))
-        if slot in g.nodes and not isinstance(info.type_of(x), SNat):
-            g.nodes[slot].add(x.display)
-    g.edges = {e for e in edges if e[0] in g.nodes and e[1] in g.nodes}
-    return g
+    visible: dict[int, Slot] = {}
+    for n, sid in info.root_slot.items():
+        top = info.root_display[n]
+        tops = [(sid, (), top)]
+        tops += [(c, (i,), f"son{i}({top})") for i, c in enumerate(info.children[sid]) if c is not None]
+        for s, path, text in tops:
+            visible[s] = Slot(n, path)
+            g.add_node(visible[s], text)
+    for _, _, x in info.facts.receptions:
+        sid = info.slot_of(x)
+        if sid in visible:
+            g.nodes[visible[sid]].add(x.display)
+    g.edges = {
+        (visible[s], visible[d], strict) for s, d, strict in edges if s in visible and d in visible
+    }
+    return g, visible
 
 
 def build_graph(p: Process, env: SimpleEnv) -> LevelGraph:
@@ -461,78 +457,71 @@ def build_graph(p: Process, env: SimpleEnv) -> LevelGraph:
     carrier's payload node; output edges are tagged `>=`, replication edges
     `>`."""
     info = _NameInfo(p, env, _facts(p))
-    return _project(info, *_extended_constraints(info))
+    return _project(info, _extended_constraints(info))[0]
 
 
 # ---------------------------------------------------------------------------
 # Level assignment
 
 
-def _tarjan(nodes: set[Slot], adj: dict[Slot, list[tuple[Slot, bool]]]) -> list[list[Slot]]:
-    """Strongly connected components, emitted sinks-first."""
-    index: dict[Slot, int] = {}
-    low: dict[Slot, int] = {}
-    on_stack: set[Slot] = set()
-    stack: list[Slot] = []
-    comps: list[list[Slot]] = []
-    counter = [0]
+def _tarjan(adj: list[list[tuple[int, bool]]]) -> tuple[list[list[int]], list[int]]:
+    """Strongly connected components, emitted sinks-first, and the component
+    of each slot."""
+    index = [-1] * len(adj)
+    low = [0] * len(adj)
+    comp_of = [-1] * len(adj)  # visited and still -1: on the stack
+    stack: list[int] = []
+    comps: list[list[int]] = []
+    counter = 0
 
-    for start in sorted(nodes, key=lambda s: (s.root.id, s.path)):
-        if start in index:
+    for start in range(len(adj)):
+        if index[start] >= 0:
             continue
-        work: list[tuple[Slot, int]] = [(start, 0)]
+        work: list[tuple[int, int]] = [(start, 0)]
         while work:
             node, ei = work[-1]
             if ei == 0:
-                index[node] = low[node] = counter[0]
-                counter[0] += 1
+                index[node] = low[node] = counter
+                counter += 1
                 stack.append(node)
-                on_stack.add(node)
-            targets = adj.get(node, [])
-            advanced = False
+            targets = adj[node]
             while ei < len(targets):
                 nxt = targets[ei][0]
                 ei += 1
-                if nxt not in index:
+                if index[nxt] < 0:
                     work[-1] = (node, ei)
                     work.append((nxt, 0))
-                    advanced = True
                     break
-                if nxt in on_stack:
-                    low[node] = min(low[node], index[nxt])
-            if advanced:
-                continue
-            work[-1] = (node, ei)
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == node:
-                        break
-                comps.append(comp)
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-    return comps
+                if comp_of[nxt] < 0 and index[nxt] < low[node]:
+                    low[node] = index[nxt]
+            else:  # every edge followed: the node is finished
+                if low[node] == index[node]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        comp_of[w] = len(comps)
+                        comp.append(w)
+                        if w == node:
+                            break
+                    comps.append(comp)
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
+    return comps, comp_of
 
 
 def _cycle_witness(
-    comp: set[Slot], adj: dict[Slot, list[tuple[Slot, bool]]], src: Slot, dst: Slot
-) -> list[Slot]:
+    comp_of: list[int], adj: list[list[tuple[int, bool]]], src: int, dst: int
+) -> list[int]:
     """Path dst -> src inside the component, closing a cycle through (src, dst)."""
-    prev: dict[Slot, Slot] = {}
+    prev = {dst: dst}
     queue = [dst]
-    seen = {dst}
-    while queue:
-        node = queue.pop(0)
+    for node in queue:  # breadth first: the loop walks what it appends
         if node == src:
             break
-        for nxt, _ in adj.get(node, []):
-            if nxt in comp and nxt not in seen:
-                seen.add(nxt)
+        for nxt, _ in adj[node]:
+            if comp_of[nxt] == comp_of[src] and nxt not in prev:
                 prev[nxt] = node
                 queue.append(nxt)
     path = [src]
@@ -542,41 +531,44 @@ def _cycle_witness(
     return [src] + path  # src -> dst -> ... -> src
 
 
+def _least_levels(count: int, edges, describe) -> list[int]:
+    """Pointwise-least levels of slots `0 .. count-1` under the edges
+    `(src, dst, strict)`; a cycle through a strict edge raises, its witness
+    rendered by `describe`."""
+    ordered = sorted(edges)
+    adj: list[list[tuple[int, bool]]] = [[] for _ in range(count)]
+    for src, dst, strict in ordered:
+        adj[src].append((dst, strict))
+    comps, comp_of = _tarjan(adj)
+    for src, dst, strict in ordered:
+        if strict and comp_of[src] == comp_of[dst]:
+            cycle = [describe(s) for s in _cycle_witness(comp_of, adj, src, dst)]
+            raise CyclicLevelConstraint(
+                "level constraints form a cycle through a strict edge: " + " -> ".join(cycle),
+                cycle=cycle,
+            )
+    levels = [0] * count
+    for ci, comp in enumerate(comps):  # sinks first
+        lvl = 0
+        for s in comp:
+            for dst, strict in adj[s]:
+                if comp_of[dst] != ci and levels[dst] + strict > lvl:
+                    lvl = levels[dst] + strict
+        for s in comp:
+            levels[s] = lvl
+    return levels
+
+
 def _solve(
     nodes: set[Slot],
     edges: set[tuple[Slot, Slot, bool]],
     describe=lambda s: f"{s.root.display}{list(s.path)}",
 ) -> dict[Slot, int]:
-    ordered = sorted(edges, key=lambda e: (e[0].root.id, e[0].path, e[1].root.id, e[1].path, e[2]))
-    adj: dict[Slot, list[tuple[Slot, bool]]] = {n: [] for n in nodes}
-    for src, dst, strict in ordered:
-        adj[src].append((dst, strict))
-    comps = _tarjan(nodes, adj)
-    comp_of: dict[Slot, int] = {}
-    for ci, comp in enumerate(comps):
-        for s in comp:
-            comp_of[s] = ci
-    for src, dst, strict in ordered:
-        if strict and comp_of[src] == comp_of[dst]:
-            cycle = _cycle_witness(set(comps[comp_of[src]]), adj, src, dst)
-            raise CyclicLevelConstraint(
-                "level constraints form a cycle through a strict edge: "
-                + " -> ".join(describe(s) for s in cycle),
-                cycle=[describe(s) for s in cycle],
-            )
-    levels: dict[Slot, int] = {}
-    comp_level: dict[int, int] = {}
-    for ci, comp in enumerate(comps):  # sinks first
-        lvl = 0
-        for s in comp:
-            for dst, strict in adj.get(s, []):
-                if comp_of[dst] == ci:
-                    continue
-                lvl = max(lvl, comp_level[comp_of[dst]] + (1 if strict else 0))
-        comp_level[ci] = lvl
-        for s in comp:
-            levels[s] = lvl
-    return levels
+    """`_least_levels` on `Slot`s, numbered in `(root.id, path)` order."""
+    slots = sorted(set(nodes).union(*(e[:2] for e in edges)), key=lambda s: (s.root.id, s.path))
+    sid = {s: i for i, s in enumerate(slots)}
+    ids = {(sid[a], sid[b], strict) for a, b, strict in edges}
+    return dict(zip(slots, _least_levels(len(slots), ids, lambda i: describe(slots[i]))))
 
 
 def assign_levels(graph: LevelGraph) -> dict[Slot, int]:
@@ -599,30 +591,37 @@ def reconstruct(
     """Types from the level assignment: full capability for input subjects and
     restricted names, output capability elsewhere and on every carried type;
     residual type variables become Unit."""
-    return _reconstruct(p, _NameInfo(p, env, _facts(p)), levels)
+    info = _NameInfo(p, env, _facts(p))
+    by_id = [0] * len(info.children)
+    for slot, lvl in levels.items():
+        sid = info.root_slot.get(slot.root)
+        for i in slot.path:
+            kids = info.children[sid] if sid is not None else []
+            sid = kids[i] if i < len(kids) else None
+        if sid is not None:
+            by_id[sid] = lvl
+    return _reconstruct(p, info, by_id)
 
 
-def _reconstruct(p: Process, info: _NameInfo, levels: dict[Slot, int]) -> tuple[TypeEnv, Process]:
+def _reconstruct(p: Process, info: _NameInfo, levels: list[int]) -> tuple[TypeEnv, Process]:
     sharp = info.facts.input_subjects | set(info.facts.restricted)
+    children = info.children
 
-    def build(root: Name, path: tuple[int, ...], t: SimpleType, cap: str) -> Type:
+    def build(sid: int | None, t: SimpleType, cap: str) -> Type:
         if isinstance(t, SUnit):
             return UNIT
         if isinstance(t, SNat):
             return NAT
-        lvl = levels.get(Slot(root, path), 0)
         if isinstance(t, SVar):
             # an unconstrained slot still owns a level; its residual payload
             # variable is instantiated to Unit
-            return ChanT(cap, lvl, (UNIT,))
-        payload = tuple(
-            build(root, path + (i,), pt, OUT) for i, pt in enumerate(t.payload)
-        )
-        return ChanT(cap, lvl, payload)
+            return ChanT(cap, levels[sid], (UNIT,))
+        payload = tuple(build(c, pt, OUT) for c, pt in zip(children[sid], t.payload))
+        return ChanT(cap, levels[sid], payload)
 
     def type_of_root(n: Name) -> Type:
         cap = SHARP if n in sharp else OUT
-        return build(n, (), info.type_of(n), cap)
+        return build(info.root_slot.get(n), info.type_of(n), cap)
 
     tenv = TypeEnv({n: type_of_root(n) for n in free_names(p)})
 
@@ -670,18 +669,18 @@ def infer(p: Process, mode: str = FLEXIBLE) -> InferResult:
             where=pretty_process(p),
         )
     info = _NameInfo(p, env, facts)
-    slots, edges = _extended_constraints(info)
-    graph = _project(info, slots, edges)
+    edges = _extended_constraints(info)
+    graph, visible = _project(info, edges)
     if mode == DS_EQUALITY:
         # every `>=` flow also holds backwards: levels are equal along it
         edges = edges | {(dst, src, False) for src, dst, strict in edges if not strict}
     elif mode != FLEXIBLE:
         raise ValueError(f"unknown inference mode {mode!r}")
-    levels = _solve(slots, edges, info.describe)
+    levels = _least_levels(len(info.children), edges, info.display)
     tenv, annotated = _reconstruct(p, info, levels)
     try:
         weight = check(tenv, annotated)  # inference soundness: must hold
     except IllTyped as exc:
         raise InternalError(f"inference built a typing its checker rejects: {exc.render()}") from exc
-    visible = {slot: levels[slot] for slot in graph.nodes}
-    return InferResult(tenv, annotated, weight, graph, visible, env)
+    levels_of = {slot: levels[sid] for sid, slot in visible.items()}
+    return InferResult(tenv, annotated, weight, graph, levels_of, env)

@@ -413,10 +413,20 @@ class TestInferPipeline:
     def test_facts_and_constraints_built_once(self, monkeypatch, mode):
         counted = {
             name: count_calls(monkeypatch, getattr(inference, name))
-            for name in ("_facts", "_NameInfo", "_extended_constraints")
+            for name in ("_facts", "_NameInfo", "_extended_constraints", "_least_levels")
         }
         infer(parse_process("!a(x).b<x> | a<c> | new s.(d<s> | s(y).y<*>)"), mode)
         assert {name: len(calls) for name, calls in counted.items()} == dict.fromkeys(counted, 1)
+
+    @pytest.mark.parametrize("mode", [FLEXIBLE, DS_EQUALITY])
+    def test_slots_built_only_for_the_visible_graph(self, monkeypatch, mode):
+        # inference numbers its slots; a `Slot` is built only for a node of
+        # the returned graph (not for hidden ones such as son0(son0(d))), and
+        # the returned levels share those objects
+        built = count_calls(monkeypatch, Slot)
+        result = infer(parse_process("!a(x).b<x> | a<c> | new s.(d<s> | s(y).y<*>)"), mode)
+        assert len(built) == len(result.graph.nodes)
+        assert set(map(id, result.levels)) == set(map(id, result.graph.nodes))
 
     def test_alpha_invariant_across_reparses(self):
         # two parses of the same source differ only in name identities
