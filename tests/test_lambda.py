@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from piterm.checker import TypeEnv, check
-from piterm.errors import CyclicLevelConstraint, IllTypedLambda, PiError
+from piterm.errors import CyclicLevelConstraint, IllTypedLambda, ParseError, PiError
 from piterm.impure import ImpureEnv, check_impure
 from piterm.inference import (
     DS_EQUALITY,
@@ -27,6 +29,7 @@ from piterm.lam import (
     encode,
     parse_lambda_file,
     parse_lambda_term,
+    pretty_lambda,
     pretty_lambda_type,
 )
 from piterm.semantics import Verdict, explore, normalize
@@ -44,6 +47,8 @@ from piterm.syntax import (
     free_names,
     fresh,
 )
+
+from conftest import FIXTURES
 
 SIG, TAU = LBase("sig"), LBase("tau")
 
@@ -314,3 +319,154 @@ class TestImpureCompatibility:
         env, annotated = self.zero_env_and_annotation(proc)
         with pytest.raises(PiError):
             check_impure(env, annotated)
+
+
+# ---------------------------------------------------------------------------
+# Golden record of the lambda front end's outcomes: the rendered `ParseError`
+# (message, line, column) or, on success, the term as `pretty_lambda` prints
+# it and the declarations in file order. Regenerate it (only for a deliberate
+# change of output) with
+#   PYTHONPATH=src:tests python -c "import test_lambda as t; t.write_golden()"
+
+LAM_GOLDEN = FIXTURES.parent / "tests" / "golden" / "lam_errors.txt"
+
+_LAM_TOKEN_END = re.compile(r"--[^\n]*|\s+|([A-Za-z_][A-Za-z0-9_']*|->|.)")
+
+MORE_FILES = [
+    # characters the scanner rejects, in the term and in a header type
+    "\u00e9",
+    "x \u00e9",
+    "caf\u00e9 x",
+    "1",
+    "x1 2",
+    "\\x1. x1 0",
+    "-",
+    "x - y",
+    "x -",
+    ">",
+    "x > y",
+    "\\x -> x",
+    "x\u00a0y",
+    "@",
+    "a : sig\nb : sig - tau\n\nb a",
+    "a : sig\nb : sig > tau\n\nb a",
+    "a : sig\nb : 1\n\nb a",
+    "a : sig\n\nx\n  y @ z",
+    # layout: tabs, CRLF line ends, other line breaks, comments
+    "\\x.\tx\t@",
+    "a : sig\r\nb : tau\r\n\r\nb a\r\n",
+    "a : sig\r\nb : (sig -> tau\r\n\r\nb a\r\n",
+    "a : sig\r\n\r\nf (a\r\n",
+    "a : sig\r\n\r\nf a)\r\n",
+    "a : sig\x0cf a",
+    "f -- c\x0ca",
+    "f -- c\ra",
+    "x -- trailing comment",
+    "x (y -- comment at end of input",
+    "x (y\n-- comment at end of input",
+    "x (y\n-- comment\n\n",
+    "a : sig -- note\n-- between\nb : tau\n\nb a -- end",
+    # header type errors on line 2 and later, trailing input after a type
+    "a : sig\nb : (sig -> tau\n\nb a",
+    "a : sig\nb : sig ->\n\nb a",
+    "a : sig\nb :\n\nb a",
+    "a : sig\nb : ()\n\nb a",
+    "a : sig\n\nb : sig -> -> tau\n\nb a",
+    "a : sig tau\n\na",
+    "a : sig\nb : (sig) tau -- note\n\nb a",
+    "a : sig\nb : sig -> tau)\n\nb a",
+    "a : sig\n  b  :  sig :\n\nb a",
+    "a : \\\n\na",
+    # term errors on later lines
+    "a : sig\nt : sig -> tau\n\nt (a\n",
+    "a : sig\nt : sig -> tau\n\nt (a))\n",
+    "a : sig\n\n\\x.\n  \\y\n",
+    "a : sig\n\n\\x.\n  \\. y\n",
+    "a : sig\n\n(\\x. x)\n  ( )\n",
+    "a : sig\n\nx\ny : sig\n",
+    "\n\n  x :\n",
+    # a missing term
+    "",
+    "\n",
+    "-- only a comment",
+    "a : sig\n",
+    "a : sig\n\n-- no term\n\n",
+    "x : sig",
+    # other errors
+    "(",
+    "()",
+    ")",
+    "x)",
+    "\\",
+    "\\x",
+    "\\x.",
+    "\\(x). x",
+    ".",
+    ":",
+    "x :: y",
+    "(x y",
+    "x (y z",
+    "\\x. (\\y. x y",
+    # accepted forms
+    "x",
+    "x y z",
+    "x (y z)",
+    "\\x. \\y. x y",
+    "(\\x. x) (\\y. y) z",
+    "f \\x. x y",
+    "f (\\x. x) \\y. y",
+    "((x))",
+    "x' y_1 _z",
+    "new fun",
+    "f : sig -> sig -> tau\n\nf",
+    "f : (sig -> tau) -> tau\ng : sig -> tau\nf g",
+    "f:sig->tau\na:sig\nf a",
+    "  f : ((sig)) -- c\n\n\n  f  -- c\n",
+]
+
+
+def lam_cases() -> list[tuple[str, str]]:
+    """(kind, text): every `fixtures/*.lam` cut after each token, then the
+    inputs above; kind is `file` (`parse_lambda_file`), or `term`
+    (`parse_lambda_term`) for the inputs without a header."""
+    cases = []
+    for path in sorted(FIXTURES.glob("*.lam")):
+        text = path.read_text(encoding="utf-8")
+        cuts = [m.end() for m in _LAM_TOKEN_END.finditer(text) if m.group(1)]
+        cases += [("file", text[:end]) for end in cuts] + [("file", text)]
+    for text in MORE_FILES:
+        cases.append(("file", text))
+        if ":" not in text:
+            cases.append(("term", text))
+    return cases
+
+
+def lam_line(kind: str, text: str) -> str:
+    try:
+        if kind == "file":
+            decls, term = parse_lambda_file(text)
+        else:
+            decls, term = {}, parse_lambda_term(text)
+    except ParseError as exc:
+        outcome = exc.render()
+    else:
+        declared = " ".join(f"{n}:{pretty_lambda_type(t)}" for n, t in decls.items())
+        outcome = f"ok {pretty_lambda(term)}\t{declared}"
+    return f"{kind}\t{text!r}\t{outcome}"
+
+
+def lam_text() -> str:
+    return "".join(lam_line(kind, text) + "\n" for kind, text in lam_cases())
+
+
+def write_golden() -> None:
+    LAM_GOLDEN.write_text(lam_text(), encoding="utf-8")
+
+
+class TestLamGolden:
+    def test_parse_outcomes_unchanged(self):
+        expected = LAM_GOLDEN.read_text(encoding="utf-8").splitlines()
+        got = lam_text().splitlines()
+        assert len(got) == len(expected)
+        for g, e in zip(got, expected):
+            assert g == e
