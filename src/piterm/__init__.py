@@ -1,87 +1,1 @@
 """Workbench for the asynchronous pi-calculus with level-based termination typing."""
-
-from .checker import TypeEnv, check, check_ds, env_for, subtype, value_type
-from .impure import ImpureEnv, check_impure
-from .inference import (
-    DS_EQUALITY,
-    FLEXIBLE,
-    InferResult,
-    LevelGraph,
-    SimpleEnv,
-    assign_levels,
-    build_graph,
-    infer,
-    infer_simple,
-    locality_check,
-    reconstruct,
-)
-from .lam import check_stlc, encode, parse_lambda_file, parse_lambda_term
-from .measure import measure, multiset_greater
-from .parser import parse_env_file, parse_process, parse_type
-from .semantics import (
-    ExecutionReport,
-    NormalProcess,
-    Verdict,
-    certified_run,
-    congruent,
-    explore,
-    normalize,
-    step,
-)
-from .syntax import (
-    Name,
-    Process,
-    Type,
-    free_names,
-    fresh,
-    pretty_process,
-    pretty_type,
-    substitute,
-)
-
-__all__ = [
-    "TypeEnv",
-    "check",
-    "check_ds",
-    "env_for",
-    "subtype",
-    "value_type",
-    "ImpureEnv",
-    "check_impure",
-    "DS_EQUALITY",
-    "FLEXIBLE",
-    "InferResult",
-    "LevelGraph",
-    "SimpleEnv",
-    "assign_levels",
-    "build_graph",
-    "infer",
-    "infer_simple",
-    "locality_check",
-    "reconstruct",
-    "check_stlc",
-    "encode",
-    "parse_lambda_file",
-    "parse_lambda_term",
-    "measure",
-    "multiset_greater",
-    "parse_env_file",
-    "parse_process",
-    "parse_type",
-    "ExecutionReport",
-    "NormalProcess",
-    "Verdict",
-    "certified_run",
-    "congruent",
-    "explore",
-    "normalize",
-    "step",
-    "Name",
-    "Process",
-    "Type",
-    "free_names",
-    "fresh",
-    "pretty_process",
-    "pretty_type",
-    "substitute",
-]

@@ -77,12 +77,6 @@ class TypeEnv:
         new[name] = ty
         return TypeEnv(new)
 
-    def bind_all(self, pairs: list[tuple[Name, Type]]) -> TypeEnv:
-        env = self
-        for name, ty in pairs:
-            env = env.bind(name, ty)
-        return env
-
     def items(self) -> list[tuple[Name, Type]]:
         return sorted(self.bindings.items(), key=lambda kv: (kv[0].display, kv[0].id))
 
@@ -216,7 +210,9 @@ def bind_payload(env: TypeEnv, p: In | RepIn, chan: ChanT) -> TypeEnv:
             f"{p.subject.display} expects {len(chan.payload)} binder(s), got {len(p.binders)}",
             where=pretty_process(p),
         )
-    return env.bind_all(list(zip(p.binders, chan.payload)))
+    for name, ty in zip(p.binders, chan.payload):
+        env = env.bind(name, ty)
+    return env
 
 
 def annotation(p: Res) -> Type:

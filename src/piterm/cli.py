@@ -24,9 +24,6 @@ from .parser import parse_env_file, parse_process
 from .semantics import certified_run, explore
 from .syntax import ChanT, Name, Process, fresh, free_names, pretty_process, pretty_type
 
-DEFAULT_MAX_STATES = int(os.environ.get("PITERM_MAX_STATES", "100000"))
-DEFAULT_MAX_DEPTH = 100000
-
 
 class _Report:
     """Accumulates output lines in both human and machine form."""
@@ -207,18 +204,21 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--ds-equality", action="store_true", help="unify levels across every flow")
     sp.add_argument("--dump-graph", action="store_true")
 
+    # a string default goes through `type=int`: a bad value is a usage error
+    max_states = os.environ.get("PITERM_MAX_STATES", "100000")
+
     sp = sub.add_parser("run", help="explore the reduction graph")
     common(sp, cmd_run)
-    sp.add_argument("--max-states", type=int, default=DEFAULT_MAX_STATES)
-    sp.add_argument("--max-depth", type=int, default=DEFAULT_MAX_DEPTH)
+    sp.add_argument("--max-states", type=int, default=max_states)
+    sp.add_argument("--max-depth", type=int, default=100000)
     sp.add_argument("--certify", metavar="ENVFILE", help="certify the measure decrease")
 
     sp = sub.add_parser("encode", help="translate a lambda term")
     common(sp, cmd_encode)
     sp.add_argument("--infer", action="store_true")
     sp.add_argument("--run", action="store_true")
-    sp.add_argument("--max-states", type=int, default=DEFAULT_MAX_STATES)
-    sp.add_argument("--max-depth", type=int, default=DEFAULT_MAX_DEPTH)
+    sp.add_argument("--max-states", type=int, default=max_states)
+    sp.add_argument("--max-depth", type=int, default=100000)
     return ap
 
 

@@ -11,8 +11,9 @@ and reconstruction of an environment that the checker accepts.
 Slots are numbered once per `infer`: 0 is the floor, a pseudo-slot pinned at
 level zero, then each root's type tree in preorder, roots in `Name.id` order.
 So ids follow `(root.id, path)`, and constraints, solving and reconstruction
-run on ints and lists. `Slot` is only the public face of the visible graph
-and its levels.
+run on ints and lists. `infer` is the one way through the pipeline; `Slot`
+is only the public face of its visible graph and levels, and of
+`assign_levels`, which solves a hand-built `LevelGraph`.
 
 Output edges are `>=` and run down every nested payload position;
 replication edges are `>`. The public `LevelGraph` is a projection of this
@@ -325,16 +326,17 @@ class LevelGraph:
 
 
 class _NameInfo:
-    """The name facts of a process with its simple types: roots, carriers,
-    displays and the slot ids. Preorder skips `Nat` positions and `Unit`/`Nat`
-    roots; `children[s]` holds the ids of the payload positions of slot `s`,
-    None at a `Nat` position."""
+    """The name facts of a process with its simple types: free names, roots,
+    carriers, displays and the slot ids. Preorder skips `Nat` positions and
+    `Unit`/`Nat` roots; `children[s]` holds the ids of the payload positions
+    of slot `s`, None at a `Nat` position."""
 
     def __init__(self, p: Process, env: SimpleEnv, facts: _Facts):
         self.env = env
         self.facts = facts
+        self.free = free_names(p)
         self.roots: list[Name] = sorted(
-            set(free_names(p)) | set(facts.restricted), key=lambda n: (n.display, n.id)
+            self.free | set(facts.restricted), key=lambda n: (n.display, n.id)
         )
         self.rootset = set(self.roots)
         self.carrier: dict[Name, tuple[Name, int]] = {x: (a, i) for a, i, x in facts.receptions}
@@ -451,15 +453,6 @@ def _project(
     return g, visible
 
 
-def build_graph(p: Process, env: SimpleEnv) -> LevelGraph:
-    """The visible constraint graph: a node per free/restricted name and per
-    payload position of its channel type; received names label their
-    carrier's payload node; output edges are tagged `>=`, replication edges
-    `>`."""
-    info = _NameInfo(p, env, _facts(p))
-    return _project(info, _extended_constraints(info))[0]
-
-
 # ---------------------------------------------------------------------------
 # Level assignment
 
@@ -559,51 +552,30 @@ def _least_levels(count: int, edges, describe) -> list[int]:
     return levels
 
 
-def _solve(
-    nodes: set[Slot],
-    edges: set[tuple[Slot, Slot, bool]],
-    describe=lambda s: f"{s.root.display}{list(s.path)}",
-) -> dict[Slot, int]:
-    """`_least_levels` on `Slot`s, numbered in `(root.id, path)` order."""
-    slots = sorted(set(nodes).union(*(e[:2] for e in edges)), key=lambda s: (s.root.id, s.path))
-    sid = {s: i for i, s in enumerate(slots)}
-    ids = {(sid[a], sid[b], strict) for a, b, strict in edges}
-    return dict(zip(slots, _least_levels(len(slots), ids, lambda i: describe(slots[i]))))
-
-
 def assign_levels(graph: LevelGraph) -> dict[Slot, int]:
     """Pointwise-least levels satisfying every edge of the given graph;
-    fails iff a cycle goes through a strict edge."""
-    return _solve(
-        set(graph.nodes),
-        graph.edges,
-        describe=lambda s: graph.display.get(s, f"{s.root.display}{list(s.path)}"),
-    )
+    fails iff a cycle goes through a strict edge. The slots are numbered in
+    `(root.id, path)` order, as `infer` numbers its own."""
+    nodes = set(graph.nodes).union(*(e[:2] for e in graph.edges))
+    slots = sorted(nodes, key=lambda s: (s.root.id, s.path))
+    sid = {s: i for i, s in enumerate(slots)}
+    edges = {(sid[a], sid[b], strict) for a, b, strict in graph.edges}
+
+    def describe(i: int) -> str:
+        s = slots[i]
+        return graph.display.get(s, f"{s.root.display}{list(s.path)}")
+
+    return dict(zip(slots, _least_levels(len(slots), edges, describe)))
 
 
 # ---------------------------------------------------------------------------
 # Reconstruction
 
 
-def reconstruct(
-    p: Process, env: SimpleEnv, levels: dict[Slot, int]
-) -> tuple[TypeEnv, Process]:
-    """Types from the level assignment: full capability for input subjects and
-    restricted names, output capability elsewhere and on every carried type;
-    residual type variables become Unit."""
-    info = _NameInfo(p, env, _facts(p))
-    by_id = [0] * len(info.children)
-    for slot, lvl in levels.items():
-        sid = info.root_slot.get(slot.root)
-        for i in slot.path:
-            kids = info.children[sid] if sid is not None else []
-            sid = kids[i] if i < len(kids) else None
-        if sid is not None:
-            by_id[sid] = lvl
-    return _reconstruct(p, info, by_id)
-
-
 def _reconstruct(p: Process, info: _NameInfo, levels: list[int]) -> tuple[TypeEnv, Process]:
+    """Types from the level of each slot id: full capability for input
+    subjects and restricted names, output capability elsewhere and on every
+    carried type; residual type variables become Unit."""
     sharp = info.facts.input_subjects | set(info.facts.restricted)
     children = info.children
 
@@ -623,7 +595,7 @@ def _reconstruct(p: Process, info: _NameInfo, levels: list[int]) -> tuple[TypeEn
         cap = SHARP if n in sharp else OUT
         return build(info.root_slot.get(n), info.type_of(n), cap)
 
-    tenv = TypeEnv({n: type_of_root(n) for n in free_names(p)})
+    tenv = TypeEnv({n: type_of_root(n) for n in info.free})
 
     def annotate(q: Process) -> Process:
         if isinstance(q, Par):

@@ -1,6 +1,10 @@
 """Simply-typed lambda-calculus front end and the parallel call-by-value
 encoding into the localised pi-calculus.
 
+The grammar runs on the process parser's scanner (`parser._Parser`), with
+its own token regex and one-character tokens; errors are located at the
+line and column of the file.
+
 An abstraction becomes a replicated server on a fresh name, a variable is
 returned on its continuation channel, and an application evaluates both
 sides in parallel before joining them:
@@ -16,6 +20,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import IllTypedLambda, ParseError
+from .parser import _NAME_START, _Parser
 from .syntax import In, Name, NameRef, Out, Par, Process, RepIn, Res, fresh
 
 
@@ -92,112 +97,67 @@ def pretty_lambda(m: LambdaTerm) -> str:
 # ---------------------------------------------------------------------------
 # Parsing
 
-_LAM_TOKEN = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<comment>--[^\n]*)
-  | (?P<name>[A-Za-z_][A-Za-z0-9_']*)
-  | (?P<arrow>->)
-  | (?P<op>[\\().:])
-    """,
-    re.VERBOSE,
-)
 
+class _LamParser(_Parser):
+    """The lambda grammar on the process parser's scanner."""
 
-def _lam_tokens(text: str) -> list[tuple[str, str, int, int]]:
-    out = []
-    line, col, pos = 1, 1, 0
-    while pos < len(text):
-        m = _LAM_TOKEN.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        if m.lastgroup not in ("ws", "comment"):
-            out.append((m.lastgroup, m.group(), line, col))
-        chunk = m.group()
-        if "\n" in chunk:
-            line += chunk.count("\n")
-            col = len(chunk) - chunk.rfind("\n")
-        else:
-            col += len(chunk)
-        pos = m.end()
-    out.append(("eof", "", line, col))
-    return out
-
-
-class _LamParser:
-    def __init__(self, text: str):
-        self.toks = _lam_tokens(text)
-        self.pos = 0
-
-    def peek(self):
-        return self.toks[self.pos]
-
-    def next(self):
-        t = self.toks[self.pos]
-        if t[0] != "eof":
-            self.pos += 1
-        return t
-
-    def expect(self, text: str):
-        kind, tok, line, col = self.next()
-        if tok != text:
-            raise ParseError(f"expected {text!r}, found {tok or 'end of input'!r}", line, col)
+    TOKEN_RE = re.compile(r"\s+|--[^\n]*|([A-Za-z_][A-Za-z0-9_']*|->|[\\().:]|.)")
+    ONE_CHAR_TOKENS = _NAME_START | frozenset("\\().:")
 
     def parse_type(self) -> LambdaType:
         left = self._type_atom()
-        if self.peek()[1] == "->":
-            self.next()
+        if self.peek() == "->":
+            self.pos += 1
             return LArrow(left, self.parse_type())
         return left
 
     def _type_atom(self) -> LambdaType:
-        kind, tok, line, col = self.next()
+        tok = self.next()
         if tok == "(":
             t = self.parse_type()
             self.expect(")")
             return t
-        if kind == "name":
+        if tok[:1] in _NAME_START:
             return LBase(tok)
-        raise ParseError(f"expected a type, found {tok or 'end of input'!r}", line, col)
+        raise self.error(f"expected a type, found {tok or 'end of input'!r}", self.pos - 1)
 
     def parse_term(self) -> LambdaTerm:
-        if self.peek()[1] == "\\":
-            self.next()
-            kind, tok, line, col = self.next()
-            if kind != "name":
-                raise ParseError("expected a variable after '\\'", line, col)
+        if self.peek() == "\\":
+            self.pos += 1
+            if self.peek()[:1] not in _NAME_START:
+                raise self.fail("expected a variable after '\\'")
+            var = self.next()
             self.expect(".")
-            return LAbs(tok, self.parse_term())
+            return LAbs(var, self.parse_term())
         out = self._term_atom()
-        while self.peek()[1] in ("(", "\\") or self.peek()[0] == "name":
-            if self.peek()[1] == "\\":
-                out = LApp(out, self.parse_term())
-                break
+        while self.peek()[:1] in _NAME_START or self.peek() in ("(", "\\"):
+            if self.peek() == "\\":
+                return LApp(out, self.parse_term())
             out = LApp(out, self._term_atom())
         return out
 
     def _term_atom(self) -> LambdaTerm:
-        kind, tok, line, col = self.next()
+        tok = self.next()
         if tok == "(":
             t = self.parse_term()
             self.expect(")")
             return t
-        if kind == "name":
+        if tok[:1] in _NAME_START:
             return LVar(tok)
-        raise ParseError(f"expected a term, found {tok or 'end of input'!r}", line, col)
+        raise self.error(f"expected a term, found {tok or 'end of input'!r}", self.pos - 1)
 
 
-def parse_lambda_term(text: str) -> LambdaTerm:
-    p = _LamParser(text)
+def parse_lambda_term(text: str, line: int = 1) -> LambdaTerm:
+    """Parse a term whose text starts on line `line` of its file."""
+    p = _LamParser(text, line=line)
     m = p.parse_term()
-    kind, tok, line, col = p.peek()
-    if kind != "eof":
-        raise ParseError(f"unexpected trailing input {tok!r}", line, col)
+    p.finish()
     return m
 
 
 def parse_lambda_file(text: str) -> tuple[dict[str, LambdaType], LambdaTerm]:
-    """Header lines `name : type` declare free variables; the rest is the term."""
+    """Header lines `name : type` declare free variables; the rest is the term.
+    Both are read in place: an error is located at the file's line and column."""
     decls: dict[str, LambdaType] = {}
     lines = text.splitlines()
     body_from = 0
@@ -209,17 +169,18 @@ def parse_lambda_file(text: str) -> tuple[dict[str, LambdaType], LambdaTerm]:
             continue
         m = decl_re.match(stripped)
         if m:
-            p = _LamParser(m.group(2))
+            p = _LamParser(raw, m.start(2), len(stripped.rstrip()), i + 1)
             decls[m.group(1)] = p.parse_type()
-            if p.peek()[0] != "eof":
-                raise ParseError("trailing input after type", i + 1, 1)
+            if p.peek():
+                raise p.fail("trailing input after type")
             body_from = i + 1
         else:
             break
-    term_text = "\n".join(lines[body_from:])
-    if not term_text.strip():
+    # lines joined on "\n": a comment ends at any line break `splitlines` sees
+    term_text = "\n".join(lines[body_from:]).rstrip()
+    if not term_text:
         raise ParseError("missing term", len(lines), 1)
-    return decls, parse_lambda_term(term_text)
+    return decls, parse_lambda_term(term_text, body_from + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -56,14 +56,22 @@ _CAP_NAME = re.compile(r"^([io])(\d+)$")
 
 class _Parser:
     """Recursive descent on the token strings of `text[pos:endpos]` and an empty
-    end sentinel. Locations, from line `line` on, are worked out on error only."""
+    end sentinel. Locations, from line `line` on, are worked out on error only.
+
+    A subclass brings another grammar: its scanner `TOKEN_RE`, with one group
+    as in `_TOKEN_RE`, and its `ONE_CHAR_TOKENS`. Where these hold the digit
+    0, any decimal digit is a token, as `\\d+` scans one."""
+
+    TOKEN_RE = _TOKEN_RE
+    ONE_CHAR_TOKENS = _ONE_CHAR_TOKENS
 
     def __init__(self, text: str, pos: int = 0, endpos: int | None = None, line: int = 1):
         self.text = text
         self.span = (pos, len(text) if endpos is None else endpos)
         self.line = line
-        self.tokens = list(filter(None, _TOKEN_RE.findall(text, *self.span)))
-        bad = [t for t in set(self.tokens) if len(t) == 1 and t not in _ONE_CHAR_TOKENS and not t.isdecimal()]
+        self.tokens = list(filter(None, self.TOKEN_RE.findall(text, *self.span)))
+        ok = self.ONE_CHAR_TOKENS
+        bad = [t for t in set(self.tokens) if len(t) == 1 and t not in ok and not (t.isdecimal() and "0" in ok)]
         if bad:
             i = min(map(self.tokens.index, bad))
             raise self.error(f"unexpected character {self.tokens[i]!r}", i)
@@ -75,7 +83,7 @@ class _Parser:
 
     def error(self, message: str, index: int) -> ParseError:
         """A `ParseError` located at token `index`, found by scanning again."""
-        starts = (m.start() for m in _TOKEN_RE.finditer(self.text, *self.span) if m.group(1))
+        starts = (m.start() for m in self.TOKEN_RE.finditer(self.text, *self.span) if m.group(1))
         offset = next(islice(starts, index, None), self.span[1])
         line = self.line + self.text.count("\n", 0, offset)
         return ParseError(message, line, offset - self.text.rfind("\n", 0, offset))

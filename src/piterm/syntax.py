@@ -394,10 +394,6 @@ def pretty_process(p: Process) -> str:
     def name_of(n: Name) -> str:
         return names.get(n.id, n.display)
 
-    def prefix_body(body: Process) -> str:
-        inner = go(body, top=False)
-        return inner
-
     def go(q: Process, top: bool) -> str:
         if isinstance(q, Nil):
             return "0"
@@ -414,12 +410,12 @@ def pretty_process(p: Process) -> str:
                 names[b.id] = pick(b.display)
             params = ", ".join(name_of(b) for b in q.binders)
             head = f"{bang}{name_of(q.subject)}({params})"
-            return f"{head}.{prefix_body(q.body)}"
+            return f"{head}.{go(q.body, top=False)}"
         if isinstance(q, Res):
             names[q.name.id] = pick(q.name.display)
             ann = f":{pretty_type(q.annotation)}" if q.annotation is not None else ""
             kind = " fun" if q.functional else ""
-            return f"new {name_of(q.name)}{ann}{kind}.{prefix_body(q.body)}"
+            return f"new {name_of(q.name)}{ann}{kind}.{go(q.body, top=False)}"
         raise TypeError(f"not a process: {q!r}")
 
     return go(p, top=True)

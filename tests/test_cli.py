@@ -248,7 +248,8 @@ class TestInternalErrors:
 
 
 class TestStateBudgetEnvVar:
-    def test_piterm_max_states_env(self, tmp_path):
+    @staticmethod
+    def run_chain(tmp_path, max_states: str):
         import os
         import subprocess
         import sys
@@ -258,18 +259,28 @@ class TestStateBudgetEnvVar:
         import piterm
 
         env = dict(os.environ)
-        env["PITERM_MAX_STATES"] = "3"
+        env["PITERM_MAX_STATES"] = max_states
         # the child imports the same piterm as this test, installed or not
         src = os.path.dirname(os.path.dirname(piterm.__file__))
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run(
+        return subprocess.run(
             [sys.executable, "-m", "piterm.cli", "run", str(pi), "--format=lines"],
             capture_output=True,
             text=True,
             env=env,
         )
+
+    def test_piterm_max_states_env(self, tmp_path):
+        proc = self.run_chain(tmp_path, "3")
         assert proc.returncode == 1
         assert "VERDICT=BoundExceeded" in proc.stdout
+
+    def test_bad_piterm_max_states_is_a_usage_error(self, tmp_path):
+        proc = self.run_chain(tmp_path, "abc")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "argument --max-states: invalid int value: 'abc'" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestDeterminism:

@@ -28,11 +28,9 @@ from piterm.inference import (
     SVar,
     Slot,
     assign_levels,
-    build_graph,
     infer,
     infer_simple,
     locality_check,
-    reconstruct,
 )
 from piterm.parser import parse_process
 from piterm.syntax import (
@@ -125,7 +123,7 @@ def graph_view(g: LevelGraph):
 class TestBuildGraph:
     def test_relay_graph_exact(self):
         p = parse_process("!c(z).b<z> | a<c> | a<b>")
-        g = build_graph(p, infer_simple(p))
+        g = infer(p).graph
         nodes, edges = graph_view(g)
         assert nodes == {
             "a": frozenset({"a"}),
@@ -144,7 +142,7 @@ class TestBuildGraph:
 
     def test_eight_node_example(self):
         p = parse_process("a(x).(new b. x<b>) | !a(y).(c<y> | d(z).y<z>)")
-        g = build_graph(p, infer_simple(p))
+        g = infer(p).graph
         nodes, _ = graph_view(g)
         assert len(nodes) == 8
         assert nodes["son0(a)"] == frozenset({"son0(a)", "x", "y"})
@@ -154,14 +152,14 @@ class TestBuildGraph:
 
     def test_star_output_keeps_son(self):
         p = parse_process("a<*>")
-        g = build_graph(p, infer_simple(p))
+        g = infer(p).graph
         nodes, edges = graph_view(g)
         assert nodes == {"a": frozenset({"a"}), "son0(a)": frozenset({"son0(a)"})}
         assert edges == set()
 
     def test_nat_names_create_no_nodes(self):
         p = parse_process("!f(n,r).r<n*n>")
-        g = build_graph(p, infer_simple(p))
+        g = infer(p).graph
         nodes, _ = graph_view(g)
         assert "son0(f)" not in nodes  # Nat payload position
         assert set(nodes) == {"f", "son1(f)"}
@@ -169,7 +167,7 @@ class TestBuildGraph:
 
     def test_dump_format(self):
         p = parse_process("!c(z).b<z> | a<c> | a<b>")
-        g = build_graph(p, infer_simple(p))
+        g = infer(p).graph
         dump = g.dump()
         assert "NODE son0(c): {son0(c), z}" in dump
         assert "EDGE c > b" in dump
@@ -194,8 +192,8 @@ def raw_graph(shape: dict[str, list[tuple[str, str]]]) -> LevelGraph:
 class TestAssignLevels:
     def test_relay_levels(self):
         p = parse_process("!c(z).b<z> | a<c> | a<b>")
-        g = build_graph(p, infer_simple(p))
-        levels = assign_levels(g)
+        result = infer(p)
+        g, levels = result.graph, result.levels
         named = {g.display[s]: lvl for s, lvl in levels.items()}
         assert named == {
             "a": 0,
@@ -230,7 +228,7 @@ class TestAssignLevels:
         for edges in (ring, ring[::-1]):
             inserted = set(edges)
             with pytest.raises(CyclicLevelConstraint) as exc:
-                inference._solve(set(slots), inserted)
+                assign_levels(LevelGraph(edges=inserted))
             cycles.append((exc.value.cycle, list(inserted)))
         (first, order1), (second, order2) = cycles
         assert order1 != order2  # the two sets iterate differently
@@ -286,13 +284,12 @@ class TestAssignLevels:
 
 class TestReconstruct:
     def test_standalone_pipeline_pieces(self):
-        # build_graph -> assign_levels -> reconstruct, without going through
-        # infer; on a process with no constraints below the visible nodes the
-        # visible levels already reconstruct the full typing
+        # the graph, levels and environment of one `infer`: on a process with
+        # no constraints below the visible nodes, the visible levels are the
+        # levels of the reconstructed typing
         p = parse_process("!c(z).b<z> | a<c> | a<b>")
-        env = infer_simple(p)
-        levels = assign_levels(build_graph(p, env))
-        tenv, annotated = reconstruct(p, env, levels)
+        result = infer(p)
+        tenv, annotated = result.env, result.process
         assert {n.display: pretty_type(t) for n, t in tenv.items()} == {
             "b": "o0[o0[Unit]]",
             "c": "#1[o0[Unit]]",
@@ -413,9 +410,12 @@ class TestInferPipeline:
     def test_facts_and_constraints_built_once(self, monkeypatch, mode):
         counted = {
             name: count_calls(monkeypatch, getattr(inference, name))
-            for name in ("_facts", "_NameInfo", "_extended_constraints", "_least_levels")
+            for name in ("_facts", "_NameInfo", "_extended_constraints", "_least_levels", "free_names")
         }
-        infer(parse_process("!a(x).b<x> | a<c> | new s.(d<s> | s(y).y<*>)"), mode)
+        p = parse_process("!a(x).b<x> | a<c> | new s.(d<s> | s(y).y<*>)")
+        infer(p, mode)
+        # `free_names` recurses through itself: count its walks of the whole process
+        counted["free_names"] = [args for args in counted["free_names"] if args[0] is p]
         assert {name: len(calls) for name, calls in counted.items()} == dict.fromkeys(counted, 1)
 
     @pytest.mark.parametrize("mode", [FLEXIBLE, DS_EQUALITY])
