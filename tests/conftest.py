@@ -60,6 +60,16 @@ def count_calls(monkeypatch, fn) -> list:
     return calls
 
 
+def assert_golden(path: Path, text: str) -> None:
+    """`text` must equal the golden file at `path`: every line, then the line
+    count. A failure names the first line that differs."""
+    expected = path.read_text(encoding="utf-8").splitlines()
+    got = text.splitlines()
+    for i, (g, e) in enumerate(zip(got, expected), start=1):
+        assert g == e, f"{path.name} line {i} differs\n  got:    {g}\n  golden: {e}"
+    assert len(got) == len(expected), f"{path.name}: {len(got)} lines, the golden has {len(expected)}"
+
+
 # ---------------------------------------------------------------------------
 # Random types
 

@@ -31,6 +31,20 @@ from piterm.inference import (
     infer,
     infer_simple,
     locality_check,
+    pretty_simple,
+)
+from piterm.lam import (
+    LAbs,
+    LambdaTerm,
+    LApp,
+    LArrow,
+    LBase,
+    LVar,
+    check_stlc,
+    parse_lambda_file,
+    parse_lambda_term,
+    pretty_lambda,
+    pretty_lambda_type,
 )
 from piterm.parser import parse_process
 from piterm.syntax import (
@@ -47,7 +61,8 @@ from piterm.syntax import (
     pretty_type,
 )
 
-from conftest import count_calls
+from conftest import assert_golden, count_calls
+from test_syntax import random_ast
 
 
 def by_display(p):
@@ -822,3 +837,109 @@ class TestCyclesGolden:
         assert len(got) == len(expected)
         for g, e in zip(got, expected):
             assert g == e
+
+
+# ---------------------------------------------------------------------------
+# Golden record of first-order unification: the outcome of `check_stlc` on
+# hand-written and fixed-seed lambda terms under declarations, and of
+# `infer_simple` on hand-written and fixed-seed `random_ast` processes, each
+# the resolved type(s) or the error class and message. Regenerate it (only
+# for a deliberate change of output) with
+#   PYTHONPATH=src:tests python -c "import test_inference as t; t.write_unify_golden()"
+
+UNIFY_GOLDEN = Path(__file__).resolve().parent / "golden" / "unify.txt"
+UNIFY_SEED = 9
+UNIFY_SAMPLES = 400
+
+_SIG, _TAU = LBase("sig"), LBase("tau")
+UNIFY_DECL_TYPES = [
+    _SIG,
+    _TAU,
+    LArrow(_SIG, _TAU),
+    LArrow(_SIG, _SIG),
+    LArrow(LArrow(_SIG, _SIG), _TAU),
+    LArrow(_SIG, LArrow(_SIG, _TAU)),
+]
+UNIFY_TERMS = [
+    ("", "\\x. x x"),
+    ("", "(\\x. x x) (\\x. x x)"),
+    ("", "\\f. \\x. f (f x)"),
+    ("", "\\x. \\y. y (x y)"),
+    ("", "f f"),
+    ("a : sig\nf : sig -> tau", "f (f a)"),
+    ("a : sig", "a a"),
+    ("a : sig\nb : tau", "(\\x. \\y. x) a b"),
+    ("f : sig -> tau\ng : tau -> sig", "\\x. g (f x)"),
+    ("f : sig -> tau\ng : tau -> sig", "\\x. f (g (f x))"),
+    ("f : (sig -> sig) -> tau", "f (\\x. x)"),
+    ("f : (sig -> sig) -> tau", "f (\\x. f)"),
+    ("f : sig -> sig -> tau\na : sig", "f a a"),
+    ("f : sig -> sig -> tau\na : tau", "f a"),
+]
+UNIFY_PROCESSES = [
+    "a<a>",
+    "a(x).x<x>",
+    "a<b> | b<a>",
+    "a<b> | b(x).x<a>",
+    "a<*> | a<1>",
+    "a<1> | a<b>",
+    "a<b> | b<*> | a<1>",
+    "a<b> | a<b, c>",
+    "a(x, y).0 | a<b>",
+    "a<b> | b<c, c> | a<d> | d<e>",
+    "a<1 + b> | b<*>",
+    "new s.(a<s> | a<1>)",
+    "!a(x).x<*> | a(y).y<1>",
+]
+
+
+def random_lambda(rng: random.Random, depth: int, scope: list[str]) -> LambdaTerm:
+    roll = rng.random()
+    if depth <= 0 or roll < 0.3:
+        return LVar(rng.choice(scope + ["f", "g", "a"]))
+    if roll < 0.6:
+        var = rng.choice("xyz")
+        return LAbs(var, random_lambda(rng, depth - 1, scope + [var]))
+    return LApp(random_lambda(rng, depth - 1, scope), random_lambda(rng, depth - 1, scope))
+
+
+def unify_cases() -> list[tuple[str, object, object]]:
+    """(kind, declarations or None, term or process), in golden-file order."""
+    cases: list[tuple[str, object, object]] = []
+    for header, term in UNIFY_TERMS:
+        decls = parse_lambda_file(header + "\n\nx")[0] if header else {}
+        cases.append(("stlc", decls, parse_lambda_term(term)))
+    rng = random.Random(UNIFY_SEED)
+    for _ in range(UNIFY_SAMPLES):
+        decls = {v: rng.choice(UNIFY_DECL_TYPES) for v in "fga" if rng.random() < 0.5}
+        cases.append(("stlc", decls, random_lambda(rng, 4, [])))
+    cases += [("simple", None, parse_process(src)) for src in UNIFY_PROCESSES]
+    cases += [("simple", None, random_ast(rng, 4)) for _ in range(UNIFY_SAMPLES)]
+    return cases
+
+
+def unify_line(kind: str, decls, subject) -> str:
+    try:
+        if kind == "stlc":
+            head = f"{kind}\t{' '.join(f'{v}:{pretty_lambda_type(t)}' for v, t in decls.items())}\t{pretty_lambda(subject)}"
+            outcome = pretty_lambda_type(check_stlc(decls, subject))
+        else:
+            head = f"{kind}\t{pretty_process(subject)}"
+            env = infer_simple(subject)
+            outcome = " ".join(f"{n.display}:{pretty_simple(t)}" for n, t in env.types.items())
+    except PiError as exc:
+        outcome = f"{type(exc).__name__}: {exc.message}"
+    return f"{head}\t{outcome}"
+
+
+def unify_text() -> str:
+    return "".join(unify_line(*case) + "\n" for case in unify_cases())
+
+
+def write_unify_golden() -> None:
+    UNIFY_GOLDEN.write_text(unify_text(), encoding="utf-8")
+
+
+class TestUnifyGolden:
+    def test_unification_outcomes_unchanged(self):
+        assert_golden(UNIFY_GOLDEN, unify_text())
