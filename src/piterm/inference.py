@@ -1,12 +1,15 @@
 """Type inference for the localised fragment.
 
-Pipeline: simple-type inference by first-order unification; one walk that
-gathers the name facts (restricted names, receptions, input subjects,
-outputs, replicated inputs and the outputs they guard); a locality check on
-those facts (no received name may be used as an input subject); one
-generator of level constraints over slots, a slot being a name with a
-payload path into its type; minimal level assignment by SCC condensation;
-and reconstruction of an environment that the checker accepts.
+Pipeline: one walk that gathers the name facts (the restrictions, outputs
+and inputs in preorder, free and restricted names, receptions, input
+subjects, replicated inputs and the outputs they guard); simple-type
+inference by first-order unification over the recorded nodes, in that
+preorder; a locality check on the facts (no received name may be used as an
+input subject); one generator of level constraints over slots, a slot being
+a name with a payload path into its type; minimal level assignment by SCC
+condensation; and reconstruction of an environment that the checker
+accepts. `Unifier` is the one first-order unifier of the package; the lambda
+front end's simple typing runs on it too.
 
 Slots are numbered once per `infer`: 0 is the floor, a pseudo-slot pinned at
 level zero, then each root's type tree in preorder, roots in `Name.id` order.
@@ -60,8 +63,8 @@ from .syntax import (
     Star,
     Type,
     Value,
-    free_names,
     pretty_process,
+    value_names,
 )
 
 # ---------------------------------------------------------------------------
@@ -108,63 +111,72 @@ def pretty_simple(t: SimpleType) -> str:
     raise TypeError(f"not a simple type: {t!r}")
 
 
-class _Unifier:
-    def __init__(self) -> None:
-        self.sub: dict[int, SimpleType] = {}
+class Unifier:
+    """First-order unification (Robinson 1965) over the terms of one type
+    language, given by its variable class `var` (with an int `id`), by
+    `split(t) -> (key, args)` for a constructor term, equal keys naming the
+    same constructor, and by `build(t, args)`, which rebuilds `t` on new
+    arguments. `occurs_error(uni, v, t)` and `clash_error(uni, a, b)` build
+    what is raised when `v` occurs in `t`, or when constructor terms `a` and
+    `b` differ in key or arity."""
+
+    def __init__(self, var, split, build, occurs_error, clash_error) -> None:
+        self.var, self.split, self.build = var, split, build
+        self.occurs_error, self.clash_error = occurs_error, clash_error
+        self.sub: dict[int, object] = {}
         self._next = 0
 
-    def fresh_var(self) -> SVar:
+    def fresh(self):
         self._next += 1
-        return SVar(self._next)
+        return self.var(self._next)
 
-    def find(self, t: SimpleType) -> SimpleType:
-        while isinstance(t, SVar) and t.id in self.sub:
+    def find(self, t):
+        while isinstance(t, self.var) and t.id in self.sub:
             t = self.sub[t.id]
         return t
 
-    def _occurs(self, vid: int, t: SimpleType) -> bool:
+    def _occurs(self, vid: int, t) -> bool:
         t = self.find(t)
-        if isinstance(t, SVar):
+        if isinstance(t, self.var):
             return t.id == vid
-        if isinstance(t, SChan):
-            return any(self._occurs(vid, p) for p in t.payload)
-        return False
+        return any(self._occurs(vid, x) for x in self.split(t)[1])
 
-    def unify(self, a: SimpleType, b: SimpleType) -> None:
+    def unify(self, a, b) -> None:
         a, b = self.find(a), self.find(b)
-        if isinstance(a, SVar) and isinstance(b, SVar) and a.id == b.id:
-            return
-        if isinstance(a, SVar):
-            if self._occurs(a.id, b):
-                raise OccursCheckFailure(
-                    f"occurs check: ?{a.id} inside {pretty_simple(self.resolve(b))}"
-                )
-            self.sub[a.id] = b
-            return
-        if isinstance(b, SVar):
-            self.unify(b, a)
-            return
-        if isinstance(a, SUnit) and isinstance(b, SUnit):
-            return
-        if isinstance(a, SNat) and isinstance(b, SNat):
-            return
-        if isinstance(a, SChan) and isinstance(b, SChan):
-            if len(a.payload) != len(b.payload):
-                raise UnificationFailure(
-                    f"arity clash: {pretty_simple(a)} vs {pretty_simple(b)}"
-                )
-            for x, y in zip(a.payload, b.payload):
+        if isinstance(a, self.var):
+            if isinstance(b, self.var) and a.id == b.id:
+                return
+        elif isinstance(b, self.var):
+            a, b = b, a
+        else:
+            (ka, xs), (kb, ys) = self.split(a), self.split(b)
+            if ka != kb or len(xs) != len(ys):
+                raise self.clash_error(self, a, b)
+            for x, y in zip(xs, ys):
                 self.unify(x, y)
             return
-        raise UnificationFailure(
-            f"sort clash: {pretty_simple(self.resolve(a))} vs {pretty_simple(self.resolve(b))}"
-        )
+        if self._occurs(a.id, b):
+            raise self.occurs_error(self, a, b)
+        self.sub[a.id] = b
 
-    def resolve(self, t: SimpleType) -> SimpleType:
+    def resolve(self, t):
         t = self.find(t)
-        if isinstance(t, SChan):
-            return SChan(tuple(self.resolve(p) for p in t.payload))
-        return t
+        if isinstance(t, self.var):
+            return t
+        args = self.split(t)[1]
+        return self.build(t, tuple(map(self.resolve, args))) if args else t
+
+
+def _split_simple(t: SimpleType) -> tuple[type, tuple[SimpleType, ...]]:
+    return type(t), (t.payload if isinstance(t, SChan) else ())
+
+
+def _simple_clash(uni: Unifier, a: SimpleType, b: SimpleType) -> UnificationFailure:
+    if isinstance(a, SChan) and isinstance(b, SChan):
+        return UnificationFailure(f"arity clash: {pretty_simple(a)} vs {pretty_simple(b)}")
+    return UnificationFailure(
+        f"sort clash: {pretty_simple(uni.resolve(a))} vs {pretty_simple(uni.resolve(b))}"
+    )
 
 
 @dataclass
@@ -177,7 +189,7 @@ class SimpleEnv:
         return self.types[n]
 
 
-def _value_simple(v: Value, var, uni: _Unifier) -> SimpleType:
+def _value_simple(v: Value, var, uni: Unifier) -> SimpleType:
     if isinstance(v, Star):
         return S_UNIT
     if isinstance(v, NatLit):
@@ -191,50 +203,42 @@ def _value_simple(v: Value, var, uni: _Unifier) -> SimpleType:
     raise TypeError(f"not a value: {v!r}")
 
 
-def infer_simple(p: Process) -> SimpleEnv:
-    """First-order unification over the uses of every name; restricted names
-    default to channels (of a fresh payload) when nothing constrains them."""
-    uni = _Unifier()
+def _simple_types(facts: _Facts) -> SimpleEnv:
+    """First-order unification over the uses of every name, in the preorder
+    of the fact walk; restricted names default to channels (of a fresh
+    payload) when nothing constrains them."""
+    uni = Unifier(
+        SVar,
+        _split_simple,
+        lambda t, payload: SChan(payload),
+        lambda uni, v, t: OccursCheckFailure(f"occurs check: ?{v.id} inside {pretty_simple(uni.resolve(t))}"),
+        _simple_clash,
+    )
     vars_: dict[Name, SVar] = {}
-    restricted: list[Name] = []
 
     def var(n: Name) -> SVar:
         if n not in vars_:
-            vars_[n] = uni.fresh_var()
+            vars_[n] = uni.fresh()
         return vars_[n]
 
-    def walk(q: Process) -> None:
-        if isinstance(q, Nil):
-            return
-        if isinstance(q, Par):
-            walk(q.left)
-            walk(q.right)
-            return
-        if isinstance(q, Out):
-            values = q.payload if q.payload else (STAR,)
-            payload = tuple(_value_simple(v, var, uni) for v in values)
-            uni.unify(var(q.subject), SChan(payload))
-            return
-        if isinstance(q, (In, RepIn)):
-            if q.binders:
-                payload = tuple(var(x) for x in q.binders)
-            else:
-                payload = (S_UNIT,)
-            uni.unify(var(q.subject), SChan(payload))
-            walk(q.body)
-            return
+    for q in facts.nodes:
         if isinstance(q, Res):
             var(q.name)
-            restricted.append(q.name)
-            walk(q.body)
-            return
-        raise TypeError(f"not a process: {q!r}")
-
-    walk(p)
-    for n in restricted:
+            continue
+        if isinstance(q, Out):
+            payload = tuple(_value_simple(v, var, uni) for v in q.payload or (STAR,))
+        else:
+            payload = tuple(map(var, q.binders)) or (S_UNIT,)
+        uni.unify(var(q.subject), SChan(payload))
+    for n in facts.restricted:
         if isinstance(uni.find(var(n)), SVar):
-            uni.unify(var(n), SChan((uni.fresh_var(),)))
+            uni.unify(var(n), SChan((uni.fresh(),)))
     return SimpleEnv({n: uni.resolve(v) for n, v in vars_.items()})
+
+
+def infer_simple(p: Process) -> SimpleEnv:
+    """The most general simple typing of `p`."""
+    return _simple_types(_facts(p))
 
 
 # ---------------------------------------------------------------------------
@@ -245,10 +249,11 @@ def infer_simple(p: Process) -> SimpleEnv:
 class _Facts:
     """What inference needs to know about the names of a process."""
 
+    nodes: list[Process] = field(default_factory=list)  # Res, Out, In and RepIn, in preorder
+    free: set[Name] = field(default_factory=set)
     restricted: list[Name] = field(default_factory=list)
     receptions: list[tuple[Name, int, Name]] = field(default_factory=list)  # (carrier, position, received)
     input_subjects: set[Name] = field(default_factory=set)
-    outputs: list[Out] = field(default_factory=list)
     # per replicated input: its subject and the subjects of the outputs in its
     # body that no further replication shields
     replicated: list[tuple[Name, list[Name]]] = field(default_factory=list)
@@ -259,29 +264,43 @@ class _Facts:
 
 
 def _facts(p: Process) -> _Facts:
-    """The name facts of a process, gathered in one walk."""
+    """The name facts of a process, gathered in one preorder walk. The free
+    names are the names used less the names bound, as bound names are
+    distinct from free ones."""
     f = _Facts()
-
-    def walk(q: Process, served: list[Name]) -> None:
-        # `served`: the output subjects of the nearest enclosing replicated input
+    used: set[Name] = set()
+    bound: set[Name] = set()
+    # `served`: the output subjects of the nearest enclosing replicated input
+    stack: list[tuple[Process, list[Name]]] = [(p, [])]
+    while stack:
+        q, served = stack.pop()
         if isinstance(q, Par):
-            walk(q.left, served)
-            walk(q.right, served)
-        elif isinstance(q, Out):
-            f.outputs.append(q)
+            stack.append((q.right, served))
+            stack.append((q.left, served))
+            continue
+        if isinstance(q, Nil):
+            continue
+        f.nodes.append(q)
+        if isinstance(q, Out):
             served.append(q.subject)
+            used.add(q.subject)
+            used.update(*map(value_names, q.payload))
         elif isinstance(q, (In, RepIn)):
             f.input_subjects.add(q.subject)
             f.receptions.extend((q.subject, i, x) for i, x in enumerate(q.binders))
+            used.add(q.subject)
+            bound.update(q.binders)
             if isinstance(q, RepIn):
                 served = []
                 f.replicated.append((q.subject, served))
-            walk(q.body, served)
+            stack.append((q.body, served))
         elif isinstance(q, Res):
             f.restricted.append(q.name)
-            walk(q.body, served)
-
-    walk(p, [])
+            bound.add(q.name)
+            stack.append((q.body, served))
+        else:
+            raise TypeError(f"not a process: {q!r}")
+    f.free = used - bound
     return f
 
 
@@ -326,17 +345,16 @@ class LevelGraph:
 
 
 class _NameInfo:
-    """The name facts of a process with its simple types: free names, roots,
-    carriers, displays and the slot ids. Preorder skips `Nat` positions and
+    """The name facts of a process with its simple types: roots, carriers,
+    displays and the slot ids. Preorder skips `Nat` positions and
     `Unit`/`Nat` roots; `children[s]` holds the ids of the payload positions
     of slot `s`, None at a `Nat` position."""
 
-    def __init__(self, p: Process, env: SimpleEnv, facts: _Facts):
+    def __init__(self, env: SimpleEnv, facts: _Facts):
         self.env = env
         self.facts = facts
-        self.free = free_names(p)
         self.roots: list[Name] = sorted(
-            self.free | set(facts.restricted), key=lambda n: (n.display, n.id)
+            facts.free | set(facts.restricted), key=lambda n: (n.display, n.id)
         )
         self.rootset = set(self.roots)
         self.carrier: dict[Name, tuple[Name, int]] = {x: (a, i) for a, i, x in facts.receptions}
@@ -404,8 +422,8 @@ def _extended_constraints(info: _NameInfo) -> set[tuple[int, int, bool]]:
             if c is not None:
                 le(children[b][i], c)
 
-    for out in info.facts.outputs:
-        subj = info.slot_of(out.subject)
+    for out in info.facts.nodes:
+        subj = info.slot_of(out.subject) if isinstance(out, Out) else None
         if subj is None:
             continue
         values = out.payload if out.payload else (STAR,)
@@ -595,7 +613,7 @@ def _reconstruct(p: Process, info: _NameInfo, levels: list[int]) -> tuple[TypeEn
         cap = SHARP if n in sharp else OUT
         return build(info.root_slot.get(n), info.type_of(n), cap)
 
-    tenv = TypeEnv({n: type_of_root(n) for n in info.free})
+    tenv = TypeEnv({n: type_of_root(n) for n in info.facts.free})
 
     def annotate(q: Process) -> Process:
         if isinstance(q, Par):
@@ -632,15 +650,15 @@ class InferResult:
 def infer(p: Process, mode: str = FLEXIBLE) -> InferResult:
     """Full inference; raises NotLocalised, UnificationFailure,
     OccursCheckFailure or CyclicLevelConstraint on untypable input."""
-    env = infer_simple(p)
     facts = _facts(p)
+    env = _simple_types(facts)
     bad = facts.non_local()
     if bad:
         raise NotLocalised(
             f"received name(s) used as input subject: {', '.join(sorted(n.display for n in bad))}",
             where=pretty_process(p),
         )
-    info = _NameInfo(p, env, facts)
+    info = _NameInfo(env, facts)
     edges = _extended_constraints(info)
     graph, visible = _project(info, edges)
     if mode == DS_EQUALITY:

@@ -20,6 +20,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import IllTypedLambda, ParseError
+from .inference import Unifier
 from .parser import _NAME_START, _Parser
 from .syntax import In, Name, NameRef, Out, Par, Process, RepIn, Res, fresh
 
@@ -159,7 +160,7 @@ def parse_lambda_file(text: str) -> tuple[dict[str, LambdaType], LambdaTerm]:
     """Header lines `name : type` declare free variables; the rest is the term.
     Both are read in place: an error is located at the file's line and column."""
     decls: dict[str, LambdaType] = {}
-    lines = text.splitlines()
+    lines = text.split("\n")
     body_from = 0
     decl_re = re.compile(r"^\s*([A-Za-z_][A-Za-z0-9_']*)\s*:(.*)$")
     for i, raw in enumerate(lines):
@@ -176,7 +177,6 @@ def parse_lambda_file(text: str) -> tuple[dict[str, LambdaType], LambdaTerm]:
             body_from = i + 1
         else:
             break
-    # lines joined on "\n": a comment ends at any line break `splitlines` sees
     term_text = "\n".join(lines[body_from:]).rstrip()
     if not term_text:
         raise ParseError("missing term", len(lines), 1)
@@ -187,62 +187,29 @@ def parse_lambda_file(text: str) -> tuple[dict[str, LambdaType], LambdaTerm]:
 # Simple typing
 
 
-class _LamUnifier:
-    def __init__(self) -> None:
-        self.sub: dict[int, LambdaType] = {}
-        self._next = 0
+def _split_lam(t: LambdaType) -> tuple[object, tuple[LambdaType, ...]]:
+    if isinstance(t, LArrow):
+        return LArrow, (t.left, t.right)
+    return t, ()  # a base type is its own key
 
-    def fresh(self) -> LTVar:
-        self._next += 1
-        return LTVar(self._next)
 
-    def find(self, t: LambdaType) -> LambdaType:
-        while isinstance(t, LTVar) and t.id in self.sub:
-            t = self.sub[t.id]
-        return t
-
-    def occurs(self, vid: int, t: LambdaType) -> bool:
-        t = self.find(t)
-        if isinstance(t, LTVar):
-            return t.id == vid
-        if isinstance(t, LArrow):
-            return self.occurs(vid, t.left) or self.occurs(vid, t.right)
-        return False
-
-    def unify(self, a: LambdaType, b: LambdaType) -> None:
-        a, b = self.find(a), self.find(b)
-        if isinstance(a, LTVar) and isinstance(b, LTVar) and a.id == b.id:
-            return
-        if isinstance(a, LTVar):
-            if self.occurs(a.id, b):
-                raise IllTypedLambda("occurs check failed: recursive type required")
-            self.sub[a.id] = b
-            return
-        if isinstance(b, LTVar):
-            self.unify(b, a)
-            return
-        if isinstance(a, LBase) and isinstance(b, LBase) and a.name == b.name:
-            return
-        if isinstance(a, LArrow) and isinstance(b, LArrow):
-            self.unify(a.left, b.left)
-            self.unify(a.right, b.right)
-            return
-        raise IllTypedLambda(
-            f"cannot unify {pretty_lambda_type(self.resolve(a))} with "
-            f"{pretty_lambda_type(self.resolve(b))}"
-        )
-
-    def resolve(self, t: LambdaType) -> LambdaType:
-        t = self.find(t)
-        if isinstance(t, LArrow):
-            return LArrow(self.resolve(t.left), self.resolve(t.right))
-        return t
+def _lam_clash(uni: Unifier, a: LambdaType, b: LambdaType) -> IllTypedLambda:
+    return IllTypedLambda(
+        f"cannot unify {pretty_lambda_type(uni.resolve(a))} with "
+        f"{pretty_lambda_type(uni.resolve(b))}"
+    )
 
 
 def check_stlc(delta: dict[str, LambdaType], m: LambdaTerm) -> LambdaType:
     """Principal simple type of `m`; free variables missing from `delta` get
     fresh type variables shared across all their occurrences."""
-    uni = _LamUnifier()
+    uni = Unifier(
+        LTVar,
+        _split_lam,
+        lambda t, args: LArrow(*args),
+        lambda uni, v, t: IllTypedLambda("occurs check failed: recursive type required"),
+        _lam_clash,
+    )
     free_ctx: dict[str, LambdaType] = dict(delta)
 
     def infer(term: LambdaTerm, bound: dict[str, LambdaType]) -> LambdaType:

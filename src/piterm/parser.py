@@ -366,7 +366,7 @@ def parse_env_file(text: str) -> list[tuple[str, str, Type]]:
     Returns (role, spelling, type) triples with role in {imp, fun, isolated}.
     """
     entries: list[tuple[str, str, Type]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         body = raw.split("--", 1)[0]
         line = body.strip()
         if not line:

@@ -62,13 +62,6 @@ class ChanT(Type):
         assert len(self.payload) >= 1
 
 
-@dataclass(frozen=True)
-class TyVar(Type):
-    """Placeholder used only inside inference, never in checker input."""
-
-    id: int
-
-
 UNIT = UnitT()
 NAT = NatT()
 
@@ -81,8 +74,6 @@ def pretty_type(t: Type) -> str:
     if isinstance(t, ChanT):
         inner = ", ".join(pretty_type(p) for p in t.payload)
         return f"{t.cap}{t.level}[{inner}]"
-    if isinstance(t, TyVar):
-        return f"?{t.id}"
     raise TypeError(f"not a type: {t!r}")
 
 

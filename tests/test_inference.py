@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from piterm import inference
+from piterm import inference, syntax
 from piterm.checker import TypeEnv, check
 from piterm.errors import (
     CyclicLevelConstraint,
@@ -425,13 +425,22 @@ class TestInferPipeline:
     def test_facts_and_constraints_built_once(self, monkeypatch, mode):
         counted = {
             name: count_calls(monkeypatch, getattr(inference, name))
-            for name in ("_facts", "_NameInfo", "_extended_constraints", "_least_levels", "free_names")
+            for name in ("_facts", "_NameInfo", "_extended_constraints", "_least_levels")
         }
+        walks = count_calls(monkeypatch, syntax.free_names)
         p = parse_process("!a(x).b<x> | a<c> | new s.(d<s> | s(y).y<*>)")
         infer(p, mode)
-        # `free_names` recurses through itself: count its walks of the whole process
-        counted["free_names"] = [args for args in counted["free_names"] if args[0] is p]
         assert {name: len(calls) for name, calls in counted.items()} == dict.fromkeys(counted, 1)
+        # the free names come from the fact walk: `free_names` never walks `p`
+        assert [args for args in walks if args[0] is p] == []
+
+    def test_fact_walk_free_names(self, rng):
+        # the facts take the free names as the names used less the names bound
+        procs = [random_ast(rng, 5) for _ in range(300)]
+        generators = ("first_order_term", "reused_argument_term", "discarding_term", "ill_typed_term")
+        procs += [parse_process(src) for src in lamgen_images(generators)]
+        for p in procs:
+            assert inference._facts(p).free == free_names(p)
 
     @pytest.mark.parametrize("mode", [FLEXIBLE, DS_EQUALITY])
     def test_slots_built_only_for_the_visible_graph(self, monkeypatch, mode):
@@ -773,11 +782,7 @@ def write_golden() -> None:
 
 class TestGolden:
     def test_infer_outcomes_unchanged(self):
-        expected = GOLDEN.read_text(encoding="utf-8").splitlines()
-        got = golden_text().splitlines()
-        assert len(got) == len(expected)
-        for g, e in zip(got, expected):
-            assert g == e
+        assert_golden(GOLDEN, golden_text())
 
 
 # ---------------------------------------------------------------------------
@@ -794,16 +799,17 @@ LAMGEN_SEED = 7
 LAMGEN_SIZES = range(8, 33, 4)
 
 
-def lamgen_images() -> list[str]:
-    """Images of the terms `lamgen` builds to close level cycles."""
+def lamgen_images(generators=("discarding_term", "reused_argument_term")) -> list[str]:
+    """Images of seeded terms from the named `lamgen` generators; by default
+    those it builds to close level cycles."""
     spec = importlib.util.spec_from_file_location("lamgen", LAMGEN)
     lamgen = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(lamgen)
     rng = random.Random(LAMGEN_SEED)
     return [
-        lamgen.image(gen(rng, size)[1])
+        lamgen.image(getattr(lamgen, gen)(rng, size)[1])
         for size in LAMGEN_SIZES
-        for gen in (lamgen.discarding_term, lamgen.reused_argument_term)
+        for gen in generators
     ]
 
 
@@ -832,11 +838,7 @@ def write_cycles_golden() -> None:
 
 class TestCyclesGolden:
     def test_cycle_witnesses_unchanged(self):
-        expected = CYCLES_GOLDEN.read_text(encoding="utf-8").splitlines()
-        got = cycles_text().splitlines()
-        assert len(got) == len(expected)
-        for g, e in zip(got, expected):
-            assert g == e
+        assert_golden(CYCLES_GOLDEN, cycles_text())
 
 
 # ---------------------------------------------------------------------------

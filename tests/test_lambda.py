@@ -48,7 +48,7 @@ from piterm.syntax import (
     fresh,
 )
 
-from conftest import FIXTURES
+from conftest import FIXTURES, assert_golden
 
 SIG, TAU = LBase("sig"), LBase("tau")
 
@@ -97,6 +97,21 @@ class TestParse:
     def test_arrow_right_assoc(self):
         decls, _ = parse_lambda_file("f : sig -> sig -> tau\n\nf")
         assert decls["f"] == LArrow(SIG, LArrow(SIG, TAU))
+
+    @pytest.mark.parametrize("brk", ["\r", "\x0c", "\x1c", "\x85", "\u2028"])
+    def test_only_newline_ends_a_line(self, brk):
+        # a file and a bare term agree: other line breaks are blanks and
+        # do not end a comment
+        for text in (f"f -- c{brk}a", f"f{brk}a", f"f (a{brk}b"):
+            outcomes = []
+            for parse in (lambda t: parse_lambda_file(t)[1], parse_lambda_term):
+                try:
+                    outcomes.append(pretty_lambda(parse(text)))
+                except ParseError as exc:
+                    outcomes.append(exc.render())
+            assert outcomes[0] == outcomes[1], text
+        with pytest.raises(ParseError, match="trailing input after type"):
+            parse_lambda_file(f"a : sig{brk}f a")
 
 
 class TestCheckStlc:
@@ -465,8 +480,4 @@ def write_golden() -> None:
 
 class TestLamGolden:
     def test_parse_outcomes_unchanged(self):
-        expected = LAM_GOLDEN.read_text(encoding="utf-8").splitlines()
-        got = lam_text().splitlines()
-        assert len(got) == len(expected)
-        for g, e in zip(got, expected):
-            assert g == e
+        assert_golden(LAM_GOLDEN, lam_text())

@@ -34,7 +34,7 @@ from piterm.syntax import (
     substitute,
 )
 
-from conftest import well_scoped
+from conftest import assert_golden, well_scoped
 
 
 def free_displays(p: Process) -> set[str]:
@@ -307,6 +307,14 @@ class TestSubstitute:
             assert free_names(q) <= allowed
 
 
+@pytest.mark.parametrize("brk", ["\r", "\x0c", "\x85", "\u2028"])
+def test_env_file_lines_end_at_newline_only(brk):
+    with pytest.raises(ParseError) as exc:
+        parse_env_file(f"a : Unit{brk}b : Nat\nc : Nat")
+    assert (exc.value.message, exc.value.line) == ("unexpected trailing input 'b'", 1)
+    assert [e[1] for e in parse_env_file(f"a : Unit -- note{brk}b : Nat\nc : Nat")] == ["a", "c"]
+
+
 # ---------------------------------------------------------------------------
 # Golden record of the parser's outcomes: the rendered `ParseError` (message,
 # line, column) or, on success, the AST with name ids counted from the first
@@ -441,8 +449,4 @@ def write_golden() -> None:
 
 class TestSyntaxGolden:
     def test_parse_outcomes_unchanged(self):
-        expected = SYNTAX_GOLDEN.read_text(encoding="utf-8").splitlines()
-        got = syntax_text().splitlines()
-        assert len(got) == len(expected)
-        for g, e in zip(got, expected):
-            assert g == e
+        assert_golden(SYNTAX_GOLDEN, syntax_text())
