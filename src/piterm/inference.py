@@ -422,12 +422,11 @@ def _extended_constraints(info: _NameInfo) -> set[tuple[int, int, bool]]:
             if c is not None:
                 le(children[b][i], c)
 
-    for out in info.facts.nodes:
-        subj = info.slot_of(out.subject) if isinstance(out, Out) else None
+    for q in info.facts.nodes:
+        subj = info.slot_of(q.subject) if isinstance(q, Out) else None
         if subj is None:
             continue
-        values = out.payload if out.payload else (STAR,)
-        for i, v in enumerate(values):
+        for i, v in enumerate(q.payload):
             if not isinstance(v, NameRef):
                 continue
             tgt = info.slot_of(v.name)
