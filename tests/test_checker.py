@@ -2,27 +2,42 @@
 
 from __future__ import annotations
 
+import importlib.util
+import random
+import tempfile
 from itertools import product
+from pathlib import Path
 
 import pytest
 
 from piterm import syntax
-from piterm.checker import TypeEnv, check, check_ds, env_for, subtype, value_type
+from piterm.checker import TypeEnv, check, check_ds, derive, env_for, subtype, value_type
+from piterm.cli import _load_env
 from piterm.errors import (
     CapabilityError,
     IllTyped,
     LevelViolation,
     MissingAnnotation,
     PayloadMismatch,
+    PiError,
     SortError,
     UnboundName,
 )
 from piterm.impure import ImpureEnv, check_impure
-from piterm.measure import measure
+from piterm.measure import format_multiset, measure
 from piterm.parser import parse_process, parse_type
 from piterm.syntax import NAT, UNIT, Add, ChanT, Mul, NatLit, NameRef, Star, Type, fresh
 
-from conftest import count_calls, sample_subtype, sample_supertype, typed_instance
+from conftest import (
+    FIXTURES,
+    assert_golden,
+    count_calls,
+    gen_type,
+    sample_subtype,
+    sample_supertype,
+    typed_instance,
+)
+from test_syntax import random_ast
 
 
 # ---------------------------------------------------------------------------
@@ -345,3 +360,162 @@ class TestCheckDs:
             env, p, w = typed_instance(rng, fuel=6, exact=True)
             assert check_ds(env, p) == w
             assert check(env, p) <= w
+
+
+# ---------------------------------------------------------------------------
+# Golden record of typing: the rendered outcome of `derive`, `derive(ds=True)`
+# and `check_impure` (weight and measure, or the error) on `.pi`/`.env` pairs,
+# with the environment loaded as the CLI loads it. The pairs are hand-written,
+# the fixtures, fixed-seed `random_ast` processes under random declarations,
+# and fixed-seed `perfbench/pigen.py` processes (loaded read-only) with no,
+# one or two planted defects. The record ends with `alpha_key` of fixed-seed
+# `random_ast` processes and of their `substitute_many` images. Regenerate it
+# (only for a deliberate change of output) with
+#   PYTHONPATH=src:tests python -c "import test_checker as t; t.write_typing_golden()"
+
+TYPING_GOLDEN = Path(__file__).resolve().parent / "golden" / "typing.txt"
+PIGEN = Path(__file__).resolve().parents[1] / "perfbench" / "pigen.py"
+TYPING_SEED = 10
+TYPING_GRID = [(1, 1), (2, 3), (3, 2), (4, 1), (6, 2), (8, 1)]  # (depth, width)
+TYPING_ROUNDS = 3
+TYPING_SAMPLES = 200
+PIGEN_DEFECTS = ["LVL", "CAP", "PAY"]
+TYPING_CASES = [
+    ("a<*>", "a : #1[Unit]"),
+    ("a<*>", "a : i1[Unit]"),
+    ("new a. a<>", ""),
+    ("c(x).!f(y).x<y> | c<f> | f<v>", "c : #1[o0[o0[Unit]]]\nfun f : o0[o0[Unit]]\nv : o0[Unit]"),
+    ("!f(x).b<x> | f<*>", "isolated f : o1[Unit]\nb : #1[Unit]"),
+    ("!f(x).b<x> | !f(y).0 | f<*>", "isolated f : o0[Unit]\nb : #1[Unit]"),
+    ("!f(x).f<x>", "isolated f : o1[Unit]"),
+    ("f(x).0 | f<*>", "isolated f : o1[Unit]"),
+    ("a(x).!f(y).0 | f<*>", "isolated f : o1[Unit]\na : #2[Unit]"),
+    ("a(x).f<*> | a<*>", "isolated f : o1[Unit]\na : #2[Unit]"),
+    ("f<*> | g<*>", "isolated f : o0[Unit]\nisolated g : o1[Unit]"),
+    ("f<*> | g<*>", "isolated f : o0[Unit]\nisolated g : o1[Unit]\nisolated f : o2[Unit]"),
+    ("f<*>", "isolated f : Unit"),
+    ("f<*>", "isolated f : #0[Unit]"),
+    ("f<*>", "isolated f : o0[Unit]\nf : #0[Unit]"),
+    ("f<*>", "fun f : o0[Unit]\nf : o1[Unit]"),
+    ("(new f fun:o0[Unit])(!f(x).0 | !f(y).0 | f<*>)", ""),
+    ("(new f fun:o0[o0[Unit]])(!f(x).f<x>)", ""),
+    ("(new f fun:o1[Unit])(!f().b<*> | f<>)", "b : #1[Unit]"),
+    ("(new f fun:o0[Unit])(!f().b<*>)", "b : #1[Unit]"),
+    ("(new f fun:#1[Unit])(0)", ""),
+    ("(new f fun:o0[Unit])((new g fun:o0[Unit])(!g().f<> | g<>))", ""),
+    ("(new f fun:o0[Unit])((new g fun:o0[Unit])(!f().0 | g<>))", ""),
+    ("new f:o1[Unit] fun.(!f(x).new g:o1[Unit] fun.(!g(y).0 | g<*>) | f<*>)", ""),
+    ("new f:o1[Unit] fun.(!f(x).new g:o1[Unit] fun.(!g(y).f<*> | g<*>) | f<*>)", ""),
+    ("new f:o1[Unit] fun.(a(x).!f(y).0 | f<*>)", "a : #2[Unit]"),
+    ("new c:o1[Unit].(!c(x).0)", ""),
+    ("a(x, y).0", "a : #1[Nat]"),
+    ("a.0", "a : #1[Nat]"),
+    ("a<1, 2>", "a : #1[Nat]"),
+    ("a<b + 1>", "a : #1[Nat]\nb : #0[Unit]"),
+    ("!a(x).b<x> | !b(y).a<y>", "a : #1[#1[Unit]]\nb : #1[#1[Unit]]"),
+    ("a(x).x<*> | a<q>", "a : #3[o2[Unit]]\nq : o1[Unit]"),
+]
+
+
+def _load_pigen():
+    spec = importlib.util.spec_from_file_location("pigen", PIGEN)
+    pigen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(pigen)
+    return pigen
+
+
+def typing_pairs() -> list[tuple[str, str, str]]:
+    """(label, process text, env text), in golden-file order."""
+    pairs = [("hand", src, env) for src, env in TYPING_CASES]
+    for pi in sorted(FIXTURES.glob("*.pi")):
+        env = pi.with_suffix(".env")
+        pairs.append((f"fixture/{pi.stem}", pi.read_text(), env.read_text() if env.exists() else ""))
+    rng = random.Random(TYPING_SEED)
+    for _ in range(TYPING_SAMPLES // 2):
+        src = syntax.pretty_process(random_ast(rng, 5))
+        decls = []
+        for spelling in "abc":
+            role = rng.choice(["", "", "", "fun ", "isolated "])
+            decls.append(f"{role}{spelling} : {syntax.pretty_type(gen_type(rng, 2, 3))}")
+        pairs.append(("ast", src, "\n".join(decls)))
+    pigen = _load_pigen()
+    modes = ["check", "ds", "impure"]
+    for depth, width in TYPING_GRID * TYPING_ROUNDS:
+        for mode, defect in product(modes, [None, *PIGEN_DEFECTS]):
+            gen = pigen.Impure(rng) if mode == "impure" else pigen.Typed(rng, exact=mode == "ds")
+            env = gen.pool()
+            proc = gen.process(env, depth, width, defect)[0]
+            label = f"pigen/{mode}/{defect or 'ok'}/{depth},{width}"
+            pairs.append((label, pigen.text(proc), pigen.env_text(env)))
+    for mode, first, second in product(modes, PIGEN_DEFECTS, PIGEN_DEFECTS):
+        # two defects in different components: the one met first wins
+        gen = pigen.Impure(rng) if mode == "impure" else pigen.Typed(rng, exact=mode == "ds")
+        env = gen.pool()
+        parts = [gen.process(env, 3, 2, kind)[0] for kind in (first, second)]
+        label = f"pigen/{mode}/{first}+{second}"
+        pairs.append((label, pigen.text(("par", parts)), pigen.env_text(env)))
+    return pairs
+
+
+def typing_line(label: str, src: str, env_src: str, tmp: Path) -> str:
+    p = parse_process(src)
+    path = tmp / "case.env"
+    path.write_text(env_src, encoding="utf-8")
+    head = f"{label}\t{' '.join(src.split())}\t{'; '.join(env_src.splitlines())}"
+    try:
+        tenv, ienv = _load_env(str(path), p)
+    except PiError as exc:
+        return f"{head}\tLOAD {exc.render()}"
+    outcomes = []
+    for mode, run in (
+        ("check", lambda: derive(tenv, p)),
+        ("ds", lambda: derive(tenv, p, ds=True)),
+        ("impure", lambda: check_impure(ienv, p)),
+    ):
+        try:
+            got = run()
+        except PiError as exc:
+            outcomes.append(f"{mode} {exc.render()}")
+            continue
+        if mode == "impure":
+            outcomes.append(f"{mode} WEIGHT {got}")
+        else:
+            outcomes.append(f"{mode} WEIGHT {got.weight} MEASURE {format_multiset(got.measure)}")
+    return "\t".join([head, *outcomes])
+
+
+def alpha_lines() -> list[str]:
+    """`alpha_key` of fixed-seed `random_ast` processes and of their images
+    under a `substitute_many` of their free names, in creation order."""
+    rng = random.Random(TYPING_SEED + 1)
+    lines = []
+    for _ in range(TYPING_SAMPLES):
+        p = random_ast(rng, rng.randrange(3, 7))
+        mapping = {}
+        for n in sorted(syntax.free_names(p), key=lambda n: n.id):
+            pick = rng.random()
+            if pick < 0.4:
+                mapping[n] = NameRef(fresh(rng.choice("mn")))
+            elif pick < 0.6:
+                mapping[n] = rng.choice([Star(), NatLit(2), NameRef(n)])
+        try:
+            image = syntax.alpha_key(syntax.substitute_many(p, mapping))
+        except PiError as exc:
+            image = exc.render()
+        lines.append(f"alpha\t{syntax.alpha_key(p)}\t{image}")
+    return lines
+
+
+def typing_text() -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        lines = [typing_line(*pair, Path(tmp)) for pair in typing_pairs()]
+    return "".join(line + "\n" for line in lines + alpha_lines())
+
+
+def write_typing_golden() -> None:
+    TYPING_GOLDEN.write_text(typing_text(), encoding="utf-8")
+
+
+class TestTypingGolden:
+    def test_typing_outcomes_unchanged(self):
+        assert_golden(TYPING_GOLDEN, typing_text())
