@@ -6,10 +6,13 @@ strictly above the weight of their body, parallel composition takes the
 maximum. `check_ds` is the restricted mode with full-capability channels
 only and syntactic payload equality instead of subtyping.
 
-One walk (`derive`) yields both the weight and the termination measure, the
-multiset of the levels of the outputs not under replication; `measure` is
-therefore defined on well-typed processes only. The impure checker reuses
-the subject-capability and payload rules below.
+One walk (`derive`) yields the termination measure, the multiset of the
+levels of the outputs not under replication, and reads the weight off it:
+its greatest level, or 0. `measure` is therefore defined on well-typed
+processes only. The walk copies the caller's environment once, binds every
+binder in place and undoes it on scope exit (`syntax.bind`, `unbind`). The
+impure checker reuses the subject-capability, value and payload rules below
+(`payload_binders` pairs an input's binders with its payload types).
 """
 
 from __future__ import annotations
@@ -48,10 +51,12 @@ from .syntax import (
     Type,
     UnitT,
     Value,
+    bind,
     free_names,
     pretty_process,
     pretty_type,
     pretty_value,
+    unbind,
 )
 
 
@@ -70,12 +75,13 @@ class TypeEnv:
     def __contains__(self, name: Name) -> bool:
         return name in self.bindings
 
-    def bind(self, name: Name, ty: Type) -> TypeEnv:
-        if name in self.bindings:
-            raise UnboundName(f"name {name.display!r} is already bound")
-        new = dict(self.bindings)
-        new[name] = ty
-        return TypeEnv(new)
+    def bind(self, pairs: list[tuple[Name, Type]]) -> list[tuple]:
+        """Bind `pairs` in place; `syntax.unbind(self.bindings, saved)` undoes it."""
+        saved = bind(self.bindings, pairs)
+        for name, old in saved:
+            if old is not None:
+                raise UnboundName(f"name {name.display!r} is already bound")
+        return saved
 
     def items(self) -> list[tuple[Name, Type]]:
         return sorted(self.bindings.items(), key=lambda kv: (kv[0].display, kv[0].id))
@@ -86,11 +92,7 @@ def env_for(p: Process, declarations: dict[str, Type]) -> TypeEnv:
     by_display: dict[str, Name] = {}
     for n in free_names(p):
         by_display.setdefault(n.display, n)
-    bindings = {}
-    for spelling, ty in declarations.items():
-        if spelling in by_display:
-            bindings[by_display[spelling]] = ty
-    return TypeEnv(bindings)
+    return TypeEnv({by_display[s]: ty for s, ty in declarations.items() if s in by_display})
 
 
 # ---------------------------------------------------------------------------
@@ -194,8 +196,8 @@ def check_values(env: TypeEnv, p: Out, chan: ChanT, ds: bool = False) -> None:
             )
 
 
-def bind_payload(env: TypeEnv, p: In | RepIn, chan: ChanT) -> TypeEnv:
-    """`env` extended with the binders of `p` at the payload types of `chan`."""
+def payload_binders(p: In | RepIn, chan: ChanT) -> list[tuple[Name, Type]]:
+    """The binders of `p` paired with the payload types of `chan`."""
     if not p.binders:
         # discarded unit input: the channel must carry a single Unit
         if chan.payload != (UNIT,):
@@ -204,15 +206,13 @@ def bind_payload(env: TypeEnv, p: In | RepIn, chan: ChanT) -> TypeEnv:
                 "cannot elide a non-unit message",
                 where=pretty_process(p),
             )
-        return env
+        return []
     if len(p.binders) != len(chan.payload):
         raise PayloadMismatch(
             f"{p.subject.display} expects {len(chan.payload)} binder(s), got {len(p.binders)}",
             where=pretty_process(p),
         )
-    for name, ty in zip(p.binders, chan.payload):
-        env = env.bind(name, ty)
-    return env
+    return list(zip(p.binders, chan.payload))
 
 
 def annotation(p: Res) -> Type:
@@ -225,35 +225,35 @@ def annotation(p: Res) -> Type:
     return p.annotation
 
 
-def _weigh(env: TypeEnv, p: Process, ds: bool, levels: list[int] | None) -> int:
-    """Least weight of `p`; appends to `levels` the declared level of every
-    output subject not under replication (`levels` is None under one)."""
-    if isinstance(p, Nil):
-        return 0
+def _weigh(env: TypeEnv, p: Process, ds: bool, levels: list[int]) -> None:
+    """Type `p` under `env`; appends each output subject's declared level to
+    `levels`, or to the list of its nearest enclosing replicated input, which
+    is checked against that list once its body is done."""
     if isinstance(p, Par):
-        return max(_weigh(env, p.left, ds, levels), _weigh(env, p.right, ds, levels))
-    if isinstance(p, Out):
+        _weigh(env, p.left, ds, levels)
+        _weigh(env, p.right, ds, levels)
+    elif isinstance(p, Out):
         chan = subject_chan(env, p, OUT, ds)
         check_values(env, p, chan, ds)
-        if levels is not None:
-            levels.append(chan.level)
-        return chan.level
-    if isinstance(p, In):
+        levels.append(chan.level)
+    elif isinstance(p, (In, RepIn)):
         chan = subject_chan(env, p, IN, ds)
-        return _weigh(bind_payload(env, p, chan), p.body, ds, levels)
-    if isinstance(p, RepIn):
-        chan = subject_chan(env, p, IN, ds)
-        w = _weigh(bind_payload(env, p, chan), p.body, ds, None)
-        if not chan.level > w:
+        saved = env.bind(payload_binders(p, chan))
+        inner = levels if isinstance(p, In) else []
+        _weigh(env, p.body, ds, inner)
+        unbind(env.bindings, saved)
+        if inner is not levels and not chan.level > max(inner, default=0):
             raise LevelViolation(
                 f"replicated input on {p.subject.display}: level {chan.level} "
-                f"does not dominate body weight {w}",
+                f"does not dominate body weight {max(inner, default=0)}",
                 where=pretty_process(p),
             )
-        return 0
-    if isinstance(p, Res):
-        return _weigh(env.bind(p.name, annotation(p)), p.body, ds, levels)
-    raise TypeError(f"not a process: {p!r}")
+    elif isinstance(p, Res):
+        saved = env.bind([(p.name, annotation(p))])
+        _weigh(env, p.body, ds, levels)
+        unbind(env.bindings, saved)
+    elif not isinstance(p, Nil):
+        raise TypeError(f"not a process: {p!r}")
 
 
 Multiset = tuple[int, ...]
@@ -284,8 +284,8 @@ def derive(env: TypeEnv, p: Process, ds: bool = False) -> Derivation:
     syntactic payload equality instead of subtyping.
     """
     levels: list[int] = []
-    weight = _weigh(env, p, ds, levels)
-    return Derivation(weight, as_multiset(levels))
+    _weigh(TypeEnv(dict(env.bindings)), p, ds, levels)
+    return Derivation(max(levels, default=0), as_multiset(levels))
 
 
 def check(env: TypeEnv, p: Process) -> int:

@@ -14,7 +14,7 @@ import os
 import sys
 from pathlib import Path
 
-from .checker import TypeEnv, derive
+from .checker import TypeEnv, derive, env_for
 from .errors import CertificationFailure, IllTyped, IllTypedLambda, InternalError, ParseError, PiError, SortError
 from .impure import ImpureEnv, check_impure
 from .inference import DS_EQUALITY, FLEXIBLE, infer
@@ -22,7 +22,7 @@ from .lam import encode, parse_lambda_file
 from .measure import format_multiset
 from .parser import parse_env_file, parse_process
 from .semantics import certified_run, explore
-from .syntax import ChanT, Name, Process, fresh, free_names, pretty_process, pretty_type
+from .syntax import ChanT, Process, fresh, pretty_process, pretty_type
 
 
 class _Report:
@@ -61,30 +61,19 @@ def _load_process(path: str) -> Process:
 
 
 def _load_env(path: str, p: Process) -> tuple[TypeEnv, ImpureEnv]:
-    """Bind declared spellings to the matching free names of the process."""
+    """Bind declared spellings to the matching free names of the process;
+    declarations for names the process does not use are ignored."""
     entries = parse_env_file(Path(path).read_text(encoding="utf-8"))
-    by_display: dict[str, Name] = {}
-    for n in free_names(p):
-        by_display.setdefault(n.display, n)
-    gamma: dict[Name, object] = {}
-    functional: set[Name] = set()
+    names = {n.display: n for n in env_for(p, {s: ty for _, s, ty in entries}).bindings}
+    gamma = TypeEnv({names[s]: ty for role, s, ty in entries if role != "isolated" and s in names})
+    functional = frozenset(names[s] for role, s, _ in entries if role == "fun" and s in names)
     isolated = None
     for role, spelling, ty in entries:
-        name = by_display.get(spelling)
-        if name is None:
-            # declarations for names the process does not use are ignored
-            continue
-        if role == "isolated":
+        if role == "isolated" and spelling in names:
             if not isinstance(ty, ChanT):
                 raise IllTyped(f"isolated name {spelling} needs a channel type")
-            isolated = (name, ty)
-        else:
-            gamma[name] = ty
-            if role == "fun":
-                functional.add(name)
-    tenv = TypeEnv(dict(gamma))
-    ienv = ImpureEnv(tenv, isolated, frozenset(functional))
-    return tenv, ienv
+            isolated = (names[spelling], ty)
+    return gamma, ImpureEnv(gamma, isolated, functional)
 
 
 def _sibling_env(path: str) -> str | None:

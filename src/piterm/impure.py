@@ -1,24 +1,30 @@
 """Checker for the functional/imperative calculus.
 
 The environment isolates at most one functional name: only that name may
-host replicated inputs typed with the relaxed, non-strict level bound.
-Entering any input body demotes the isolated name to an output-only binding;
-a functional restriction swaps the isolated name, an imperative restriction
-extends the ordinary part with a full-capability type. Inputs on imperative
-names, replicated or not, need a subject level strictly above the body
-weight and contribute weight zero.
+host replicated inputs typed with the relaxed, non-strict level bound, and
+their bodies may not use it. Entering any input body demotes the isolated
+name to an output-only binding; a functional restriction swaps the isolated
+name, an imperative restriction extends the ordinary part with a
+full-capability type. Inputs on imperative names, replicated or not, need a
+subject level strictly above the body weight and contribute weight zero.
+
+The walk keeps one scope for gamma, the binders and the isolated names, and
+one set of functional names, both bound in place and undone on scope exit;
+only the isolated name is per-branch state. Each input is checked against
+the levels of the outputs it guards directly; the weight is read off the
+levels of the outputs under no input: the greatest, or 0.
 
 The isolation and level rules are this module's own; subject capabilities,
 payload arity, unit elision, value fit and restriction annotations follow
-the checker's rules (`checker.subject_chan`, `check_values`, `bind_payload`,
-`annotation`).
+the checker's rules (`checker.subject_chan`, `check_values`,
+`payload_binders`, `annotation`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
-from .checker import TypeEnv, annotation, bind_payload, check_values, subject_chan
+from .checker import TypeEnv, annotation, check_values, payload_binders, subject_chan
 from .errors import (
     CapabilityError,
     FunctionalInputNotIsolated,
@@ -40,6 +46,7 @@ from .syntax import (
     Res,
     pretty_process,
     pretty_type,
+    unbind,
 )
 
 
@@ -62,84 +69,74 @@ class ImpureEnv:
                     f"has {pretty_type(ty)}"
                 )
 
-    def value_env(self) -> TypeEnv:
-        """gamma extended with the isolated name at its output-only type."""
-        if self.isolated is None:
-            return self.gamma
-        name, ty = self.isolated
-        return self.gamma.bind(name, ty)
-
-    def demoted(self) -> ImpureEnv:
-        """Move the isolated name into gamma; used for every input body."""
-        if self.isolated is None:
-            return self
-        name, ty = self.isolated
-        return ImpureEnv(
-            self.gamma.bind(name, ty), None, self.functional | {name}
-        )
-
-    def is_functional(self, n: Name) -> bool:
-        if self.isolated is not None and self.isolated[0] == n:
-            return True
-        return n in self.functional
-
 
 def check_impure(env: ImpureEnv, p: Process) -> int:
     """Least weight of `p` in the impure discipline; raises IllTyped otherwise."""
-    if isinstance(p, Nil):
-        return 0
+    scope = TypeEnv(dict(env.gamma.bindings))
+    functional = set(env.functional)
+    isolated = env.isolated[0] if env.isolated else None
+    if env.isolated:
+        scope.bind([env.isolated])
+        functional.add(isolated)
+    levels: list[int] = []
+    _walk(scope, functional, isolated, p, levels)
+    return max(levels, default=0)
+
+
+def _walk(scope: TypeEnv, functional: set[Name], isolated: Name | None, p: Process, levels: list[int]) -> None:
+    """Type `p` where `isolated` is the name isolated, if any; appends each
+    output's level to `levels`, the list of its nearest enclosing input."""
     if isinstance(p, Par):
-        return max(check_impure(env, p.left), check_impure(env, p.right))
-    if isinstance(p, Out):
-        venv = env.value_env()
-        chan = subject_chan(venv, p, OUT)
-        check_values(venv, p, chan)
-        return chan.level
-    if isinstance(p, RepIn) and env.isolated is not None and p.subject == env.isolated[0]:
-        name, ty = env.isolated
-        gamma = bind_payload(env.gamma, p, ty)
-        # the defining body may not use f at all: keep it flagged but unbound
-        w = check_impure(ImpureEnv(gamma, None, env.functional | {name}), p.body)
-        if not ty.level >= w:
-            raise LevelViolation(
-                f"functional input on {name.display}: level {ty.level} "
-                f"below body weight {w}",
-                where=pretty_process(p),
-            )
-        return 0
-    if isinstance(p, (In, RepIn)):
-        if env.is_functional(p.subject):
+        _walk(scope, functional, isolated, p.left, levels)
+        _walk(scope, functional, isolated, p.right, levels)
+    elif isinstance(p, Out):
+        chan = subject_chan(scope, p, OUT)
+        check_values(scope, p, chan)
+        levels.append(chan.level)
+    elif isinstance(p, (In, RepIn)):
+        defining = isinstance(p, RepIn) and p.subject == isolated
+        if defining:
+            chan = scope.bindings.pop(isolated)  # hidden from its defining body
+        elif p.subject in functional:
             raise FunctionalInputNotIsolated(
                 f"input on functional name {p.subject.display} outside its defining scope",
                 where=pretty_process(p),
             )
-        chan = subject_chan(env.gamma, p, IN)
-        inner = env.demoted()
-        w = check_impure(replace(inner, gamma=bind_payload(inner.gamma, p, chan)), p.body)
-        if not chan.level > w:
+        else:
+            chan = subject_chan(scope, p, IN)
+        saved = scope.bind(payload_binders(p, chan))
+        inner: list[int] = []
+        _walk(scope, functional, None, p.body, inner)
+        unbind(scope.bindings, saved)
+        w = max(inner, default=0)
+        if defining:
+            scope.bindings[isolated] = chan
+            if not chan.level >= w:
+                raise LevelViolation(
+                    f"functional input on {p.subject.display}: level {chan.level} "
+                    f"below body weight {w}",
+                    where=pretty_process(p),
+                )
+        elif not chan.level > w:
             kind = "replicated input" if isinstance(p, RepIn) else "input"
             raise LevelViolation(
                 f"{kind} on {p.subject.display}: level {chan.level} "
                 f"does not dominate body weight {w}",
                 where=pretty_process(p),
             )
-        return 0
-    if isinstance(p, Res):
+    elif isinstance(p, Res):
         ty = annotation(p)
-        if p.functional:
-            if not isinstance(ty, ChanT) or ty.cap != OUT:
-                raise CapabilityError(
-                    f"functional restriction on {p.name.display} needs an o-type "
-                    f"annotation, has {pretty_type(ty)}",
-                    where=pretty_process(p),
-                )
-            inner = env.demoted()
-            return check_impure(ImpureEnv(inner.gamma, (p.name, ty), inner.functional), p.body)
-        if not isinstance(ty, ChanT) or ty.cap != SHARP:
+        if not (isinstance(ty, ChanT) and ty.cap == (OUT if p.functional else SHARP)):
+            kind, need = ("functional", "an o-type") if p.functional else ("imperative", "a full-capability")
             raise CapabilityError(
-                f"imperative restriction on {p.name.display} needs a full-capability "
-                f"annotation, has {pretty_type(ty)}",
+                f"{kind} restriction on {p.name.display} needs {need} annotation, has {pretty_type(ty)}",
                 where=pretty_process(p),
             )
-        return check_impure(replace(env, gamma=env.gamma.bind(p.name, ty)), p.body)
-    raise TypeError(f"not a process: {p!r}")
+        saved = scope.bind([(p.name, ty)])
+        if p.functional:
+            functional.add(p.name)
+        _walk(scope, functional, p.name if p.functional else isolated, p.body, levels)
+        functional.discard(p.name)
+        unbind(scope.bindings, saved)
+    elif not isinstance(p, Nil):
+        raise TypeError(f"not a process: {p!r}")

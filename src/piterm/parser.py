@@ -39,7 +39,9 @@ from .syntax import (
     Res,
     Type,
     Value,
+    bind,
     fresh,
+    unbind,
 )
 
 # One `findall` scans a text: whitespace and comments give an empty group, a
@@ -124,19 +126,6 @@ class _Parser:
         if name is None:
             name = self.scope[spelling] = fresh(spelling)
         return name
-
-    def bind(self, spellings: list[str], binders: tuple[Name, ...]) -> list[tuple[str, Name | None]]:
-        """Bring binders into scope; returns what `unbind` needs to undo it."""
-        saved = [(s, self.scope.get(s)) for s in spellings]
-        self.scope.update(zip(spellings, binders))
-        return saved
-
-    def unbind(self, saved: list[tuple[str, Name | None]]) -> None:
-        for spelling, old in reversed(saved):
-            if old is None:
-                self.scope.pop(spelling, None)  # `a(x, x)` saved x twice
-            else:
-                self.scope[spelling] = old
 
     # -- types --------------------------------------------------------------
 
@@ -275,9 +264,9 @@ class _Parser:
                 proc = cls(subj, binders, Nil())
                 break
             self.pos += 1
-            frames.append((cls, (subj, binders), self.bind(spellings, binders), False))
+            frames.append((cls, (subj, binders), bind(self.scope, zip(spellings, binders)), False))
         for cls, fields, saved, closes in reversed(frames):
-            self.unbind(saved)
+            unbind(self.scope, saved)
             proc = cls(*fields, proc)
             if closes:
                 proc = self._close_group(proc)
@@ -312,14 +301,14 @@ class _Parser:
         spelling = self.take_name_text()
         annotation, functional = self._res_modifiers()
         binder = fresh(spelling)
-        return (binder, annotation, functional), self.bind([spelling], (binder,))
+        return (binder, annotation, functional), bind(self.scope, [(spelling, binder)])
 
     def _group(self, saved: list) -> Process:
         """`(P)` as the body of a restriction, whose binder `saved` undoes."""
         self.pos += 1
         body = self.parse_process()
         self.expect(")")
-        self.unbind(saved)
+        unbind(self.scope, saved)
         return body
 
     def _close_group(self, proc: Process) -> Process:

@@ -29,6 +29,29 @@ def fresh(display: str) -> Name:
 
 
 # ---------------------------------------------------------------------------
+# Scopes: since every binder is fresh, a walk keeps one map per scope and
+# undoes each binding on scope exit instead of copying the map per binder.
+
+
+def bind(scope: dict, pairs) -> list[tuple]:
+    """Map each key of `pairs` to its value in `scope`; returns what `unbind` needs."""
+    saved = []
+    for key, value in pairs:
+        saved.append((key, scope.get(key)))
+        scope[key] = value
+    return saved
+
+
+def unbind(scope: dict, saved: list[tuple]) -> None:
+    """Undo a `bind`: every key gets back its earlier value, or leaves `scope`."""
+    for key, old in reversed(saved):
+        if old is None:
+            del scope[key]
+        else:
+            scope[key] = old
+
+
+# ---------------------------------------------------------------------------
 # Types
 
 SHARP = "#"
@@ -251,13 +274,13 @@ def _subst_subject(n: Name, mapping: dict[int, Value]) -> Name:
 
 def substitute_many(p: Process, mapping: dict[Name, Value]) -> Process:
     """Simultaneous capture-avoiding substitution; the result is re-freshened."""
-    vmap = {n.id: v for n, v in mapping.items()}
+    ren = {n.id: v for n, v in mapping.items()}
 
-    def walk(q: Process, ren: dict[int, Value]) -> Process:
+    def walk(q: Process) -> Process:
         if isinstance(q, Nil):
             return q
         if isinstance(q, Par):
-            return Par(walk(q.left, ren), walk(q.right, ren))
+            return Par(walk(q.left), walk(q.right))
         if isinstance(q, Out):
             return Out(
                 _subst_subject(q.subject, ren),
@@ -265,23 +288,20 @@ def substitute_many(p: Process, mapping: dict[Name, Value]) -> Process:
             )
         if isinstance(q, (In, RepIn)):
             subj = _subst_subject(q.subject, ren)
-            ren2 = dict(ren)
-            fresh_binders = []
-            for b in q.binders:
-                nb = fresh(b.display)
-                ren2[b.id] = NameRef(nb)
-                fresh_binders.append(nb)
-            body = walk(q.body, ren2)
-            cls = In if isinstance(q, In) else RepIn
-            return cls(subj, tuple(fresh_binders), body)
+            binders = tuple(fresh(b.display) for b in q.binders)
+            saved = bind(ren, [(b.id, NameRef(nb)) for b, nb in zip(q.binders, binders)])
+            body = walk(q.body)
+            unbind(ren, saved)
+            return type(q)(subj, binders, body)
         if isinstance(q, Res):
             nb = fresh(q.name.display)
-            ren2 = dict(ren)
-            ren2[q.name.id] = NameRef(nb)
-            return Res(nb, q.annotation, q.functional, walk(q.body, ren2))
+            saved = bind(ren, [(q.name.id, NameRef(nb))])
+            body = walk(q.body)
+            unbind(ren, saved)
+            return Res(nb, q.annotation, q.functional, body)
         raise TypeError(f"not a process: {q!r}")
 
-    return walk(p, vmap)
+    return walk(p)
 
 
 def substitute(p: Process, x: Name, v: Value) -> Process:
@@ -307,6 +327,7 @@ def _serial_value(v: Value, env: dict[int, str]) -> str:
 
 
 def _serial(p: Process, env: dict[int, str], counter: list[int]) -> str:
+    """`env` labels the names bound around `p` and comes back unchanged."""
     if isinstance(p, Nil):
         return "0"
     if isinstance(p, Par):
@@ -318,18 +339,20 @@ def _serial(p: Process, env: dict[int, str], counter: list[int]) -> str:
     if isinstance(p, (In, RepIn)):
         tag = "rep" if isinstance(p, RepIn) else "in"
         subj = env.get(p.subject.id, f"f:{p.subject.display}")
-        env2 = dict(env)
-        for b in p.binders:
-            env2[b.id] = f"b{counter[0]}"
-            counter[0] += 1
-        return f"({tag} {subj} /{len(p.binders)} {_serial(p.body, env2, counter)})"
+        base = counter[0]
+        counter[0] += len(p.binders)
+        saved = bind(env, [(b.id, f"b{base + i}") for i, b in enumerate(p.binders)])
+        body = _serial(p.body, env, counter)
+        unbind(env, saved)
+        return f"({tag} {subj} /{len(p.binders)} {body})"
     if isinstance(p, Res):
-        env2 = dict(env)
-        env2[p.name.id] = f"b{counter[0]}"
+        saved = bind(env, [(p.name.id, f"b{counter[0]}")])
         counter[0] += 1
         ann = pretty_type(p.annotation) if p.annotation is not None else "_"
         kind = "fun" if p.functional else "imp"
-        return f"(new {kind} {ann} {_serial(p.body, env2, counter)})"
+        body = _serial(p.body, env, counter)
+        unbind(env, saved)
+        return f"(new {kind} {ann} {body})"
     raise TypeError(f"not a process: {p!r}")
 
 

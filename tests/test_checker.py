@@ -26,7 +26,7 @@ from piterm.errors import (
 from piterm.impure import ImpureEnv, check_impure
 from piterm.measure import format_multiset, measure
 from piterm.parser import parse_process, parse_type
-from piterm.syntax import NAT, UNIT, Add, ChanT, Mul, NatLit, NameRef, Star, Type, fresh
+from piterm.syntax import NAT, UNIT, Add, ChanT, In, Mul, NatLit, NameRef, Nil, Out, Res, Star, Type, fresh
 
 from conftest import (
     FIXTURES,
@@ -329,6 +329,62 @@ class TestLazyLocations:
         with pytest.raises(CapabilityError) as exc:
             check(env, p)
         assert exc.value.where == "x<*>"
+
+
+class TestOneScope:
+    """A typing walk copies the caller's environment once, binds in place and
+    undoes on scope exit, so the caller's environment never changes."""
+
+    @pytest.mark.parametrize("depth", [10, 500])
+    def test_one_copy_of_the_environment_per_call(self, monkeypatch, depth):
+        links = ["a(x).", "new r:#2[Unit].", "!a(y)."]
+        chain = "".join(links[i % 3] for i in range(depth)) + "b<*>"
+        p = parse_process(chain)
+        q = parse_process(f"new f:o2[Unit] fun.(!f(w).{chain} | f<*>)")
+        env = env_for(p, {"a": parse_type("#2[Unit]"), "b": parse_type("#1[Unit]")})
+        ienv = ImpureEnv(env_for(q, {"a": parse_type("#2[Unit]"), "b": parse_type("#1[Unit]")}))
+        copies = count_calls(monkeypatch, TypeEnv)
+        for run in (lambda: derive(env, p), lambda: derive(env, p, ds=True), lambda: check_impure(ienv, q)):
+            copies.clear()
+            run()
+            assert len(copies) == 1
+
+    def test_caller_environment_unchanged(self, rng):
+        outcomes = set()
+        for i in range(300):
+            p = random_ast(rng, 5)
+            decls = {s: gen_type(rng, 2, 3) for s in "abcuvw"}
+            env = env_for(p, decls)
+            free = sorted(syntax.free_names(p) - set(env.bindings), key=lambda n: n.id)
+            isolated = (free[0], ChanT("o", rng.randrange(3), (UNIT,))) if free and i % 2 else None
+            ienv = ImpureEnv(env, isolated, frozenset(n for n in env.bindings if n.display == "a"))
+            before = (dict(env.bindings), ienv.isolated, ienv.functional)
+            for run in (lambda: derive(env, p), lambda: derive(env, p, ds=True), lambda: check_impure(ienv, p)):
+                first, second = self.outcome(run), self.outcome(run)
+                assert first == second
+                assert (dict(env.bindings), ienv.isolated, ienv.functional) == before
+                outcomes.add(first[0])
+        assert outcomes == {"accepted", "rejected"}
+
+    def test_sibling_scopes_do_not_leak(self):
+        # the same Name bound in two sibling components (built by hand: the
+        # parser freshens every binder) is bound in each in turn
+        a, f, x = fresh("a"), fresh("f"), fresh("x")
+        p = syntax.par(
+            Res(f, parse_type("o1[Unit]"), True, Out(f, ())),
+            Res(f, parse_type("#1[Unit]"), False, In(f, (x,), Nil())),
+            In(a, (x,), Nil()),
+        )
+        env = TypeEnv({a: parse_type("#1[Unit]")})
+        assert derive(env, p).weight == 1
+        assert check_impure(ImpureEnv(env), p) == 1
+
+    @staticmethod
+    def outcome(run) -> tuple[str, str]:
+        try:
+            return "accepted", repr(run())
+        except PiError as exc:
+            return "rejected", exc.render()
 
 
 class TestCheckDs:

@@ -6,7 +6,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from piterm.checker import env_for
+from piterm.checker import TypeEnv, env_for
 from piterm.errors import CapabilityError, LevelViolation
 from piterm.measure import as_multiset, multiset_greater, measure
 from piterm.parser import parse_process, parse_type
@@ -120,12 +120,12 @@ class TestMeasure:
                 inner = dict(levels)
                 for b, t in zip(q.binders, chan.payload):
                     inner[b] = t.level if isinstance(t, ChanT) else -1
-                    inner["__env__"] = inner["__env__"].bind(b, t)
+                    inner["__env__"] = TypeEnv({**inner["__env__"].bindings, b: t})
                 return fold(q.body, inner)
             if isinstance(q, Res):
                 inner = dict(levels)
                 inner[q.name] = q.annotation.level if isinstance(q.annotation, ChanT) else -1
-                inner["__env__"] = inner["__env__"].bind(q.name, q.annotation)
+                inner["__env__"] = TypeEnv({**inner["__env__"].bindings, q.name: q.annotation})
                 return fold(q.body, inner)
             raise AssertionError
 
