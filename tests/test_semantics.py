@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import time
+from pathlib import Path
 
 import pytest
 
@@ -37,7 +38,8 @@ from piterm.syntax import (
     pretty_process,
 )
 
-from conftest import count_calls, oracle_key, scope_parts, typed_instance
+from conftest import FIXTURES, assert_golden, count_calls, oracle_key, scope_parts, typed_instance
+from test_syntax import random_ast
 
 
 def scoped_process(rng: random.Random, pool: list[Name], top: int, body_res: int, depth: int) -> Process:
@@ -377,8 +379,6 @@ class TestExplore:
 
 class TestExploreFuzz:
     def test_untyped_fuzz_never_crashes(self, rng):
-        from test_syntax import random_ast
-
         for _ in range(250):
             p = random_ast(rng, 4)
             r1 = explore(p, max_states=300, max_depth=300)
@@ -447,3 +447,53 @@ class TestCertifiedRun:
         line = r.measure_trace[0].render(0)
         assert line.startswith("STEP 0: ")
         assert " --> " in line and "; measure {" in line
+
+
+# ---------------------------------------------------------------------------
+# Golden record of canonical keys: `normalize(p).key` of the `.pi` fixtures and
+# of fixed-seed `random_ast`, `scoped_process`, `edges_process` and
+# `typed_instance` processes, each followed by the `step` successors of the
+# states reached from it, breadth first, up to `KEYS_STATES` states.
+# Regenerate it (only for a deliberate change of output) with
+#   PYTHONPATH=src:tests python -c "import test_semantics as t; t.write_keys_golden()"
+
+KEYS_GOLDEN = Path(__file__).resolve().parent / "golden" / "keys.txt"
+KEYS_SEED = 12
+KEYS_STATES = 12
+
+
+def keys_processes() -> list[tuple[str, Process]]:
+    """(label, process), in golden-file order."""
+    procs = [(f"fixture/{pi.stem}", parse_process(pi.read_text())) for pi in sorted(FIXTURES.glob("*.pi"))]
+    rng = random.Random(KEYS_SEED)
+    procs += [("ast", random_ast(rng, rng.randrange(3, 7))) for _ in range(200)]
+    a, b = fresh("a"), fresh("b")
+    procs += [("scoped", scoped_process(rng, [a, b], rng.randint(0, 4), 2, 2)) for _ in range(60)]
+    for n in range(2, 6):
+        procs += [("edges", edges_process(rng, a, n, rng.randint(n - 1, 2 * n))) for _ in range(10)]
+    procs += [("typed", typed_instance(rng, fuel=rng.randrange(6, 13))[1]) for _ in range(150)]
+    return procs
+
+
+def keys_text() -> str:
+    lines = []
+    for label, p in keys_processes():
+        root = normalize(p)
+        lines.append(f"{label}\t{root.key}")
+        queue, seen = [root], {root.key}
+        for state in queue:
+            for succ in step(state):
+                lines.append(f"  step\t{succ.key}")
+                if succ.key not in seen and len(seen) < KEYS_STATES:
+                    seen.add(succ.key)
+                    queue.append(succ)
+    return "".join(line + "\n" for line in lines)
+
+
+def write_keys_golden() -> None:
+    KEYS_GOLDEN.write_text(keys_text(), encoding="utf-8")
+
+
+class TestKeysGolden:
+    def test_keys_unchanged(self):
+        assert_golden(KEYS_GOLDEN, keys_text())
