@@ -3,8 +3,8 @@
 `check` returns the least derivable weight of a process: outputs weigh the
 declared level of their subject, replicated inputs demand a subject level
 strictly above the weight of their body, parallel composition takes the
-maximum. `check_ds` is the restricted mode with full-capability channels
-only and syntactic payload equality instead of subtyping.
+maximum. `derive(..., ds=True)` is the restricted mode with full-capability
+channels only and syntactic payload equality instead of subtyping.
 
 One walk (`derive`) yields the termination measure, the multiset of the
 levels of the outputs not under replication, and reads the weight off it:
@@ -291,11 +291,6 @@ def derive(env: TypeEnv, p: Process, ds: bool = False) -> Derivation:
 def check(env: TypeEnv, p: Process) -> int:
     """Least weight derivable for `p` under `env`; raises IllTyped otherwise."""
     return derive(env, p).weight
-
-
-def check_ds(env: TypeEnv, p: Process) -> int:
-    """Checker variant with full capabilities only and no subtyping."""
-    return derive(env, p, ds=True).weight
 
 
 def measure(env: TypeEnv, p: Process) -> Multiset:

@@ -184,8 +184,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("check", help="type-check an annotated process")
     common(sp, cmd_check)
-    sp.add_argument("--ds", action="store_true", help="full-capability mode without subtyping")
-    sp.add_argument("--impure", action="store_true", help="functional/imperative discipline")
+    mode = sp.add_mutually_exclusive_group()
+    mode.add_argument("--ds", action="store_true", help="full-capability mode without subtyping")
+    mode.add_argument("--impure", action="store_true", help="functional/imperative discipline")
     sp.add_argument("--env", help="environment file (defaults to a sibling .env)")
 
     sp = sub.add_parser("infer", help="infer a typing for a localised process")
@@ -204,8 +205,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("encode", help="translate a lambda term")
     common(sp, cmd_encode)
-    sp.add_argument("--infer", action="store_true")
-    sp.add_argument("--run", action="store_true")
+    mode = sp.add_mutually_exclusive_group()
+    mode.add_argument("--infer", action="store_true")
+    mode.add_argument("--run", action="store_true")
     sp.add_argument("--max-states", type=int, default=max_states)
     sp.add_argument("--max-depth", type=int, default=100000)
     return ap

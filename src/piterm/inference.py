@@ -15,8 +15,7 @@ Slots are numbered once per `infer`: 0 is the floor, a pseudo-slot pinned at
 level zero, then each root's type tree in preorder, roots in `Name.id` order.
 So ids follow `(root.id, path)`, and constraints, solving and reconstruction
 run on ints and lists. `infer` is the one way through the pipeline; `Slot`
-is only the public face of its visible graph and levels, and of
-`assign_levels`, which solves a hand-built `LevelGraph`.
+is only the public face of its visible graph and levels.
 
 Output edges are `>=` and run down every nested payload position;
 replication edges are `>`. The public `LevelGraph` is a projection of this
@@ -179,16 +178,6 @@ def _simple_clash(uni: Unifier, a: SimpleType, b: SimpleType) -> UnificationFail
     )
 
 
-@dataclass
-class SimpleEnv:
-    """Most general simple typing: one resolved type per name of the process."""
-
-    types: dict[Name, SimpleType]
-
-    def of(self, n: Name) -> SimpleType:
-        return self.types[n]
-
-
 def _value_simple(v: Value, var, uni: Unifier) -> SimpleType:
     if isinstance(v, Star):
         return S_UNIT
@@ -203,10 +192,11 @@ def _value_simple(v: Value, var, uni: Unifier) -> SimpleType:
     raise TypeError(f"not a value: {v!r}")
 
 
-def _simple_types(facts: _Facts) -> SimpleEnv:
-    """First-order unification over the uses of every name, in the preorder
-    of the fact walk; restricted names default to channels (of a fresh
-    payload) when nothing constrains them."""
+def _simple_types(facts: _Facts) -> dict[Name, SimpleType]:
+    """The most general simple typing, one resolved type per name: first-order
+    unification over the uses of every name, in the preorder of the fact
+    walk; restricted names default to channels (of a fresh payload) when
+    nothing constrains them."""
     uni = Unifier(
         SVar,
         _split_simple,
@@ -233,12 +223,7 @@ def _simple_types(facts: _Facts) -> SimpleEnv:
     for n in facts.restricted:
         if isinstance(uni.find(var(n)), SVar):
             uni.unify(var(n), SChan((uni.fresh(),)))
-    return SimpleEnv({n: uni.resolve(v) for n, v in vars_.items()})
-
-
-def infer_simple(p: Process) -> SimpleEnv:
-    """The most general simple typing of `p`."""
-    return _simple_types(_facts(p))
+    return {n: uni.resolve(v) for n, v in vars_.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -304,11 +289,6 @@ def _facts(p: Process) -> _Facts:
     return f
 
 
-def locality_check(p: Process) -> bool:
-    """True iff no received name is used as the subject of an input."""
-    return not _facts(p).non_local()
-
-
 # ---------------------------------------------------------------------------
 # The level constraint system
 
@@ -326,10 +306,6 @@ class LevelGraph:
     nodes: dict[Slot, set[str]] = field(default_factory=dict)  # label sets
     edges: set[tuple[Slot, Slot, bool]] = field(default_factory=set)
     display: dict[Slot, str] = field(default_factory=dict)
-
-    def add_node(self, slot: Slot, display: str) -> None:
-        self.nodes.setdefault(slot, set())
-        self.display[slot] = display
 
     def dump(self) -> str:
         lines = []
@@ -350,7 +326,7 @@ class _NameInfo:
     `Unit`/`Nat` roots; `children[s]` holds the ids of the payload positions
     of slot `s`, None at a `Nat` position."""
 
-    def __init__(self, env: SimpleEnv, facts: _Facts):
+    def __init__(self, env: dict[Name, SimpleType], facts: _Facts):
         self.env = env
         self.facts = facts
         self.roots: list[Name] = sorted(
@@ -383,7 +359,7 @@ class _NameInfo:
         return sid
 
     def type_of(self, n: Name) -> SimpleType:
-        return self.env.types.get(n, S_UNIT)
+        return self.env.get(n, S_UNIT)
 
     def slot_of(self, n: Name) -> int | None:
         """The level variable standing for a name, if it has one."""
@@ -459,7 +435,8 @@ def _project(
         tops += [(c, (i,), f"son{i}({top})") for i, c in enumerate(info.children[sid]) if c is not None]
         for s, path, text in tops:
             visible[s] = Slot(n, path)
-            g.add_node(visible[s], text)
+            g.nodes[visible[s]] = set()
+            g.display[visible[s]] = text
     for _, _, x in info.facts.receptions:
         sid = info.slot_of(x)
         if sid in visible:
@@ -569,22 +546,6 @@ def _least_levels(count: int, edges, describe) -> list[int]:
     return levels
 
 
-def assign_levels(graph: LevelGraph) -> dict[Slot, int]:
-    """Pointwise-least levels satisfying every edge of the given graph;
-    fails iff a cycle goes through a strict edge. The slots are numbered in
-    `(root.id, path)` order, as `infer` numbers its own."""
-    nodes = set(graph.nodes).union(*(e[:2] for e in graph.edges))
-    slots = sorted(nodes, key=lambda s: (s.root.id, s.path))
-    sid = {s: i for i, s in enumerate(slots)}
-    edges = {(sid[a], sid[b], strict) for a, b, strict in graph.edges}
-
-    def describe(i: int) -> str:
-        s = slots[i]
-        return graph.display.get(s, f"{s.root.display}{list(s.path)}")
-
-    return dict(zip(slots, _least_levels(len(slots), edges, describe)))
-
-
 # ---------------------------------------------------------------------------
 # Reconstruction
 
@@ -643,7 +604,7 @@ class InferResult:
     weight: int
     graph: LevelGraph
     levels: dict[Slot, int]  # restricted to the visible graph nodes
-    simple: SimpleEnv
+    simple: dict[Name, SimpleType]  # the most general simple typing
 
 
 def infer(p: Process, mode: str = FLEXIBLE) -> InferResult:

@@ -152,30 +152,28 @@ class _Canon:
         return ids
 
     def comp(self, c: Process, env: dict[int, str], counter: list[int]) -> str:
+        """The serial of a component, in one frame per prefix, as `_flatten`
+        spends: a prefix chain is not cut short by the recursion limit here."""
         if not isinstance(c, (In, RepIn)):
             return _serial(c, env, counter)
-        if not isinstance(c.body, (Res, Par)):
-            return self.prefix(c, env, counter)
-        memo_key = (id(c), counter[0], tuple(env.get(i) for i in self.names(c)))
-        known = self.memo.get(memo_key)
-        if known is None:
-            s = self.prefix(c, env, counter)
-            known = self.memo[memo_key] = (s, counter[0])
-        counter[0] = known[1]
-        return known[0]
-
-    def prefix(self, c: In | RepIn, env: dict[int, str], counter: list[int]) -> str:
+        scoped = isinstance(c.body, (Res, Par))
+        if scoped:
+            memo_key = (id(c), counter[0], tuple(env.get(i) for i in self.names(c)))
+            known = self.memo.get(memo_key)
+            if known is not None:
+                counter[0] = known[1]
+                return known[0]
         tag = "rep" if isinstance(c, RepIn) else "in"
         subj = env.get(c.subject.id, f"f:{c.subject.display}")
         env2 = dict(env)
         for b in c.binders:
             env2[b.id] = f"b{counter[0]}"
             counter[0] += 1
-        if isinstance(c.body, (Res, Par)):
-            inner = self.body(*_scope(c.body), env2, counter)
-        else:
-            inner = self.comp(c.body, env2, counter)
-        return f"({tag} {subj} /{len(c.binders)} {inner})"
+        inner = self.body(*_scope(c.body), env2, counter) if scoped else self.comp(c.body, env2, counter)
+        s = f"({tag} {subj} /{len(c.binders)} {inner})"
+        if scoped:
+            self.memo[memo_key] = (s, counter[0])
+        return s
 
     def body(self, res: list[Restriction], comps: list[Process], env: dict[int, str], counter: list[int]) -> str:
         """A prefix body: its restrictions labelled from the running counter,
@@ -326,10 +324,6 @@ def normalize(p: Process) -> NormalProcess:
     head = "new[" + ",".join(_res_tag(r) for r in ordered) + "]"
     key = head + ";" + "|".join(s for s, _ in serials)
     return NormalProcess(ordered, tuple([c for _, c in serials]), key)
-
-
-def congruent(p: Process, q: Process) -> bool:
-    return normalize(p).key == normalize(q).key
 
 
 # ---------------------------------------------------------------------------

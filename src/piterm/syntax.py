@@ -304,10 +304,6 @@ def substitute_many(p: Process, mapping: dict[Name, Value]) -> Process:
     return walk(p)
 
 
-def substitute(p: Process, x: Name, v: Value) -> Process:
-    return substitute_many(p, {x: v})
-
-
 # ---------------------------------------------------------------------------
 # Structure-preserving alpha-canonical serialization (no reordering)
 
@@ -359,10 +355,6 @@ def _serial(p: Process, env: dict[int, str], counter: list[int]) -> str:
 def alpha_key(p: Process) -> str:
     """Serialization that identifies processes exactly up to alpha-renaming."""
     return _serial(p, {}, [0])
-
-
-def alpha_equal(p: Process, q: Process) -> bool:
-    return alpha_key(p) == alpha_key(q)
 
 
 # ---------------------------------------------------------------------------

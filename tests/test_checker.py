@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from piterm import syntax
-from piterm.checker import TypeEnv, check, check_ds, derive, env_for, subtype, value_type
+from piterm.checker import TypeEnv, check, derive, env_for, subtype, value_type
 from piterm.cli import _load_env
 from piterm.errors import (
     CapabilityError,
@@ -320,7 +320,7 @@ class TestLazyLocations:
         assert check(env, p) == 3
         assert measure(env, p) == (3, 3)
         assert check_impure(ImpureEnv(env), p) == 3
-        assert check_ds(TypeEnv(), ds) == 1
+        assert derive(TypeEnv(), ds, ds=True).weight == 1
         assert printed == []
 
     def test_rejection_renders_the_offending_prefix(self):
@@ -391,12 +391,12 @@ class TestCheckDs:
     def test_accepts_sharp_only(self):
         p = parse_process("a<*>")
         env = env_for(p, {"a": parse_type("#1[Unit]")})
-        assert check_ds(env, p) == 1
+        assert derive(env, p, ds=True).weight == 1
 
     def test_rejects_level_coercion(self):
         env, p = server_instance()
         with pytest.raises(IllTyped):
-            check_ds(env, p)
+            derive(env, p, ds=True)
 
     def test_mutual_recursion_rejected_at_all_small_levels(self):
         for ka, kb in product(range(5), repeat=2):
@@ -409,12 +409,12 @@ class TestCheckDs:
                 },
             )
             with pytest.raises(IllTyped):
-                check_ds(env, p)
+                derive(env, p, ds=True)
 
     def test_everything_ds_accepts_check_accepts(self, rng):
         for _ in range(150):
             env, p, w = typed_instance(rng, fuel=6, exact=True)
-            assert check_ds(env, p) == w
+            assert derive(env, p, ds=True).weight == w
             assert check(env, p) <= w
 
 

@@ -202,6 +202,19 @@ class TestEncode:
 
 
 class TestFrontDoor:
+    @pytest.mark.parametrize(
+        "argv",
+        [["check", "--ds", "--impure", "server.pi"], ["encode", "--infer", "--run", "compose.lam"]],
+        ids=" ".join,
+    )
+    def test_conflicting_flags_are_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv[:-1], str(FIXTURES / argv[-1])])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2
+        assert out == ""
+        assert "not allowed with argument" in err
+
     def test_argument_parser_built_once(self, capsys, monkeypatch):
         built = []
         init = argparse.ArgumentParser.__init__
@@ -245,6 +258,13 @@ class TestInternalErrors:
             assert "WEIGHT=1" in out.splitlines()
         else:
             assert out == "" and err.startswith("error: [INTERNAL] ")
+
+    def test_run_deep_prefix_chain_terminates(self, capsys, tmp_path):
+        # one frame per prefix in the key walk, at the default recursion limit
+        (tmp_path / "deep.pi").write_text("".join(f"a{i}(x{i})." for i in range(900)) + "0\n")
+        code, out = run(capsys, "run", tmp_path / "deep.pi", "--format=lines")
+        assert code == 0
+        assert "VERDICT=Terminated" in out.splitlines()
 
 
 class TestStateBudgetEnvVar:

@@ -27,10 +27,10 @@ from piterm.inference import (
     SUnit,
     SVar,
     Slot,
-    assign_levels,
+    _facts,
+    _least_levels,
+    _simple_types,
     infer,
-    infer_simple,
-    locality_check,
     pretty_simple,
 )
 from piterm.lam import (
@@ -50,7 +50,6 @@ from piterm.parser import parse_process
 from piterm.syntax import (
     ChanT,
     In,
-    Name,
     Par,
     RepIn,
     Res,
@@ -72,56 +71,56 @@ def by_display(p):
 class TestInferSimple:
     def test_forward_chain(self):
         p = parse_process("a(x).x<*>")
-        env = infer_simple(p)
+        env = infer(p).simple
         names = by_display(p)
-        a = env.of(names["a"])
+        a = env[names["a"]]
         assert a == SChan((SChan((SUnit(),)),))
 
     def test_occurs_check(self):
         with pytest.raises(OccursCheckFailure):
-            infer_simple(parse_process("a<a>"))
+            infer(parse_process("a<a>"))
 
     def test_payload_siblings_unified(self):
         p = parse_process("a<p> | a<q> | !p(z).q<z>")
-        env = infer_simple(p)
+        env = infer(p).simple
         names = by_display(p)
-        assert env.of(names["p"]) == env.of(names["q"])
-        assert isinstance(env.of(names["p"]), SChan)
+        assert env[names["p"]] == env[names["q"]]
+        assert isinstance(env[names["p"]], SChan)
 
     def test_sort_clash(self):
         with pytest.raises(UnificationFailure):
-            infer_simple(parse_process("a<*> | a<1>"))
+            infer(parse_process("a<*> | a<1>"))
 
     def test_arity_clash(self):
         with pytest.raises(UnificationFailure):
-            infer_simple(parse_process("a<b> | a<b, c>"))
+            infer(parse_process("a<b> | a<b, c>"))
 
     def test_restricted_names_default_to_channels(self):
         p = parse_process("new b. x<b>")
-        env = infer_simple(p)
+        env = infer(p).simple
         res_name = p.name
-        assert isinstance(env.of(res_name), SChan)
+        assert isinstance(env[res_name], SChan)
 
     def test_nat_arithmetic(self):
         p = parse_process("a<n+1>")
-        env = infer_simple(p)
+        env = infer(p).simple
         names = by_display(p)
-        assert env.of(names["n"]) == SNat()
-        assert env.of(names["a"]) == SChan((SNat(),))
+        assert env[names["n"]] == SNat()
+        assert env[names["a"]] == SChan((SNat(),))
 
 
 class TestLocality:
     def test_received_input_subject(self):
-        assert not locality_check(parse_process("a(x).x(y).0"))
+        assert _facts(parse_process("a(x).x(y).0")).non_local()
 
     def test_received_output_subject_ok(self):
-        assert locality_check(parse_process("a(x).x<*>"))
+        assert not _facts(parse_process("a(x).x<*>")).non_local()
 
     def test_received_under_replication(self):
-        assert not locality_check(parse_process("!a(x).x(y).0"))
+        assert _facts(parse_process("!a(x).x(y).0")).non_local()
 
     def test_plain_process(self):
-        assert locality_check(parse_process("!a(x).b<x> | a<c>"))
+        assert not _facts(parse_process("!a(x).b<x> | a<c>")).non_local()
 
 
 def graph_view(g: LevelGraph):
@@ -191,17 +190,17 @@ class TestBuildGraph:
         assert lines == sorted(lines, key=lambda l: (l.startswith("EDGE"), l))
 
 
-def raw_graph(shape: dict[str, list[tuple[str, str]]]) -> LevelGraph:
-    """Tiny helper: nodes and edges from display names."""
-    g = LevelGraph()
-    names: dict[str, Name] = {}
-    for d in shape:
-        names[d] = fresh(d)
-        g.add_node(Slot(names[d], ()), d)
-    for src, targets in shape.items():
-        for op, dst in targets:
-            g.edges.add((Slot(names[src], ()), Slot(names[dst], ()), op == ">"))
-    return g
+def raw_edges(shape: dict[str, list[tuple[str, str]]]) -> tuple[list[str], set[tuple[int, int, bool]]]:
+    """Tiny helper: slot ids in `shape` order, with their display names, and
+    the edges between them."""
+    names = list(shape)
+    sid = {d: i for i, d in enumerate(names)}
+    edges = {(sid[src], sid[dst], op == ">") for src, targets in shape.items() for op, dst in targets}
+    return names, edges
+
+
+def least_levels(names: list[str], edges) -> dict[str, int]:
+    return dict(zip(names, _least_levels(len(names), edges, names.__getitem__)))
 
 
 class TestAssignLevels:
@@ -220,44 +219,38 @@ class TestAssignLevels:
         }
 
     def test_ge_self_loop_collapses(self):
-        g = raw_graph({"a": [(">=", "a")]})
-        levels = assign_levels(g)
+        levels = least_levels(*raw_edges({"a": [(">=", "a")]}))
         assert list(levels.values()) == [0]
 
     def test_ge_cycle_shares_level(self):
-        g = raw_graph({"a": [(">=", "b")], "b": [(">=", "a"), (">", "c")], "c": []})
-        levels = assign_levels(g)
-        named = {g.display[s]: lvl for s, lvl in levels.items()}
+        named = least_levels(*raw_edges({"a": [(">=", "b")], "b": [(">=", "a"), (">", "c")], "c": []}))
         assert named == {"a": 1, "b": 1, "c": 0}
 
     def test_mutual_strict_fails(self):
-        g = raw_graph({"a": [(">", "b")], "b": [(">", "a")]})
+        names, edges = raw_edges({"a": [(">", "b")], "b": [(">", "a")]})
         with pytest.raises(CyclicLevelConstraint) as exc:
-            assign_levels(g)
+            least_levels(names, edges)
         assert len(exc.value.cycle) >= 3
 
     def test_cycle_independent_of_edge_insertion_order(self):
-        slots = [Slot(Name(i + 1, f"n{i}"), ()) for i in range(4)]
-        ring = [(slots[i], slots[(i + 1) % 4], True) for i in range(4)]
+        names = [f"n{i}" for i in range(4)]
+        ring = [(i, (i + 1) % 4, True) for i in range(4)]
         cycles = []
         for edges in (ring, ring[::-1]):
             inserted = set(edges)
             with pytest.raises(CyclicLevelConstraint) as exc:
-                assign_levels(LevelGraph(edges=inserted))
+                least_levels(names, inserted)
             cycles.append((exc.value.cycle, list(inserted)))
         (first, order1), (second, order2) = cycles
         assert order1 != order2  # the two sets iterate differently
         assert first == second
 
     def test_strict_self_loop_fails(self):
-        g = raw_graph({"a": [(">", "a")]})
         with pytest.raises(CyclicLevelConstraint):
-            assign_levels(g)
+            least_levels(*raw_edges({"a": [(">", "a")]}))
 
     def test_chain_counts(self):
-        g = raw_graph({"a": [(">", "b")], "b": [(">", "c")], "c": [(">=", "d")], "d": []})
-        levels = assign_levels(g)
-        named = {g.display[s]: lvl for s, lvl in levels.items()}
+        named = least_levels(*raw_edges({"a": [(">", "b")], "b": [(">", "c")], "c": [(">=", "d")], "d": []}))
         assert named == {"d": 0, "c": 0, "b": 1, "a": 2}
 
     def test_minimality_against_enumeration(self, rng):
@@ -269,29 +262,28 @@ class TestAssignLevels:
             for _ in range(rng.randrange(1, 6)):
                 src, dst = rng.choice(names), rng.choice(names)
                 shape[src].append((rng.choice([">", ">="]), dst))
-            g = raw_graph(shape)
+            _, edges = raw_edges(shape)
             try:
-                levels = assign_levels(g)
+                named = least_levels(names, edges)
             except CyclicLevelConstraint:
                 # enumeration must agree nothing satisfies the constraints
                 for combo in product(range(4), repeat=n):
                     vals = dict(zip(names, combo))
                     ok = all(
-                        (vals[g.display[s]] > vals[g.display[d]])
+                        (vals[names[s]] > vals[names[d]])
                         if strict
-                        else (vals[g.display[s]] >= vals[g.display[d]])
-                        for s, d, strict in g.edges
+                        else (vals[names[s]] >= vals[names[d]])
+                        for s, d, strict in edges
                     )
                     assert not ok
                 continue
-            named = {g.display[s]: lvl for s, lvl in levels.items()}
             for combo in product(range(4), repeat=n):
                 vals = dict(zip(names, combo))
                 ok = all(
-                    (vals[g.display[s]] > vals[g.display[d]])
+                    (vals[names[s]] > vals[names[d]])
                     if strict
-                    else (vals[g.display[s]] >= vals[g.display[d]])
-                    for s, d, strict in g.edges
+                    else (vals[names[s]] >= vals[names[d]])
+                    for s, d, strict in edges
                 )
                 if ok:
                     assert all(named[d] <= vals[d] for d in names)
@@ -481,7 +473,7 @@ def skeleton_slots(p, env):
                 walk(root, path + (i,), pt)
 
     for n in roots:
-        walk(n, (), env.types.get(n, SUnit()))
+        walk(n, (), env.get(n, SUnit()))
     return roots, slots
 
 
@@ -506,7 +498,7 @@ def enumeration_typable(p, max_level: int = 3) -> bool:
     """Oracle: does any level assignment over the inferred skeleton, with full
     capability at the top and output capabilities below, satisfy the checker?"""
     try:
-        env = infer_simple(p)
+        env = _simple_types(_facts(p))
     except UnificationFailure:
         return False
     roots, slots = skeleton_slots(p, env)
@@ -537,7 +529,7 @@ def enumeration_typable(p, max_level: int = 3) -> bool:
         if isinstance(q, RepIn):
             return RepIn(q.subject, q.binders, annotate(q.body, levels))
         if isinstance(q, Res):
-            ty = build(q.name, (), env.types[q.name], levels, True)
+            ty = build(q.name, (), env[q.name], levels, True)
             return Res(q.name, ty, q.functional, annotate(q.body, levels))
         return q
 
@@ -548,7 +540,7 @@ def enumeration_typable(p, max_level: int = 3) -> bool:
         levels = dict(zip(slots, combo))
         try:
             tenv = TypeEnv(
-                {n: build(n, (), env.types.get(n, SUnit()), levels, True) for n in free}
+                {n: build(n, (), env.get(n, SUnit()), levels, True) for n in free}
             )
             check(tenv, annotate(p, levels))
             return True
@@ -660,12 +652,12 @@ def _assignment_checks(p, env, levels) -> bool:
         if isinstance(q, RepIn):
             return RepIn(q.subject, q.binders, annotate(q.body))
         if isinstance(q, Res):
-            return Res(q.name, build(q.name, (), env.types[q.name], True), q.functional, annotate(q.body))
+            return Res(q.name, build(q.name, (), env[q.name], True), q.functional, annotate(q.body))
         return q
 
     free = [n for n in free_names(p)]
     try:
-        tenv = TypeEnv({n: build(n, (), env.types.get(n, SUnit()), True) for n in free})
+        tenv = TypeEnv({n: build(n, (), env.get(n, SUnit()), True) for n in free})
         check(tenv, annotate(p))
         return True
     except PiError:
@@ -844,7 +836,7 @@ class TestCyclesGolden:
 # ---------------------------------------------------------------------------
 # Golden record of first-order unification: the outcome of `check_stlc` on
 # hand-written and fixed-seed lambda terms under declarations, and of
-# `infer_simple` on hand-written and fixed-seed `random_ast` processes, each
+# `_simple_types` on hand-written and fixed-seed `random_ast` processes, each
 # the resolved type(s) or the error class and message. Regenerate it (only
 # for a deliberate change of output) with
 #   PYTHONPATH=src:tests python -c "import test_inference as t; t.write_unify_golden()"
@@ -927,8 +919,8 @@ def unify_line(kind: str, decls, subject) -> str:
             outcome = pretty_lambda_type(check_stlc(decls, subject))
         else:
             head = f"{kind}\t{pretty_process(subject)}"
-            env = infer_simple(subject)
-            outcome = " ".join(f"{n.display}:{pretty_simple(t)}" for n, t in env.types.items())
+            env = _simple_types(_facts(subject))
+            outcome = " ".join(f"{n.display}:{pretty_simple(t)}" for n, t in env.items())
     except PiError as exc:
         outcome = f"{type(exc).__name__}: {exc.message}"
     return f"{head}\t{outcome}"
