@@ -27,8 +27,15 @@ equal keys exactly when they are structurally congruent:
 The cost is polynomial while the symmetries of a cluster are generated by
 exchanges of two names; symmetries that are not (a ring `a<b> | b<c> | c<a>`
 of restricted names, say) still branch once per symmetric candidate.
-Reduction then pairs top-level outputs with (replicated) inputs on the same
-name.
+
+Reduction pairs each top-level output with the (replicated) inputs on its
+subject, found through an index by subject. An exploration keeps one store of
+components for the whole run, the component reuse of hash-consing (Conchon &
+Filliâtre, "Type-safe modular hash-consing", 2006) kept to one run: a
+successor keeps the components that did not fire as the same objects and
+flattens only the fired body, so each component's free names are computed
+once and its top-level serial once per labelling of those names. The store is
+dropped when the run returns. Each stored state is printed once.
 """
 
 from __future__ import annotations
@@ -52,12 +59,14 @@ from .syntax import (
     Res,
     Type,
     _serial,
+    bind,
     eval_value,
     free_names,
     par,
     pretty_process,
     pretty_type,
     substitute_many,
+    unbind,
 )
 
 Restriction = tuple[Name, Type | None, bool]
@@ -82,25 +91,32 @@ def _wrap(restrictions: Sequence[Restriction], components: Sequence[Process]) ->
     return body
 
 
-def _flatten(p: Process) -> tuple[list[Restriction], list[Process]]:
+def _flatten(canon: _Canon, p: Process) -> tuple[list[Restriction], list[Process]]:
     """Hoist restrictions, flatten parallel composition, drop inert parts;
-    prefix bodies likewise, each left as its restrictions over its components."""
-    if isinstance(p, Nil):
-        return [], []
-    if isinstance(p, Par):
-        r1, c1 = _flatten(p.left)
-        r2, c2 = _flatten(p.right)
-        return r1 + r2, c1 + c2
-    if isinstance(p, Res):
-        if p.name not in free_names(p.body):
-            return _flatten(p.body)
-        res, comps = _flatten(p.body)
-        return [(p.name, p.annotation, p.functional)] + res, comps
-    if isinstance(p, Out):
-        return [], [p]
-    if isinstance(p, (In, RepIn)):
-        return [], [type(p)(p.subject, p.binders, _wrap(*_flatten(p.body)))]
-    raise TypeError(f"not a process: {p!r}")
+    prefix bodies likewise, each left as its restrictions over its components.
+    The `|` spine and restriction chains are walked by a loop, a prefix costs
+    one frame. A restriction is kept when its name is free in some component
+    of its scope, read off the free-name sets `canon` keeps."""
+    res: list[Restriction] = []
+    comps: list[Process] = []
+    todo = [p]
+    while todo:
+        q = todo.pop()
+        if isinstance(q, Par):
+            todo += (q.right, q.left)
+        elif isinstance(q, Res):
+            res.append((q.name, q.annotation, q.functional))
+            todo.append(q.body)
+        elif isinstance(q, Out):
+            comps.append(q)
+        elif isinstance(q, (In, RepIn)):
+            comps.append(type(q)(q.subject, q.binders, _wrap(*_flatten(canon, q.body))))
+        elif not isinstance(q, Nil):
+            raise TypeError(f"not a process: {q!r}")
+    if res:
+        live = canon.live(comps)
+        res = [r for r in res if r[0].id in live]
+    return res, comps
 
 
 def _scope(body: Process) -> tuple[list[Restriction], list[Process]]:
@@ -133,46 +149,59 @@ Key = Callable[[list[Process], dict[int, str]], str]
 
 
 class _Canon:
-    """The serials of one `normalize` call: `_serial`'s format, with the
-    restricted names and the components of every scope in canonical order.
+    """The component store of one `normalize` call or one exploration, and
+    the serials it gives: `_serial`'s format, with the restricted names and
+    the components of every scope in canonical order.
 
     A component's serial depends only on the component, the binder counter it
-    starts at and the labels of its free names. A prefix whose body is a scope
-    of its own is ordered by a search, so within one call its serial is
-    computed once for each of those."""
+    starts at and the labels of its free names, so it is remembered under
+    those: every top-level component, and every prefix whose body is a scope
+    of its own (ordered by a search). An exploration keeps one store, so a
+    component that a step leaves in place is not serialised again. The free
+    names of a component are computed once. Each table keyed by `id` holds
+    the object whose id it is, so no id is reused while the store lives."""
 
     def __init__(self) -> None:
-        self.free: dict[int, tuple[int, ...]] = {}
-        self.memo: dict[tuple, tuple[str, int]] = {}
+        self.free: dict[int, tuple[Process, set[int]]] = {}
+        self.memo: dict[tuple, tuple[Process, str, int]] = {}
 
-    def names(self, c: Process) -> tuple[int, ...]:
-        ids = self.free.get(id(c))
-        if ids is None:
-            ids = self.free[id(c)] = tuple(n.id for n in free_names(c))
-        return ids
+    def names(self, c: Process) -> set[int]:
+        """The ids of the names free in `c`, walked once per component."""
+        known = self.free.get(id(c))
+        if known is None:
+            known = self.free[id(c)] = (c, {n.id for n in free_names(c)})
+        return known[1]
+
+    def live(self, comps: Sequence[Process]) -> set[int]:
+        """The names free in some of `comps`."""
+        return set().union(*map(self.names, comps))
 
     def comp(self, c: Process, env: dict[int, str], counter: list[int]) -> str:
         """The serial of a component, in one frame per prefix, as `_flatten`
-        spends: a prefix chain is not cut short by the recursion limit here."""
-        if not isinstance(c, (In, RepIn)):
-            return _serial(c, env, counter)
-        scoped = isinstance(c.body, (Res, Par))
-        if scoped:
-            memo_key = (id(c), counter[0], tuple(env.get(i) for i in self.names(c)))
+        spends: a prefix chain is not cut short by the recursion limit here.
+        `env` comes back unchanged."""
+        scoped = isinstance(c, (In, RepIn)) and isinstance(c.body, (Res, Par))
+        memo_key = None
+        if scoped or counter[0] == 0:
+            # with no name labelled, the serial depends on the component alone
+            memo_key = (id(c), counter[0], tuple(map(env.get, self.names(c))) if env else ())
             known = self.memo.get(memo_key)
             if known is not None:
-                counter[0] = known[1]
-                return known[0]
-        tag = "rep" if isinstance(c, RepIn) else "in"
-        subj = env.get(c.subject.id, f"f:{c.subject.display}")
-        env2 = dict(env)
-        for b in c.binders:
-            env2[b.id] = f"b{counter[0]}"
-            counter[0] += 1
-        inner = self.body(*_scope(c.body), env2, counter) if scoped else self.comp(c.body, env2, counter)
-        s = f"({tag} {subj} /{len(c.binders)} {inner})"
-        if scoped:
-            self.memo[memo_key] = (s, counter[0])
+                counter[0] = known[2]
+                return known[1]
+        if isinstance(c, (In, RepIn)):
+            tag = "rep" if isinstance(c, RepIn) else "in"
+            subj = env.get(c.subject.id, f"f:{c.subject.display}")
+            base = counter[0]
+            counter[0] += len(c.binders)
+            saved = bind(env, [(b.id, f"b{base + k}") for k, b in enumerate(c.binders)])
+            inner = self.body(*_scope(c.body), env, counter) if scoped else self.comp(c.body, env, counter)
+            unbind(env, saved)
+            s = f"({tag} {subj} /{len(c.binders)} {inner})"
+        else:
+            s = _serial(c, env, counter)
+        if memo_key is not None:
+            self.memo[memo_key] = (c, s, counter[0])
         return s
 
     def body(self, res: list[Restriction], comps: list[Process], env: dict[int, str], counter: list[int]) -> str:
@@ -184,13 +213,13 @@ class _Canon:
         def key(cs: list[Process], labels: dict[int, str]) -> str:
             return self.par(cs, {**env, **labels}, [start])
 
-        env2 = dict(env)
-        heads = []
-        for pos, i in enumerate(self.order(res, comps, lambda pos: f"b{base + pos}", key)):
-            env2[res[i][0].id] = f"b{base + pos}"
-            heads.append("(new {} {} ".format(*_res_kind(res[i])))
+        order = self.order(res, comps, lambda pos: f"b{base + pos}", key)
+        saved = bind(env, [(res[i][0].id, f"b{base + pos}") for pos, i in enumerate(order)])
+        heads = "".join("(new {} {} ".format(*_res_kind(res[i])) for i in order)
         counter[0] = start
-        return "".join(heads) + self.par(comps, env2, counter) + ")" * len(res)
+        s = heads + self.par(comps, env, counter) + ")" * len(res)
+        unbind(env, saved)
+        return s
 
     def par(self, comps: list[Process], env: dict[int, str], counter: list[int]) -> str:
         """The components of a prefix body, least serial first at the running counter."""
@@ -313,17 +342,23 @@ def _least(
     )
 
 
-def normalize(p: Process) -> NormalProcess:
-    """Canonical form modulo the congruence axioms; equal keys mean congruent."""
-    restrictions, comps = _flatten(p)
-    canon = _Canon()
+def _canonical(canon: _Canon, restrictions: list[Restriction], comps: list[Process]) -> NormalProcess:
+    """The canonical form of restrictions over components, both as `_flatten`
+    leaves them."""
     order = canon.order(restrictions, comps, lambda pos: f"v{pos}", canon.multiset)
     ordered = tuple(restrictions[i] for i in order)
     env = {r[0].id: f"v{pos}" for pos, r in enumerate(ordered)}
-    serials = sorted(((canon.comp(c, env, [0]), c) for c in comps), key=lambda sc: sc[0])
+    # the index keeps equal serials in the order of `comps`
+    serials = sorted([(canon.comp(c, env, [0]), k) for k, c in enumerate(comps)])
     head = "new[" + ",".join(_res_tag(r) for r in ordered) + "]"
     key = head + ";" + "|".join(s for s, _ in serials)
-    return NormalProcess(ordered, tuple([c for _, c in serials]), key)
+    return NormalProcess(ordered, tuple([comps[k] for _, k in serials]), key)
+
+
+def normalize(p: Process) -> NormalProcess:
+    """Canonical form modulo the congruence axioms; equal keys mean congruent."""
+    canon = _Canon()
+    return _canonical(canon, *_flatten(canon, p))
 
 
 # ---------------------------------------------------------------------------
@@ -331,9 +366,8 @@ def normalize(p: Process) -> NormalProcess:
 
 
 def _fire(sender: Out, receiver: In | RepIn) -> Process | None:
-    """Body of the receiver after the communication, or None if no redex."""
-    if sender.subject != receiver.subject:
-        return None
+    """Body of a receiver on the sender's subject after the communication, or
+    None if the two do not match."""
     values = sender.payload if sender.payload else (STAR,)
     if not receiver.binders:
         if len(values) != 1:
@@ -349,24 +383,36 @@ def _fire(sender: Out, receiver: In | RepIn) -> Process | None:
         return None  # ill-sorted communication: not a redex
 
 
-def step(p: Process | NormalProcess) -> list[NormalProcess]:
-    """All one-step successors, normalized and deduplicated up to congruence."""
+def step(p: Process | NormalProcess, canon: _Canon | None = None) -> list[NormalProcess]:
+    """All one-step successors, normalized and deduplicated up to congruence.
+
+    A successor keeps the components of `p` that did not fire as they are and
+    flattens only the fired body; `canon` is the store of the exploration."""
+    canon = canon or _Canon()
     np = p if isinstance(p, NormalProcess) else normalize(p)
+    comps = np.components
+    receivers: dict[int, list[int]] = {}
+    for j, c in enumerate(comps):
+        if isinstance(c, (In, RepIn)):
+            receivers.setdefault(c.subject.id, []).append(j)
     succs: dict[str, NormalProcess] = {}
-    for i, sender in enumerate(np.components):
+    for i, sender in enumerate(comps):
         if not isinstance(sender, Out):
             continue
-        for j, receiver in enumerate(np.components):
-            if i == j or not isinstance(receiver, (In, RepIn)):
-                continue
+        for j in receivers.get(sender.subject.id, ()):
+            receiver = comps[j]
             body = _fire(sender, receiver)
             if body is None:
                 continue
-            rest = [c for k, c in enumerate(np.components) if k not in (i, j)]
+            res, new = _flatten(canon, body)
+            rest = [c for k, c in enumerate(comps) if k != i and k != j]
             if isinstance(receiver, RepIn):
                 rest.append(receiver)
-            rest.append(body)
-            succ = normalize(_wrap(np.restrictions, rest))
+            rest += new
+            if np.restrictions:
+                live = canon.live(rest)
+                res = [r for r in np.restrictions if r[0].id in live] + res
+            succ = _canonical(canon, res, rest)
             succs[succ.key] = succ
     return [succs[k] for k in sorted(succs)]
 
@@ -454,11 +500,13 @@ def certified_run(
 def _explore(
     p: Process, max_states: int, max_depth: int, env: TypeEnv | None
 ) -> ExecutionReport:
+    canon = _Canon()
     root = normalize(p)
     states: dict[str, NormalProcess] = {root.key: root}
     depth = {root.key: 0}
     adj: dict[str, list[str]] = {root.key: []}
     measures: dict[str, Multiset] = {}
+    printed: dict[str, str] = {}
     trace: list[EdgeCert] | None = [] if env is not None else None
 
     def state_measure(key: str) -> Multiset:
@@ -471,6 +519,15 @@ def _explore(
                 ) from exc
         return measures[key]
 
+    def show(state: NormalProcess) -> str:
+        # a state reached again may order tied components otherwise than the
+        # one stored under its key, and then prints otherwise: it prints itself
+        if states.get(state.key) is not state:
+            return pretty_process(state.rebuild())
+        if state.key not in printed:
+            printed[state.key] = pretty_process(state.rebuild())
+        return printed[state.key]
+
     queue = [root.key]
     qi = 0
     truncated = False
@@ -478,7 +535,7 @@ def _explore(
     while qi < len(queue):
         key = queue[qi]
         qi += 1
-        succs = step(states[key])
+        succs = step(states[key], canon)
         if depth[key] >= max_depth:
             if succs:
                 truncated = True
@@ -502,14 +559,7 @@ def _explore(
                         f"vs {format_multiset(m_dst)}",
                         where=f"{key} --> {succ.key}",
                     )
-                trace.append(
-                    EdgeCert(
-                        pretty_process(states[key].rebuild()),
-                        pretty_process(succ.rebuild()),
-                        m_src,
-                        m_dst,
-                    )
-                )
+                trace.append(EdgeCert(show(states[key]), show(succ), m_src, m_dst))
 
     cycle = _find_cycle(root.key, adj)
     if cycle is not None:
@@ -524,5 +574,5 @@ def _explore(
         states_explored=len(states),
         max_depth=max(depth.values()),
         measure_trace=trace,
-        witness=[pretty_process(states[k].rebuild()) for k in cycle] if cycle else None,
+        witness=[show(states[k]) for k in cycle] if cycle else None,
     )

@@ -215,20 +215,29 @@ def value_names(v: Value) -> set[Name]:
 
 
 def free_names(p: Process) -> set[Name]:
-    if isinstance(p, Nil):
-        return set()
-    if isinstance(p, Par):
-        return free_names(p.left) | free_names(p.right)
-    if isinstance(p, Out):
-        out = {p.subject}
-        for v in p.payload:
-            out |= value_names(v)
-        return out
-    if isinstance(p, (In, RepIn)):
-        return {p.subject} | (free_names(p.body) - set(p.binders))
-    if isinstance(p, Res):
-        return free_names(p.body) - {p.name}
-    raise TypeError(f"not a process: {p!r}")
+    """The names used less the names bound, since every binder is fresh;
+    walked with a stack, so neither width nor depth recurses."""
+    used: set[Name] = set()
+    bound: set[Name] = set()
+    todo = [p]
+    while todo:
+        q = todo.pop()
+        if isinstance(q, Par):
+            todo += (q.left, q.right)
+        elif isinstance(q, Out):
+            used.add(q.subject)
+            for v in q.payload:
+                used |= value_names(v)
+        elif isinstance(q, (In, RepIn)):
+            used.add(q.subject)
+            bound.update(q.binders)
+            todo.append(q.body)
+        elif isinstance(q, Res):
+            bound.add(q.name)
+            todo.append(q.body)
+        elif not isinstance(q, Nil):
+            raise TypeError(f"not a process: {q!r}")
+    return used - bound
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import argparse
 import contextlib
 import io
 import re
+import time
 
 import pytest
 
@@ -265,6 +266,16 @@ class TestInternalErrors:
         code, out = run(capsys, "run", tmp_path / "deep.pi", "--format=lines")
         assert code == 0
         assert "VERDICT=Terminated" in out.splitlines()
+
+    def test_run_wide_independent_outputs_terminates(self, capsys, tmp_path):
+        # the `|` spine is flattened by a loop, and outputs are paired only
+        # with receivers on their own subject: no pass over all pairs
+        (tmp_path / "wide.pi").write_text(" | ".join(f"a{i}<>" for i in range(10**4)) + "\n")
+        started = time.perf_counter()
+        code, out = run(capsys, "run", tmp_path / "wide.pi", "--format=lines")
+        assert time.perf_counter() - started < 10.0  # about 0.3 s on a 2-CPU host
+        assert code == 0
+        assert out.splitlines()[:2] == ["VERDICT=Terminated", "STEPS=0"]
 
 
 class TestStateBudgetEnvVar:

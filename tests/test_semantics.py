@@ -316,6 +316,68 @@ class TestStep:
             assert {s.key for s in step(p)} == {s.key for s in step(q)}
 
 
+def step_by_rebuilding(np: semantics.NormalProcess) -> list[semantics.NormalProcess]:
+    """`step` without a component store: every successor is rebuilt around the
+    fired body and normalized whole."""
+    succs = {}
+    for i, sender in enumerate(np.components):
+        if not isinstance(sender, Out):
+            continue
+        for j, receiver in enumerate(np.components):
+            if i == j or not isinstance(receiver, (In, RepIn)) or receiver.subject != sender.subject:
+                continue
+            body = semantics._fire(sender, receiver)
+            if body is None:
+                continue
+            rest = [c for k, c in enumerate(np.components) if k not in (i, j)]
+            if isinstance(receiver, RepIn):
+                rest.append(receiver)
+            succ = normalize(semantics._wrap(np.restrictions, rest + [body]))
+            succs[succ.key] = succ
+    return [succs[k] for k in sorted(succs)]
+
+
+class TestIncrementalStep:
+    STATES = 40  # states reached per process, breadth first; nearly all reach fewer
+
+    def processes(self) -> list[Process]:
+        rng = random.Random(23)
+        procs = [parse_process(pi.read_text()) for pi in sorted(FIXTURES.glob("*.pi"))]
+        procs += [random_ast(rng, rng.randrange(3, 7)) for _ in range(200)]
+        a, b = fresh("a"), fresh("b")
+        procs += [scoped_process(rng, [a, b], rng.randint(0, 4), 2, 2) for _ in range(60)]
+        procs += [typed_instance(rng, fuel=rng.randrange(6, 13))[1] for _ in range(150)]
+        return procs
+
+    def test_successors_equal_rebuilt_ones(self):
+        for p in self.processes():
+            canon = semantics._Canon()  # one store for every state of the run, as in `explore`
+            root = normalize(p)
+            queue, seen = [root], {root.key}
+            for state in queue:
+                got = step(state, canon)
+                want = step_by_rebuilding(state)
+                assert [s.key for s in got] == [s.key for s in want], pretty_process(state.rebuild())
+                assert [pretty_process(s.rebuild()) for s in got] == [pretty_process(s.rebuild()) for s in want]
+                for succ in got:
+                    assert normalize(succ.rebuild()).key == succ.key
+                    if succ.key not in seen and len(seen) < self.STATES:
+                        seen.add(succ.key)
+                        queue.append(succ)
+
+    def test_step_kills_a_top_level_restriction(self):
+        state = normalize(parse_process("(new c)(c<> | c().0)"))
+        assert len(state.restrictions) == 1
+        (succ,) = step(state)
+        assert (succ.restrictions, succ.components, succ.key) == ((), (), "new[];")
+        assert [s.key for s in step_by_rebuilding(state)] == [succ.key]
+
+    def test_step_keeps_the_components_that_did_not_fire(self):
+        state = normalize(parse_process("(new c)(c<> | c().d<c> | !e(x).x<> | e<c>)"))
+        for succ in step(state):
+            assert {id(c) for c in state.components} & {id(c) for c in succ.components}
+
+
 class TestExplore:
     def test_single_step_terminates(self):
         r = explore(parse_process("a(x).x<t> | a<v>"), 100, 100)
@@ -350,11 +412,11 @@ class TestExplore:
 
     def test_one_normalize_per_successor(self, monkeypatch):
         # prefix bodies with restrictions and several components are ordered
-        # inside the one key walk, not by normalizing them on their own
+        # inside the one key walk, not by canonicalising them on their own
         p = parse_process(
             "!a(x).(new r)(new s)(r<x> | s<x> | r(y).s(z).b<y>) | a<c> | a<d> | !b(w).(new t)(t<w> | t(u).0)"
         )
-        normalized = count_calls(monkeypatch, semantics.normalize)
+        normalized = count_calls(monkeypatch, semantics._canonical)
         fired = []
         fire = semantics._fire
 
@@ -425,6 +487,28 @@ class TestCertifiedRun:
         assert r.states_explored > 1
         # one walk per reached state, plus the precondition check of the start
         assert len(walks) == r.states_explored + 1
+
+    def test_each_stored_state_printed_once(self, monkeypatch):
+        env, p = self.server()
+        prints = count_calls(monkeypatch, semantics.pretty_process)
+        r = certified_run(env, p, 1000, 1000)
+        assert r.steps_explored > r.states_explored > 1
+        # every state once, plus the destination of each edge to a state
+        # reached before (the root has an edge, and no bound cut the run)
+        revisits = r.steps_explored - (r.states_explored - 1)
+        assert len(prints) == r.states_explored + revisits
+
+    def test_state_reached_again_prints_itself(self):
+        # both paths reach one state, which each spells with its tied
+        # components in its own order
+        p = parse_process("x<> | x().d().(b<> | c<>) | y<> | y().d().(c<> | b<>)")
+        types = {"x": "#2[Unit]", "y": "#2[Unit]", "d": "#1[Unit]", "b": "#0[Unit]", "c": "#0[Unit]"}
+        env = env_for(p, {n: parse_type(t) for n, t in types.items()})
+        r = certified_run(env, p, 100, 100)
+        assert [e.dst for e in r.measure_trace[2:]] == [
+            "d().(c<> | b<>) | d().(b<> | c<>)",
+            "d().(b<> | c<>) | d().(c<> | b<>)",
+        ]
 
     def test_unit_race_trace(self):
         p = parse_process("a<*> | a<*> | a().0")
