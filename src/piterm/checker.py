@@ -228,10 +228,16 @@ def annotation(p: Res) -> Type:
 def _weigh(env: TypeEnv, p: Process, ds: bool, levels: list[int]) -> None:
     """Type `p` under `env`; appends each output subject's declared level to
     `levels`, or to the list of its nearest enclosing replicated input, which
-    is checked against that list once its body is done."""
+    is checked against that list once its body is done. The components of a
+    `|` spine are typed left to right off a stack, one frame deep."""
     if isinstance(p, Par):
-        _weigh(env, p.left, ds, levels)
-        _weigh(env, p.right, ds, levels)
+        todo = [p]
+        while todo:
+            q = todo.pop()
+            if isinstance(q, Par):
+                todo += (q.right, q.left)
+            else:
+                _weigh(env, q, ds, levels)
     elif isinstance(p, Out):
         chan = subject_chan(env, p, OUT, ds)
         check_values(env, p, chan, ds)

@@ -85,10 +85,16 @@ def check_impure(env: ImpureEnv, p: Process) -> int:
 
 def _walk(scope: TypeEnv, functional: set[Name], isolated: Name | None, p: Process, levels: list[int]) -> None:
     """Type `p` where `isolated` is the name isolated, if any; appends each
-    output's level to `levels`, the list of its nearest enclosing input."""
+    output's level to `levels`, the list of its nearest enclosing input. The
+    components of a `|` spine are walked left to right off a stack."""
     if isinstance(p, Par):
-        _walk(scope, functional, isolated, p.left, levels)
-        _walk(scope, functional, isolated, p.right, levels)
+        todo = [p]
+        while todo:
+            q = todo.pop()
+            if isinstance(q, Par):
+                todo += (q.right, q.left)
+            else:
+                _walk(scope, functional, isolated, q, levels)
     elif isinstance(p, Out):
         chan = subject_chan(scope, p, OUT)
         check_values(scope, p, chan)

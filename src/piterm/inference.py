@@ -8,14 +8,21 @@ preorder; a locality check on the facts (no received name may be used as an
 input subject); one generator of level constraints over slots, a slot being
 a name with a payload path into its type; minimal level assignment by SCC
 condensation; and reconstruction of an environment that the checker
-accepts. `Unifier` is the one first-order unifier of the package; the lambda
-front end's simple typing runs on it too.
+accepts.
 
-Slots are numbered once per `infer`: 0 is the floor, a pseudo-slot pinned at
-level zero, then each root's type tree in preorder, roots in `Name.id` order.
-So ids follow `(root.id, path)`, and constraints, solving and reconstruction
-run on ints and lists. `infer` is the one way through the pipeline; `Slot`
-is only the public face of its visible graph and levels.
+Simple types live in one `TermStore` per run: a node is a kind, a label and
+a tuple of child ids in flat lists, and a variable is a node in a
+union-find (Tarjan 1975) whose representative is an unbound variable or a
+constructor. Unification (Robinson 1965), its occurs check and resolution
+are loops over ints. The store is the package's one first-order unifier:
+the lambda front end's simple typing runs on it too.
+
+Slots are numbered once per `infer`, straight off the store: 0 is the
+floor, a pseudo-slot pinned at level zero, then each root's resolved type
+tree in preorder, roots in `Name.id` order. So ids follow `(root.id, path)`,
+and constraints, solving and reconstruction run on ints and lists; the
+reconstructed types are built from the slots, with no simple-type object
+made on the way. `infer` is the one way through the pipeline.
 
 Output edges are `>=` and run down every nested payload position;
 replication edges are `>`. The public `LevelGraph` is a projection of this
@@ -23,13 +30,16 @@ one constraint system: the slots of free and restricted names down to their
 first payload positions, with received names as labels on their carrier's
 payload slot, and the constraints among those slots. ds-equality mode solves
 the same system with every `>=` edge also read backwards, so levels are
-equal along every flow.
+equal along every flow. An `InferResult` builds its graph, its visible
+levels (keyed by `Slot`) and its `SimpleType` typing only when first read.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .checker import TypeEnv, check
 from .errors import (
@@ -44,7 +54,6 @@ from .syntax import (
     NAT,
     OUT,
     SHARP,
-    STAR,
     UNIT,
     Add,
     ChanT,
@@ -65,6 +74,123 @@ from .syntax import (
     pretty_process,
     value_names,
 )
+
+# ---------------------------------------------------------------------------
+# The term store
+
+# node kinds: variables, then the constructors of simple types and of lambda types
+VAR, UNIT_K, NAT_K, CHAN, ARROW, BASE = range(6)
+
+
+class Mismatch(Exception):
+    """Unification failed at the representatives `a` and `b`: they clash, or
+    (`occurs`) the variable `a` occurs in `b`. The caller renders it."""
+
+    def __init__(self, a: int, b: int, occurs: bool = False):
+        super().__init__(a, b, occurs)
+        self.a, self.b, self.occurs = a, b, occurs
+
+
+class TermStore:
+    """First-order terms as ints. Node `i` has `kind[i]`, `args[i]` (its child
+    ids) and `label[i]` (a variable's number, counted from 1 in the order the
+    variables are made, or a base type's name); `up[i]` is its union-find
+    parent, `i` itself unless `i` is a bound variable. Constructors unify
+    when kind, label and arity agree."""
+
+    __slots__ = ("kind", "args", "label", "up", "_vars")
+
+    def __init__(self) -> None:
+        self.kind: list[int] = []
+        self.args: list[tuple[int, ...]] = []
+        self.label: list[object] = []
+        self.up: list[int] = []
+        self._vars = 0
+
+    def node(self, kind: int, args: tuple[int, ...] = (), label: object = None) -> int:
+        i = len(self.kind)
+        self.kind.append(kind)
+        self.args.append(args)
+        self.label.append(label)
+        self.up.append(i)
+        return i
+
+    def fresh(self) -> int:
+        self._vars += 1
+        return self.node(VAR, (), self._vars)
+
+    def find(self, t: int) -> int:
+        """The representative of `t`, with path compression."""
+        up = self.up
+        r = t
+        while up[r] != r:
+            r = up[r]
+        while up[t] != r:
+            up[t], t = r, up[t]
+        return r
+
+    def occurs(self, v: int, t: int) -> bool:
+        """Whether the variable `v` occurs in `t`; each node is walked once."""
+        kind, args, up = self.kind, self.args, self.up
+        seen: set[int] = set()
+        todo = [t]
+        while todo:
+            n = todo.pop()
+            while up[n] != n:
+                n = up[n]
+            if n == v:
+                return True
+            if kind[n] != VAR and n not in seen:
+                seen.add(n)
+                todo.extend(args[n])
+        return False
+
+    def unify(self, a: int, b: int) -> None:
+        """Make `a` and `b` equal, or raise `Mismatch`. Pairs are taken depth
+        first, left to right; a variable found first is bound to the other
+        side."""
+        kind, args, label, find = self.kind, self.args, self.label, self.find
+        todo = [(a, b)]
+        while todo:
+            a, b = todo.pop()
+            a, b = find(a), find(b)
+            if kind[a] == VAR:
+                if a == b:
+                    continue
+            elif kind[b] == VAR:
+                a, b = b, a
+            else:
+                xs, ys = args[a], args[b]
+                if kind[a] != kind[b] or label[a] != label[b] or len(xs) != len(ys):
+                    raise Mismatch(a, b)
+                if xs:
+                    todo.extend(zip(reversed(xs), reversed(ys)))
+                continue
+            if kind[b] != VAR and self.occurs(a, b):
+                raise Mismatch(a, b, occurs=True)
+            self.up[a] = b
+
+    def resolve(self, t: int, make, bound: bool = True):
+        """The tree of `t`, built bottom-up by `make(kind, label, args)` once
+        per node, every bound variable replaced by its value; with `bound`
+        false, variables stand for themselves."""
+        find = self.find if bound else (lambda n: n)
+        done: dict[int, object] = {}
+        todo = [find(t)]
+        while todo:
+            n = todo[-1]
+            if n in done:
+                todo.pop()
+                continue
+            kids = [find(c) for c in self.args[n]]
+            missing = [c for c in kids if c not in done]
+            if missing:
+                todo.extend(missing)
+                continue
+            todo.pop()
+            done[n] = make(self.kind[n], self.label[n], tuple(done[c] for c in kids))
+        return done[find(t)]
+
 
 # ---------------------------------------------------------------------------
 # Simple types
@@ -110,120 +236,97 @@ def pretty_simple(t: SimpleType) -> str:
     raise TypeError(f"not a simple type: {t!r}")
 
 
-class Unifier:
-    """First-order unification (Robinson 1965) over the terms of one type
-    language, given by its variable class `var` (with an int `id`), by
-    `split(t) -> (key, args)` for a constructor term, equal keys naming the
-    same constructor, and by `build(t, args)`, which rebuilds `t` on new
-    arguments. `occurs_error(uni, v, t)` and `clash_error(uni, a, b)` build
-    what is raised when `v` occurs in `t`, or when constructor terms `a` and
-    `b` differ in key or arity."""
-
-    def __init__(self, var, split, build, occurs_error, clash_error) -> None:
-        self.var, self.split, self.build = var, split, build
-        self.occurs_error, self.clash_error = occurs_error, clash_error
-        self.sub: dict[int, object] = {}
-        self._next = 0
-
-    def fresh(self):
-        self._next += 1
-        return self.var(self._next)
-
-    def find(self, t):
-        while isinstance(t, self.var) and t.id in self.sub:
-            t = self.sub[t.id]
-        return t
-
-    def _occurs(self, vid: int, t) -> bool:
-        t = self.find(t)
-        if isinstance(t, self.var):
-            return t.id == vid
-        return any(self._occurs(vid, x) for x in self.split(t)[1])
-
-    def unify(self, a, b) -> None:
-        a, b = self.find(a), self.find(b)
-        if isinstance(a, self.var):
-            if isinstance(b, self.var) and a.id == b.id:
-                return
-        elif isinstance(b, self.var):
-            a, b = b, a
-        else:
-            (ka, xs), (kb, ys) = self.split(a), self.split(b)
-            if ka != kb or len(xs) != len(ys):
-                raise self.clash_error(self, a, b)
-            for x, y in zip(xs, ys):
-                self.unify(x, y)
-            return
-        if self._occurs(a.id, b):
-            raise self.occurs_error(self, a, b)
-        self.sub[a.id] = b
-
-    def resolve(self, t):
-        t = self.find(t)
-        if isinstance(t, self.var):
-            return t
-        args = self.split(t)[1]
-        return self.build(t, tuple(map(self.resolve, args))) if args else t
+def _make_simple(kind: int, label, args: tuple) -> SimpleType:
+    if kind == VAR:
+        return SVar(label)
+    if kind == CHAN:
+        return SChan(args)
+    return S_NAT if kind == NAT_K else S_UNIT
 
 
-def _split_simple(t: SimpleType) -> tuple[type, tuple[SimpleType, ...]]:
-    return type(t), (t.payload if isinstance(t, SChan) else ())
+def _pretty_node(kind: int, label, args: tuple[str, ...]) -> str:
+    """`pretty_simple` of one store node, its payload already printed."""
+    if kind == VAR:
+        return f"?{label}"
+    if kind == CHAN:
+        return "ch[" + ", ".join(args) + "]"
+    return "Nat" if kind == NAT_K else "Unit"
 
 
-def _simple_clash(uni: Unifier, a: SimpleType, b: SimpleType) -> UnificationFailure:
-    if isinstance(a, SChan) and isinstance(b, SChan):
-        return UnificationFailure(f"arity clash: {pretty_simple(a)} vs {pretty_simple(b)}")
-    return UnificationFailure(
-        f"sort clash: {pretty_simple(uni.resolve(a))} vs {pretty_simple(uni.resolve(b))}"
-    )
+@dataclass
+class _Typing:
+    """The most general simple typing: each name's variable in the store, in
+    the order of first use."""
+
+    store: TermStore
+    var: dict[Name, int]
+
+    def simple(self) -> dict[Name, SimpleType]:
+        return {n: self.store.resolve(v, _make_simple) for n, v in self.var.items()}
+
+    def error(self, m: Mismatch) -> UnificationFailure:
+        def show(t: int, bound: bool = True) -> str:
+            return self.store.resolve(t, _pretty_node, bound)
+
+        if m.occurs:
+            return OccursCheckFailure(f"occurs check: ?{self.store.label[m.a]} inside {show(m.b)}")
+        if self.store.kind[m.a] == self.store.kind[m.b] == CHAN:
+            return UnificationFailure(f"arity clash: {show(m.a, False)} vs {show(m.b, False)}")
+        return UnificationFailure(f"sort clash: {show(m.a)} vs {show(m.b)}")
 
 
-def _value_simple(v: Value, var, uni: Unifier) -> SimpleType:
-    if isinstance(v, Star):
-        return S_UNIT
-    if isinstance(v, NatLit):
-        return S_NAT
+_UNIT_NODE, _NAT_NODE = 0, 1  # the first two nodes of `_simple_types`' store
+
+
+def _value_node(st: TermStore, var, v: Value) -> int:
+    """The store node of a value's simple type; arithmetic unifies both of
+    its operands with Nat."""
     if isinstance(v, NameRef):
         return var(v.name)
+    if isinstance(v, Star):
+        return _UNIT_NODE
+    if isinstance(v, NatLit):
+        return _NAT_NODE
     if isinstance(v, (Add, Mul)):
-        uni.unify(_value_simple(v.left, var, uni), S_NAT)
-        uni.unify(_value_simple(v.right, var, uni), S_NAT)
-        return S_NAT
+        st.unify(_value_node(st, var, v.left), _NAT_NODE)
+        st.unify(_value_node(st, var, v.right), _NAT_NODE)
+        return _NAT_NODE
     raise TypeError(f"not a value: {v!r}")
 
 
-def _simple_types(facts: _Facts) -> dict[Name, SimpleType]:
-    """The most general simple typing, one resolved type per name: first-order
-    unification over the uses of every name, in the preorder of the fact
-    walk; restricted names default to channels (of a fresh payload) when
-    nothing constrains them."""
-    uni = Unifier(
-        SVar,
-        _split_simple,
-        lambda t, payload: SChan(payload),
-        lambda uni, v, t: OccursCheckFailure(f"occurs check: ?{v.id} inside {pretty_simple(uni.resolve(t))}"),
-        _simple_clash,
-    )
-    vars_: dict[Name, SVar] = {}
+def _simple_types(facts: _Facts) -> _Typing:
+    """The most general simple typing: first-order unification over the uses
+    of every name, in the preorder of the fact walk; restricted names default
+    to channels (of a fresh payload) when nothing constrains them."""
+    st = TermStore()
+    for k in (UNIT_K, NAT_K):  # nodes _UNIT_NODE and _NAT_NODE
+        st.node(k)
+    var_of: dict[Name, int] = {}
+    fresh, node, unify = st.fresh, st.node, st.unify
 
-    def var(n: Name) -> SVar:
-        if n not in vars_:
-            vars_[n] = uni.fresh()
-        return vars_[n]
+    def var(n: Name) -> int:
+        v = var_of.get(n)
+        if v is None:
+            v = var_of[n] = fresh()
+        return v
 
-    for q in facts.nodes:
-        if isinstance(q, Res):
-            var(q.name)
-            continue
-        if isinstance(q, Out):
-            payload = tuple(_value_simple(v, var, uni) for v in q.payload or (STAR,))
-        else:
-            payload = tuple(map(var, q.binders)) or (S_UNIT,)
-        uni.unify(var(q.subject), SChan(payload))
-    for n in facts.restricted:
-        if isinstance(uni.find(var(n)), SVar):
-            uni.unify(var(n), SChan((uni.fresh(),)))
-    return {n: uni.resolve(v) for n, v in vars_.items()}
+    typing = _Typing(st, var_of)
+    try:
+        for q in facts.nodes:
+            if isinstance(q, Res):
+                var(q.name)
+                continue
+            if isinstance(q, Out):
+                payload = tuple([_value_node(st, var, v) for v in q.payload]) if q.payload else (_UNIT_NODE,)
+            else:
+                payload = tuple(map(var, q.binders)) or (_UNIT_NODE,)
+            unify(var(q.subject), node(CHAN, payload))
+        for n in facts.restricted:
+            if st.kind[st.find(var_of[n])] == VAR:
+                unify(var_of[n], node(CHAN, (fresh(),)))
+    except Mismatch as m:
+        raise typing.error(m) from None
+    return typing
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +396,7 @@ def _facts(p: Process) -> _Facts:
 # The level constraint system
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Slot:
     """A level variable: a name together with a payload path into its type."""
 
@@ -303,7 +406,7 @@ class Slot:
 
 @dataclass
 class LevelGraph:
-    nodes: dict[Slot, set[str]] = field(default_factory=dict)  # label sets
+    nodes: dict[Slot, frozenset[str]] = field(default_factory=dict)  # label sets
     edges: set[tuple[Slot, Slot, bool]] = field(default_factory=set)
     display: dict[Slot, str] = field(default_factory=dict)
 
@@ -321,19 +424,18 @@ class LevelGraph:
 
 
 class _NameInfo:
-    """The name facts of a process with its simple types: roots, carriers,
-    displays and the slot ids. Preorder skips `Nat` positions and
-    `Unit`/`Nat` roots; `children[s]` holds the ids of the payload positions
-    of slot `s`, None at a `Nat` position."""
+    """The name facts of a process with its simple typing: roots, displays,
+    the slots, numbered off the store, and the slot of each name that has
+    one. Preorder skips `Nat` positions and `Unit`/`Nat` roots (their type is
+    in `plain`); `kinds[s]` is the store kind of slot `s` (`CHAN`, `VAR` or
+    `UNIT_K`) and `children[s]` holds the ids of its payload positions, None
+    at a `Nat` position."""
 
-    def __init__(self, env: dict[Name, SimpleType], facts: _Facts):
-        self.env = env
+    def __init__(self, typing: _Typing, facts: _Facts):
         self.facts = facts
         self.roots: list[Name] = sorted(
             facts.free | set(facts.restricted), key=lambda n: (n.display, n.id)
         )
-        self.rootset = set(self.roots)
-        self.carrier: dict[Name, tuple[Name, int]] = {x: (a, i) for a, i, x in facts.receptions}
         # displays, qualified when distinct roots share a spelling
         seen: dict[str, int] = {}
         self.root_display: dict[Name, str] = {}
@@ -341,35 +443,47 @@ class _NameInfo:
             k = seen.get(n.display, 0)
             seen[n.display] = k + 1
             self.root_display[n] = n.display if k == 0 else f"{n.display}~{k}"
-        self.children: list[list[int | None]] = [[]]
+        self.kinds: list[int | None] = [None]
+        self.children: list[Sequence[int | None]] = [()]
         self.root_slot: dict[Name, int] = {}
+        self.plain: dict[Name, Type] = {}
+        store = typing.store
+        kind, args, find = store.kind, store.args, store.find
+        kinds, children = self.kinds, self.children
         for n in sorted(self.roots, key=lambda n: n.id):
-            t = self.type_of(n)
-            if isinstance(t, (SChan, SVar)):
-                self.root_slot[n] = self._number(t)
+            v = typing.var.get(n)
+            k = UNIT_K if v is None else kind[find(v)]
+            if k != CHAN and k != VAR:
+                self.plain[n] = NAT if k == NAT_K else UNIT
+                continue
+            # number the resolved tree of `v` in preorder
+            top: list[int | None] = [None]
+            todo: list[tuple[int, list, int]] = [(v, top, 0)]
+            while todo:
+                t, into, i = todo.pop()
+                t = find(t)
+                into[i] = len(children)
+                k = kind[t]
+                kinds.append(k)
+                if k != CHAN:
+                    children.append(())
+                    continue
+                payload = args[t]
+                kids: list[int | None] = [None] * len(payload)
+                children.append(kids)
+                for j in range(len(payload) - 1, -1, -1):  # the first position is numbered first
+                    c = find(payload[j])
+                    if kind[c] != NAT_K:
+                        todo.append((c, kids, j))
+            self.root_slot[n] = top[0]
         self._starts = list(self.root_slot.values())
         self._owners = list(self.root_slot)
-
-    def _number(self, t: SimpleType) -> int:
-        sid = len(self.children)
-        kids: list[int | None] = []
-        self.children.append(kids)
-        if isinstance(t, SChan):
-            kids.extend(None if isinstance(pt, SNat) else self._number(pt) for pt in t.payload)
-        return sid
-
-    def type_of(self, n: Name) -> SimpleType:
-        return self.env.get(n, S_UNIT)
-
-    def slot_of(self, n: Name) -> int | None:
-        """The level variable standing for a name, if it has one."""
-        if n in self.rootset:
-            return self.root_slot.get(n)
-        if n in self.carrier:
-            a, i = self.carrier[n]
-            if a in self.root_slot:
-                return self.children[self.root_slot[a]][i]
-        return None
+        # the level variable of each name that has one: a root's own slot, a
+        # received name's is its carrier's payload position
+        self.slot: dict[Name, int] = dict(self.root_slot)
+        for a, i, x in facts.receptions:
+            if a in self.root_slot and children[self.root_slot[a]][i] is not None:
+                self.slot[x] = children[self.root_slot[a]][i]
 
     def display(self, sid: int) -> str:
         if sid == 0:
@@ -388,37 +502,44 @@ def _extended_constraints(info: _NameInfo) -> set[tuple[int, int, bool]]:
     what it carries (down every nested position), replication edges `>` from
     a replicated subject to the outputs of its body, and a floor that keeps
     replicated subjects above zero."""
-    children = info.children
+    children, slot_of = info.children, info.slot.get
     edges: set[tuple[int, int, bool]] = set()
 
     def le(a: int, b: int) -> None:
-        # levels of the type sitting at `a` fit below those at `b`
-        edges.add((b, a, False))
-        for i, c in enumerate(children[a]):
-            if c is not None:
-                le(children[b][i], c)
+        # levels of the type sitting at `a` fit below those at `b`, and so
+        # down every payload position
+        todo = [(a, b)]
+        while todo:
+            a, b = todo.pop()
+            edges.add((b, a, False))
+            for i, c in enumerate(children[a]):
+                if c is not None:
+                    todo.append((children[b][i], c))
 
     for q in info.facts.nodes:
-        subj = info.slot_of(q.subject) if isinstance(q, Out) else None
+        subj = slot_of(q.subject) if isinstance(q, Out) else None
         if subj is None:
             continue
         for i, v in enumerate(q.payload):
             if not isinstance(v, NameRef):
                 continue
-            tgt = info.slot_of(v.name)
+            tgt = slot_of(v.name)
             if tgt is not None:
                 le(tgt, children[subj][i])
 
     for a, served in info.facts.replicated:
-        src = info.slot_of(a)
+        src = slot_of(a)
         if src is None:
             continue
         for w in served:
-            dst = info.slot_of(w)
+            dst = slot_of(w)
             if dst is not None:
                 edges.add((src, dst, True))
         edges.add((src, 0, True))
     return edges
+
+
+_NO_LABELS: frozenset[str] = frozenset()
 
 
 def _project(
@@ -435,12 +556,12 @@ def _project(
         tops += [(c, (i,), f"son{i}({top})") for i, c in enumerate(info.children[sid]) if c is not None]
         for s, path, text in tops:
             visible[s] = Slot(n, path)
-            g.nodes[visible[s]] = set()
+            g.nodes[visible[s]] = _NO_LABELS
             g.display[visible[s]] = text
     for _, _, x in info.facts.receptions:
-        sid = info.slot_of(x)
+        sid = info.slot.get(x)
         if sid in visible:
-            g.nodes[visible[sid]].add(x.display)
+            g.nodes[visible[sid]] |= {x.display}
     g.edges = {
         (visible[s], visible[d], strict) for s, d, strict in edges if s in visible and d in visible
     }
@@ -555,38 +676,50 @@ def _reconstruct(p: Process, info: _NameInfo, levels: list[int]) -> tuple[TypeEn
     subjects and restricted names, output capability elsewhere and on every
     carried type; residual type variables become Unit."""
     sharp = info.facts.input_subjects | set(info.facts.restricted)
-    children = info.children
-
-    def build(sid: int | None, t: SimpleType, cap: str) -> Type:
-        if isinstance(t, SUnit):
-            return UNIT
-        if isinstance(t, SNat):
-            return NAT
-        if isinstance(t, SVar):
+    cap_of = {sid: SHARP for n, sid in info.root_slot.items() if n in sharp}
+    kinds, children = info.kinds, info.children
+    # preorder puts every payload slot after its parent: build from the last
+    built: list[Type] = [UNIT] * len(children)
+    for sid in range(len(children) - 1, 0, -1):
+        k = kinds[sid]
+        if k == CHAN:
+            payload = tuple(NAT if c is None else built[c] for c in children[sid])
+        elif k == VAR:
             # an unconstrained slot still owns a level; its residual payload
             # variable is instantiated to Unit
-            return ChanT(cap, levels[sid], (UNIT,))
-        payload = tuple(build(c, pt, OUT) for c, pt in zip(children[sid], t.payload))
-        return ChanT(cap, levels[sid], payload)
+            payload = (UNIT,)
+        else:
+            continue
+        built[sid] = ChanT(cap_of.get(sid, OUT), levels[sid], payload)
 
     def type_of_root(n: Name) -> Type:
-        cap = SHARP if n in sharp else OUT
-        return build(info.root_slot.get(n), info.type_of(n), cap)
+        sid = info.root_slot.get(n)
+        return info.plain[n] if sid is None else built[sid]
 
     tenv = TypeEnv({n: type_of_root(n) for n in info.facts.free})
 
-    def annotate(q: Process) -> Process:
-        if isinstance(q, Par):
-            return Par(annotate(q.left), annotate(q.right))
-        if isinstance(q, In):
-            return In(q.subject, q.binders, annotate(q.body))
-        if isinstance(q, RepIn):
-            return RepIn(q.subject, q.binders, annotate(q.body))
-        if isinstance(q, Res):
-            return Res(q.name, type_of_root(q.name), q.functional, annotate(q.body))
-        return q
-
-    return tenv, annotate(p)
+    # rebuilt after its parts, with a stack: neither `|` width nor prefix
+    # depth recurses
+    done: list[Process] = []
+    todo: list[tuple[Process, bool]] = [(p, False)]
+    while todo:
+        q, ready = todo.pop()
+        cls = type(q)
+        if cls is Par:
+            if ready:
+                right = done.pop()
+                done[-1] = Par(done[-1], right)
+            else:
+                todo += ((q, True), (q.right, False), (q.left, False))
+        elif cls is not In and cls is not RepIn and cls is not Res:
+            done.append(q)
+        elif not ready:
+            todo += ((q, True), (q.body, False))
+        elif cls is Res:
+            done[-1] = Res(q.name, type_of_root(q.name), q.functional, done[-1])
+        else:
+            done[-1] = cls(q.subject, q.binders, done[-1])
+    return tenv, done[0]
 
 
 # ---------------------------------------------------------------------------
@@ -597,40 +730,68 @@ FLEXIBLE = "flexible"
 DS_EQUALITY = "ds-equality"
 
 
-@dataclass
 class InferResult:
-    env: TypeEnv
-    process: Process  # with reconstructed annotations
-    weight: int
-    graph: LevelGraph
-    levels: dict[Slot, int]  # restricted to the visible graph nodes
-    simple: dict[Name, SimpleType]  # the most general simple typing
+    """What `infer` returns. `graph` (the visible `LevelGraph`), `levels`
+    (its nodes' levels, sharing its `Slot`s) and `simple` (the most general
+    simple typing as `SimpleType`s) are built when first read."""
+
+    def __init__(
+        self,
+        env: TypeEnv,
+        process: Process,
+        weight: int,
+        info: _NameInfo,
+        typing: _Typing,
+        edges: set[tuple[int, int, bool]],
+        levels: list[int],
+    ):
+        self.env = env
+        self.process = process  # with reconstructed annotations
+        self.weight = weight
+        self._info, self._typing, self._edges, self._levels = info, typing, edges, levels
+
+    @cached_property
+    def _visible(self) -> tuple[LevelGraph, dict[int, Slot]]:
+        visible = _project(self._info, self._edges)
+        del self._info, self._edges  # the projection was their last reader
+        return visible
+
+    @property
+    def graph(self) -> LevelGraph:
+        return self._visible[0]
+
+    @cached_property
+    def levels(self) -> dict[Slot, int]:
+        """Levels of the visible graph nodes."""
+        return {slot: self._levels[sid] for sid, slot in self._visible[1].items()}
+
+    @cached_property
+    def simple(self) -> dict[Name, SimpleType]:
+        return self._typing.simple()
 
 
 def infer(p: Process, mode: str = FLEXIBLE) -> InferResult:
     """Full inference; raises NotLocalised, UnificationFailure,
     OccursCheckFailure or CyclicLevelConstraint on untypable input."""
     facts = _facts(p)
-    env = _simple_types(facts)
+    typing = _simple_types(facts)
     bad = facts.non_local()
     if bad:
         raise NotLocalised(
             f"received name(s) used as input subject: {', '.join(sorted(n.display for n in bad))}",
             where=pretty_process(p),
         )
-    info = _NameInfo(env, facts)
-    edges = _extended_constraints(info)
-    graph, visible = _project(info, edges)
+    info = _NameInfo(typing, facts)
+    edges = solved = _extended_constraints(info)
     if mode == DS_EQUALITY:
         # every `>=` flow also holds backwards: levels are equal along it
-        edges = edges | {(dst, src, False) for src, dst, strict in edges if not strict}
+        solved = edges | {(dst, src, False) for src, dst, strict in edges if not strict}
     elif mode != FLEXIBLE:
         raise ValueError(f"unknown inference mode {mode!r}")
-    levels = _least_levels(len(info.children), edges, info.display)
+    levels = _least_levels(len(info.children), solved, info.display)
     tenv, annotated = _reconstruct(p, info, levels)
     try:
         weight = check(tenv, annotated)  # inference soundness: must hold
     except IllTyped as exc:
         raise InternalError(f"inference built a typing its checker rejects: {exc.render()}") from exc
-    levels_of = {slot: levels[sid] for sid, slot in visible.items()}
-    return InferResult(tenv, annotated, weight, graph, levels_of, env)
+    return InferResult(tenv, annotated, weight, info, typing, edges, levels)

@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import IllTypedLambda, ParseError
-from .inference import Unifier
+from .inference import ARROW, BASE, VAR, Mismatch, TermStore
 from .parser import _NAME_START, _Parser
 from .syntax import In, Name, NameRef, Out, Par, Process, RepIn, Res, fresh
 
@@ -187,53 +187,57 @@ def parse_lambda_file(text: str) -> tuple[dict[str, LambdaType], LambdaTerm]:
 # Simple typing
 
 
-def _split_lam(t: LambdaType) -> tuple[object, tuple[LambdaType, ...]]:
+def _make_lambda(kind: int, label, args: tuple) -> LambdaType:
+    if kind == VAR:
+        return LTVar(label)
+    if kind == ARROW:
+        return LArrow(*args)
+    return LBase(label)
+
+
+def _declared(st: TermStore, t: LambdaType) -> int:
     if isinstance(t, LArrow):
-        return LArrow, (t.left, t.right)
-    return t, ()  # a base type is its own key
+        return st.node(ARROW, (_declared(st, t.left), _declared(st, t.right)))
+    if isinstance(t, LBase):
+        return st.node(BASE, (), t.name)
+    raise TypeError(f"not a declared lambda type: {t!r}")
 
 
-def _lam_clash(uni: Unifier, a: LambdaType, b: LambdaType) -> IllTypedLambda:
-    return IllTypedLambda(
-        f"cannot unify {pretty_lambda_type(uni.resolve(a))} with "
-        f"{pretty_lambda_type(uni.resolve(b))}"
-    )
+def _stlc(st: TermStore, free_ctx: dict[str, int], term: LambdaTerm, bound: dict[str, int]) -> int:
+    if isinstance(term, LVar):
+        if term.name in bound:
+            return bound[term.name]
+        if term.name not in free_ctx:
+            free_ctx[term.name] = st.fresh()
+        return free_ctx[term.name]
+    if isinstance(term, LAbs):
+        a = st.fresh()
+        inner = dict(bound)
+        inner[term.var] = a
+        r = _stlc(st, free_ctx, term.body, inner)
+        return st.node(ARROW, (a, r))
+    if isinstance(term, LApp):
+        tf = _stlc(st, free_ctx, term.fn, bound)
+        ta = _stlc(st, free_ctx, term.arg, bound)
+        res = st.fresh()
+        st.unify(tf, st.node(ARROW, (ta, res)))
+        return res
+    raise TypeError(f"not a lambda term: {term!r}")
 
 
 def check_stlc(delta: dict[str, LambdaType], m: LambdaTerm) -> LambdaType:
     """Principal simple type of `m`; free variables missing from `delta` get
-    fresh type variables shared across all their occurrences."""
-    uni = Unifier(
-        LTVar,
-        _split_lam,
-        lambda t, args: LArrow(*args),
-        lambda uni, v, t: IllTypedLambda("occurs check failed: recursive type required"),
-        _lam_clash,
-    )
-    free_ctx: dict[str, LambdaType] = dict(delta)
-
-    def infer(term: LambdaTerm, bound: dict[str, LambdaType]) -> LambdaType:
-        if isinstance(term, LVar):
-            if term.name in bound:
-                return bound[term.name]
-            if term.name not in free_ctx:
-                free_ctx[term.name] = uni.fresh()
-            return free_ctx[term.name]
-        if isinstance(term, LAbs):
-            a = uni.fresh()
-            inner = dict(bound)
-            inner[term.var] = a
-            r = infer(term.body, inner)
-            return LArrow(a, r)
-        if isinstance(term, LApp):
-            tf = infer(term.fn, bound)
-            ta = infer(term.arg, bound)
-            res = uni.fresh()
-            uni.unify(tf, LArrow(ta, res))
-            return res
-        raise TypeError(f"not a lambda term: {term!r}")
-
-    return uni.resolve(infer(m, {}))
+    fresh type variables shared across all their occurrences. The unification
+    runs on an `inference.TermStore`."""
+    st = TermStore()
+    free_ctx = {x: _declared(st, t) for x, t in delta.items()}
+    try:
+        return st.resolve(_stlc(st, free_ctx, m, {}), _make_lambda)
+    except Mismatch as e:
+        if e.occurs:
+            raise IllTypedLambda("occurs check failed: recursive type required") from None
+        a, b = (pretty_lambda_type(st.resolve(t, _make_lambda)) for t in (e.a, e.b))
+        raise IllTypedLambda(f"cannot unify {a} with {b}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -277,6 +277,27 @@ class TestInternalErrors:
         assert code == 0
         assert out.splitlines()[:2] == ["VERDICT=Terminated", "STEPS=0"]
 
+    @pytest.mark.parametrize("flags", [[], ["--ds"], ["--impure"]])
+    def test_check_wide_spine(self, capsys, tmp_path, flags):
+        # the typing walks take the components of a `|` spine off a stack
+        (tmp_path / "wide.pi").write_text(" | ".join(["a0<*>"] * 10**4) + "\n")
+        (tmp_path / "wide.env").write_text("a0 : #2[Unit]\n")
+        started = time.perf_counter()
+        code, out = run(capsys, "check", tmp_path / "wide.pi", *flags, "--format=lines")
+        assert time.perf_counter() - started < 10.0  # well under 0.5 s on a 2-CPU host
+        assert code == 0
+        assert out.splitlines()[:2] == ["VERDICT=Accepted", "WEIGHT=2"]
+
+    def test_infer_wide_spine(self, capsys, tmp_path):
+        # every inference phase and the re-check walk the `|` spine without
+        # recursion
+        (tmp_path / "wide.pi").write_text(" | ".join(["a<b>"] * 10**4) + "\n")
+        started = time.perf_counter()
+        code, out = run(capsys, "infer", tmp_path / "wide.pi", "--format=lines")
+        assert time.perf_counter() - started < 10.0  # well under 1 s on a 2-CPU host
+        assert code == 0
+        assert out.splitlines()[:2] == ["VERDICT=Accepted", "WEIGHT=0"]
+
 
 class TestStateBudgetEnvVar:
     @staticmethod

@@ -441,8 +441,29 @@ class TestInferPipeline:
         # the returned levels share those objects
         built = count_calls(monkeypatch, Slot)
         result = infer(parse_process("!a(x).b<x> | a<c> | new s.(d<s> | s(y).y<*>)"), mode)
+        result.graph  # built on first access
         assert len(built) == len(result.graph.nodes)
         assert set(map(id, result.levels)) == set(map(id, result.graph.nodes))
+
+    @pytest.mark.parametrize("mode", [FLEXIBLE, DS_EQUALITY])
+    def test_graph_levels_and_simple_built_on_first_read(self, monkeypatch, mode):
+        # a plain `infer` projects no graph, builds no `Slot` and resolves no
+        # `SimpleType`; the first read builds each once, and they share slots
+        projected = count_calls(monkeypatch, inference._project)
+        built = count_calls(monkeypatch, Slot)
+        resolved = count_calls(monkeypatch, SChan)
+        result = infer(parse_process("!a(x).b<x> | a<c> | new s.(d<s> | s(y).y<*>)"), mode)
+        assert (projected, built, resolved) == ([], [], [])
+        graph = result.graph
+        assert len(projected) == 1 and len(built) == len(graph.nodes) == 9
+        levels = result.levels
+        assert result.graph is graph and result.levels is levels
+        assert len(projected) == 1 and len(built) == 9
+        assert set(map(id, levels)) == set(map(id, graph.nodes))
+        assert resolved == []
+        simple = result.simple
+        assert resolved and result.simple is simple
+        assert simple == _simple_types(_facts(result.process)).simple()
 
     def test_alpha_invariant_across_reparses(self):
         # two parses of the same source differ only in name identities
@@ -453,6 +474,33 @@ class TestInferPipeline:
             t2 = {n.display: pretty_type(t) for n, t in r2.env.items()}
             assert t1 == t2 and r1.weight == r2.weight
             assert r1.graph.dump() == r2.graph.dump()
+
+
+class TestTypeDepth:
+    """Unification, its occurs check and the slot numbering are loops: type
+    depth 10^3 at the default recursion limit."""
+
+    N = 1000
+
+    def chain(self, tail: str = ""):
+        # a0<a1> | a1<a2> | ... | a999<a1000>: a0 is a channel 10^3 deep
+        return parse_process(" | ".join(f"a{i}<a{i+1}>" for i in range(self.N)) + tail)
+
+    def test_simple_types_and_numbering(self):
+        p = self.chain()
+        facts = _facts(p)
+        typing = _simple_types(facts)
+        info = inference._NameInfo(typing, facts)
+        names = by_display(p)
+        # a_i owns a tree of N - i + 1 slots: the floor plus 1 + 2 + ... + (N + 1)
+        assert len(info.children) == 1 + (self.N + 1) * (self.N + 2) // 2
+        deepest = info.root_slot[names["a0"]] + self.N
+        assert info.display(deepest) == "son0(" * self.N + "a0" + ")" * self.N
+        assert info.kinds[deepest] == inference.VAR
+
+    def test_occurs_check_at_depth(self):
+        with pytest.raises(OccursCheckFailure, match=r"occurs check: \?\d+ inside ch\[ch\["):
+            _simple_types(_facts(self.chain(f" | a{self.N}<a0>")))
 
 
 # ---------------------------------------------------------------------------
@@ -498,7 +546,7 @@ def enumeration_typable(p, max_level: int = 3) -> bool:
     """Oracle: does any level assignment over the inferred skeleton, with full
     capability at the top and output capabilities below, satisfy the checker?"""
     try:
-        env = _simple_types(_facts(p))
+        env = _simple_types(_facts(p)).simple()
     except UnificationFailure:
         return False
     roots, slots = skeleton_slots(p, env)
@@ -919,7 +967,7 @@ def unify_line(kind: str, decls, subject) -> str:
             outcome = pretty_lambda_type(check_stlc(decls, subject))
         else:
             head = f"{kind}\t{pretty_process(subject)}"
-            env = _simple_types(_facts(subject))
+            env = _simple_types(_facts(subject)).simple()
             outcome = " ".join(f"{n.display}:{pretty_simple(t)}" for n, t in env.items())
     except PiError as exc:
         outcome = f"{type(exc).__name__}: {exc.message}"
