@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import random
+import tempfile
 import time
 from pathlib import Path
 
@@ -35,6 +38,7 @@ from piterm.syntax import (
     fresh,
     par,
     pretty_process,
+    pretty_type,
 )
 
 from conftest import FIXTURES, assert_golden, count_calls, oracle_key, scope_parts, typed_instance
@@ -584,3 +588,76 @@ def write_keys_golden() -> None:
 class TestKeysGolden:
     def test_keys_unchanged(self):
         assert_golden(KEYS_GOLDEN, keys_text())
+
+
+# ---------------------------------------------------------------------------
+# Golden record of `piterm run --format=lines`, with `--certify` where a typing
+# is known: fixed-seed `random_ast`, `scoped_process` and `typed_instance`
+# processes, and pairs, echo and replicator shapes, each with its full TRACE
+# and WITNESS. It pins which copy of congruent components a stored state keeps
+# and prints. Regenerate it (only for a deliberate change of output) with
+#   PYTHONPATH=src:tests python -c "import test_semantics as t; t.write_runs_golden()"
+
+RUNS_GOLDEN = Path(__file__).resolve().parent / "golden" / "runs.txt"
+RUNS_SEED = 14
+RUNS_STATES = 40
+
+
+def runs_cases() -> list[tuple[str, str, str | None]]:
+    """(label, process text, environment text or None), in golden-file order."""
+    rng = random.Random(RUNS_SEED)
+    cases: list[tuple[str, str, str | None]] = []
+    # three side by side, so that their free names meet in redexes once printed
+    cases += [("ast", pretty_process(par(*(random_ast(rng, 4) for _ in range(3)))), None) for _ in range(60)]
+    a, b = fresh("a"), fresh("b")
+    cases += [("scoped", pretty_process(scoped_process(rng, [a, b], rng.randint(0, 4), 2, 2)), None) for _ in range(30)]
+    for _ in range(60):
+        env, p, _ = typed_instance(rng, fuel=rng.randrange(8, 17))
+        free = sorted(free_names(p), key=lambda n: n.display)
+        spellings = [n.display for n in free]
+        # a typing is known only when the printed spellings keep free names apart
+        known = len(set(spellings)) == len(spellings)
+        decls = "".join(f"{n.display} : {pretty_type(env.bindings[n])}\n" for n in free) if known else None
+        cases.append(("typed", pretty_process(p), decls))
+        # beside a copy of itself: every component has a congruent twin
+        cases.append(("typed twice", pretty_process(par(p, p)), decls))
+    pairs = " | ".join(f"a{k}<> | a{k}().0" for k in range(1, 5))
+    cases.append(("pairs", pairs, "".join(f"a{k} : #1[Unit]\n" for k in range(1, 5))))
+    cases.append(("pairs", "a<v> | a<v> | a(x).x<> | a(y).y<> | !v(z).0", None))
+    cases.append(("pairs", "a<> | a<> | a<> | a().0 | a().0 | b<> | b<*> | b(x).0", None))
+    cases.append(("echo", "!e(x).e<x> | e<v> | a<> | a().0", None))
+    cases.append(("echo", "!e(x).e<x> | e<v> | e<v> | !f(y).f<y> | f<w>", None))
+    cases.append(("replicator", "!a(x).(a<x> | a<x>) | a<v>", None))
+    cases.append(("replicator", "!a(x).(a<x> | b<x>) | a<v> | b(y).0 | b(z).0", None))
+    cases.append(("server", (FIXTURES / "server.pi").read_text(), (FIXTURES / "server.env").read_text()))
+    return cases
+
+
+def runs_text(directory: Path) -> str:
+    from piterm.cli import main
+
+    sections = []
+    for n, (label, text, decls) in enumerate(runs_cases()):
+        pi = directory / f"run{n:03d}.pi"
+        pi.write_text(text + "\n", encoding="utf-8")
+        argv = ["run", str(pi), "--max-states", str(RUNS_STATES), "--format=lines"]
+        if decls is not None:
+            env = directory / f"run{n:03d}.env"
+            env.write_text(decls, encoding="utf-8")
+            argv += ["--certify", str(env)]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+        source = text.strip().replace("\n", " ")
+        sections.append(f"$ {label}{' --certify' if decls is not None else ''}: {source}\n{out.getvalue()}exit {code}\n")
+    return "".join(sections)
+
+
+def write_runs_golden() -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        RUNS_GOLDEN.write_text(runs_text(Path(tmp)), encoding="utf-8")
+
+
+class TestRunsGolden:
+    def test_runs_unchanged(self, tmp_path):
+        assert_golden(RUNS_GOLDEN, runs_text(tmp_path))
