@@ -29,18 +29,27 @@ exchanges of two names; symmetries that are not (a ring `a<b> | b<c> | c<a>`
 of restricted names, say) still branch once per symmetric candidate.
 
 Reduction pairs each top-level output with the (replicated) inputs on its
-subject, found through an index by subject. An exploration keeps one store of
-components for the whole run, the component reuse of hash-consing (Conchon &
-Filliâtre, "Type-safe modular hash-consing", 2006) kept to one run: a
-successor keeps the components that did not fire as the same objects and
-flattens only the fired body, so each component's free names are computed
-once and its top-level serial once per labelling of those names. The store is
-dropped when the run returns. Each stored state is printed once.
+subject, found through an index by subject. Components are sorted by serial,
+so congruent ones sit side by side: of a run of congruent outputs, or of
+congruent plain inputs, only the last fires, since the others give the same
+successors. An exploration keeps one store of components for the whole run,
+the component reuse of hash-consing (Conchon & Filliâtre, "Type-safe modular
+hash-consing", 2006) kept to one run: a successor keeps the components that
+did not fire as the same objects and flattens only the fired body, so each
+component's free names are computed once and its top-level serial once per
+labelling of those names. A normal form keeps its components' top-level
+serials. When neither a state nor the fired body has a restriction, the
+successor's key is spliced from the state's sorted serials, the way explicit-
+state model checkers hash a state from its parent's hash (Nguyen & Ruys,
+"Incremental Hashing for SPIN", 2008); only roots and restricted successors
+are canonicalised. The store is dropped when the run returns. Each stored
+state is printed once.
 """
 
 from __future__ import annotations
 
 import enum
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -79,6 +88,7 @@ class NormalProcess:
     restrictions: tuple[Restriction, ...]
     components: tuple[Process, ...]
     key: str
+    serials: tuple[str, ...]  # each component's top-level serial, in the order of `components`
 
     def rebuild(self) -> Process:
         return _wrap(self.restrictions, self.components)
@@ -159,7 +169,9 @@ class _Canon:
     of its own (ordered by a search). An exploration keeps one store, so a
     component that a step leaves in place is not serialised again. The free
     names of a component are computed once. Each table keyed by `id` holds
-    the object whose id it is, so no id is reused while the store lives."""
+    the object whose id it is, so no id is reused while the store lives.
+    A successor that `step` splices takes the serials of the components it
+    keeps from its parent, and asks the store only for those of the fired body."""
 
     def __init__(self) -> None:
         self.free: dict[int, tuple[Process, set[int]]] = {}
@@ -352,7 +364,22 @@ def _canonical(canon: _Canon, restrictions: list[Restriction], comps: list[Proce
     serials = sorted([(canon.comp(c, env, [0]), k) for k, c in enumerate(comps)])
     head = "new[" + ",".join(_res_tag(r) for r in ordered) + "]"
     key = head + ";" + "|".join(s for s, _ in serials)
-    return NormalProcess(ordered, tuple([comps[k] for _, k in serials]), key)
+    return NormalProcess(ordered, tuple([comps[k] for _, k in serials]), key, tuple([s for s, _ in serials]))
+
+
+def _splice(canon: _Canon, np: NormalProcess, gone: tuple[int, ...], added: list[Process]) -> NormalProcess:
+    """The canonical form of a restriction-free `np` less the components at
+    `gone`, plus `added`, none restricted, each put after every equal serial:
+    the order `_canonical`'s sort gives when `added` follow the kept ones."""
+    serials, comps = list(np.serials), list(np.components)
+    for k in sorted(gone, reverse=True):
+        del serials[k], comps[k]
+    for c in added:
+        s = canon.comp(c, {}, [0])
+        at = bisect_right(serials, s)
+        serials.insert(at, s)
+        comps.insert(at, c)
+    return NormalProcess((), tuple(comps), "new[];" + "|".join(serials), tuple(serials))
 
 
 def normalize(p: Process) -> NormalProcess:
@@ -387,32 +414,44 @@ def step(p: Process | NormalProcess, canon: _Canon | None = None) -> list[Normal
     """All one-step successors, normalized and deduplicated up to congruence.
 
     A successor keeps the components of `p` that did not fire as they are and
-    flattens only the fired body; `canon` is the store of the exploration."""
+    flattens only the fired body; `canon` is the store of the exploration.
+    When neither `p` nor the fired body has a restriction, the successor's
+    key is spliced from `p`'s sorted serials; otherwise it is canonicalised.
+    Of a run of congruent senders, or of congruent plain receivers, on one
+    subject only the last fires: the others give the same keys, and the last
+    write of a key is the one kept."""
     canon = canon or _Canon()
     np = p if isinstance(p, NormalProcess) else normalize(p)
-    comps = np.components
+    comps, serials = np.components, np.serials
+
+    def copy_follows(k: int) -> bool:
+        # components are sorted by serial, so a congruent copy sits next
+        return k + 1 < len(comps) and serials[k + 1] == serials[k] and comps[k + 1].subject == comps[k].subject
+
     receivers: dict[int, list[int]] = {}
     for j, c in enumerate(comps):
-        if isinstance(c, (In, RepIn)):
+        if isinstance(c, RepIn) or (isinstance(c, In) and not copy_follows(j)):
             receivers.setdefault(c.subject.id, []).append(j)
     succs: dict[str, NormalProcess] = {}
     for i, sender in enumerate(comps):
-        if not isinstance(sender, Out):
+        if not isinstance(sender, Out) or copy_follows(i):
             continue
         for j in receivers.get(sender.subject.id, ()):
             receiver = comps[j]
             body = _fire(sender, receiver)
             if body is None:
                 continue
-            res, new = _flatten(canon, body)
-            rest = [c for k, c in enumerate(comps) if k != i and k != j]
+            res, added = _flatten(canon, body)
             if isinstance(receiver, RepIn):
-                rest.append(receiver)
-            rest += new
-            if np.restrictions:
-                live = canon.live(rest)
-                res = [r for r in np.restrictions if r[0].id in live] + res
-            succ = _canonical(canon, res, rest)
+                added.insert(0, receiver)
+            if np.restrictions or res:
+                rest = [c for k, c in enumerate(comps) if k != i and k != j] + added
+                if np.restrictions:
+                    live = canon.live(rest)
+                    res = [r for r in np.restrictions if r[0].id in live] + res
+                succ = _canonical(canon, res, rest)
+            else:
+                succ = _splice(canon, np, (i, j), added)
             succs[succ.key] = succ
     return [succs[k] for k in sorted(succs)]
 

@@ -371,66 +371,62 @@ def alpha_key(p: Process) -> str:
 
 
 def pretty_value(v: Value, names: dict[int, str] | None = None) -> str:
-    names = names or {}
+    return _pretty_value(v, names or {}, 0)
 
-    def go(u: Value, prec: int) -> str:
-        if isinstance(u, Star):
-            return "*"
-        if isinstance(u, NatLit):
-            return str(u.value)
-        if isinstance(u, NameRef):
-            return names.get(u.name.id, u.name.display)
-        if isinstance(u, Add):
-            s = f"{go(u.left, 1)} + {go(u.right, 1)}"
-            return f"({s})" if prec > 1 else s
-        if isinstance(u, Mul):
-            s = f"{go(u.left, 2)} * {go(u.right, 2)}"
-            return f"({s})" if prec > 2 else s
-        raise TypeError(f"not a value: {u!r}")
 
-    return go(v, 0)
+def _pretty_value(u: Value, names: dict[int, str], prec: int) -> str:
+    if isinstance(u, Star):
+        return "*"
+    if isinstance(u, NatLit):
+        return str(u.value)
+    if isinstance(u, NameRef):
+        return names.get(u.name.id, u.name.display)
+    if isinstance(u, Add):
+        s = f"{_pretty_value(u.left, names, 1)} + {_pretty_value(u.right, names, 1)}"
+        return f"({s})" if prec > 1 else s
+    if isinstance(u, Mul):
+        s = f"{_pretty_value(u.left, names, 2)} * {_pretty_value(u.right, names, 2)}"
+        return f"({s})" if prec > 2 else s
+    raise TypeError(f"not a value: {u!r}")
 
 
 def pretty_process(p: Process) -> str:
     """Print with binder spellings disambiguated so reparsing is alpha-faithful."""
-    used = {n.display for n in free_names(p)}
-    names: dict[int, str] = {}
+    return _pretty(p, True, {}, {n.display for n in free_names(p)})
 
-    def pick(display: str) -> str:
-        if display not in used:
-            used.add(display)
-            return display
-        i = 1
-        while f"{display}{i}" in used:
-            i += 1
-        used.add(f"{display}{i}")
-        return f"{display}{i}"
 
-    def name_of(n: Name) -> str:
-        return names.get(n.id, n.display)
+def _pick(display: str, used: set[str]) -> str:
+    """`display`, or the first `display1`, `display2`, ... not in `used`; now used."""
+    spelling = display
+    i = 0
+    while spelling in used:
+        i += 1
+        spelling = f"{display}{i}"
+    used.add(spelling)
+    return spelling
 
-    def go(q: Process, top: bool) -> str:
-        if isinstance(q, Nil):
-            return "0"
-        if isinstance(q, Par):
-            # left-associated chains print flat; a right Par keeps its parens
-            s = f"{go(q.left, top=True)} | {go(q.right, top=False)}"
-            return s if top else f"({s})"
-        if isinstance(q, Out):
-            args = ", ".join(pretty_value(v, names) for v in q.payload)
-            return f"{name_of(q.subject)}<{args}>"
-        if isinstance(q, (In, RepIn)):
-            bang = "!" if isinstance(q, RepIn) else ""
-            for b in q.binders:
-                names[b.id] = pick(b.display)
-            params = ", ".join(name_of(b) for b in q.binders)
-            head = f"{bang}{name_of(q.subject)}({params})"
-            return f"{head}.{go(q.body, top=False)}"
-        if isinstance(q, Res):
-            names[q.name.id] = pick(q.name.display)
-            ann = f":{pretty_type(q.annotation)}" if q.annotation is not None else ""
-            kind = " fun" if q.functional else ""
-            return f"new {name_of(q.name)}{ann}{kind}.{go(q.body, top=False)}"
-        raise TypeError(f"not a process: {q!r}")
 
-    return go(p, top=True)
+def _pretty(q: Process, top: bool, names: dict[int, str], used: set[str]) -> str:
+    """`names` spells the binders met so far; `used` holds every spelling taken."""
+    if isinstance(q, Nil):
+        return "0"
+    if isinstance(q, Par):
+        # left-associated chains print flat; a right Par keeps its parens
+        s = f"{_pretty(q.left, True, names, used)} | {_pretty(q.right, False, names, used)}"
+        return s if top else f"({s})"
+    if isinstance(q, Out):
+        args = ", ".join(_pretty_value(v, names, 0) for v in q.payload)
+        return f"{names.get(q.subject.id, q.subject.display)}<{args}>"
+    if isinstance(q, (In, RepIn)):
+        bang = "!" if isinstance(q, RepIn) else ""
+        for b in q.binders:
+            names[b.id] = _pick(b.display, used)
+        params = ", ".join(names[b.id] for b in q.binders)
+        head = f"{bang}{names.get(q.subject.id, q.subject.display)}({params})"
+        return f"{head}.{_pretty(q.body, False, names, used)}"
+    if isinstance(q, Res):
+        names[q.name.id] = _pick(q.name.display, used)
+        ann = f":{pretty_type(q.annotation)}" if q.annotation is not None else ""
+        kind = " fun" if q.functional else ""
+        return f"new {names[q.name.id]}{ann}{kind}.{_pretty(q.body, False, names, used)}"
+    raise TypeError(f"not a process: {q!r}")

@@ -298,6 +298,13 @@ class TestStep:
         out = self.succs("a<> | a.b<> | a.c<>")
         assert len(out) == 2
 
+    def test_names_spelled_alike_are_not_copies(self):
+        # two free names print alike, so their outputs serialise alike, but
+        # only one of them has a receiver
+        a1, a2 = fresh("a"), fresh("a")
+        state = normalize(par(Out(a1, ()), Out(a2, ()), In(a1, (), NIL)))
+        assert [s.key for s in step(state)] == [s.key for s in step_by_rebuilding(state)] == ["new[];(out f:a [])"]
+
     def test_scope_extrusion_after_fire(self):
         out = step(parse_process("a(x).(new b:#1[Unit]. x<b>) | a<v>"))
         assert len(out) == 1
@@ -351,7 +358,18 @@ class TestIncrementalStep:
         a, b = fresh("a"), fresh("b")
         procs += [scoped_process(rng, [a, b], rng.randint(0, 4), 2, 2) for _ in range(60)]
         procs += [typed_instance(rng, fuel=rng.randrange(6, 13))[1] for _ in range(150)]
+        # runs of congruent components, binders spelled apart so that the copy kept shows in print
+        procs += [parse_process(src) for src in self.COPIES]
+        procs += [par(p, p) for p in (typed_instance(rng, fuel=rng.randrange(6, 13))[1] for _ in range(40))]
         return procs
+
+    COPIES = [
+        "a<v> | a<v> | a(x).x<> | a(y).y<> | !v(z).0",
+        "a<v> | a<w> | a<v> | a(x).x<> | !a(u).u<> | a(y).y<> | !a(u1).u1<> | v(z).0 | w().0",
+        "(new c)(c<v> | c<v> | c(x).x<> | c(y).y<>) | v().0 | v().0",
+        "a<> | a<> | a().(new r)(r<> | r().b<>) | a().(new s)(s<> | s().b<>) | b().0 | b().0",
+        "!a(x).(a<x> | a<x>) | a<v> | a(y).b<y> | a(z).b<z>",
+    ]
 
     def test_successors_equal_rebuilt_ones(self):
         for p in self.processes():
@@ -364,10 +382,18 @@ class TestIncrementalStep:
                 assert [s.key for s in got] == [s.key for s in want], pretty_process(state.rebuild())
                 assert [pretty_process(s.rebuild()) for s in got] == [pretty_process(s.rebuild()) for s in want]
                 for succ in got:
-                    assert normalize(succ.rebuild()).key == succ.key
+                    again = normalize(succ.rebuild())
+                    assert (again.key, again.serials, again.components) == (succ.key, succ.serials, succ.components)
                     if succ.key not in seen and len(seen) < self.STATES:
                         seen.add(succ.key)
                         queue.append(succ)
+
+    def test_restriction_free_run_canonicalises_the_root_only(self, monkeypatch):
+        src = " | ".join(f"a{k}<> | a{k}().0" for k in range(8))
+        canonical = count_calls(monkeypatch, semantics._canonical)
+        r = explore(parse_process(src), 1000, 1000)
+        assert (r.verdict, r.states_explored) == (Verdict.TERMINATED, 2**8)
+        assert len(canonical) == 1
 
     def test_step_kills_a_top_level_restriction(self):
         state = normalize(parse_process("(new c)(c<> | c().0)"))
@@ -434,6 +460,14 @@ class TestExplore:
         r = explore(p, 1000, 1000)
         assert r.verdict is Verdict.TERMINATED and r.states_explored > 5
         assert len(normalized) == 1 + len(fired)
+
+    def test_congruent_senders_fire_once(self):
+        # every state holds one more copy of a<v>; firing each copy cost 3 s here
+        p = parse_process("!a(x).(a<x> | a<x>) | a<v>")
+        start = time.perf_counter()
+        r = explore(p, 200, 1000)
+        assert (r.verdict, r.states_explored, r.steps_explored) == (Verdict.BOUND_EXCEEDED, 200, 199)
+        assert time.perf_counter() - start < 0.5
 
     def test_deterministic_reports(self):
         src = "a<> | a.b<> | a.c<> | b.0 | c.0"

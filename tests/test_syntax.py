@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import random
 import re
 from pathlib import Path
@@ -259,6 +260,19 @@ class TestPrinting:
         # ensure reparse keeps the structure
         p = Res(x, None, False, inner)
         assert alpha_key(p) == alpha_key(parse_process(pretty_process(p)))
+
+    def test_printing_leaves_no_cyclic_garbage(self):
+        p = parse_process("new r:#1[Nat].(!a(x, y).(x<y + 1 * 2> | r<y>) | a(x).b<x>) | c<(1 + 2) * 3>")
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            printed = pretty_process(p)
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
+        assert printed == "new r:#1[Nat].(!a(x, y).(x<y + 1 * 2> | r<y>) | a(x1).b<x1>) | c<(1 + 2) * 3>"
 
 
 class TestSubstitute:
