@@ -283,34 +283,34 @@ def _subst_subject(n: Name, mapping: dict[int, Value]) -> Name:
 
 def substitute_many(p: Process, mapping: dict[Name, Value]) -> Process:
     """Simultaneous capture-avoiding substitution; the result is re-freshened."""
-    ren = {n.id: v for n, v in mapping.items()}
+    return _substitute(p, {n.id: v for n, v in mapping.items()})
 
-    def walk(q: Process) -> Process:
-        if isinstance(q, Nil):
-            return q
-        if isinstance(q, Par):
-            return Par(walk(q.left), walk(q.right))
-        if isinstance(q, Out):
-            return Out(
-                _subst_subject(q.subject, ren),
-                tuple(_subst_value(v, ren) for v in q.payload),
-            )
-        if isinstance(q, (In, RepIn)):
-            subj = _subst_subject(q.subject, ren)
-            binders = tuple(fresh(b.display) for b in q.binders)
-            saved = bind(ren, [(b.id, NameRef(nb)) for b, nb in zip(q.binders, binders)])
-            body = walk(q.body)
-            unbind(ren, saved)
-            return type(q)(subj, binders, body)
-        if isinstance(q, Res):
-            nb = fresh(q.name.display)
-            saved = bind(ren, [(q.name.id, NameRef(nb))])
-            body = walk(q.body)
-            unbind(ren, saved)
-            return Res(nb, q.annotation, q.functional, body)
-        raise TypeError(f"not a process: {q!r}")
 
-    return walk(p)
+def _substitute(q: Process, ren: dict[int, Value]) -> Process:
+    """`ren` maps the ids of the names replaced so far and comes back unchanged."""
+    if isinstance(q, Nil):
+        return q
+    if isinstance(q, Par):
+        return Par(_substitute(q.left, ren), _substitute(q.right, ren))
+    if isinstance(q, Out):
+        return Out(
+            _subst_subject(q.subject, ren),
+            tuple(_subst_value(v, ren) for v in q.payload),
+        )
+    if isinstance(q, (In, RepIn)):
+        subj = _subst_subject(q.subject, ren)
+        binders = tuple(fresh(b.display) for b in q.binders)
+        saved = bind(ren, [(b.id, NameRef(nb)) for b, nb in zip(q.binders, binders)])
+        body = _substitute(q.body, ren)
+        unbind(ren, saved)
+        return type(q)(subj, binders, body)
+    if isinstance(q, Res):
+        nb = fresh(q.name.display)
+        saved = bind(ren, [(q.name.id, NameRef(nb))])
+        body = _substitute(q.body, ren)
+        unbind(ren, saved)
+        return Res(nb, q.annotation, q.functional, body)
+    raise TypeError(f"not a process: {q!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -462,7 +462,7 @@ class TestExplore:
         assert len(normalized) == 1 + len(fired)
 
     def test_congruent_senders_fire_once(self):
-        # every state holds one more copy of a<v>; firing each copy cost 3 s here
+        # each state holds one more copy of a<v>; firing every copy took 3 s to 200 states
         p = parse_process("!a(x).(a<x> | a<x>) | a<v>")
         start = time.perf_counter()
         r = explore(p, 200, 1000)

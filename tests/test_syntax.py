@@ -245,6 +245,19 @@ def random_ast(rng: random.Random, depth: int, scope=None) -> Process:
     return Par(random_ast(rng, depth - 1, scope), random_ast(rng, depth - 1, scope))
 
 
+def cyclic_garbage(fn, *args):
+    """`fn(*args)`, and the count of objects it left that only the cyclic collector frees."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        result = fn(*args)
+        return result, gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+
+
 class TestPrinting:
     def test_parse_pretty_roundtrip_generated(self, rng):
         for _ in range(300):
@@ -263,15 +276,8 @@ class TestPrinting:
 
     def test_printing_leaves_no_cyclic_garbage(self):
         p = parse_process("new r:#1[Nat].(!a(x, y).(x<y + 1 * 2> | r<y>) | a(x).b<x>) | c<(1 + 2) * 3>")
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
-            gc.collect()
-            printed = pretty_process(p)
-            assert gc.collect() == 0
-        finally:
-            if enabled:
-                gc.enable()
+        printed, garbage = cyclic_garbage(pretty_process, p)
+        assert garbage == 0
         assert printed == "new r:#1[Nat].(!a(x, y).(x<y + 1 * 2> | r<y>) | a(x1).b<x1>) | c<(1 + 2) * 3>"
 
 
@@ -300,6 +306,13 @@ class TestSubstitute:
         q = substitute_many(p, {x: NameRef(fresh("q"))})
         assert q.body.subject.display == "q"
         assert q.body.payload[0].name == q.binders[0]
+
+    def test_leaves_no_cyclic_garbage(self):
+        p = parse_process("!a(y).(new r)(x<y> | r(z).x<z + 1>)")
+        x = next(n for n in free_names(p) if n.display == "x")
+        q, garbage = cyclic_garbage(substitute_many, p, {x: NameRef(fresh("q"))})
+        assert garbage == 0
+        assert pretty_process(q) == "!a(y).new r.(q<y> | r(z).q<z + 1>)"
 
     def test_sort_error_on_subject(self):
         p = parse_process("x<t>")
