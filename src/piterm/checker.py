@@ -52,7 +52,6 @@ from .syntax import (
     UnitT,
     Value,
     bind,
-    free_names,
     pretty_process,
     pretty_type,
     pretty_value,
@@ -85,14 +84,6 @@ class TypeEnv:
 
     def items(self) -> list[tuple[Name, Type]]:
         return sorted(self.bindings.items(), key=lambda kv: (kv[0].display, kv[0].id))
-
-
-def env_for(p: Process, declarations: dict[str, Type]) -> TypeEnv:
-    """Build an environment for the free names of `p` from spelling-keyed types."""
-    by_display: dict[str, Name] = {}
-    for n in free_names(p):
-        by_display.setdefault(n.display, n)
-    return TypeEnv({by_display[s]: ty for s, ty in declarations.items() if s in by_display})
 
 
 # ---------------------------------------------------------------------------
@@ -228,38 +219,44 @@ def annotation(p: Res) -> Type:
 def _weigh(env: TypeEnv, p: Process, ds: bool, levels: list[int]) -> None:
     """Type `p` under `env`; appends each output subject's declared level to
     `levels`, or to the list of its nearest enclosing replicated input, which
-    is checked against that list once its body is done. The components of a
-    `|` spine are typed left to right off a stack, one frame deep."""
-    if isinstance(p, Par):
-        todo = [p]
-        while todo:
-            q = todo.pop()
-            if isinstance(q, Par):
-                todo += (q.right, q.left)
-            else:
-                _weigh(env, q, ds, levels)
-    elif isinstance(p, Out):
-        chan = subject_chan(env, p, OUT, ds)
-        check_values(env, p, chan, ds)
-        levels.append(chan.level)
-    elif isinstance(p, (In, RepIn)):
-        chan = subject_chan(env, p, IN, ds)
-        saved = env.bind(payload_binders(p, chan))
-        inner = levels if isinstance(p, In) else []
-        _weigh(env, p.body, ds, inner)
-        unbind(env.bindings, saved)
-        if inner is not levels and not chan.level > max(inner, default=0):
-            raise LevelViolation(
-                f"replicated input on {p.subject.display}: level {chan.level} "
-                f"does not dominate body weight {max(inner, default=0)}",
-                where=pretty_process(p),
-            )
-    elif isinstance(p, Res):
-        saved = env.bind([(p.name, annotation(p))])
-        _weigh(env, p.body, ds, levels)
-        unbind(env.bindings, saved)
-    elif not isinstance(p, Nil):
-        raise TypeError(f"not a process: {p!r}")
+    is checked against that list once its body is done.
+
+    One stack holds the work, so neither `|` width nor prefix depth recurses:
+    a process with the list its outputs go to, or the end of a binder's
+    scope, with the undo of its binding and, for a replicated input, the
+    node, its level and the list of its body. Components go left to right,
+    and a scope ends after its body, so the first error raised is the one a
+    recursive walk raises."""
+    todo: list = [(p, levels)]
+    while todo:
+        q, out = todo.pop()
+        if isinstance(q, Par):
+            todo += ((q.right, out), (q.left, out))
+        elif isinstance(q, Out):
+            chan = subject_chan(env, q, OUT, ds)
+            check_values(env, q, chan, ds)
+            out.append(chan.level)
+        elif isinstance(q, In):
+            chan = subject_chan(env, q, IN, ds)
+            todo += ((env.bind(payload_binders(q, chan)), None), (q.body, out))
+        elif isinstance(q, RepIn):
+            chan = subject_chan(env, q, IN, ds)
+            inner: list[int] = []
+            todo += ((env.bind(payload_binders(q, chan)), (q, chan.level, inner)), (q.body, inner))
+        elif isinstance(q, Res):
+            todo += ((env.bind([(q.name, annotation(q))]), None), (q.body, out))
+        elif isinstance(q, list):
+            unbind(env.bindings, q)
+            if out is not None:
+                rep, level, inner = out
+                if not level > max(inner, default=0):
+                    raise LevelViolation(
+                        f"replicated input on {rep.subject.display}: level {level} "
+                        f"does not dominate body weight {max(inner, default=0)}",
+                        where=pretty_process(rep),
+                    )
+        elif not isinstance(q, Nil):
+            raise TypeError(f"not a process: {q!r}")
 
 
 Multiset = tuple[int, ...]

@@ -12,9 +12,8 @@ import argparse
 import functools
 import os
 import sys
-from pathlib import Path
 
-from .checker import TypeEnv, derive, env_for
+from .checker import TypeEnv, derive
 from .errors import CertificationFailure, IllTyped, IllTypedLambda, InternalError, ParseError, PiError, SortError
 from .impure import ImpureEnv, check_impure
 from .inference import DS_EQUALITY, FLEXIBLE, infer
@@ -22,7 +21,7 @@ from .lam import encode, parse_lambda_file
 from .measure import format_multiset
 from .parser import parse_env_file, parse_process
 from .semantics import certified_run, explore
-from .syntax import ChanT, Process, fresh, pretty_process, pretty_type
+from .syntax import ChanT, Name, Process, fresh, pretty_process, pretty_type
 
 
 class _Report:
@@ -55,16 +54,21 @@ class _Report:
                 print(line)
 
 
-def _load_process(path: str) -> Process:
-    text = Path(path).read_text(encoding="utf-8")
-    return parse_process(text)
+def _read(path: str) -> str:
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
 
 
-def _load_env(path: str, p: Process) -> tuple[TypeEnv, ImpureEnv]:
-    """Bind declared spellings to the matching free names of the process;
-    declarations for names the process does not use are ignored."""
-    entries = parse_env_file(Path(path).read_text(encoding="utf-8"))
-    names = {n.display: n for n in env_for(p, {s: ty for _, s, ty in entries}).bindings}
+def _load_process(path: str, free: dict[str, Name] | None = None) -> Process:
+    """The process in file `path`; `free` gets its free names by spelling."""
+    return parse_process(_read(path), free)
+
+
+def _load_env(path: str, names: dict[str, Name]) -> tuple[TypeEnv, ImpureEnv]:
+    """Bind declared spellings to the free names of the process, `names` by
+    spelling as `parse_process` gives them; declarations for names the
+    process does not use are ignored."""
+    entries = parse_env_file(_read(path))
     gamma = TypeEnv({names[s]: ty for role, s, ty in entries if role != "isolated" and s in names})
     functional = frozenset(names[s] for role, s, _ in entries if role == "fun" and s in names)
     isolated = None
@@ -77,8 +81,11 @@ def _load_env(path: str, p: Process) -> tuple[TypeEnv, ImpureEnv]:
 
 
 def _sibling_env(path: str) -> str | None:
-    candidate = Path(path).with_suffix(".env")
-    return str(candidate) if candidate.exists() else None
+    """`path` with its suffix, if any, replaced by `.env`, if that file exists."""
+    head, name = os.path.split(path)
+    dot = name.rfind(".")
+    candidate = os.path.join(head, (name[:dot] if 0 < dot < len(name) - 1 else name) + ".env")
+    return candidate if os.path.exists(candidate) else None
 
 
 def _verdict_exit(verdict: str) -> int:
@@ -86,10 +93,11 @@ def _verdict_exit(verdict: str) -> int:
 
 
 def cmd_check(args, report: _Report) -> int:
-    proc = _load_process(args.file)
+    free: dict[str, Name] = {}
+    proc = _load_process(args.file, free)
     env_path = args.env or _sibling_env(args.file)
     try:
-        tenv, ienv = _load_env(env_path, proc) if env_path else (TypeEnv(), ImpureEnv())
+        tenv, ienv = _load_env(env_path, free) if env_path else (TypeEnv(), ImpureEnv())
         if args.impure:
             weight = check_impure(ienv, proc)
             report.add("VERDICT", "Accepted")
@@ -115,7 +123,8 @@ def cmd_infer(args, report: _Report) -> int:
     report.add("VERDICT", "Accepted")
     report.add("WEIGHT", result.weight)
     for name, ty in result.env.items():
-        report.add(f"TYPE.{name.display}", pretty_type(ty), f"{name.display} : {pretty_type(ty)}")
+        printed = pretty_type(ty)
+        report.add(f"TYPE.{name.display}", printed, f"{name.display} : {printed}")
     if args.dump_graph:
         dump = result.graph.dump()
         levels = ", ".join(
@@ -128,10 +137,11 @@ def cmd_infer(args, report: _Report) -> int:
 
 
 def cmd_run(args, report: _Report) -> int:
-    proc = _load_process(args.file)
+    free: dict[str, Name] = {}
+    proc = _load_process(args.file, free)
     if args.certify:
         try:
-            tenv, _ = _load_env(args.certify, proc)
+            tenv, _ = _load_env(args.certify, free)
             rep = certified_run(tenv, proc, max_states=args.max_states, max_depth=args.max_depth)
         except (IllTyped, SortError, CertificationFailure) as exc:
             return report.reject(exc)
@@ -143,19 +153,21 @@ def cmd_run(args, report: _Report) -> int:
     report.add("DEPTH", rep.max_depth)
     if rep.measure_trace is not None:
         for i, edge in enumerate(rep.measure_trace):
-            report.add(f"TRACE.{i}", edge.render(i), edge.render(i))
+            line = edge.render(i)
+            report.add(f"TRACE.{i}", line, line)
     if rep.witness:
         report.add("WITNESS", " --> ".join(rep.witness), "divergence cycle:\n  " + "\n  ".join(rep.witness))
     return _verdict_exit(rep.verdict.value)
 
 
 def cmd_encode(args, report: _Report) -> int:
-    decls, term = parse_lambda_file(Path(args.file).read_text(encoding="utf-8"))
+    decls, term = parse_lambda_file(_read(args.file))
     try:
         proc = encode(term, fresh("p"), decls)
     except IllTypedLambda as exc:
         return report.reject(exc)
-    report.add("PROCESS", pretty_process(proc), pretty_process(proc))
+    printed = pretty_process(proc)
+    report.add("PROCESS", printed, printed)
     if args.infer:
         try:
             result = infer(proc)

@@ -85,64 +85,71 @@ def check_impure(env: ImpureEnv, p: Process) -> int:
 
 def _walk(scope: TypeEnv, functional: set[Name], isolated: Name | None, p: Process, levels: list[int]) -> None:
     """Type `p` where `isolated` is the name isolated, if any; appends each
-    output's level to `levels`, the list of its nearest enclosing input. The
-    components of a `|` spine are walked left to right off a stack."""
-    if isinstance(p, Par):
-        todo = [p]
-        while todo:
-            q = todo.pop()
-            if isinstance(q, Par):
-                todo += (q.right, q.left)
-            else:
-                _walk(scope, functional, isolated, q, levels)
-    elif isinstance(p, Out):
-        chan = subject_chan(scope, p, OUT)
-        check_values(scope, p, chan)
-        levels.append(chan.level)
-    elif isinstance(p, (In, RepIn)):
-        defining = isinstance(p, RepIn) and p.subject == isolated
-        if defining:
-            chan = scope.bindings.pop(isolated)  # hidden from its defining body
-        elif p.subject in functional:
-            raise FunctionalInputNotIsolated(
-                f"input on functional name {p.subject.display} outside its defining scope",
-                where=pretty_process(p),
-            )
-        else:
-            chan = subject_chan(scope, p, IN)
-        saved = scope.bind(payload_binders(p, chan))
-        inner: list[int] = []
-        _walk(scope, functional, None, p.body, inner)
-        unbind(scope.bindings, saved)
-        w = max(inner, default=0)
-        if defining:
-            scope.bindings[isolated] = chan
-            if not chan.level >= w:
-                raise LevelViolation(
-                    f"functional input on {p.subject.display}: level {chan.level} "
-                    f"below body weight {w}",
-                    where=pretty_process(p),
+    output's level to `levels`, the list of its nearest enclosing input.
+
+    One stack holds the work, so neither `|` width nor prefix depth recurses:
+    a process with the name isolated there and the list its outputs go to,
+    or the end of a binder's scope, with the undo of its binding and, for an
+    input, what its level check needs. Components go left to right, and a
+    scope ends after its body, so the first error raised is the one a
+    recursive walk raises."""
+    todo: list = [(p, isolated, levels)]
+    while todo:
+        q, iso, out = todo.pop()
+        if isinstance(q, Par):
+            todo += ((q.right, iso, out), (q.left, iso, out))
+        elif isinstance(q, Out):
+            chan = subject_chan(scope, q, OUT)
+            check_values(scope, q, chan)
+            out.append(chan.level)
+        elif isinstance(q, (In, RepIn)):
+            defining = isinstance(q, RepIn) and q.subject == iso
+            if defining:
+                chan = scope.bindings.pop(iso)  # hidden from its defining body
+            elif q.subject in functional:
+                raise FunctionalInputNotIsolated(
+                    f"input on functional name {q.subject.display} outside its defining scope",
+                    where=pretty_process(q),
                 )
-        elif not chan.level > w:
-            kind = "replicated input" if isinstance(p, RepIn) else "input"
-            raise LevelViolation(
-                f"{kind} on {p.subject.display}: level {chan.level} "
-                f"does not dominate body weight {w}",
-                where=pretty_process(p),
-            )
-    elif isinstance(p, Res):
-        ty = annotation(p)
-        if not (isinstance(ty, ChanT) and ty.cap == (OUT if p.functional else SHARP)):
-            kind, need = ("functional", "an o-type") if p.functional else ("imperative", "a full-capability")
-            raise CapabilityError(
-                f"{kind} restriction on {p.name.display} needs {need} annotation, has {pretty_type(ty)}",
-                where=pretty_process(p),
-            )
-        saved = scope.bind([(p.name, ty)])
-        if p.functional:
-            functional.add(p.name)
-        _walk(scope, functional, p.name if p.functional else isolated, p.body, levels)
-        functional.discard(p.name)
-        unbind(scope.bindings, saved)
-    elif not isinstance(p, Nil):
-        raise TypeError(f"not a process: {p!r}")
+            else:
+                chan = subject_chan(scope, q, IN)
+            inner: list[int] = []
+            todo += ((scope.bind(payload_binders(q, chan)), q, (chan, defining, inner)), (q.body, None, inner))
+        elif isinstance(q, Res):
+            ty = annotation(q)
+            if not (isinstance(ty, ChanT) and ty.cap == (OUT if q.functional else SHARP)):
+                kind, need = ("functional", "an o-type") if q.functional else ("imperative", "a full-capability")
+                raise CapabilityError(
+                    f"{kind} restriction on {q.name.display} needs {need} annotation, has {pretty_type(ty)}",
+                    where=pretty_process(q),
+                )
+            saved = scope.bind([(q.name, ty)])
+            if q.functional:
+                functional.add(q.name)
+            todo += ((saved, q, None), (q.body, q.name if q.functional else iso, out))
+        elif isinstance(q, list):
+            # the end of the scope of `node`, a restriction or an input
+            unbind(scope.bindings, q)
+            node = iso
+            if out is None:
+                functional.discard(node.name)
+                continue
+            chan, defining, inner = out
+            w = max(inner, default=0)
+            if defining:
+                scope.bindings[node.subject] = chan
+                if not chan.level >= w:
+                    raise LevelViolation(
+                        f"functional input on {node.subject.display}: level {chan.level} "
+                        f"below body weight {w}",
+                        where=pretty_process(node),
+                    )
+            elif not chan.level > w:
+                kind = "replicated input" if isinstance(node, RepIn) else "input"
+                raise LevelViolation(
+                    f"{kind} on {node.subject.display}: level {chan.level} "
+                    f"does not dominate body weight {w}",
+                    where=pretty_process(node),
+                )
+        elif not isinstance(q, Nil):
+            raise TypeError(f"not a process: {q!r}")

@@ -251,40 +251,39 @@ def encode(m: LambdaTerm, p: Name, delta: dict[str, LambdaType] | None = None) -
     deterministically per call so output is stable.
     """
     check_stlc(delta or {}, m)
-    counters = {"y": 0, "q": 0, "r": 0, "f": 0, "z": 0}
+    return _encode(m, p, {}, ({"y": 0, "q": 0, "r": 0, "f": 0, "z": 0}, {}))
 
-    def mk(prefix: str) -> Name:
-        counters[prefix] += 1
-        return fresh(f"{prefix}{counters[prefix]}")
 
-    frees: dict[str, Name] = {}
+def _numbered(counters: dict[str, int], prefix: str) -> Name:
+    counters[prefix] += 1
+    return fresh(f"{prefix}{counters[prefix]}")
 
-    def var_name(spelling: str, scope: dict[str, Name]) -> Name:
-        if spelling in scope:
-            return scope[spelling]
-        if spelling not in frees:
-            frees[spelling] = fresh(spelling)
-        return frees[spelling]
 
-    def go(term: LambdaTerm, dest: Name, scope: dict[str, Name]) -> Process:
-        if isinstance(term, LVar):
-            return Out(dest, (NameRef(var_name(term.name, scope)),))
-        if isinstance(term, LAbs):
-            y = mk("y")
-            q = mk("q")
-            x = fresh(term.var)
-            inner = dict(scope)
-            inner[term.var] = x
-            server = RepIn(y, (x, q), go(term.body, q, inner))
-            return Res(y, None, False, Par(server, Out(dest, (NameRef(y),))))
-        if isinstance(term, LApp):
-            q = mk("q")
-            r = mk("r")
-            f = mk("f")
-            z = mk("z")
-            join = In(q, (f,), In(r, (z,), Out(f, (NameRef(z), NameRef(dest)))))
-            body = Par(go(term.fn, q, scope), Par(go(term.arg, r, scope), join))
-            return Res(q, None, False, Res(r, None, False, body))
-        raise TypeError(f"not a lambda term: {term!r}")
-
-    return go(m, p, {})
+def _encode(term: LambdaTerm, dest: Name, scope: dict[str, Name], state: tuple[dict, dict]) -> Process:
+    """`scope` maps the bound variables; `state` holds the counters of the
+    fresh channel names and the names of the free variables, per `encode`."""
+    counters, frees = state
+    if isinstance(term, LVar):
+        name = scope.get(term.name)
+        if name is None:
+            name = frees.get(term.name)
+            if name is None:
+                name = frees[term.name] = fresh(term.name)
+        return Out(dest, (NameRef(name),))
+    if isinstance(term, LAbs):
+        y = _numbered(counters, "y")
+        q = _numbered(counters, "q")
+        x = fresh(term.var)
+        inner = dict(scope)
+        inner[term.var] = x
+        server = RepIn(y, (x, q), _encode(term.body, q, inner, state))
+        return Res(y, None, False, Par(server, Out(dest, (NameRef(y),))))
+    if isinstance(term, LApp):
+        q = _numbered(counters, "q")
+        r = _numbered(counters, "r")
+        f = _numbered(counters, "f")
+        z = _numbered(counters, "z")
+        join = In(q, (f,), In(r, (z,), Out(f, (NameRef(z), NameRef(dest)))))
+        body = Par(_encode(term.fn, q, scope, state), Par(_encode(term.arg, r, scope, state), join))
+        return Res(q, None, False, Res(r, None, False, body))
+    raise TypeError(f"not a lambda term: {term!r}")

@@ -46,7 +46,8 @@ from .syntax import (
 
 # One `findall` scans a text: whitespace and comments give an empty group, a
 # token its text, any other character a one-character token `_Parser` rejects.
-_TOKEN_RE = re.compile(r"\s+|--[^\n]*|([A-Za-z_][A-Za-z0-9_']*|\d+|[<>()\[\].:,|!*+#]|.)")
+_TOKENS = r"[A-Za-z_][A-Za-z0-9_']*|\d+|[<>()\[\].:,|!*+#]|."
+_TOKEN_RE = re.compile(rf"\s+|--[^\n]*|({_TOKENS})")
 
 _NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 _ONE_CHAR_TOKENS = _NAME_START | frozenset("0123456789<>()[].:,|!*+#")
@@ -69,19 +70,32 @@ class _Parser:
 
     def __init__(self, text: str, pos: int = 0, endpos: int | None = None, line: int = 1):
         self.text = text
-        self.span = (pos, len(text) if endpos is None else endpos)
         self.line = line
-        self.tokens = list(filter(None, self.TOKEN_RE.findall(text, *self.span)))
-        ok = self.ONE_CHAR_TOKENS
-        bad = [t for t in set(self.tokens) if len(t) == 1 and t not in ok and not (t.isdecimal() and "0" in ok)]
-        if bad:
-            i = min(map(self.tokens.index, bad))
-            raise self.error(f"unexpected character {self.tokens[i]!r}", i)
-        self.tokens.append("")
-        self.pos = 0
+        end = len(text) if endpos is None else endpos
+        self.start(list(filter(None, self.TOKEN_RE.findall(text, pos, end))), pos, end)
         # Spellings in scope, free names included: a binder's undo restores
-        # whatever its spelling meant before it.
+        # whatever its spelling meant before it. After a whole process, it
+        # holds exactly the process's free names.
         self.scope: dict[str, Name] = {}
+
+    def start(self, tokens: list[str], pos: int, endpos: int, checked: bool = False) -> None:
+        """Read `tokens`, the tokens of `text[pos:endpos]`, from the first. A
+        character that is no token is an error, unless `checked` vouches
+        that the tokens hold none."""
+        self.span = (pos, endpos)
+        self.tokens = tokens
+        if not checked:
+            bad = self.strays(tokens)
+            if bad:
+                i = min(map(tokens.index, bad))
+                raise self.error(f"unexpected character {tokens[i]!r}", i)
+        tokens.append("")
+        self.pos = 0
+
+    def strays(self, tokens) -> list[str]:
+        """The one-character tokens among `tokens` that the grammar rejects."""
+        ok = self.ONE_CHAR_TOKENS
+        return [t for t in set(tokens) if len(t) == 1 and t not in ok and not (t.isdecimal() and "0" in ok)]
 
     def error(self, message: str, index: int) -> ParseError:
         """A `ParseError` located at token `index`, found by scanning again."""
@@ -98,9 +112,14 @@ class _Parser:
         return self.tokens[self.pos - 1]
 
     def expect(self, text: str) -> None:
-        tok = self.next()
-        if tok != text:
-            raise self.error(f"expected {text!r}, found {tok or 'end of input'!r}", self.pos - 1)
+        self.pos += 1
+        if self.tokens[self.pos - 1] != text:
+            raise self.missing(text, self.pos - 1)
+
+    def missing(self, text: str, index: int) -> ParseError:
+        """`text` was expected at token `index`."""
+        tok = self.tokens[index]
+        return self.error(f"expected {text!r}, found {tok or 'end of input'!r}", index)
 
     def fail(self, message: str) -> ParseError:
         return self.error(message, self.pos)
@@ -108,10 +127,6 @@ class _Parser:
     def finish(self) -> None:
         if self.peek():
             raise self.fail(f"unexpected trailing input {self.peek()!r}")
-
-    def at_name(self) -> bool:
-        tok = self.peek()
-        return tok[:1] in _NAME_START and tok not in KEYWORDS
 
     def take_name_text(self) -> str:
         tok = self.next()
@@ -130,33 +145,38 @@ class _Parser:
     # -- types --------------------------------------------------------------
 
     def parse_type(self) -> Type:
-        tok = self.peek()
+        toks, i = self.tokens, self.pos
+        tok = toks[i]
         if tok == "Unit":
-            self.pos += 1
+            self.pos = i + 1
             return UNIT
         if tok == "Nat":
-            self.pos += 1
+            self.pos = i + 1
             return NAT
         if tok == "#":
-            level = self.tokens[self.pos + 1]
-            self.pos += 2
+            level = toks[i + 1]
+            self.pos = i + 2
             if not level[:1].isdecimal():
-                raise self.error("expected a level after '#'", self.pos - 1)
+                raise self.error("expected a level after '#'", i + 1)
             return self._chan(SHARP, int(level))
         m = _CAP_NAME.match(tok)
         if m:
-            self.pos += 1
-            cap = IN if m.group(1) == "i" else OUT
-            return self._chan(cap, int(m.group(2)))
-        raise self.fail(f"expected a type, found {tok or 'end of input'!r}")
+            self.pos = i + 1
+            return self._chan(IN if m.group(1) == "i" else OUT, int(m.group(2)))
+        raise self.error(f"expected a type, found {tok or 'end of input'!r}", i)
 
     def _chan(self, cap: str, level: int) -> Type:
-        self.expect("[")
+        toks = self.tokens
+        if toks[self.pos] != "[":
+            raise self.missing("[", self.pos)
+        self.pos += 1
         payload = [self.parse_type()]
-        while self.peek() == ",":
+        while toks[self.pos] == ",":
             self.pos += 1
             payload.append(self.parse_type())
-        self.expect("]")
+        if toks[self.pos] != "]":
+            raise self.missing("]", self.pos)
+        self.pos += 1
         return ChanT(cap, level, tuple(payload))
 
     # -- values ---------------------------------------------------------------
@@ -188,15 +208,17 @@ class _Parser:
             v = self.parse_value()
             self.expect(")")
             return v
-        if self.at_name():
-            return NameRef(self.resolve(self.take_name_text()))
+        if tok[:1] in _NAME_START and tok not in KEYWORDS:
+            self.pos += 1
+            return NameRef(self.resolve(tok))
         raise self.fail(f"expected a value, found {tok or 'end of input'!r}")
 
     # -- processes ------------------------------------------------------------
 
     def parse_process(self) -> Process:
         left = self.parse_term()
-        while self.peek() == "|":
+        toks = self.tokens
+        while toks[self.pos] == "|":
             self.pos += 1
             left = Par(left, self.parse_term())
         return left
@@ -206,94 +228,126 @@ class _Parser:
 
         A loop reads the links as frames (node class, fields before the body,
         undo of the binders, whether a `(new a.P | ...)` group closes after
-        it), wrapped around the end term innermost first: no recursion."""
+        it), wrapped around the end term innermost first: no recursion. The
+        tokens are read through locals and the index `i`, which `self.pos`
+        takes over only around a call into another rule."""
+        toks, scope = self.tokens, self.scope
+        i = self.pos
         frames: list[tuple[type, tuple, list, bool]] = []
         while True:
-            tok = self.peek()
+            tok = toks[i]
             if tok == "0":
-                self.pos += 1
+                i += 1
                 proc: Process = Nil()
                 break
-            if tok == "(" and self.tokens[self.pos + 1] == "new":
-                self.pos += 2
-                fields, saved = self._restriction_head()
-                if self.peek() in (")", "."):
-                    # (new a)P, or (new a.P | ...) closed after the frame
-                    frames.append((Res, fields, saved, self.next() == "."))
-                    continue
-                if self.peek() != "(":
-                    raise self.fail("expected '.', ')' or '(' in restriction")
-                proc = self._close_group(Res(*fields, self._group(saved)))
-                break
             if tok == "(":
-                self.pos += 1
-                proc = self.parse_process()
-                self.expect(")")
+                if toks[i + 1] != "new":
+                    self.pos = i + 1
+                    proc = self.parse_process()
+                    i = self.pos
+                    if toks[i] != ")":
+                        raise self.missing(")", i)
+                    i += 1
+                    break
+                self.pos = i + 2
+                fields, saved = self._restriction_head()
+                i = self.pos
+                if toks[i] in (")", "."):
+                    # (new a)P, or (new a.P | ...) closed after the frame
+                    frames.append((Res, fields, saved, toks[i] == "."))
+                    i += 1
+                    continue
+                if toks[i] != "(":
+                    raise self.error("expected '.', ')' or '(' in restriction", i)
+                proc = self._close_group(Res(*fields, self._group(saved)))
+                i = self.pos
                 break
             if tok == "new":
-                self.pos += 1
+                self.pos = i + 1
                 fields, saved = self._restriction_head()
-                if self.peek() == ".":
-                    self.pos += 1
+                i = self.pos
+                if toks[i] == ".":
+                    i += 1
                     frames.append((Res, fields, saved, False))
                     continue
-                if self.peek() != "(":
-                    raise self.fail("expected '.' or '(' after restriction")
+                if toks[i] != "(":
+                    raise self.error("expected '.' or '(' after restriction", i)
                 proc = Res(*fields, self._group(saved))
+                i = self.pos
                 break
             if tok == "!":
-                self.pos += 1
                 cls: type = RepIn
-                spelling = self.take_name_text()
-            elif self.at_name():
-                self.pos += 1
-                cls, spelling = In, tok
-                if self.peek() == "<":
-                    proc = self._output_tail(self.resolve(spelling))
-                    break
+                tok = toks[i + 1]
+                if tok[:1] not in _NAME_START or tok in KEYWORDS:
+                    raise self.error(f"expected a name, found {tok or 'end of input'!r}", i + 1)
+                i += 2
+            elif tok[:1] in _NAME_START and tok not in KEYWORDS:
+                cls = In
+                i += 1
             else:
-                raise self.fail(f"expected a process, found {tok or 'end of input'!r}")
-            subj = self.resolve(spelling)
-            if cls is In and self.peek() not in ("(", "."):
-                # bare name: discarded unit input with nil continuation
-                proc = In(subj, (), Nil())
+                raise self.error(f"expected a process, found {tok or 'end of input'!r}", i)
+            subj = scope.get(tok)
+            if subj is None:
+                subj = scope[tok] = fresh(tok)
+            after = toks[i]
+            if cls is In and after != "(" and after != ".":
+                if after != "<":
+                    # bare name: discarded unit input with nil continuation
+                    proc = In(subj, (), Nil())
+                    break
+                i += 1
+                payload: list[Value] = []
+                if toks[i] != ">":
+                    while True:
+                        tok = toks[i]
+                        if tok[:1] in _NAME_START and tok not in KEYWORDS and toks[i + 1] in (",", ">"):
+                            # a lone name, read in place
+                            name = scope.get(tok)
+                            if name is None:
+                                name = scope[tok] = fresh(tok)
+                            payload.append(NameRef(name))
+                            i += 1
+                        else:
+                            self.pos = i
+                            payload.append(self.parse_value())
+                            i = self.pos
+                        if toks[i] != ",":
+                            break
+                        i += 1
+                if toks[i] != ">":
+                    raise self.missing(">", i)
+                i += 1
+                proc = Out(subj, tuple(payload))
                 break
-            spellings = self._binder_spellings()
-            binders = tuple(fresh(s) for s in spellings)
-            if self.peek() != ".":
+            spellings: list[str] = []
+            if toks[i] == "(":
+                i += 1
+                if toks[i] != ")":
+                    while True:
+                        tok = toks[i]
+                        if tok[:1] not in _NAME_START or tok in KEYWORDS:
+                            raise self.error(f"expected a name, found {tok or 'end of input'!r}", i)
+                        spellings.append(tok)
+                        i += 1
+                        if toks[i] != ",":
+                            break
+                        i += 1
+                if toks[i] != ")":
+                    raise self.missing(")", i)
+                i += 1
+            binders = tuple([fresh(s) for s in spellings])
+            if toks[i] != ".":
                 proc = cls(subj, binders, Nil())
                 break
-            self.pos += 1
-            frames.append((cls, (subj, binders), bind(self.scope, zip(spellings, binders)), False))
+            i += 1
+            frames.append((cls, (subj, binders), bind(scope, zip(spellings, binders)), False))
+        self.pos = i
         for cls, fields, saved, closes in reversed(frames):
-            unbind(self.scope, saved)
+            unbind(scope, saved)
             proc = cls(*fields, proc)
             if closes:
                 proc = self._close_group(proc)
         return proc
-
-    def _output_tail(self, subj: Name) -> Process:
-        self.expect("<")
-        payload: list[Value] = []
-        if self.peek() != ">":
-            payload.append(self.parse_value())
-            while self.peek() == ",":
-                self.pos += 1
-                payload.append(self.parse_value())
-        self.expect(">")
-        return Out(subj, tuple(payload))
-
-    def _binder_spellings(self) -> list[str]:
-        spellings: list[str] = []
-        if self.peek() == "(":
-            self.pos += 1
-            if self.peek() != ")":
-                spellings.append(self.take_name_text())
-                while self.peek() == ",":
-                    self.pos += 1
-                    spellings.append(self.take_name_text())
-            self.expect(")")
-        return spellings
 
     def _restriction_head(self) -> tuple[tuple, list]:
         """`a[:T][ fun]` after `new`: the fields of the `Res` before its body,
@@ -320,10 +374,11 @@ class _Parser:
         return proc
 
     def _res_modifiers(self) -> tuple[Type | None, bool]:
+        toks = self.tokens
         annotation: Type | None = None
         functional = False
         while True:
-            tok = self.peek()
+            tok = toks[self.pos]
             if tok == ":" and annotation is None:
                 self.pos += 1
                 annotation = self.parse_type()
@@ -334,11 +389,14 @@ class _Parser:
                 return annotation, functional
 
 
-def parse_process(text: str) -> Process:
-    """Parse a process; all binders come out globally fresh."""
+def parse_process(text: str, free: dict[str, Name] | None = None) -> Process:
+    """Parse a process; all binders come out globally fresh. A dict passed as
+    `free` gets the process's free names, keyed by spelling."""
     p = _Parser(text)
     proc = p.parse_process()
     p.finish()
+    if free is not None:
+        free.update(p.scope)
     return proc
 
 
@@ -349,31 +407,49 @@ def parse_type(text: str) -> Type:
     return t
 
 
+# `_TOKEN_RE` with each line end a token of its own: one scan of a whole
+# environment file yields the tokens of every line.
+_ENV_TOKEN_RE = re.compile(rf"[^\S\n]+|--[^\n]*|(\n|{_TOKENS})")
+_SPELLING = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
+
+
 def parse_env_file(text: str) -> list[tuple[str, str, Type]]:
     """Parse `name : type` lines; a leading `fun` or `isolated` sets the role.
 
     Returns (role, spelling, type) triples with role in {imp, fun, isolated}.
+    The file is scanned once; one parser reads the type of each line from
+    those tokens, in place, so an error is located in the file.
     """
     entries: list[tuple[str, str, Type]] = []
+    tokens = list(filter(None, _ENV_TOKEN_RE.findall(text)))
+    tokens.append("\n")
+    p = _Parser(text, 0, 0)
+    kinds = set(tokens)
+    kinds.discard("\n")
+    clean = not p.strays(kinds)  # then no line needs the check
+    first = offset = 0  # the line's first token and first character
     for lineno, raw in enumerate(text.split("\n"), start=1):
+        end = tokens.index("\n", first)
         body = raw.split("--", 1)[0]
         line = body.strip()
-        if not line:
-            continue
-        role = "imp"
-        for marker in ("isolated", "fun"):
-            if line.startswith(marker + " "):
-                role = marker
-                line = line[len(marker) :].strip()
-                break
-        if ":" not in line:
-            raise ParseError("expected 'name : type'", lineno, 1)
-        spelling = line.split(":", 1)[0].strip()
-        if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_']*", spelling):
-            raise ParseError(f"bad name {spelling!r}", lineno, 1)
-        # the type is read in place, so an error is located in the raw line
-        p = _Parser(raw, raw.index(":") + 1, len(body.rstrip()), lineno)
-        ty = p.parse_type()
-        p.finish()
-        entries.append((role, spelling, ty))
+        if line:
+            role = "imp"
+            for marker in ("isolated", "fun"):
+                if line.startswith(marker + " "):
+                    role = marker
+                    line = line[len(marker) :].strip()
+                    break
+            if ":" not in line:
+                raise ParseError("expected 'name : type'", lineno, 1)
+            spelling = line.split(":", 1)[0].strip()
+            if not _SPELLING.fullmatch(spelling):
+                raise ParseError(f"bad name {spelling!r}", lineno, 1)
+            # the first ':' of the line is its first ':' token
+            colon = tokens.index(":", first, end)
+            p.start(tokens[colon + 1 : end], offset + raw.index(":") + 1, offset + len(body.rstrip()), clean)
+            ty = p.parse_type()
+            p.finish()
+            entries.append((role, spelling, ty))
+        first = end + 1
+        offset += len(raw) + 1
     return entries

@@ -304,44 +304,53 @@ class _Canon:
         ids = {i: res[i][0].id for i in names}
         tags = {i: _res_tag(res[i]) for i in names}
         leaves: list[tuple[list[int], dict[int, str]]] = []
-
-        def visit(prefix: list[int], rest: list[int]) -> None:
-            labels = {ids[i]: label(pos) for pos, i in enumerate(prefix)}
-            while len(rest) > 1:
-                pos = len(prefix)
-                anon = {**labels, **{ids[i]: _ANON for i in rest}}
-                scored = []
-                for i in rest:
-                    trial = dict(anon)
-                    trial[ids[i]] = label(pos)
-                    scored.append(((tags[i], key(comps, trial)), i))
-                least = min(s for s, _ in scored)
-                tied = [i for s, i in scored if s == least]
-                if len(tied) > 1:
-                    branch(prefix, rest, labels, tied)
-                    return
-                prefix.append(tied[0])
-                rest.remove(tied[0])
-                labels[ids[tied[0]]] = label(pos)
-            labels[ids[rest[0]]] = label(len(prefix))
-            leaves.append((prefix + rest, labels))
-
-        def branch(prefix: list[int], rest: list[int], labels: dict[int, str], tied: list[int]) -> None:
-            # any injective labelling shows whether exchanging two names maps the cluster onto itself
-            full = dict(labels)
-            for off, i in enumerate(rest):
-                full[ids[i]] = label(len(prefix) + off)
-            reference = key(comps, full)
-            explored: list[int] = []
-            for t in tied:
-                a = ids[t]
-                if any(key(comps, {**full, a: full[ids[e]], ids[e]: full[a]}) == reference for e in explored):
-                    continue
-                explored.append(t)
-                visit(prefix + [t], [i for i in rest if i != t])
-
-        visit([], list(names))
+        _visit((ids, tags, comps, label, key, leaves), [], list(names))
         return leaves
+
+
+# The individualise-and-refine tree of `_Canon.search`, walked by two
+# module-level functions, so a search leaves no reference cycle behind.
+# `tree` holds the cluster's name ids and tags, its components, the label
+# and key functions, and the list the leaves go to.
+
+
+def _visit(tree: tuple, prefix: list[int], rest: list[int]) -> None:
+    ids, tags, comps, label, key, leaves = tree
+    labels = {ids[i]: label(pos) for pos, i in enumerate(prefix)}
+    while len(rest) > 1:
+        pos = len(prefix)
+        anon = {**labels, **{ids[i]: _ANON for i in rest}}
+        scored = []
+        for i in rest:
+            trial = dict(anon)
+            trial[ids[i]] = label(pos)
+            scored.append(((tags[i], key(comps, trial)), i))
+        least = min(s for s, _ in scored)
+        tied = [i for s, i in scored if s == least]
+        if len(tied) > 1:
+            _branch(tree, prefix, rest, labels, tied)
+            return
+        prefix.append(tied[0])
+        rest.remove(tied[0])
+        labels[ids[tied[0]]] = label(pos)
+    labels[ids[rest[0]]] = label(len(prefix))
+    leaves.append((prefix + rest, labels))
+
+
+def _branch(tree: tuple, prefix: list[int], rest: list[int], labels: dict[int, str], tied: list[int]) -> None:
+    ids, _, comps, label, key, _ = tree
+    # any injective labelling shows whether exchanging two names maps the cluster onto itself
+    full = dict(labels)
+    for off, i in enumerate(rest):
+        full[ids[i]] = label(len(prefix) + off)
+    reference = key(comps, full)
+    explored: list[int] = []
+    for t in tied:
+        a = ids[t]
+        if any(key(comps, {**full, a: full[ids[e]], ids[e]: full[a]}) == reference for e in explored):
+            continue
+        explored.append(t)
+        _visit(tree, prefix + [t], [i for i in rest if i != t])
 
 
 def _least(

@@ -70,6 +70,14 @@ def assert_golden(path: Path, text: str) -> None:
     assert len(got) == len(expected), f"{path.name}: {len(got)} lines, the golden has {len(expected)}"
 
 
+def env_for(p: Process, declarations: dict[str, Type]) -> TypeEnv:
+    """An environment for the free names of `p` from spelling-keyed types."""
+    by_display: dict[str, Name] = {}
+    for n in free_names(p):
+        by_display.setdefault(n.display, n)
+    return TypeEnv({by_display[s]: ty for s, ty in declarations.items() if s in by_display})
+
+
 # ---------------------------------------------------------------------------
 # Random types
 

@@ -12,7 +12,7 @@ import time
 from itertools import product
 
 
-from piterm.checker import check, derive, env_for
+from piterm.checker import check, derive
 from piterm.errors import (
     CyclicLevelConstraint,
     IllTyped,
@@ -29,7 +29,7 @@ from piterm.parser import parse_process, parse_type
 from piterm.semantics import Verdict, explore, step
 from piterm.syntax import UNIT, fresh, pretty_type
 
-from conftest import multiset_greater_oracle, typed_instance
+from conftest import env_for, multiset_greater_oracle, typed_instance
 from test_checker import assert_matches_oracle, enumerate_universe
 from test_impure import impure_env
 from test_inference import LOCAL_CORPUS, enumeration_typable

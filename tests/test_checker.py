@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from piterm import syntax
-from piterm.checker import TypeEnv, check, derive, env_for, subtype, value_type
+from piterm.checker import TypeEnv, check, derive, subtype, value_type
 from piterm.cli import _load_env
 from piterm.errors import (
     CapabilityError,
@@ -32,6 +32,7 @@ from conftest import (
     FIXTURES,
     assert_golden,
     count_calls,
+    env_for,
     gen_type,
     sample_subtype,
     sample_supertype,
@@ -514,12 +515,13 @@ def typing_pairs() -> list[tuple[str, str, str]]:
 
 
 def typing_line(label: str, src: str, env_src: str, tmp: Path) -> str:
-    p = parse_process(src)
+    free: dict = {}
+    p = parse_process(src, free)
     path = tmp / "case.env"
     path.write_text(env_src, encoding="utf-8")
     head = f"{label}\t{' '.join(src.split())}\t{'; '.join(env_src.splitlines())}"
     try:
-        tenv, ienv = _load_env(str(path), p)
+        tenv, ienv = _load_env(str(path), free)
     except PiError as exc:
         return f"{head}\tLOAD {exc.render()}"
     outcomes = []

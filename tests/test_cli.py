@@ -13,6 +13,8 @@ import pytest
 from piterm import cli, inference
 from piterm.cli import main
 from piterm.errors import LevelViolation
+from piterm.parser import parse_process, parse_type
+from piterm.syntax import free_names
 
 from conftest import FIXTURES
 
@@ -288,6 +290,27 @@ class TestInternalErrors:
         assert code == 0
         assert out.splitlines()[:2] == ["VERDICT=Accepted", "WEIGHT=2"]
 
+    @pytest.mark.parametrize("flags", [[], ["--ds"], ["--impure"]])
+    def test_check_deep_prefix_chain(self, capsys, tmp_path, flags):
+        # the typing walks take prefixes, restrictions and replicated inputs
+        # off a stack: 10^4 nested binders at the default recursion limit
+        chain = "b(x).new r:#1[Unit].!b(y)." * 3334
+        (tmp_path / "deep.pi").write_text(f"a<*> | {chain}a<x>\n")
+        (tmp_path / "deep.env").write_text("a : #2[Unit]\nb : #3[Unit]\n")
+        started = time.perf_counter()
+        code, out = run(capsys, "check", tmp_path / "deep.pi", *flags, "--format=lines")
+        assert time.perf_counter() - started < 10.0  # well under 1 s on a 2-CPU host
+        assert code == 0
+        assert out.splitlines()[:2] == ["VERDICT=Accepted", "WEIGHT=2"]
+
+    def test_check_deep_chain_rejects_at_the_innermost_input(self, capsys, tmp_path):
+        # the level check of a replicated input runs after its whole body
+        (tmp_path / "deep.pi").write_text("b(x)." * 5000 + "!b(y).b<*>\n")
+        (tmp_path / "deep.env").write_text("b : #3[Unit]\n")
+        code, out = run(capsys, "check", tmp_path / "deep.pi", "--format=lines")
+        assert code == 1
+        assert out.splitlines() == ["VERDICT=Rejected", "CODE=LVL"]
+
     def test_infer_wide_spine(self, capsys, tmp_path):
         # every inference phase and the re-check walk the `|` spine without
         # recursion
@@ -297,6 +320,42 @@ class TestInternalErrors:
         assert time.perf_counter() - started < 10.0  # well under 1 s on a 2-CPU host
         assert code == 0
         assert out.splitlines()[:2] == ["VERDICT=Accepted", "WEIGHT=0"]
+
+
+class TestLoadEnv:
+    def test_undeclared_and_unused_spellings_ignored(self, tmp_path):
+        free: dict = {}
+        p = parse_process("a<*> | b(x).x<> | c<>", free)
+        env = tmp_path / "p.env"
+        env.write_text(
+            "a : #1[Unit]\nz : #2[Unit]\nfun g : o1[Unit]\nisolated h : Unit\nfun c : o0[Unit]\nx : Nat\n"
+        )
+        tenv, ienv = cli._load_env(str(env), free)
+        names = {n.display: n for n in free_names(p)}
+        assert set(names) == {"a", "b", "c"}
+        # `b` is used but undeclared, `z`, `g`, `h` and the bound `x` are unused
+        assert tenv.bindings == {names["a"]: parse_type("#1[Unit]"), names["c"]: parse_type("o0[Unit]")}
+        assert ienv.gamma == tenv and ienv.functional == {names["c"]} and ienv.isolated is None
+
+    def test_isolated_name_bound(self, tmp_path):
+        free: dict = {}
+        p = parse_process("!f(x).0 | f<*>", free)
+        env = tmp_path / "p.env"
+        env.write_text("isolated f : o1[Unit]\n")
+        tenv, ienv = cli._load_env(str(env), free)
+        (f,) = free_names(p)
+        assert tenv.bindings == {} and ienv.isolated == (f, parse_type("o1[Unit]"))
+
+
+class TestSiblingEnv:
+    @pytest.mark.parametrize(
+        "name, sibling",
+        [("p.pi", "p.env"), ("p", "p.env"), ("a.b.pi", "a.b.env"), (".p.pi", ".p.env"), ("p.", "p..env")],
+    )
+    def test_suffix_replaced(self, tmp_path, name, sibling):
+        assert cli._sibling_env(str(tmp_path / name)) is None
+        (tmp_path / sibling).write_text("")
+        assert cli._sibling_env(str(tmp_path / name)) == str(tmp_path / sibling)
 
 
 class TestStateBudgetEnvVar:

@@ -6,7 +6,7 @@ from itertools import permutations, product
 
 import pytest
 
-from piterm.checker import TypeEnv, check, env_for
+from piterm.checker import TypeEnv, check
 from piterm.errors import (
     CapabilityError,
     FunctionalInputNotIsolated,
@@ -18,6 +18,8 @@ from piterm.impure import ImpureEnv, check_impure
 from piterm.parser import parse_process, parse_type
 from piterm.semantics import Verdict, explore, normalize, step
 from piterm.syntax import Res, free_names, par
+
+from conftest import env_for
 
 
 def impure_env(p, gamma_decl, isolated=None, functional=()):

@@ -49,6 +49,7 @@ from piterm.syntax import (
 )
 
 from conftest import FIXTURES, assert_golden
+from test_syntax import cyclic_garbage
 
 SIG, TAU = LBase("sig"), LBase("tau")
 
@@ -187,6 +188,12 @@ class TestEncode:
     def test_gate_rejects_untypable(self):
         with pytest.raises(IllTypedLambda):
             encode(parse_lambda_term("\\x. x x"), fresh("p"))
+
+    def test_leaves_no_cyclic_garbage(self):
+        decls, term = parse_lambda_file((FIXTURES / "compose.lam").read_text(encoding="utf-8"))
+        proc, garbage = cyclic_garbage(encode, term, fresh("p"), decls)
+        assert garbage == 0
+        assert isinstance(proc, Res)
 
 
 class TestImageProperties:

@@ -6,13 +6,13 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from piterm.checker import TypeEnv, env_for
+from piterm.checker import TypeEnv
 from piterm.errors import CapabilityError, LevelViolation
 from piterm.measure import as_multiset, multiset_greater, measure
 from piterm.parser import parse_process, parse_type
 from piterm.syntax import ChanT, In, Nil, Out, Par, RepIn, Res
 
-from conftest import multiset_geq, multiset_greater_oracle
+from conftest import env_for, multiset_geq, multiset_greater_oracle
 
 
 def all_multisets(max_element: int, max_size: int):

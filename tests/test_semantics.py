@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from piterm import checker, semantics
-from piterm.checker import TypeEnv, env_for
+from piterm.checker import TypeEnv
 from piterm.measure import multiset_greater
 from piterm.parser import parse_process, parse_type
 from piterm.semantics import (
@@ -41,8 +41,8 @@ from piterm.syntax import (
     pretty_type,
 )
 
-from conftest import FIXTURES, assert_golden, count_calls, oracle_key, scope_parts, typed_instance
-from test_syntax import random_ast
+from conftest import FIXTURES, assert_golden, count_calls, env_for, oracle_key, scope_parts, typed_instance
+from test_syntax import cyclic_garbage, random_ast
 
 
 def congruent(p: Process, q: Process) -> bool:
@@ -205,6 +205,13 @@ class TestNormalize:
         p = parse_process("(new r1)((new r0)(b(x).r1<x> | !r1(y).(r0<b> | r1<r1>) | b<>))")
         q = parse_process("(new r0)((new r1)(b(x).r0<x> | !r0(y).(r1<b> | r0<r0>) | b<>))")
         assert congruent(p, q)
+
+    def test_restricted_search_leaves_no_cyclic_garbage(self):
+        # the shape of the `restricted/*` benchmark family: tied clusters
+        p = parse_process("(new c)(c<> | c().0 | c().0) | (new d)(d<> | d().0 | d().0) | (new e)(e<> | e().0 | e().0)")
+        n, garbage = cyclic_garbage(normalize, p)
+        assert garbage == 0
+        assert len(n.restrictions) == 3
 
     def test_ring_is_not_a_line(self):
         ring = parse_process("(new a)(new b)(new c)(a<b> | b<c> | c<a>)")

@@ -8,6 +8,8 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from piterm.errors import ParseError, SortError
 from piterm.parser import parse_env_file, parse_process, parse_type
@@ -279,6 +281,74 @@ class TestPrinting:
         printed, garbage = cyclic_garbage(pretty_process, p)
         assert garbage == 0
         assert printed == "new r:#1[Nat].(!a(x, y).(x<y + 1 * 2> | r<y>) | a(x1).b<x1>) | c<(1 + 2) * 3>"
+
+
+# Process texts over three spellings, so that binders shadow one another
+# and free names share spellings with bound ones.
+_SPELLINGS = st.sampled_from(["a", "b", "x"])
+_VALUES = st.one_of(_SPELLINGS, st.sampled_from(["*", "1", "x + 1", "(b * 2)"]))
+_BINDERS = st.lists(_SPELLINGS, max_size=2).map(", ".join)
+_LEAVES = st.one_of(
+    st.just("0"),
+    _SPELLINGS,
+    st.builds(lambda s, vs: f"{s}<{', '.join(vs)}>", _SPELLINGS, st.lists(_VALUES, max_size=2)),
+)
+_PROCESS_TEXTS = st.recursive(
+    _LEAVES,
+    lambda inner: st.one_of(
+        st.builds(lambda p, q: f"({p} | {q})", inner, inner),
+        st.builds(lambda s, bs, p: f"{s}({bs}).{p}", _SPELLINGS, _BINDERS, inner),
+        st.builds(lambda s, bs, p: f"!{s}({bs}).{p}", _SPELLINGS, _BINDERS, inner),
+        st.builds(lambda s, p: f"new {s}:#1[Unit].{p}", _SPELLINGS, inner),
+        st.builds(lambda s, p, q: f"(new {s})({p} | {q})", _SPELLINGS, inner, inner),
+        st.builds(lambda s, p, q: f"(new {s}.{p} | {q})", _SPELLINGS, inner, inner),
+    ),
+    max_leaves=12,
+)
+
+
+def assert_free_map(text: str) -> None:
+    """The map `parse_process` fills is the process's free names by spelling."""
+    free: dict = {}
+    p = parse_process(text, free)
+    assert free == {n.display: n for n in free_names(p)}, text
+
+
+class TestFreeNameMap:
+    def test_fixtures(self):
+        for path in sorted(FIXTURES.glob("*.pi")):
+            assert_free_map(path.read_text(encoding="utf-8"))
+
+    def test_golden_inputs(self):
+        from test_checker import typing_pairs
+
+        texts = [src for _, src, _ in typing_pairs()]
+        for kind, text in syntax_cases():
+            if kind == "process":
+                try:
+                    parse_process(text)
+                except ParseError:
+                    continue
+                texts.append(text)
+        assert len(texts) > 400
+        for text in texts:
+            assert_free_map(text)
+
+    def test_shadowing_and_reused_spellings(self):
+        for text in ["x<> | a(x).x<> | x<>", "a(x).x<> | x<>", "a(x, x).x<x>", "!x(x).x<x> | new x.x<>",
+                     "(new a.a<a> | a<>)", "b(a).(new a)(a<b> | b<a>) | a<b>", "a(b).(new a.0 | b<a>)"]:
+            assert_free_map(text)
+
+    @settings(max_examples=400, deadline=None, database=None, derandomize=True)
+    @given(_PROCESS_TEXTS)
+    def test_generated(self, text):
+        assert_free_map(text)
+
+    def test_map_untouched_by_a_failed_parse(self):
+        free: dict = {}
+        with pytest.raises(ParseError):
+            parse_process("a<b> | c(", free)
+        assert free == {}
 
 
 class TestSubstitute:
