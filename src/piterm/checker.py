@@ -221,31 +221,17 @@ def _weigh(env: TypeEnv, p: Process, ds: bool, levels: list[int]) -> None:
     `levels`, or to the list of its nearest enclosing replicated input, which
     is checked against that list once its body is done.
 
-    One stack holds the work, so neither `|` width nor prefix depth recurses:
-    a process with the list its outputs go to, or the end of a binder's
-    scope, with the undo of its binding and, for a replicated input, the
-    node, its level and the list of its body. Components go left to right,
-    and a scope ends after its body, so the first error raised is the one a
-    recursive walk raises."""
+    Neither `|` width nor prefix depth recurses: the walk goes down the left
+    component of each `|` and into each binder's body in place, and leaves
+    on a stack what comes after: a right component with the list its
+    outputs go to, or the end of a binder's scope, with the undo of its
+    binding and, for a replicated input, the node, its level and the list of
+    its body. Components go left to right, and a scope ends after its body,
+    so the first error raised is the one a recursive walk raises."""
     todo: list = [(p, levels)]
     while todo:
         q, out = todo.pop()
-        if isinstance(q, Par):
-            todo += ((q.right, out), (q.left, out))
-        elif isinstance(q, Out):
-            chan = subject_chan(env, q, OUT, ds)
-            check_values(env, q, chan, ds)
-            out.append(chan.level)
-        elif isinstance(q, In):
-            chan = subject_chan(env, q, IN, ds)
-            todo += ((env.bind(payload_binders(q, chan)), None), (q.body, out))
-        elif isinstance(q, RepIn):
-            chan = subject_chan(env, q, IN, ds)
-            inner: list[int] = []
-            todo += ((env.bind(payload_binders(q, chan)), (q, chan.level, inner)), (q.body, inner))
-        elif isinstance(q, Res):
-            todo += ((env.bind([(q.name, annotation(q))]), None), (q.body, out))
-        elif isinstance(q, list):
+        if isinstance(q, list):
             unbind(env.bindings, q)
             if out is not None:
                 rep, level, inner = out
@@ -255,8 +241,32 @@ def _weigh(env: TypeEnv, p: Process, ds: bool, levels: list[int]) -> None:
                         f"does not dominate body weight {max(inner, default=0)}",
                         where=pretty_process(rep),
                     )
-        elif not isinstance(q, Nil):
-            raise TypeError(f"not a process: {q!r}")
+            continue
+        while True:  # down the left of a `|` or into a binder's body
+            if isinstance(q, Out):
+                chan = subject_chan(env, q, OUT, ds)
+                check_values(env, q, chan, ds)
+                out.append(chan.level)
+                break
+            if isinstance(q, Par):
+                todo.append((q.right, out))
+                q = q.left
+            elif isinstance(q, In):
+                chan = subject_chan(env, q, IN, ds)
+                todo.append((env.bind(payload_binders(q, chan)), None))
+                q = q.body
+            elif isinstance(q, RepIn):
+                chan = subject_chan(env, q, IN, ds)
+                inner: list[int] = []
+                todo.append((env.bind(payload_binders(q, chan)), (q, chan.level, inner)))
+                q, out = q.body, inner
+            elif isinstance(q, Res):
+                todo.append((env.bind([(q.name, annotation(q))]), None))
+                q = q.body
+            elif isinstance(q, Nil):
+                break
+            else:
+                raise TypeError(f"not a process: {q!r}")
 
 
 Multiset = tuple[int, ...]

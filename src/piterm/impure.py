@@ -87,47 +87,17 @@ def _walk(scope: TypeEnv, functional: set[Name], isolated: Name | None, p: Proce
     """Type `p` where `isolated` is the name isolated, if any; appends each
     output's level to `levels`, the list of its nearest enclosing input.
 
-    One stack holds the work, so neither `|` width nor prefix depth recurses:
-    a process with the name isolated there and the list its outputs go to,
-    or the end of a binder's scope, with the undo of its binding and, for an
-    input, what its level check needs. Components go left to right, and a
-    scope ends after its body, so the first error raised is the one a
-    recursive walk raises."""
+    Neither `|` width nor prefix depth recurses: the walk goes down the left
+    component of each `|` and into each binder's body in place, and leaves
+    on a stack what comes after: a right component with the name isolated
+    there and the list its outputs go to, or the end of a binder's scope,
+    with the undo of its binding and, for an input, what its level check
+    needs. Components go left to right, and a scope ends after its body, so
+    the first error raised is the one a recursive walk raises."""
     todo: list = [(p, isolated, levels)]
     while todo:
         q, iso, out = todo.pop()
-        if isinstance(q, Par):
-            todo += ((q.right, iso, out), (q.left, iso, out))
-        elif isinstance(q, Out):
-            chan = subject_chan(scope, q, OUT)
-            check_values(scope, q, chan)
-            out.append(chan.level)
-        elif isinstance(q, (In, RepIn)):
-            defining = isinstance(q, RepIn) and q.subject == iso
-            if defining:
-                chan = scope.bindings.pop(iso)  # hidden from its defining body
-            elif q.subject in functional:
-                raise FunctionalInputNotIsolated(
-                    f"input on functional name {q.subject.display} outside its defining scope",
-                    where=pretty_process(q),
-                )
-            else:
-                chan = subject_chan(scope, q, IN)
-            inner: list[int] = []
-            todo += ((scope.bind(payload_binders(q, chan)), q, (chan, defining, inner)), (q.body, None, inner))
-        elif isinstance(q, Res):
-            ty = annotation(q)
-            if not (isinstance(ty, ChanT) and ty.cap == (OUT if q.functional else SHARP)):
-                kind, need = ("functional", "an o-type") if q.functional else ("imperative", "a full-capability")
-                raise CapabilityError(
-                    f"{kind} restriction on {q.name.display} needs {need} annotation, has {pretty_type(ty)}",
-                    where=pretty_process(q),
-                )
-            saved = scope.bind([(q.name, ty)])
-            if q.functional:
-                functional.add(q.name)
-            todo += ((saved, q, None), (q.body, q.name if q.functional else iso, out))
-        elif isinstance(q, list):
+        if isinstance(q, list):
             # the end of the scope of `node`, a restriction or an input
             unbind(scope.bindings, q)
             node = iso
@@ -151,5 +121,44 @@ def _walk(scope: TypeEnv, functional: set[Name], isolated: Name | None, p: Proce
                     f"does not dominate body weight {w}",
                     where=pretty_process(node),
                 )
-        elif not isinstance(q, Nil):
-            raise TypeError(f"not a process: {q!r}")
+            continue
+        while True:  # down the left of a `|` or into a binder's body
+            if isinstance(q, Out):
+                chan = subject_chan(scope, q, OUT)
+                check_values(scope, q, chan)
+                out.append(chan.level)
+                break
+            if isinstance(q, Par):
+                todo.append((q.right, iso, out))
+                q = q.left
+            elif isinstance(q, (In, RepIn)):
+                defining = isinstance(q, RepIn) and q.subject == iso
+                if defining:
+                    chan = scope.bindings.pop(iso)  # hidden from its defining body
+                elif q.subject in functional:
+                    raise FunctionalInputNotIsolated(
+                        f"input on functional name {q.subject.display} outside its defining scope",
+                        where=pretty_process(q),
+                    )
+                else:
+                    chan = subject_chan(scope, q, IN)
+                inner: list[int] = []
+                todo.append((scope.bind(payload_binders(q, chan)), q, (chan, defining, inner)))
+                q, iso, out = q.body, None, inner
+            elif isinstance(q, Res):
+                ty = annotation(q)
+                if not (isinstance(ty, ChanT) and ty.cap == (OUT if q.functional else SHARP)):
+                    kind, need = ("functional", "an o-type") if q.functional else ("imperative", "a full-capability")
+                    raise CapabilityError(
+                        f"{kind} restriction on {q.name.display} needs {need} annotation, has {pretty_type(ty)}",
+                        where=pretty_process(q),
+                    )
+                todo.append((scope.bind([(q.name, ty)]), q, None))
+                if q.functional:
+                    functional.add(q.name)
+                    iso = q.name
+                q = q.body
+            elif isinstance(q, Nil):
+                break
+            else:
+                raise TypeError(f"not a process: {q!r}")

@@ -311,6 +311,16 @@ class TestInternalErrors:
         assert code == 1
         assert out.splitlines() == ["VERDICT=Rejected", "CODE=LVL"]
 
+    def test_infer_deep_prefix_chain(self, capsys, tmp_path):
+        # every inference phase and the re-check walk prefix chains without
+        # recursion
+        (tmp_path / "deep.pi").write_text("".join(f"a{i % 50}(x{i})." for i in range(10**4)) + "0\n")
+        started = time.perf_counter()
+        code, out = run(capsys, "infer", tmp_path / "deep.pi", "--format=lines")
+        assert time.perf_counter() - started < 10.0  # well under 1 s on a 2-CPU host
+        assert code == 0
+        assert out.splitlines()[:2] == ["VERDICT=Accepted", "WEIGHT=0"]
+
     def test_infer_wide_spine(self, capsys, tmp_path):
         # every inference phase and the re-check walk the `|` spine without
         # recursion

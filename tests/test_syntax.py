@@ -302,6 +302,7 @@ _PROCESS_TEXTS = st.recursive(
         st.builds(lambda s, p: f"new {s}:#1[Unit].{p}", _SPELLINGS, inner),
         st.builds(lambda s, p, q: f"(new {s})({p} | {q})", _SPELLINGS, inner, inner),
         st.builds(lambda s, p, q: f"(new {s}.{p} | {q})", _SPELLINGS, inner, inner),
+        st.builds(lambda s, p, q: f"new {s} ({p} | {q})", _SPELLINGS, inner, inner),
     ),
     max_leaves=12,
 )
