@@ -56,7 +56,10 @@ class _Report:
 
 def _read(path: str) -> str:
     with open(path, encoding="utf-8") as fh:
-        return fh.read()
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise OSError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
 
 
 def _load_process(path: str, free: dict[str, Name] | None = None) -> Process:
@@ -127,10 +130,7 @@ def cmd_infer(args, report: _Report) -> int:
         report.add(f"TYPE.{name.display}", printed, f"{name.display} : {printed}")
     if args.dump_graph:
         dump = result.graph.dump()
-        levels = ", ".join(
-            f"{result.graph.display[s]}={lvl}"
-            for s, lvl in sorted(result.levels.items(), key=lambda kv: result.graph.display[kv[0]])
-        )
+        levels = ", ".join(f"{s}={lvl}" for s, lvl in sorted(result.levels.items()))
         report.add("GRAPH", dump.replace("\n", ";"), dump)
         report.add("LEVELS", levels, f"levels: {levels}")
     return 0

@@ -21,17 +21,18 @@ Slots are numbered once per `infer`, straight off the store: 0 is the
 floor, a pseudo-slot pinned at level zero, then each root's resolved type
 tree in preorder, roots in `Name.id` order. So ids follow `(root.id, path)`,
 and constraints, solving and reconstruction run on ints and lists; the
-reconstructed types are built from the slots, with no simple-type object
-made on the way. `infer` is the one way through the pipeline.
+reconstructed types are built from the slots. `infer` is the one way
+through the pipeline.
 
 Output edges are `>=` and run down every nested payload position;
 replication edges are `>`. The public `LevelGraph` is a projection of this
 one constraint system: the slots of free and restricted names down to their
-first payload positions, with received names as labels on their carrier's
+first payload positions, named as `--dump-graph` prints them (`a`,
+`son0(a)`, `a~1`), with received names as labels on their carrier's
 payload slot, and the constraints among those slots. ds-equality mode solves
 the same system with every `>=` edge also read backwards, so levels are
-equal along every flow. An `InferResult` builds its graph, its visible
-levels (keyed by `Slot`) and its `SimpleType` typing only when first read.
+equal along every flow. An `InferResult` builds its graph and its visible
+levels, both keyed by slot name, only when first read.
 """
 
 from __future__ import annotations
@@ -196,56 +197,8 @@ class TermStore:
 # Simple types
 
 
-class SimpleType:
-    pass
-
-
-@dataclass(frozen=True)
-class SVar(SimpleType):
-    id: int
-
-
-@dataclass(frozen=True)
-class SUnit(SimpleType):
-    pass
-
-
-@dataclass(frozen=True)
-class SNat(SimpleType):
-    pass
-
-
-@dataclass(frozen=True)
-class SChan(SimpleType):
-    payload: tuple[SimpleType, ...]
-
-
-S_UNIT = SUnit()
-S_NAT = SNat()
-
-
-def pretty_simple(t: SimpleType) -> str:
-    if isinstance(t, SVar):
-        return f"?{t.id}"
-    if isinstance(t, SUnit):
-        return "Unit"
-    if isinstance(t, SNat):
-        return "Nat"
-    if isinstance(t, SChan):
-        return "ch[" + ", ".join(pretty_simple(p) for p in t.payload) + "]"
-    raise TypeError(f"not a simple type: {t!r}")
-
-
-def _make_simple(kind: int, label, args: tuple) -> SimpleType:
-    if kind == VAR:
-        return SVar(label)
-    if kind == CHAN:
-        return SChan(args)
-    return S_NAT if kind == NAT_K else S_UNIT
-
-
 def _pretty_node(kind: int, label, args: tuple[str, ...]) -> str:
-    """`pretty_simple` of one store node, its payload already printed."""
+    """The printed simple type of one store node, its payload already printed."""
     if kind == VAR:
         return f"?{label}"
     if kind == CHAN:
@@ -260,9 +213,6 @@ class _Typing:
 
     store: TermStore
     var: dict[Name, int]
-
-    def simple(self) -> dict[Name, SimpleType]:
-        return {n: self.store.resolve(v, _make_simple) for n, v in self.var.items()}
 
     def error(self, m: Mismatch) -> UnificationFailure:
         def show(t: int, bound: bool = True) -> str:
@@ -396,30 +346,18 @@ def _facts(p: Process) -> _Facts:
 # The level constraint system
 
 
-@dataclass(frozen=True, slots=True)
-class Slot:
-    """A level variable: a name together with a payload path into its type."""
-
-    root: Name
-    path: tuple[int, ...]
-
-
 @dataclass
 class LevelGraph:
-    nodes: dict[Slot, frozenset[str]] = field(default_factory=dict)  # label sets
-    edges: set[tuple[Slot, Slot, bool]] = field(default_factory=set)
-    display: dict[Slot, str] = field(default_factory=dict)
+    """The visible level graph, by slot name: each node's label set (its own
+    name and the received names it carries), and the edges `(src, dst,
+    strict)`, `src >= dst` or, strict, `src > dst`."""
+
+    nodes: dict[str, frozenset[str]] = field(default_factory=dict)
+    edges: set[tuple[str, str, bool]] = field(default_factory=set)
 
     def dump(self) -> str:
-        lines = []
-        for slot in sorted(self.nodes, key=lambda s: self.display[s]):
-            labels = sorted({self.display[slot]} | self.nodes[slot])
-            lines.append(f"NODE {self.display[slot]}: {{{', '.join(labels)}}}")
-        rendered = []
-        for src, dst, strict in self.edges:
-            op = ">" if strict else ">="
-            rendered.append(f"EDGE {self.display[src]} {op} {self.display[dst]}")
-        lines.extend(sorted(rendered))
+        lines = [f"NODE {n}: {{{', '.join(sorted(self.nodes[n]))}}}" for n in sorted(self.nodes)]
+        lines += sorted(f"EDGE {s} {'>' if strict else '>='} {d}" for s, d, strict in self.edges)
         return "\n".join(lines)
 
 
@@ -539,25 +477,19 @@ def _extended_constraints(info: _NameInfo) -> set[tuple[int, int, bool]]:
     return edges
 
 
-_NO_LABELS: frozenset[str] = frozenset()
-
-
 def _project(
-    info: _NameInfo, edges: set[tuple[int, int, bool]]
-) -> tuple[LevelGraph, dict[int, Slot]]:
+    info: _NameInfo, edges: set[tuple[int, int, bool]], levels: list[int]
+) -> tuple[LevelGraph, dict[str, int]]:
     """The visible graph: the slots of free and restricted names down to their
     payload positions, received names as labels on their carrier's position,
-    and the constraints among these slots; with the `Slot` of each visible id."""
-    g = LevelGraph()
-    visible: dict[int, Slot] = {}
-    for n, sid in info.root_slot.items():
-        top = info.root_display[n]
-        tops = [(sid, (), top)]
-        tops += [(c, (i,), f"son{i}({top})") for i, c in enumerate(info.children[sid]) if c is not None]
-        for s, path, text in tops:
-            visible[s] = Slot(n, path)
-            g.nodes[visible[s]] = _NO_LABELS
-            g.display[visible[s]] = text
+    and the constraints among these slots; with the level of each node."""
+    visible = {
+        s: info.display(s)
+        for sid in info.root_slot.values()
+        for s in (sid, *info.children[sid])
+        if s is not None
+    }
+    g = LevelGraph({text: frozenset((text,)) for text in visible.values()})
     for _, _, x in info.facts.receptions:
         sid = info.slot.get(x)
         if sid in visible:
@@ -565,7 +497,7 @@ def _project(
     g.edges = {
         (visible[s], visible[d], strict) for s, d, strict in edges if s in visible and d in visible
     }
-    return g, visible
+    return g, {text: levels[sid] for sid, text in visible.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -731,9 +663,9 @@ DS_EQUALITY = "ds-equality"
 
 
 class InferResult:
-    """What `infer` returns. `graph` (the visible `LevelGraph`), `levels`
-    (its nodes' levels, sharing its `Slot`s) and `simple` (the most general
-    simple typing as `SimpleType`s) are built when first read."""
+    """What `infer` returns. `graph` (the visible `LevelGraph`) and `levels`
+    (the level of each of its nodes, by slot name) are built when first
+    read."""
 
     def __init__(
         self,
@@ -741,38 +673,35 @@ class InferResult:
         process: Process,
         weight: int,
         info: _NameInfo,
-        typing: _Typing,
         edges: set[tuple[int, int, bool]],
         levels: list[int],
     ):
         self.env = env
         self.process = process  # with reconstructed annotations
         self.weight = weight
-        self._info, self._typing, self._edges, self._levels = info, typing, edges, levels
+        self._info, self._edges, self._levels = info, edges, levels
 
     @cached_property
-    def _visible(self) -> tuple[LevelGraph, dict[int, Slot]]:
-        visible = _project(self._info, self._edges)
-        del self._info, self._edges  # the projection was their last reader
-        return visible
+    def _projected(self) -> tuple[LevelGraph, dict[str, int]]:
+        projected = _project(self._info, self._edges, self._levels)
+        del self._info, self._edges, self._levels  # the projection was their last reader
+        return projected
 
     @property
     def graph(self) -> LevelGraph:
-        return self._visible[0]
+        return self._projected[0]
 
-    @cached_property
-    def levels(self) -> dict[Slot, int]:
-        """Levels of the visible graph nodes."""
-        return {slot: self._levels[sid] for sid, slot in self._visible[1].items()}
-
-    @cached_property
-    def simple(self) -> dict[Name, SimpleType]:
-        return self._typing.simple()
+    @property
+    def levels(self) -> dict[str, int]:
+        return self._projected[1]
 
 
 def infer(p: Process, mode: str = FLEXIBLE) -> InferResult:
     """Full inference; raises NotLocalised, UnificationFailure,
-    OccursCheckFailure or CyclicLevelConstraint on untypable input."""
+    OccursCheckFailure or CyclicLevelConstraint on untypable input, and
+    ValueError on an unknown `mode`."""
+    if mode not in (FLEXIBLE, DS_EQUALITY):
+        raise ValueError(f"unknown inference mode {mode!r}")
     facts = _facts(p)
     typing = _simple_types(facts)
     bad = facts.non_local()
@@ -786,12 +715,10 @@ def infer(p: Process, mode: str = FLEXIBLE) -> InferResult:
     if mode == DS_EQUALITY:
         # every `>=` flow also holds backwards: levels are equal along it
         solved = edges | {(dst, src, False) for src, dst, strict in edges if not strict}
-    elif mode != FLEXIBLE:
-        raise ValueError(f"unknown inference mode {mode!r}")
     levels = _least_levels(len(info.children), solved, info.display)
     tenv, annotated = _reconstruct(p, info, levels)
     try:
         weight = check(tenv, annotated)  # inference soundness: must hold
     except IllTyped as exc:
         raise InternalError(f"inference built a typing its checker rejects: {exc.render()}") from exc
-    return InferResult(tenv, annotated, weight, info, typing, edges, levels)
+    return InferResult(tenv, annotated, weight, info, edges, levels)

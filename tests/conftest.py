@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from piterm.checker import TypeEnv, check, subtype
+from piterm.inference import _facts, _pretty_node, _simple_types
 from piterm.measure import Multiset, multiset_greater
 from piterm.syntax import (
     NAT,
@@ -76,6 +77,13 @@ def env_for(p: Process, declarations: dict[str, Type]) -> TypeEnv:
     for n in free_names(p):
         by_display.setdefault(n.display, n)
     return TypeEnv({by_display[s]: ty for s, ty in declarations.items() if s in by_display})
+
+
+def simple_types(p: Process, make=_pretty_node) -> dict[Name, object]:
+    """The most general simple typing of `p`, each name's type resolved off
+    the term store by `make(kind, label, args)`; printed by default."""
+    typing = _simple_types(_facts(p))
+    return {n: typing.store.resolve(v, make) for n, v in typing.var.items()}
 
 
 # ---------------------------------------------------------------------------

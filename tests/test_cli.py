@@ -41,6 +41,26 @@ class TestCheck:
     def test_missing_file_is_exit_two(self, capsys):
         assert main(["check", str(FIXTURES / "missing.pi")]) == 2
 
+    def test_file_not_utf8_is_exit_two(self, capsys, tmp_path):
+        # an input file that is not UTF-8 is an I/O error naming the file,
+        # never a traceback
+        for name in ("bad.pi", "bad.env", "bad.lam", "sibling.env"):
+            (tmp_path / name).write_bytes(b"a<\xff>\n")
+        for name in ("ok.pi", "sibling.pi"):
+            (tmp_path / name).write_text("a<*>\n")
+        for argv, bad in (
+            (["check", "bad.pi"], "bad.pi"),
+            (["check", "ok.pi", "--env", "bad.env"], "bad.env"),
+            (["check", "sibling.pi"], "sibling.env"),
+            (["run", "ok.pi", "--certify", "bad.env"], "bad.env"),
+            (["infer", "bad.pi"], "bad.pi"),
+            (["encode", "bad.lam"], "bad.lam"),
+        ):
+            code = main([str(tmp_path / a) if "." in a else a for a in argv])
+            captured = capsys.readouterr()
+            assert (code, captured.out) == (2, ""), argv
+            assert captured.err == f"error: {tmp_path / bad}: not UTF-8 (invalid start byte at byte 2)\n", argv
+
     def test_lines_format(self, capsys):
         code, out = run(capsys, "check", "--format=lines", FIXTURES / "server.pi")
         assert code == 0

@@ -21,17 +21,14 @@ from piterm.errors import (
 from piterm.inference import (
     DS_EQUALITY,
     FLEXIBLE,
+    NAT_K,
+    UNIT_K,
+    VAR,
     LevelGraph,
-    SChan,
-    SNat,
-    SUnit,
-    SVar,
-    Slot,
     _facts,
     _least_levels,
     _simple_types,
     infer,
-    pretty_simple,
 )
 from piterm.lam import (
     LAbs,
@@ -60,7 +57,7 @@ from piterm.syntax import (
     pretty_type,
 )
 
-from conftest import assert_golden, count_calls
+from conftest import assert_golden, count_calls, simple_types
 from test_syntax import random_ast
 
 
@@ -71,10 +68,10 @@ def by_display(p):
 class TestInferSimple:
     def test_forward_chain(self):
         p = parse_process("a(x).x<*>")
-        env = infer(p).simple
+        infer(p)
+        env = simple_types(p)
         names = by_display(p)
-        a = env[names["a"]]
-        assert a == SChan((SChan((SUnit(),)),))
+        assert env[names["a"]] == "ch[ch[Unit]]"
 
     def test_occurs_check(self):
         with pytest.raises(OccursCheckFailure):
@@ -82,10 +79,11 @@ class TestInferSimple:
 
     def test_payload_siblings_unified(self):
         p = parse_process("a<p> | a<q> | !p(z).q<z>")
-        env = infer(p).simple
+        infer(p)
+        env = simple_types(p)
         names = by_display(p)
         assert env[names["p"]] == env[names["q"]]
-        assert isinstance(env[names["p"]], SChan)
+        assert env[names["p"]].startswith("ch[")
 
     def test_sort_clash(self):
         with pytest.raises(UnificationFailure):
@@ -97,16 +95,18 @@ class TestInferSimple:
 
     def test_restricted_names_default_to_channels(self):
         p = parse_process("new b. x<b>")
-        env = infer(p).simple
+        infer(p)
+        env = simple_types(p)
         res_name = p.name
-        assert isinstance(env[res_name], SChan)
+        assert env[res_name].startswith("ch[")
 
     def test_nat_arithmetic(self):
         p = parse_process("a<n+1>")
-        env = infer(p).simple
+        infer(p)
+        env = simple_types(p)
         names = by_display(p)
-        assert env[names["n"]] == SNat()
-        assert env[names["a"]] == SChan((SNat(),))
+        assert env[names["n"]] == "Nat"
+        assert env[names["a"]] == "ch[Nat]"
 
 
 class TestLocality:
@@ -124,14 +124,8 @@ class TestLocality:
 
 
 def graph_view(g: LevelGraph):
-    nodes = {
-        g.display[s]: frozenset({g.display[s]} | labels) for s, labels in g.nodes.items()
-    }
-    edges = {
-        (g.display[src], ">" if strict else ">=", g.display[dst])
-        for src, dst, strict in g.edges
-    }
-    return nodes, edges
+    edges = {(src, ">" if strict else ">=", dst) for src, dst, strict in g.edges}
+    return g.nodes, edges
 
 
 class TestBuildGraph:
@@ -207,9 +201,7 @@ class TestAssignLevels:
     def test_relay_levels(self):
         p = parse_process("!c(z).b<z> | a<c> | a<b>")
         result = infer(p)
-        g, levels = result.graph, result.levels
-        named = {g.display[s]: lvl for s, lvl in levels.items()}
-        assert named == {
+        assert result.levels == {
             "a": 0,
             "b": 0,
             "son0(b)": 0,
@@ -436,34 +428,41 @@ class TestInferPipeline:
 
     @pytest.mark.parametrize("mode", [FLEXIBLE, DS_EQUALITY])
     def test_slots_built_only_for_the_visible_graph(self, monkeypatch, mode):
-        # inference numbers its slots; a `Slot` is built only for a node of
-        # the returned graph (not for hidden ones such as son0(son0(d))), and
-        # the returned levels share those objects
-        built = count_calls(monkeypatch, Slot)
+        # inference numbers its slots; a slot is named only for a node of the
+        # returned graph (not for hidden ones such as son0(son0(d))), and the
+        # returned levels have exactly those names
+        named = []
+        display = inference._NameInfo.display
+        monkeypatch.setattr(
+            inference._NameInfo, "display", lambda info, sid: named.append(sid) or display(info, sid)
+        )
         result = infer(parse_process("!a(x).b<x> | a<c> | new s.(d<s> | s(y).y<*>)"), mode)
+        assert named == []
         result.graph  # built on first access
-        assert len(built) == len(result.graph.nodes)
-        assert set(map(id, result.levels)) == set(map(id, result.graph.nodes))
+        assert len(named) == len(result.graph.nodes) == 9
+        assert "son0(son0(d))" not in result.graph.nodes
+        assert result.levels.keys() == result.graph.nodes.keys()
 
     @pytest.mark.parametrize("mode", [FLEXIBLE, DS_EQUALITY])
-    def test_graph_levels_and_simple_built_on_first_read(self, monkeypatch, mode):
-        # a plain `infer` projects no graph, builds no `Slot` and resolves no
-        # `SimpleType`; the first read builds each once, and they share slots
+    def test_graph_and_levels_built_on_first_read(self, monkeypatch, mode):
+        # a plain `infer` projects no graph; the first read of `graph` or
+        # `levels` projects once, for both
         projected = count_calls(monkeypatch, inference._project)
-        built = count_calls(monkeypatch, Slot)
-        resolved = count_calls(monkeypatch, SChan)
         result = infer(parse_process("!a(x).b<x> | a<c> | new s.(d<s> | s(y).y<*>)"), mode)
-        assert (projected, built, resolved) == ([], [], [])
+        assert projected == []
         graph = result.graph
-        assert len(projected) == 1 and len(built) == len(graph.nodes) == 9
+        assert len(projected) == 1 and len(graph.nodes) == 9
         levels = result.levels
         assert result.graph is graph and result.levels is levels
-        assert len(projected) == 1 and len(built) == 9
-        assert set(map(id, levels)) == set(map(id, graph.nodes))
-        assert resolved == []
-        simple = result.simple
-        assert resolved and result.simple is simple
-        assert simple == _simple_types(_facts(result.process)).simple()
+        assert len(projected) == 1 and len(levels) == 9
+
+    def test_unknown_mode_rejected_before_any_work(self, monkeypatch):
+        # the mode is checked first: this process fails unification, and no
+        # fact walk runs
+        walks = count_calls(monkeypatch, inference._facts)
+        with pytest.raises(ValueError, match="unknown inference mode 'bogus'"):
+            infer(parse_process("a<b> | b<*> | a<1>"), "bogus")
+        assert walks == []
 
     def test_alpha_invariant_across_reparses(self):
         # two parses of the same source differ only in name identities
@@ -508,21 +507,38 @@ class TestTypeDepth:
 # skeleton and compare "some annotation makes check succeed" with infer.
 
 
+def skeleton(kind, label, payload):
+    """A simple type as `(kind, payload)`, built by `simple_types`."""
+    return kind, payload
+
+
+UNIT_SKELETON = (UNIT_K, ())
+
+
 def skeleton_slots(p, env):
     roots = sorted(set(free_names(p)) | {r for r in _resnames(p)}, key=lambda n: n.id)
     slots = []
 
     def walk(root, path, t):
-        if isinstance(t, (SUnit, SNat)):
+        kind, payload = t
+        if kind == UNIT_K or kind == NAT_K:
             return
         slots.append((root, path))
-        if isinstance(t, SChan):
-            for i, pt in enumerate(t.payload):
-                walk(root, path + (i,), pt)
+        for i, pt in enumerate(payload):
+            walk(root, path + (i,), pt)
 
     for n in roots:
-        walk(n, (), env.get(n, SUnit()))
+        walk(n, (), env.get(n, UNIT_SKELETON))
     return roots, slots
+
+
+def slot_name(root, path) -> str:
+    """The name `infer` gives the slot at `path` in the type of `root`, when
+    no other root shares its spelling."""
+    text = root.display
+    for i in path:
+        text = f"son{i}({text})"
+    return text
 
 
 def _resnames(p):
@@ -546,7 +562,7 @@ def enumeration_typable(p, max_level: int = 3) -> bool:
     """Oracle: does any level assignment over the inferred skeleton, with full
     capability at the top and output capabilities below, satisfy the checker?"""
     try:
-        env = _simple_types(_facts(p)).simple()
+        env = simple_types(p, skeleton)
     except UnificationFailure:
         return False
     roots, slots = skeleton_slots(p, env)
@@ -555,18 +571,19 @@ def enumeration_typable(p, max_level: int = 3) -> bool:
     resnames = set(_resnames(p))
 
     def build(root, path, t, levels, top):
-        if isinstance(t, SUnit):
+        kind, payload = t
+        if kind == UNIT_K:
             return UNIT
-        if isinstance(t, SNat):
+        if kind == NAT_K:
             from piterm.syntax import NAT
 
             return NAT
         lvl = levels[(root, path)]
         cap = "#" if top else "o"
-        if isinstance(t, SVar):
+        if kind == VAR:
             return ChanT(cap, lvl, (UNIT,))
         return ChanT(
-            cap, lvl, tuple(build(root, path + (i,), pt, levels, False) for i, pt in enumerate(t.payload))
+            cap, lvl, tuple(build(root, path + (i,), pt, levels, False) for i, pt in enumerate(payload))
         )
 
     def annotate(q, levels):
@@ -588,7 +605,7 @@ def enumeration_typable(p, max_level: int = 3) -> bool:
         levels = dict(zip(slots, combo))
         try:
             tenv = TypeEnv(
-                {n: build(n, (), env.get(n, SUnit()), levels, True) for n in free}
+                {n: build(n, (), env.get(n, UNIT_SKELETON), levels, True) for n in free}
             )
             check(tenv, annotate(p, levels))
             return True
@@ -657,20 +674,20 @@ class TestCompleteness:
                 result = infer(p)
             except (CyclicLevelConstraint, UnificationFailure, NotLocalised, OccursCheckFailure):
                 continue
-            env = result.simple
+            env = simple_types(p, skeleton)
             roots, slots = skeleton_slots(p, env)
+            # no two roots share a spelling: a slot's name is its `slot_name`
+            assert len({n.display for n in roots}) == len(roots), src
             if len(slots) > 6:
                 continue
-            inferred = {
-                (s.root, s.path): lvl for s, lvl in result.levels.items()
-            }
             for combo in product(range(4), repeat=len(slots)):
                 levels = dict(zip(slots, combo))
                 if not _assignment_checks(p, env, levels):
                     continue
-                for key, lvl in inferred.items():
-                    if key in levels:
-                        assert lvl <= levels[key], (src, key)
+                named = {slot_name(*slot): lvl for slot, lvl in levels.items()}
+                for key, lvl in result.levels.items():
+                    if key in named:
+                        assert lvl <= named[key], (src, key)
 
 
 def _assignment_checks(p, env, levels) -> bool:
@@ -680,16 +697,17 @@ def _assignment_checks(p, env, levels) -> bool:
     resnames = set(_resnames(p))
 
     def build(root, path, t, top):
-        if isinstance(t, SUnit):
+        kind, payload = t
+        if kind == UNIT_K:
             return UNIT
-        if isinstance(t, SNat):
+        if kind == NAT_K:
             return NAT
         lvl = levels[(root, path)]
         cap = "#" if top else "o"
-        if isinstance(t, SVar):
+        if kind == VAR:
             return ChanT(cap, lvl, (UNIT,))
         return ChanT(
-            cap, lvl, tuple(build(root, path + (i,), pt, False) for i, pt in enumerate(t.payload))
+            cap, lvl, tuple(build(root, path + (i,), pt, False) for i, pt in enumerate(payload))
         )
 
     def annotate(q):
@@ -705,7 +723,7 @@ def _assignment_checks(p, env, levels) -> bool:
 
     free = [n for n in free_names(p)]
     try:
-        tenv = TypeEnv({n: build(n, (), env.get(n, SUnit()), True) for n in free})
+        tenv = TypeEnv({n: build(n, (), env.get(n, UNIT_SKELETON), True) for n in free})
         check(tenv, annotate(p))
         return True
     except PiError:
@@ -754,19 +772,29 @@ class TestInferFuzz:
     def test_never_crashes_and_always_verifies(self, rng):
         from piterm.syntax import fresh
 
-        accepted = rejected = 0
-        for _ in range(400):
-            pool = [fresh(d) for d in "abc"]
-            p = random_local_process(rng, 4, pool, [])
-            try:
-                result = infer(p)
-            except (CyclicLevelConstraint, UnificationFailure, NotLocalised, OccursCheckFailure):
-                rejected += 1
-                continue
-            accepted += 1
-            # the pipeline already re-checked; assert independently anyway
-            assert check(result.env, result.process) == result.weight
-        assert accepted > 50 and rejected > 20  # the fuzz hits both outcomes
+        procs = [random_local_process(rng, 4, [fresh(d) for d in "abc"], []) for _ in range(400)]
+        for mode in (FLEXIBLE, DS_EQUALITY):
+            accepted = rejected = 0
+            for p in procs:
+                try:
+                    result = infer(p, mode)
+                except (CyclicLevelConstraint, UnificationFailure, NotLocalised, OccursCheckFailure):
+                    rejected += 1
+                    continue
+                accepted += 1
+                # the pipeline already re-checked; assert independently anyway
+                assert check(result.env, result.process) == result.weight
+                # the visible levels satisfy every visible edge, and under
+                # ds-equality a `>=` edge joins equal levels
+                levels = result.levels
+                for src, dst, strict in result.graph.edges:
+                    if strict:
+                        assert levels[src] > levels[dst], (mode, src, dst)
+                    elif mode == DS_EQUALITY:
+                        assert levels[src] == levels[dst], (mode, src, dst)
+                    else:
+                        assert levels[src] >= levels[dst], (mode, src, dst)
+            assert accepted > 50 and rejected > 20, mode  # the fuzz hits both outcomes
 
 
 # ---------------------------------------------------------------------------
@@ -798,7 +826,7 @@ def golden_line(p, mode: str) -> str:
     except PiError as exc:
         return head + f"REJECT {exc.code}"
     types = sorted(f"{n.display}:{pretty_type(t)}" for n, t in r.env.items())
-    levels = sorted(f"{r.graph.display[s]}={lvl}" for s, lvl in r.levels.items())
+    levels = sorted(f"{s}={lvl}" for s, lvl in r.levels.items())
     return head + "\t".join(
         [
             f"WEIGHT {r.weight}",
@@ -967,8 +995,7 @@ def unify_line(kind: str, decls, subject) -> str:
             outcome = pretty_lambda_type(check_stlc(decls, subject))
         else:
             head = f"{kind}\t{pretty_process(subject)}"
-            env = _simple_types(_facts(subject)).simple()
-            outcome = " ".join(f"{n.display}:{pretty_simple(t)}" for n, t in env.items())
+            outcome = " ".join(f"{n.display}:{t}" for n, t in simple_types(subject).items())
     except PiError as exc:
         outcome = f"{type(exc).__name__}: {exc.message}"
     return f"{head}\t{outcome}"

@@ -10,11 +10,10 @@ from piterm.checker import TypeEnv, check
 from piterm.errors import CyclicLevelConstraint, IllTypedLambda, ParseError, PiError
 from piterm.impure import ImpureEnv, check_impure
 from piterm.inference import (
+    CHAN,
     DS_EQUALITY,
     FLEXIBLE,
-    SNat,
-    SUnit,
-    SVar,
+    NAT_K,
     _facts,
     _simple_types,
     infer,
@@ -48,7 +47,7 @@ from piterm.syntax import (
     fresh,
 )
 
-from conftest import FIXTURES, assert_golden
+from conftest import FIXTURES, assert_golden, simple_types
 from test_syntax import cyclic_garbage
 
 SIG, TAU = LBase("sig"), LBase("tau")
@@ -305,14 +304,12 @@ class TestImpureCompatibility:
 
     @staticmethod
     def zero_env_and_annotation(proc: Process):
-        env = infer(proc).simple
+        def to_type(kind, label, payload):
+            if kind == CHAN:
+                return ChanT("o", 0, payload)
+            return NAT if kind == NAT_K else UNIT
 
-        def to_type(st, cap="o"):
-            if isinstance(st, (SVar, SUnit)):
-                return UNIT
-            if isinstance(st, SNat):
-                return NAT
-            return ChanT(cap, 0, tuple(to_type(q) for q in st.payload))
+        env = simple_types(proc, to_type)
 
         def annotate(q):
             if isinstance(q, Par):
@@ -322,10 +319,10 @@ class TestImpureCompatibility:
             if isinstance(q, RepIn):
                 return RepIn(q.subject, q.binders, annotate(q.body))
             if isinstance(q, Res):
-                return Res(q.name, to_type(env[q.name]), True, annotate(q.body))
+                return Res(q.name, env[q.name], True, annotate(q.body))
             return q
 
-        gamma = TypeEnv({n: to_type(env[n]) for n in free_names(proc)})
+        gamma = TypeEnv({n: env[n] for n in free_names(proc)})
         return ImpureEnv(gamma, None, frozenset(free_names(proc))), annotate(proc)
 
     @pytest.mark.parametrize(
