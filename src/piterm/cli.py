@@ -55,11 +55,14 @@ class _Report:
 
 
 def _read(path: str) -> str:
+    """The UTF-8 text of file `path`, less a leading byte-order mark (dropped
+    here rather than by `utf-8-sig`, whose error offsets start after it)."""
     with open(path, encoding="utf-8") as fh:
         try:
-            return fh.read()
+            text = fh.read()
         except UnicodeDecodeError as exc:
             raise OSError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
+    return text.removeprefix("\ufeff")
 
 
 def _load_process(path: str, free: dict[str, Name] | None = None) -> Process:
@@ -188,6 +191,7 @@ def cmd_encode(args, report: _Report) -> int:
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="piterm", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
+    ap.commands = sub.choices  # {name: subparser}, filled by `sub.add_parser`
 
     def common(sp, handler):
         sp.set_defaults(handler=handler)
@@ -226,7 +230,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    ap = build_parser()
+    # a subcommand's parser reads the rest as the full parser would hand it
+    # over; any other call, and leftovers, go through the full parser, which
+    # prints help and usage errors
+    sp = ap.commands.get(argv[0]) if argv else None
+    if sp is not None:
+        args, rest = sp.parse_known_args(argv[1:])
+    if sp is None or rest:
+        args = ap.parse_args(argv)
     report = _Report(args.format)
     try:
         code = args.handler(args, report)

@@ -2,30 +2,36 @@
 
 Names carry globally unique integer ids; binders are freshened at parse time
 and again after every substitution, so every AST in circulation keeps all
-bound names pairwise distinct and disjoint from its free names.
+bound names pairwise distinct and disjoint from its free names. Every `Name`
+comes from `fresh` and none is copied, so one id means one object: names
+compare and hash by identity.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import SortError
 
 _ids = itertools.count(1)
 
 
-@dataclass(frozen=True)
 class Name:
-    id: int
-    display: str = field(compare=False)
+    """A name: its unique `id` and the spelling it `display`s; made by `fresh`
+    only, and equal to itself alone."""
+
+    __slots__ = ("id", "display")
 
     def __repr__(self) -> str:
         return f"{self.display}#{self.id}"
 
 
 def fresh(display: str) -> Name:
-    return Name(next(_ids), display)
+    n = object.__new__(Name)
+    n.id = next(_ids)
+    n.display = display
+    return n
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from piterm import cli, inference
 from piterm.cli import main
 from piterm.errors import LevelViolation
 from piterm.parser import parse_process, parse_type
-from piterm.syntax import free_names
+from piterm.syntax import free_names, fresh
 
 from conftest import FIXTURES
 
@@ -60,6 +60,35 @@ class TestCheck:
             captured = capsys.readouterr()
             assert (code, captured.out) == (2, ""), argv
             assert captured.err == f"error: {tmp_path / bad}: not UTF-8 (invalid start byte at byte 2)\n", argv
+
+    def test_byte_order_mark_ignored(self, capsys, tmp_path):
+        # a UTF-8 file that starts with a byte-order mark reads as the same
+        # file without the mark
+        texts = {name: (FIXTURES / f).read_bytes() for name, f in (("p.pi", "server.pi"), ("p.env", "server.env"), ("p.lam", "compose.lam"))}
+        for mark, folder in ((b"", "plain"), (b"\xef\xbb\xbf", "marked")):
+            (tmp_path / folder).mkdir()
+            for name, text in texts.items():
+                (tmp_path / folder / name).write_bytes(mark + text)
+        for argv in (
+            ["check", "p.pi"],
+            ["check", "--impure", "p.pi", "--env", "p.env"],
+            ["run", "p.pi", "--certify", "p.env"],
+            ["infer", "p.pi"],
+            ["encode", "--infer", "p.lam"],
+        ):
+            seen = []
+            for folder in ("plain", "marked"):
+                code = main([str(tmp_path / folder / a) if a.startswith("p.") else a for a in argv])
+                captured = capsys.readouterr()
+                seen.append((code, captured.out, captured.err))
+            assert seen[1] == seen[0], argv
+            assert seen[0][0] != 2 and seen[0][2] == "", argv
+
+    def test_marked_file_not_utf8_counts_bytes_from_the_start(self, capsys, tmp_path):
+        bad = tmp_path / "bad.pi"
+        bad.write_bytes(b"\xef\xbb\xbfa<\xff>\n")
+        assert main(["check", str(bad)]) == 2
+        assert capsys.readouterr().err == f"error: {bad}: not UTF-8 (invalid start byte at byte 5)\n"
 
     def test_lines_format(self, capsys):
         code, out = run(capsys, "check", "--format=lines", FIXTURES / "server.pi")
@@ -251,6 +280,67 @@ class TestFrontDoor:
         assert main(["check", str(FIXTURES / "server.pi")]) == 0
         assert main(["infer", str(FIXTURES / "relay.pi")]) == 0
         assert built.count("piterm") == 1  # the subcommands' parsers are "piterm check" etc.
+
+
+def outcome(capsys, argv: list[str]) -> tuple:
+    """The exit status, stdout and stderr of `main(argv)`, a usage error or
+    help included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+# argument lists for the front door, fixture files by name
+FRONT_DOOR_CASES = [
+    [],
+    ["-h"],
+    ["--help"],
+    ["check", "-h"],
+    ["run", "server.pi", "-h"],
+    ["check"],
+    ["frobnicate", "server.pi"],
+    ["chec", "server.pi"],
+    ["check", "server.pi", "--bogus"],
+    ["check", "server.pi", "-x"],
+    ["check", "server.pi", "--he"],
+    ["check", "server.pi", "relay.pi"],
+    ["check", "--ds", "--impure", "server.pi"],
+    ["encode", "--infer", "--run", "compose.lam"],
+    ["run", "--max-states", "x", "server.pi"],
+    ["check", "server.pi", "--format", "yaml"],
+    ["check", "server.pi", "--fo", "lines"],
+    ["--format=lines", "check", "server.pi"],
+    ["check", "--env", "server.env", "--", "server.pi"],
+    ["check", "server.pi"],
+    ["check", "--ds", "server.pi", "--format=lines"],
+    ["infer", "relay.pi", "--dump-graph", "--ds-equality"],
+    ["run", "server.pi", "--certify", "server.env", "--max-depth", "3"],
+    ["encode", "compose.lam", "--run", "--max-states=5"],
+]
+
+
+class TestFastPath:
+    """`main` parses a call that starts with a subcommand with that
+    subcommand's parser, and any other call with the full parser."""
+
+    @pytest.mark.parametrize("argv", FRONT_DOOR_CASES, ids=lambda a: " ".join(a) or "(none)")
+    def test_same_as_the_full_parser(self, capsys, monkeypatch, argv):
+        argv = [str(FIXTURES / a) if (FIXTURES / a).is_file() else a for a in argv]
+        fast = outcome(capsys, argv)
+        # with no subcommand parser to hand, every call takes the full parser
+        monkeypatch.setattr(cli.build_parser(), "commands", {})
+        assert outcome(capsys, argv) == fast
+
+    def test_subcommand_skips_the_full_parser(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the full parser ran")
+
+        monkeypatch.setattr(cli.build_parser(), "parse_args", refuse)
+        assert main(["check", str(FIXTURES / "server.pi"), "--format=lines"]) == 0
+        assert "VERDICT=Accepted" in capsys.readouterr().out
 
 
 class TestInternalErrors:
@@ -491,3 +581,15 @@ class TestGolden:
     def test_every_section_is_a_case(self):
         headers = {f"$ piterm {' '.join(c)}" for c in golden_cases()}
         assert set(golden_sections()) == headers
+
+    @pytest.mark.parametrize("case", golden_cases(), ids=" ".join)
+    def test_output_independent_of_addresses(self, case):
+        # names hash by identity, that is by address; objects allocated and
+        # half freed between two runs move the later runs' names, and so the
+        # order of any set of them, which no output may follow
+        first = render_case(case)
+        junk = [fresh("junk") if i % 3 else object() for i in range(6000)]
+        del junk[::2]
+        second = render_case(case)
+        del junk
+        assert second == first

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import random
 import re
@@ -20,6 +21,7 @@ from piterm.syntax import (
     ChanT,
     In,
     Mul,
+    Name,
     NatLit,
     NameRef,
     Nil,
@@ -169,6 +171,34 @@ class TestParseType:
     def test_bad_type(self):
         with pytest.raises(ParseError):
             parse_type("chan[Unit]")
+
+
+class TestName:
+    """Every name comes from `fresh`, so a name equals itself alone."""
+
+    def test_fresh_names_differ(self):
+        assert fresh("a") != fresh("a")
+        assert len({fresh("a"), fresh("a")}) == 2
+
+    def test_own_key_and_member(self):
+        a, b = fresh("a"), fresh("a")
+        assert a == a and {a: 1}[a] == 1 and a in {a}
+        assert b not in {a: 1} and b not in {a}
+
+    def test_repr(self):
+        n = fresh("chan")
+        assert repr(n) == f"chan#{n.id}"
+
+    def test_slots_only(self):
+        n = fresh("a")
+        with pytest.raises(AttributeError):
+            n.foo = 1
+        assert not hasattr(n, "__dict__")
+
+    def test_made_by_fresh_only(self):
+        assert not dataclasses.is_dataclass(Name)
+        with pytest.raises(TypeError):
+            Name(1, "a")
 
 
 class TestFreeNames:
