@@ -64,11 +64,11 @@ class TestCheck:
     def test_byte_order_mark_ignored(self, capsys, tmp_path):
         # a UTF-8 file that starts with a byte-order mark reads as the same
         # file without the mark
-        texts = {name: (FIXTURES / f).read_bytes() for name, f in (("p.pi", "server.pi"), ("p.env", "server.env"), ("p.lam", "compose.lam"))}
+        sources = {"p.pi": "server.pi", "p.env": "server.env", "p.lam": "compose.lam"}
         for mark, folder in ((b"", "plain"), (b"\xef\xbb\xbf", "marked")):
             (tmp_path / folder).mkdir()
-            for name, text in texts.items():
-                (tmp_path / folder / name).write_bytes(mark + text)
+            for name, source in sources.items():
+                (tmp_path / folder / name).write_bytes(mark + (FIXTURES / source).read_bytes())
         for argv in (
             ["check", "p.pi"],
             ["check", "--impure", "p.pi", "--env", "p.env"],
