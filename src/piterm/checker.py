@@ -29,6 +29,7 @@ from .errors import (
 )
 from .syntax import (
     IN,
+    NAT,
     OUT,
     SHARP,
     STAR,
@@ -91,7 +92,13 @@ class TypeEnv:
 
 
 def subtype(s: Type, u: Type) -> bool:
-    """Decide s <= u for the capability-and-level subtype order."""
+    """Decide s <= u for the capability-and-level subtype order.
+
+    The order is reflexive, so one object answers for itself at once: the
+    types of an inferred typing are shared, each distinct one built once,
+    and its re-check compares most of them by identity alone."""
+    if s is u:
+        return True
     if isinstance(s, UnitT) and isinstance(u, UnitT):
         return True
     if isinstance(s, NatT) and isinstance(u, NatT):
@@ -124,18 +131,18 @@ def value_type(env: TypeEnv, v: Value) -> Type:
     if isinstance(v, Star):
         return UNIT
     if isinstance(v, NatLit):
-        return NatT()
+        return NAT
     if isinstance(v, NameRef):
         return env.get(v.name)
     if isinstance(v, (Add, Mul)):
         for side in (v.left, v.right):
             ty = value_type(env, side)
-            if not subtype(ty, NatT()):
+            if not subtype(ty, NAT):
                 raise SortError(
                     f"arithmetic over a non-Nat value of type {pretty_type(ty)}",
                     where=pretty_value(v),
                 )
-        return NatT()
+        return NAT
     raise TypeError(f"not a value: {v!r}")
 
 

@@ -21,7 +21,9 @@ Slots are numbered once per `infer`, straight off the store: 0 is the
 floor, a pseudo-slot pinned at level zero, then each root's resolved type
 tree in preorder, roots in `Name.id` order. So ids follow `(root.id, path)`,
 and constraints, solving and reconstruction run on ints and lists; the
-reconstructed types are built from the slots. `infer` is the one way
+reconstructed types are built from the slots, each distinct type once
+(hash-consing, Conchon & Filliâtre 2006, with a table local to the call),
+so the re-check meets equal types as one object. `infer` is the one way
 through the pipeline.
 
 Output edges are `>=` and run down every nested payload position;
@@ -610,23 +612,33 @@ def _reconstruct(p: Process, info: _NameInfo, levels: list[int]) -> tuple[TypeEn
     sharp = info.facts.input_subjects | set(info.facts.restricted)
     cap_of = {sid: SHARP for n, sid in info.root_slot.items() if n in sharp}
     kinds, children = info.kinds, info.children
-    # preorder puts every payload slot after its parent: build from the last
-    built: list[Type] = [UNIT] * len(children)
+    # Each distinct type is built once. A slot's type has a number, an index
+    # into `types` (0 is Unit); a channel type is keyed by its capability,
+    # level and payload numbers, -1 standing for a Nat position. Preorder
+    # puts every payload slot after its parent: number from the last.
+    types: list[Type] = [UNIT]
+    number = [0] * len(children)
+    made: dict[tuple, int] = {}
     for sid in range(len(children) - 1, 0, -1):
         k = kinds[sid]
         if k == CHAN:
-            payload = tuple(NAT if c is None else built[c] for c in children[sid])
+            args = [-1 if c is None else number[c] for c in children[sid]]
         elif k == VAR:
             # an unconstrained slot still owns a level; its residual payload
             # variable is instantiated to Unit
-            payload = (UNIT,)
+            args = [0]
         else:
             continue
-        built[sid] = ChanT(cap_of.get(sid, OUT), levels[sid], payload)
+        key = (cap_of.get(sid, OUT), levels[sid], *args)
+        t = made.get(key)
+        if t is None:
+            t = made[key] = len(types)
+            types.append(ChanT(key[0], key[1], tuple([NAT if a < 0 else types[a] for a in args])))
+        number[sid] = t
 
     def type_of_root(n: Name) -> Type:
         sid = info.root_slot.get(n)
-        return info.plain[n] if sid is None else built[sid]
+        return info.plain[n] if sid is None else types[number[sid]]
 
     tenv = TypeEnv({n: type_of_root(n) for n in info.facts.free})
 

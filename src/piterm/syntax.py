@@ -95,15 +95,34 @@ UNIT = UnitT()
 NAT = NatT()
 
 
+_CLOSE, _COMMA = object(), object()  # the text `pretty_type` stacks between types
+
+
 def pretty_type(t: Type) -> str:
-    if isinstance(t, UnitT):
-        return "Unit"
-    if isinstance(t, NatT):
-        return "Nat"
-    if isinstance(t, ChanT):
-        inner = ", ".join(pretty_type(p) for p in t.payload)
-        return f"{t.cap}{t.level}[{inner}]"
-    raise TypeError(f"not a type: {t!r}")
+    """The printed type, left to right off one stack: type depth does not
+    recurse."""
+    out: list[str] = []
+    todo: list = [t]
+    while todo:
+        t = todo.pop()
+        if t is _CLOSE:
+            out.append("]")
+        elif t is _COMMA:
+            out.append(", ")
+        elif isinstance(t, ChanT):
+            out.append(f"{t.cap}{t.level}[")
+            todo.append(_CLOSE)
+            payload = t.payload
+            for i in range(len(payload) - 1, 0, -1):
+                todo += (payload[i], _COMMA)
+            todo.append(payload[0])
+        elif isinstance(t, UnitT):
+            out.append("Unit")
+        elif isinstance(t, NatT):
+            out.append("Nat")
+        else:
+            raise TypeError(f"not a type: {t!r}")
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------

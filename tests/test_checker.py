@@ -114,10 +114,18 @@ def closure_oracle(universe: list[Type]) -> set[tuple[int, int]]:
 
 
 def assert_matches_oracle(universe: list[Type]) -> None:
+    """`subtype` against the closure oracle on every pair of `universe`,
+    once as is and once with the right-hand type replaced by an equal,
+    separate copy: on a reflexive pair `subtype` answers by identity, and the
+    copy makes it walk the structure."""
     oracle = closure_oracle(universe)
+    copies = [parse_type(syntax.pretty_type(u)) for u in universe]
+    assert all(c == u and c is not u for c, u in zip(copies, universe) if isinstance(u, ChanT))
     for i, s in enumerate(universe):
-        for j, u in enumerate(universe):
-            assert subtype(s, u) == ((i, j) in oracle), f"{s} <= {u}"
+        for j, (u, c) in enumerate(zip(universe, copies)):
+            want = (i, j) in oracle
+            assert subtype(s, u) == want, f"{s} <= {u}"
+            assert subtype(s, c) == want, f"{s} <= copy of {u}"
 
 
 class TestSubtype:
@@ -166,6 +174,14 @@ class TestSubtype:
             if subtype(a, b) and subtype(b, c):
                 assert subtype(a, c)
 
+    def test_identical_types_answer_at_once(self):
+        # one object is its own subtype without a walk: a structural walk
+        # of this type would run out of frames
+        t = UNIT
+        for _ in range(3000):
+            t = ChanT("o", 1, (t,))
+        assert subtype(t, t)
+
     def test_sampler_agrees(self, rng):
         from conftest import gen_type
 
@@ -183,6 +199,11 @@ class TestValueType:
 
     def test_literal_arithmetic(self):
         assert value_type(TypeEnv(), Add(NatLit(3), NatLit(4))) == NAT
+
+    def test_nat_is_shared(self):
+        # literals and arithmetic type at the one `NAT`
+        assert value_type(TypeEnv(), NatLit(3)) is NAT
+        assert value_type(TypeEnv(), Mul(NatLit(3), Add(NatLit(1), NatLit(2)))) is NAT
 
     def test_square(self):
         n = fresh("n")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib.util
 import random
+import time
 from itertools import product
 from pathlib import Path
 
@@ -11,6 +12,7 @@ import pytest
 
 from piterm import inference, syntax
 from piterm.checker import TypeEnv, check
+from piterm.cli import main
 from piterm.errors import (
     CyclicLevelConstraint,
     NotLocalised,
@@ -45,19 +47,20 @@ from piterm.lam import (
 )
 from piterm.parser import parse_process
 from piterm.syntax import (
+    NAT,
+    UNIT,
     ChanT,
     In,
     Par,
     RepIn,
     Res,
-    UNIT,
     free_names,
     fresh,
     pretty_process,
     pretty_type,
 )
 
-from conftest import assert_golden, count_calls, simple_types
+from conftest import FIXTURES, assert_golden, count_calls, simple_types
 from test_syntax import random_ast
 
 
@@ -328,6 +331,73 @@ class TestReconstruct:
         assert check(result.env, result.process) == result.weight
 
 
+def _annotations(p) -> list:
+    """The annotations of the restrictions of `p`."""
+    out, todo = [], [p]
+    while todo:
+        q = todo.pop()
+        if isinstance(q, Par):
+            todo += (q.left, q.right)
+        elif isinstance(q, (In, RepIn, Res)):
+            if isinstance(q, Res):
+                out.append(q.annotation)
+            todo.append(q.body)
+    return out
+
+
+def _channel_types(types) -> list[ChanT]:
+    """The channel types reachable from `types`, payloads included, once per
+    object."""
+    seen: dict[int, ChanT] = {}
+    todo = list(types)
+    while todo:
+        t = todo.pop()
+        if isinstance(t, ChanT) and id(t) not in seen:
+            seen[id(t)] = t
+            todo += t.payload
+    return list(seen.values())
+
+
+class TestSharedTypes:
+    """`_reconstruct` builds each distinct type of an inferred typing once."""
+
+    def processes(self) -> list:
+        procs = []
+        for path in sorted(FIXTURES.glob("*.pi")):
+            p = parse_process(path.read_text())
+            try:
+                infer(p)
+            except PiError:  # not localised, or a level cycle
+                continue
+            procs.append(p)
+        assert len(procs) == 3  # empty, relay and server
+        return procs + [parse_process(src) for src in lamgen_images(("first_order_term",))]
+
+    def test_one_object_per_distinct_type(self, monkeypatch):
+        made: list = []
+
+        def counted(*args):
+            made.append(args)
+            return ChanT(*args)
+
+        # `inference` only constructs channel types, never tests for them
+        monkeypatch.setattr(inference, "ChanT", counted)
+        for p in self.processes():
+            made.clear()
+            result = infer(p)
+            types = _channel_types([t for _, t in result.env.items()] + _annotations(result.process))
+            distinct = {pretty_type(t) for t in types}
+            assert len(types) == len(distinct) == len(made), pretty_process(p)
+            assert check(result.env, result.process) == result.weight
+
+    def test_types_shared_across_names(self):
+        # b's type is c's payload and a's payload's payload: one object
+        result = infer(parse_process("!c(z).b<z> | a<c> | a<b>"))
+        env = {n.display: t for n, t in result.env.items()}
+        assert env["c"].payload[0] is env["b"].payload[0] is env["a"].payload[0].payload[0]
+        assert pretty_type(env["b"]) == "o0[o0[Unit]]"
+
+
 class TestInferPipeline:
     def test_soundness_on_small_corpus(self):
         corpus = [
@@ -500,6 +570,27 @@ class TestTypeDepth:
     def test_occurs_check_at_depth(self):
         with pytest.raises(OccursCheckFailure, match=r"occurs check: \?\d+ inside ch\[ch\["):
             _simple_types(_facts(self.chain(f" | a{self.N}<a0>")))
+
+    def test_infer_cli_on_a_400_chain(self, capsys, tmp_path):
+        # the re-check meets the shared types by identity and `pretty_type`
+        # prints off a stack: no frame per type level through `cli.main`
+        n = 400
+        (tmp_path / "chain.pi").write_text(" | ".join(f"a{i}<a{i+1}>" for i in range(n)) + "\n")
+        started = time.perf_counter()
+        code = main(["infer", str(tmp_path / "chain.pi"), "--format=lines"])
+        assert time.perf_counter() - started < 10.0  # about 0.75 s on a 2-CPU host
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert lines[:2] == ["VERDICT=Accepted", "WEIGHT=0"]
+        assert f"TYPE.a0={'o0[' * (n + 1)}Unit{']' * (n + 1)}" in lines
+
+    def test_pretty_type_at_depth(self):
+        t = UNIT
+        for level in range(3000):
+            t = ChanT("o", level % 3, (t, NAT))
+        printed = pretty_type(t)
+        assert printed.startswith("o2[o1[o0[o2[") and printed.endswith("Unit, Nat]" + ", Nat]" * 2999)
+        assert printed.count("[") == printed.count("]") == 3000
 
 
 # ---------------------------------------------------------------------------
