@@ -97,29 +97,44 @@ def subtype(s: Type, u: Type) -> bool:
     The order is reflexive, so one object answers for itself at once: the
     types of an inferred typing are shared, each distinct one built once,
     and its re-check compares most of them by identity alone."""
-    if s is u:
-        return True
-    if isinstance(s, UnitT) and isinstance(u, UnitT):
-        return True
-    if isinstance(s, NatT) and isinstance(u, NatT):
-        return True
-    if isinstance(s, ChanT) and isinstance(u, ChanT):
-        if len(s.payload) != len(u.payload):
+    return s is u or _compare(s, u, False)
+
+
+def same_type(s: Type, u: Type) -> bool:
+    """s == u, structurally: the payload equality of the restricted mode."""
+    return s is u or _compare(s, u, True)
+
+
+def _compare(s: Type, u: Type, exact: bool) -> bool:
+    """s <= u, or s == u when `exact`. The payload pairs still to compare
+    wait on one stack, each with its own `exact`, so type depth does not
+    recurse: an input payload is covariant, an output payload contravariant,
+    and a `#` payload, like every pair under it, must be equal."""
+    todo = [(s, u, exact)]
+    while todo:
+        s, u, exact = todo.pop()
+        if s is u:
+            continue
+        if not isinstance(s, ChanT):
+            if type(s) is type(u) and isinstance(s, (UnitT, NatT)):
+                continue
             return False
-        if u.cap == IN:
-            return (
-                s.cap in (SHARP, IN)
-                and s.level >= u.level
-                and all(subtype(a, b) for a, b in zip(s.payload, u.payload))
-            )
-        if u.cap == OUT:
-            return (
-                s.cap in (SHARP, OUT)
-                and s.level <= u.level
-                and all(subtype(b, a) for a, b in zip(s.payload, u.payload))
-            )
-        return s.cap == SHARP and s.level == u.level and s.payload == u.payload
-    return False
+        if not isinstance(u, ChanT) or len(s.payload) != len(u.payload):
+            return False
+        cap = u.cap
+        if exact or cap == SHARP:
+            if s.cap != cap or s.level != u.level:
+                return False
+            todo += [(a, b, True) for a, b in zip(s.payload, u.payload)]
+        elif cap == IN:
+            if s.cap == OUT or s.level < u.level:
+                return False
+            todo += [(a, b, False) for a, b in zip(s.payload, u.payload)]
+        else:
+            if s.cap == IN or s.level > u.level:
+                return False
+            todo += [(b, a, False) for a, b in zip(s.payload, u.payload)]
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +202,7 @@ def check_values(env: TypeEnv, p: Out, chan: ChanT, ds: bool = False) -> None:
         )
     for v, want in zip(values, chan.payload):
         got = value_type(env, v)
-        if not (got == want if ds else subtype(got, want)):
+        if not (same_type(got, want) if ds else subtype(got, want)):
             raise PayloadMismatch(
                 f"value {pretty_value(v)} : {pretty_type(got)} does not fit {pretty_type(want)}",
                 where=pretty_process(p),

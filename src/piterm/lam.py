@@ -22,48 +22,73 @@ from dataclasses import dataclass
 from .errors import IllTypedLambda, ParseError
 from .inference import ARROW, BASE, VAR, Mismatch, TermStore
 from .parser import _NAME_START, _Parser
-from .syntax import In, Name, NameRef, Out, Par, Process, RepIn, Res, fresh
+from .syntax import In, Name, NameRef, Out, Par, Process, RepIn, Res, _set, fresh
+
+
+# Terms and types are nodes as in `syntax`: frozen, slotted dataclasses, each
+# with a constructor that stores its fields through the one prebound `_set`.
 
 
 class LambdaTerm:
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LVar(LambdaTerm):
     name: str
 
+    def __init__(self, name: str):
+        _set(self, "name", name)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class LAbs(LambdaTerm):
     var: str
     body: LambdaTerm
 
+    def __init__(self, var: str, body: LambdaTerm):
+        _set(self, "var", var)
+        _set(self, "body", body)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class LApp(LambdaTerm):
     fn: LambdaTerm
     arg: LambdaTerm
 
+    def __init__(self, fn: LambdaTerm, arg: LambdaTerm):
+        _set(self, "fn", fn)
+        _set(self, "arg", arg)
+
 
 class LambdaType:
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LBase(LambdaType):
     name: str
 
+    def __init__(self, name: str):
+        _set(self, "name", name)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class LArrow(LambdaType):
     left: LambdaType
     right: LambdaType
 
+    def __init__(self, left: LambdaType, right: LambdaType):
+        _set(self, "left", left)
+        _set(self, "right", right)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class LTVar(LambdaType):
     id: int
+
+    def __init__(self, id: int):
+        _set(self, "id", id)
 
 
 def pretty_lambda_type(t: LambdaType) -> str:

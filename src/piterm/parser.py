@@ -20,6 +20,7 @@ from .errors import ParseError
 from .syntax import (
     IN,
     NAT,
+    NIL,
     OUT,
     SHARP,
     STAR,
@@ -31,7 +32,6 @@ from .syntax import (
     Name,
     NatLit,
     NameRef,
-    Nil,
     Out,
     Par,
     Process,
@@ -39,9 +39,10 @@ from .syntax import (
     Res,
     Type,
     Value,
-    bind,
+    bind_one,
     fresh,
     unbind,
+    unbind_one,
 )
 
 # One `findall` scans a text: whitespace and comments give an empty group, a
@@ -228,17 +229,20 @@ class _Parser:
 
         A loop reads the links as frames (node class, fields before the body,
         undo of the binders, whether a `(new a.P | ...)` group closes after
-        it), wrapped around the end term innermost first: no recursion. The
+        it), wrapped around the end term innermost first: no recursion. An
+        input's undo is its list of (spelling, earlier name) pairs, or None
+        when it binds nothing; a restriction's is the earlier name of its
+        one spelling, as `bind_one` returns it. The
         tokens are read through locals and the index `i`, which `self.pos`
         takes over only around a call into another rule."""
         toks, scope = self.tokens, self.scope
         i = self.pos
-        frames: list[tuple[type, tuple, list, bool]] = []
+        frames: list[tuple[type, tuple, object, bool]] = []
         while True:
             tok = toks[i]
             if tok == "0":
                 i += 1
-                proc: Process = Nil()
+                proc: Process = NIL
                 break
             if tok == "(":
                 if toks[i + 1] != "new":
@@ -250,29 +254,29 @@ class _Parser:
                     i += 1
                     break
                 self.pos = i + 2
-                fields, saved = self._restriction_head()
+                fields, old = self._restriction_head()
                 i = self.pos
                 if toks[i] in (")", "."):
                     # (new a)P, or (new a.P | ...) closed after the frame
-                    frames.append((Res, fields, saved, toks[i] == "."))
+                    frames.append((Res, fields, old, toks[i] == "."))
                     i += 1
                     continue
                 if toks[i] != "(":
                     raise self.error("expected '.', ')' or '(' in restriction", i)
-                proc = self._close_group(Res(*fields, self._group(saved)))
+                proc = self._close_group(Res(*fields, self._group(fields[0], old)))
                 i = self.pos
                 break
             if tok == "new":
                 self.pos = i + 1
-                fields, saved = self._restriction_head()
+                fields, old = self._restriction_head()
                 i = self.pos
                 if toks[i] == ".":
                     i += 1
-                    frames.append((Res, fields, saved, False))
+                    frames.append((Res, fields, old, False))
                     continue
                 if toks[i] != "(":
                     raise self.error("expected '.' or '(' after restriction", i)
-                proc = Res(*fields, self._group(saved))
+                proc = Res(*fields, self._group(fields[0], old))
                 i = self.pos
                 break
             if tok == "!":
@@ -293,7 +297,7 @@ class _Parser:
             if cls is In and after != "(" and after != ".":
                 if after != "<":
                     # bare name: discarded unit input with nil continuation
-                    proc = In(subj, (), Nil())
+                    proc = In(subj, (), NIL)
                     break
                 i += 1
                 payload: list[Value] = []
@@ -335,34 +339,47 @@ class _Parser:
                 if toks[i] != ")":
                     raise self.missing(")", i)
                 i += 1
-            binders = tuple([fresh(s) for s in spellings])
             if toks[i] != ".":
-                proc = cls(subj, binders, Nil())
+                proc = cls(subj, tuple([fresh(s) for s in spellings]), NIL)
                 break
             i += 1
-            frames.append((cls, (subj, binders), bind(scope, zip(spellings, binders)), False))
+            if not spellings:
+                frames.append((cls, (subj, ()), None, False))
+                continue
+            binders = []
+            saved = []
+            for s in spellings:
+                b = fresh(s)
+                binders.append(b)
+                saved.append((s, scope.get(s)))
+                scope[s] = b
+            frames.append((cls, (subj, tuple(binders)), saved, False))
         self.pos = i
-        for cls, fields, saved, closes in reversed(frames):
-            unbind(scope, saved)
+        for cls, fields, undo, closes in reversed(frames):
+            if cls is Res:
+                unbind_one(scope, fields[0].display, undo)
+            elif undo is not None:
+                unbind(scope, undo)
             proc = cls(*fields, proc)
             if closes:
                 proc = self._close_group(proc)
         return proc
 
-    def _restriction_head(self) -> tuple[tuple, list]:
+    def _restriction_head(self) -> tuple[tuple, Name | None]:
         """`a[:T][ fun]` after `new`: the fields of the `Res` before its body,
-        and the undo of its binder, already in scope."""
+        and what `a` meant before its binder, now in scope, took it over."""
         spelling = self.take_name_text()
         annotation, functional = self._res_modifiers()
         binder = fresh(spelling)
-        return (binder, annotation, functional), bind(self.scope, [(spelling, binder)])
+        return (binder, annotation, functional), bind_one(self.scope, spelling, binder)
 
-    def _group(self, saved: list) -> Process:
-        """`(P)` as the body of a restriction, whose binder `saved` undoes."""
+    def _group(self, binder: Name, old: Name | None) -> Process:
+        """`(P)` as the body of a restriction on `binder`, whose spelling
+        meant `old` before it."""
         self.pos += 1
         body = self.parse_process()
         self.expect(")")
-        unbind(self.scope, saved)
+        unbind_one(self.scope, binder.display, old)
         return body
 
     def _close_group(self, proc: Process) -> Process:

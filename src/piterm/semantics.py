@@ -83,7 +83,7 @@ Restriction = tuple[Name, Type | None, bool]
 _ANON = "?"  # the one label of the restricted names not yet placed
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NormalProcess:
     restrictions: tuple[Restriction, ...]
     components: tuple[Process, ...]

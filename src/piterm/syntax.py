@@ -57,6 +57,32 @@ def unbind(scope: dict, saved: list[tuple]) -> None:
             scope[key] = old
 
 
+def bind_one(scope: dict, key, value):
+    """`bind` of one pair, without the pair list and the saved list: returns
+    the key's earlier value, which `unbind_one` restores."""
+    old = scope.get(key)
+    scope[key] = value
+    return old
+
+
+def unbind_one(scope: dict, key, old) -> None:
+    """Undo a `bind_one`: `key` gets back `old`, or leaves `scope`."""
+    if old is None:
+        del scope[key]
+    else:
+        scope[key] = old
+
+
+# ---------------------------------------------------------------------------
+# Nodes: types, values and processes are frozen dataclasses with slots, so a
+# node is one allocation without a `__dict__`, on bases with empty slots. A
+# node with fields has its own `__init__`, which stores them through the one
+# prebound `_set`; the generated one looks `object.__setattr__` up per field.
+# Equality, hashing and `repr` stay the generated ones.
+
+_set = object.__setattr__
+
+
 # ---------------------------------------------------------------------------
 # Types
 
@@ -66,24 +92,30 @@ OUT = "o"
 
 
 class Type:
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UnitT(Type):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NatT(Type):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChanT(Type):
     cap: str  # one of SHARP, IN, OUT
     level: int
     payload: tuple[Type, ...]
+
+    def __init__(self, cap: str, level: int, payload: tuple[Type, ...]):
+        _set(self, "cap", cap)
+        _set(self, "level", level)
+        _set(self, "payload", payload)
+        self.__post_init__()
 
     def __post_init__(self):
         assert self.cap in (SHARP, IN, OUT)
@@ -130,37 +162,52 @@ def pretty_type(t: Type) -> str:
 
 
 class Value:
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Star(Value):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NameRef(Value):
     name: Name
 
+    def __init__(self, name: Name):
+        _set(self, "name", name)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class NatLit(Value):
     value: int
+
+    def __init__(self, value: int):
+        _set(self, "value", value)
+        self.__post_init__()
 
     def __post_init__(self):
         assert self.value >= 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Add(Value):
     left: Value
     right: Value
 
+    def __init__(self, left: Value, right: Value):
+        _set(self, "left", left)
+        _set(self, "right", right)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class Mul(Value):
     left: Value
     right: Value
+
+    def __init__(self, left: Value, right: Value):
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
 STAR = Star()
@@ -171,46 +218,70 @@ STAR = Star()
 
 
 class Process:
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Nil(Process):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Par(Process):
     left: Process
     right: Process
 
+    def __init__(self, left: Process, right: Process):
+        _set(self, "left", left)
+        _set(self, "right", right)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class Out(Process):
     subject: Name
     payload: tuple[Value, ...]  # empty tuple abbreviates a unit message
 
+    def __init__(self, subject: Name, payload: tuple[Value, ...]):
+        _set(self, "subject", subject)
+        _set(self, "payload", payload)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class In(Process):
     subject: Name
     binders: tuple[Name, ...]  # empty tuple abbreviates a discarded unit input
     body: Process
 
+    def __init__(self, subject: Name, binders: tuple[Name, ...], body: Process):
+        _set(self, "subject", subject)
+        _set(self, "binders", binders)
+        _set(self, "body", body)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class RepIn(Process):
     subject: Name
     binders: tuple[Name, ...]
     body: Process
 
+    def __init__(self, subject: Name, binders: tuple[Name, ...], body: Process):
+        _set(self, "subject", subject)
+        _set(self, "binders", binders)
+        _set(self, "body", body)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class Res(Process):
     name: Name
     annotation: Type | None
     functional: bool
     body: Process
+
+    def __init__(self, name: Name, annotation: Type | None, functional: bool, body: Process):
+        _set(self, "name", name)
+        _set(self, "annotation", annotation)
+        _set(self, "functional", functional)
+        _set(self, "body", body)
 
 
 NIL = Nil()
@@ -324,6 +395,13 @@ def _substitute(q: Process, ren: dict[int, Value]) -> Process:
         )
     if isinstance(q, (In, RepIn)):
         subj = _subst_subject(q.subject, ren)
+        if len(q.binders) == 1:
+            (b,) = q.binders
+            nb = fresh(b.display)
+            old = bind_one(ren, b.id, NameRef(nb))
+            body = _substitute(q.body, ren)
+            unbind_one(ren, b.id, old)
+            return type(q)(subj, (nb,), body)
         binders = tuple(fresh(b.display) for b in q.binders)
         saved = bind(ren, [(b.id, NameRef(nb)) for b, nb in zip(q.binders, binders)])
         body = _substitute(q.body, ren)
@@ -331,9 +409,9 @@ def _substitute(q: Process, ren: dict[int, Value]) -> Process:
         return type(q)(subj, binders, body)
     if isinstance(q, Res):
         nb = fresh(q.name.display)
-        saved = bind(ren, [(q.name.id, NameRef(nb))])
+        old = bind_one(ren, q.name.id, NameRef(nb))
         body = _substitute(q.body, ren)
-        unbind(ren, saved)
+        unbind_one(ren, q.name.id, old)
         return Res(nb, q.annotation, q.functional, body)
     raise TypeError(f"not a process: {q!r}")
 
@@ -376,12 +454,12 @@ def _serial(p: Process, env: dict[int, str], counter: list[int]) -> str:
         unbind(env, saved)
         return f"({tag} {subj} /{len(p.binders)} {body})"
     if isinstance(p, Res):
-        saved = bind(env, [(p.name.id, f"b{counter[0]}")])
+        old = bind_one(env, p.name.id, f"b{counter[0]}")
         counter[0] += 1
         ann = pretty_type(p.annotation) if p.annotation is not None else "_"
         kind = "fun" if p.functional else "imp"
         body = _serial(p.body, env, counter)
-        unbind(env, saved)
+        unbind_one(env, p.name.id, old)
         return f"(new {kind} {ann} {body})"
     raise TypeError(f"not a process: {p!r}")
 

@@ -564,6 +564,30 @@ class TestTypeDepth:
         assert lines[:2] == ["VERDICT=Accepted", "WEIGHT=0"]
         assert f"TYPE.a0={'o0[' * (n + 1)}Unit{']' * (n + 1)}" in lines
 
+    @pytest.mark.parametrize(
+        "cap, mode, verdict",
+        [
+            ("#", "", "VERDICT=Accepted"),
+            ("#", "--ds", "VERDICT=Accepted"),
+            ("#", "--impure", "VERDICT=Accepted"),
+            ("o", "", "VERDICT=Accepted"),
+            ("o", "--ds", "CODE=CAP"),
+            ("o", "--impure", "VERDICT=Accepted"),
+        ],
+    )
+    def test_check_cli_on_400_deep_payloads(self, capsys, tmp_path, cap, mode, verdict):
+        # `a<b>` with `b : T` and `a : c0[T]`, T nested 400 deep: `subtype` and
+        # the restricted mode's payload equality compare separate but equal
+        # types off one stack, and give the verdicts of shallow types
+        n = 400
+        t = f"{cap}0[" * n + "Unit" + "]" * n
+        (tmp_path / "x.pi").write_text("a<b>\n")
+        (tmp_path / "x.env").write_text(f"b : {t}\na : {cap}0[{t}]\n")
+        code = main(["check", str(tmp_path / "x.pi"), "--format=lines", *mode.split()])
+        captured = capsys.readouterr()
+        assert verdict in captured.out.splitlines(), captured.err
+        assert code == (1 if verdict.startswith("CODE") else 0)
+
     def test_pretty_type_at_depth(self):
         t = UNIT
         for level in range(3000):

@@ -6,6 +6,7 @@ import dataclasses
 import gc
 import random
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -13,9 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from piterm.errors import ParseError, SortError
+from piterm.lam import LAbs, LambdaTerm, LambdaType, LApp, LArrow, LBase, LTVar, LVar
 from piterm.parser import parse_env_file, parse_process, parse_type
+from piterm.semantics import NormalProcess
 from piterm.syntax import (
     NAT,
+    NIL,
     UNIT,
     Add,
     ChanT,
@@ -24,6 +28,7 @@ from piterm.syntax import (
     Name,
     NatLit,
     NameRef,
+    NatT,
     Nil,
     Out,
     Par,
@@ -31,6 +36,9 @@ from piterm.syntax import (
     RepIn,
     Res,
     Star,
+    Type,
+    UnitT,
+    Value,
     alpha_key,
     free_names,
     fresh,
@@ -199,6 +207,98 @@ class TestName:
         assert not dataclasses.is_dataclass(Name)
         with pytest.raises(TypeError):
             Name(1, "a")
+
+
+def node_classes(*bases: type) -> list[type]:
+    """Every subclass of `bases`, at any depth, that its module names. The
+    class that `dataclass(slots=True)` replaces by a slotted copy stays among
+    `__subclasses__` until the collector frees it."""
+    found = []
+    todo = list(bases)
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            if getattr(sys.modules[sub.__module__], sub.__qualname__, None) is sub:
+                found.append(sub)
+            todo.append(sub)
+    return found
+
+
+class TestNodes:
+    """AST nodes are frozen dataclasses with slots: one allocation without a
+    `__dict__`, with the generated equality, hash and `repr`."""
+
+    A = fresh("a")
+
+    # one literal per node class, with its repr; a class added without slots
+    # or without a literal here fails
+    LITERALS = {
+        UnitT: ((), "UnitT()"),
+        NatT: ((), "NatT()"),
+        ChanT: (("#", 1, (UNIT,)), "ChanT(cap='#', level=1, payload=(UnitT(),))"),
+        Star: ((), "Star()"),
+        NameRef: ((A,), f"NameRef(name=a#{A.id})"),
+        NatLit: ((3,), "NatLit(value=3)"),
+        Add: ((NatLit(1), Star()), "Add(left=NatLit(value=1), right=Star())"),
+        Mul: ((NatLit(1), Star()), "Mul(left=NatLit(value=1), right=Star())"),
+        Nil: ((), "Nil()"),
+        Par: ((NIL, NIL), "Par(left=Nil(), right=Nil())"),
+        Out: ((A, ()), f"Out(subject=a#{A.id}, payload=())"),
+        In: ((A, (A,), NIL), f"In(subject=a#{A.id}, binders=(a#{A.id},), body=Nil())"),
+        RepIn: ((A, (), NIL), f"RepIn(subject=a#{A.id}, binders=(), body=Nil())"),
+        Res: (
+            (A, NAT, True, NIL),
+            f"Res(name=a#{A.id}, annotation=NatT(), functional=True, body=Nil())",
+        ),
+        LVar: (("x",), "LVar(name='x')"),
+        LAbs: (("x", LVar("x")), "LAbs(var='x', body=LVar(name='x'))"),
+        LApp: ((LVar("f"), LVar("x")), "LApp(fn=LVar(name='f'), arg=LVar(name='x'))"),
+        LBase: (("o",), "LBase(name='o')"),
+        LArrow: ((LBase("o"), LTVar(2)), "LArrow(left=LBase(name='o'), right=LTVar(id=2))"),
+        LTVar: ((2,), "LTVar(id=2)"),
+        NormalProcess: (
+            ((), (Out(A, ()),), "k", ("s",)),
+            f"NormalProcess(restrictions=(), components=(Out(subject=a#{A.id}, payload=()),), "
+            "key='k', serials=('s',))",
+        ),
+    }
+
+    CLASSES = node_classes(Process, Value, Type, LambdaTerm, LambdaType) + [NormalProcess]
+
+    def test_every_class_has_a_literal(self):
+        assert set(self.CLASSES) == set(self.LITERALS)
+
+    @pytest.mark.parametrize("cls", CLASSES, ids=lambda cls: cls.__name__)
+    def test_node(self, cls):
+        args, text = self.LITERALS[cls]
+        node = cls(*args)
+        assert not hasattr(node, "__dict__")
+        for f in dataclasses.fields(cls):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(node, f.name, None)
+        twin = cls(*args)
+        assert twin is not node
+        assert twin == node and hash(twin) == hash(node)
+        assert repr(node) == text
+
+    def test_invariants_still_asserted(self):
+        with pytest.raises(AssertionError):
+            ChanT("x", 0, (UNIT,))
+        with pytest.raises(AssertionError):
+            NatLit(-1)
+
+    def test_parser_shares_nil(self):
+        p = parse_process("0 | a | b(x) | c().0 | (new d)(0)")
+        nils = []
+        todo = [p]
+        while todo:
+            q = todo.pop()
+            if isinstance(q, Par):
+                todo += (q.left, q.right)
+            elif isinstance(q, (In, Res)):
+                todo.append(q.body)
+            else:
+                nils.append(q)
+        assert len(nils) == 5 and all(q is NIL for q in nils)
 
 
 class TestFreeNames:
