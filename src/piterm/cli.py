@@ -21,7 +21,7 @@ from .lam import encode, parse_lambda_file
 from .measure import format_multiset
 from .parser import parse_env_file, parse_process
 from .semantics import certified_run, explore
-from .syntax import ChanT, Name, Process, fresh, pretty_process, pretty_type
+from .syntax import ChanT, Name, fresh, pretty_process, pretty_type
 
 
 class _Report:
@@ -65,11 +65,6 @@ def _read(path: str) -> str:
     return text.removeprefix("\ufeff")
 
 
-def _load_process(path: str, free: dict[str, Name] | None = None) -> Process:
-    """The process in file `path`; `free` gets its free names by spelling."""
-    return parse_process(_read(path), free)
-
-
 def _load_env(path: str, names: dict[str, Name]) -> tuple[TypeEnv, ImpureEnv]:
     """Bind declared spellings to the free names of the process, `names` by
     spelling as `parse_process` gives them; declarations for names the
@@ -100,7 +95,7 @@ def _verdict_exit(verdict: str) -> int:
 
 def cmd_check(args, report: _Report) -> int:
     free: dict[str, Name] = {}
-    proc = _load_process(args.file, free)
+    proc = parse_process(_read(args.file), free)
     env_path = args.env or _sibling_env(args.file)
     try:
         tenv, ienv = _load_env(env_path, free) if env_path else (TypeEnv(), ImpureEnv())
@@ -120,7 +115,7 @@ def cmd_check(args, report: _Report) -> int:
 
 
 def cmd_infer(args, report: _Report) -> int:
-    proc = _load_process(args.file)
+    proc = parse_process(_read(args.file))
     mode = DS_EQUALITY if args.ds_equality else FLEXIBLE
     try:
         result = infer(proc, mode)
@@ -141,7 +136,7 @@ def cmd_infer(args, report: _Report) -> int:
 
 def cmd_run(args, report: _Report) -> int:
     free: dict[str, Name] = {}
-    proc = _load_process(args.file, free)
+    proc = parse_process(_read(args.file), free)
     if args.certify:
         try:
             tenv, _ = _load_env(args.certify, free)

@@ -17,78 +17,52 @@ sides in parallel before joining them:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .errors import IllTypedLambda, ParseError
 from .inference import ARROW, BASE, VAR, Mismatch, TermStore
 from .parser import _NAME_START, _Parser
-from .syntax import In, Name, NameRef, Out, Par, Process, RepIn, Res, _set, fresh
-
-
-# Terms and types are nodes as in `syntax`: frozen, slotted dataclasses, each
-# with a constructor that stores its fields through the one prebound `_set`.
+from .syntax import In, Name, NameRef, Out, Par, Process, RepIn, Res, fresh, node
 
 
 class LambdaTerm:
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class LVar(LambdaTerm):
     name: str
 
-    def __init__(self, name: str):
-        _set(self, "name", name)
 
-
-@dataclass(frozen=True, slots=True)
+@node
 class LAbs(LambdaTerm):
     var: str
     body: LambdaTerm
 
-    def __init__(self, var: str, body: LambdaTerm):
-        _set(self, "var", var)
-        _set(self, "body", body)
 
-
-@dataclass(frozen=True, slots=True)
+@node
 class LApp(LambdaTerm):
     fn: LambdaTerm
     arg: LambdaTerm
-
-    def __init__(self, fn: LambdaTerm, arg: LambdaTerm):
-        _set(self, "fn", fn)
-        _set(self, "arg", arg)
 
 
 class LambdaType:
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class LBase(LambdaType):
     name: str
 
-    def __init__(self, name: str):
-        _set(self, "name", name)
 
-
-@dataclass(frozen=True, slots=True)
+@node
 class LArrow(LambdaType):
     left: LambdaType
     right: LambdaType
 
-    def __init__(self, left: LambdaType, right: LambdaType):
-        _set(self, "left", left)
-        _set(self, "right", right)
 
-
-@dataclass(frozen=True, slots=True)
+@node
 class LTVar(LambdaType):
     id: int
-
-    def __init__(self, id: int):
-        _set(self, "id", id)
 
 
 def pretty_lambda_type(t: LambdaType) -> str:
@@ -102,22 +76,6 @@ def pretty_lambda_type(t: LambdaType) -> str:
             left = f"({left})"
         return f"{left} -> {pretty_lambda_type(t.right)}"
     raise TypeError(f"not a lambda type: {t!r}")
-
-
-def pretty_lambda(m: LambdaTerm) -> str:
-    if isinstance(m, LVar):
-        return m.name
-    if isinstance(m, LAbs):
-        return f"\\{m.var}. {pretty_lambda(m.body)}"
-    if isinstance(m, LApp):
-        fn = pretty_lambda(m.fn)
-        if isinstance(m.fn, LAbs):
-            fn = f"({fn})"
-        arg = pretty_lambda(m.arg)
-        if isinstance(m.arg, (LApp, LAbs)):
-            arg = f"({arg})"
-        return f"{fn} {arg}"
-    raise TypeError(f"not a lambda term: {m!r}")
 
 
 # ---------------------------------------------------------------------------

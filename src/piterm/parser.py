@@ -47,8 +47,7 @@ from .syntax import (
 
 # One `findall` scans a text: whitespace and comments give an empty group, a
 # token its text, any other character a one-character token `_Parser` rejects.
-_TOKENS = r"[A-Za-z_][A-Za-z0-9_']*|\d+|[<>()\[\].:,|!*+#]|."
-_TOKEN_RE = re.compile(rf"\s+|--[^\n]*|({_TOKENS})")
+_TOKEN_RE = re.compile(r"\s+|--[^\n]*|([A-Za-z_][A-Za-z0-9_']*|\d+|[<>()\[\].:,|!*+#]|.)")
 
 _NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 _ONE_CHAR_TOKENS = _NAME_START | frozenset("0123456789<>()[].:,|!*+#")
@@ -72,31 +71,19 @@ class _Parser:
     def __init__(self, text: str, pos: int = 0, endpos: int | None = None, line: int = 1):
         self.text = text
         self.line = line
-        end = len(text) if endpos is None else endpos
-        self.start(list(filter(None, self.TOKEN_RE.findall(text, pos, end))), pos, end)
+        self.span = (pos, len(text) if endpos is None else endpos)
+        self.tokens = tokens = list(filter(None, self.TOKEN_RE.findall(text, *self.span)))
+        ok = self.ONE_CHAR_TOKENS
+        bad = [t for t in set(tokens) if len(t) == 1 and t not in ok and not (t.isdecimal() and "0" in ok)]
+        if bad:
+            i = min(map(tokens.index, bad))
+            raise self.error(f"unexpected character {tokens[i]!r}", i)
+        tokens.append("")
+        self.pos = 0
         # Spellings in scope, free names included: a binder's undo restores
         # whatever its spelling meant before it. After a whole process, it
         # holds exactly the process's free names.
         self.scope: dict[str, Name] = {}
-
-    def start(self, tokens: list[str], pos: int, endpos: int, checked: bool = False) -> None:
-        """Read `tokens`, the tokens of `text[pos:endpos]`, from the first. A
-        character that is no token is an error, unless `checked` vouches
-        that the tokens hold none."""
-        self.span = (pos, endpos)
-        self.tokens = tokens
-        if not checked:
-            bad = self.strays(tokens)
-            if bad:
-                i = min(map(tokens.index, bad))
-                raise self.error(f"unexpected character {tokens[i]!r}", i)
-        tokens.append("")
-        self.pos = 0
-
-    def strays(self, tokens) -> list[str]:
-        """The one-character tokens among `tokens` that the grammar rejects."""
-        ok = self.ONE_CHAR_TOKENS
-        return [t for t in set(tokens) if len(t) == 1 and t not in ok and not (t.isdecimal() and "0" in ok)]
 
     def error(self, message: str, index: int) -> ParseError:
         """A `ParseError` located at token `index`, found by scanning again."""
@@ -424,9 +411,6 @@ def parse_type(text: str) -> Type:
     return t
 
 
-# `_TOKEN_RE` with each line end a token of its own: one scan of a whole
-# environment file yields the tokens of every line.
-_ENV_TOKEN_RE = re.compile(rf"[^\S\n]+|--[^\n]*|(\n|{_TOKENS})")
 _SPELLING = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
 
 
@@ -434,39 +418,27 @@ def parse_env_file(text: str) -> list[tuple[str, str, Type]]:
     """Parse `name : type` lines; a leading `fun` or `isolated` sets the role.
 
     Returns (role, spelling, type) triples with role in {imp, fun, isolated}.
-    The file is scanned once; one parser reads the type of each line from
-    those tokens, in place, so an error is located in the file.
+    Each type is read in place, so an error is located in its line.
     """
     entries: list[tuple[str, str, Type]] = []
-    tokens = list(filter(None, _ENV_TOKEN_RE.findall(text)))
-    tokens.append("\n")
-    p = _Parser(text, 0, 0)
-    kinds = set(tokens)
-    kinds.discard("\n")
-    clean = not p.strays(kinds)  # then no line needs the check
-    first = offset = 0  # the line's first token and first character
     for lineno, raw in enumerate(text.split("\n"), start=1):
-        end = tokens.index("\n", first)
         body = raw.split("--", 1)[0]
         line = body.strip()
-        if line:
-            role = "imp"
-            for marker in ("isolated", "fun"):
-                if line.startswith(marker + " "):
-                    role = marker
-                    line = line[len(marker) :].strip()
-                    break
-            if ":" not in line:
-                raise ParseError("expected 'name : type'", lineno, 1)
-            spelling = line.split(":", 1)[0].strip()
-            if not _SPELLING.fullmatch(spelling):
-                raise ParseError(f"bad name {spelling!r}", lineno, 1)
-            # the first ':' of the line is its first ':' token
-            colon = tokens.index(":", first, end)
-            p.start(tokens[colon + 1 : end], offset + raw.index(":") + 1, offset + len(body.rstrip()), clean)
-            ty = p.parse_type()
-            p.finish()
-            entries.append((role, spelling, ty))
-        first = end + 1
-        offset += len(raw) + 1
+        if not line:
+            continue
+        role = "imp"
+        for marker in ("isolated", "fun"):
+            if line.startswith(marker + " "):
+                role = marker
+                line = line[len(marker) :].strip()
+                break
+        if ":" not in line:
+            raise ParseError("expected 'name : type'", lineno, 1)
+        spelling = line.split(":", 1)[0].strip()
+        if not _SPELLING.fullmatch(spelling):
+            raise ParseError(f"bad name {spelling!r}", lineno, 1)
+        p = _Parser(raw, raw.index(":") + 1, len(body.rstrip()), lineno)
+        ty = p.parse_type()
+        p.finish()
+        entries.append((role, spelling, ty))
     return entries

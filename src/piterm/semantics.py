@@ -71,6 +71,7 @@ from .syntax import (
     bind,
     eval_value,
     free_names,
+    node,
     par,
     pretty_process,
     pretty_type,
@@ -83,7 +84,7 @@ Restriction = tuple[Name, Type | None, bool]
 _ANON = "?"  # the one label of the restricted names not yet placed
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class NormalProcess:
     restrictions: tuple[Restriction, ...]
     components: tuple[Process, ...]

@@ -10,7 +10,7 @@ compare and hash by identity.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass, fields
 
 from .errors import SortError
 
@@ -74,13 +74,40 @@ def unbind_one(scope: dict, key, old) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Nodes: types, values and processes are frozen dataclasses with slots, so a
-# node is one allocation without a `__dict__`, on bases with empty slots. A
-# node with fields has its own `__init__`, which stores them through the one
-# prebound `_set`; the generated one looks `object.__setattr__` up per field.
-# Equality, hashing and `repr` stay the generated ones.
+# Nodes
 
-_set = object.__setattr__
+
+def node(cls: type) -> type:
+    """Make `cls` a node: a frozen dataclass with slots, so one allocation
+    without a `__dict__` when its bases have empty slots. Its `__init__`, made
+    here from its fields, stores each through one prebound
+    `object.__setattr__` (the generated one looks it up per field) and then
+    runs `__post_init__`, if any. Equality, hashing and `repr` are the
+    generated ones; assigning or deleting any attribute raises
+    `FrozenInstanceError`."""
+    # the generated `__init__` is replaced below, but not skipped: with
+    # `init=False` dataclass writes the class docstring from the signature of
+    # `object.__init__`, which compiles `tokenize`'s regexes on a cold import
+    cls = dataclass(frozen=True, slots=True)(cls)
+    names = [f.name for f in fields(cls)]
+    body = [f"_set(self, {n!r}, {n})" for n in names]
+    if hasattr(cls, "__post_init__"):
+        body.append("self.__post_init__()")
+    code: dict = {}
+    source = f"def __init__({', '.join(['self', *names])}):\n    " + ("\n    ".join(body) or "pass")
+    exec(source, {"_set": object.__setattr__}, code)
+    cls.__init__ = code["__init__"]
+    cls.__setattr__ = _frozen_setattr
+    cls.__delattr__ = _frozen_delattr
+    return cls
+
+
+def _frozen_setattr(self, name: str, value) -> None:
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _frozen_delattr(self, name: str) -> None:
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -95,27 +122,21 @@ class Type:
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class UnitT(Type):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class NatT(Type):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class ChanT(Type):
     cap: str  # one of SHARP, IN, OUT
     level: int
     payload: tuple[Type, ...]
-
-    def __init__(self, cap: str, level: int, payload: tuple[Type, ...]):
-        _set(self, "cap", cap)
-        _set(self, "level", level)
-        _set(self, "payload", payload)
-        self.__post_init__()
 
     def __post_init__(self):
         assert self.cap in (SHARP, IN, OUT)
@@ -165,49 +186,34 @@ class Value:
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Star(Value):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class NameRef(Value):
     name: Name
 
-    def __init__(self, name: Name):
-        _set(self, "name", name)
 
-
-@dataclass(frozen=True, slots=True)
+@node
 class NatLit(Value):
     value: int
-
-    def __init__(self, value: int):
-        _set(self, "value", value)
-        self.__post_init__()
 
     def __post_init__(self):
         assert self.value >= 0
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Add(Value):
     left: Value
     right: Value
 
-    def __init__(self, left: Value, right: Value):
-        _set(self, "left", left)
-        _set(self, "right", right)
 
-
-@dataclass(frozen=True, slots=True)
+@node
 class Mul(Value):
     left: Value
     right: Value
-
-    def __init__(self, left: Value, right: Value):
-        _set(self, "left", left)
-        _set(self, "right", right)
 
 
 STAR = Star()
@@ -221,67 +227,43 @@ class Process:
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Nil(Process):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Par(Process):
     left: Process
     right: Process
 
-    def __init__(self, left: Process, right: Process):
-        _set(self, "left", left)
-        _set(self, "right", right)
 
-
-@dataclass(frozen=True, slots=True)
+@node
 class Out(Process):
     subject: Name
     payload: tuple[Value, ...]  # empty tuple abbreviates a unit message
 
-    def __init__(self, subject: Name, payload: tuple[Value, ...]):
-        _set(self, "subject", subject)
-        _set(self, "payload", payload)
 
-
-@dataclass(frozen=True, slots=True)
+@node
 class In(Process):
     subject: Name
     binders: tuple[Name, ...]  # empty tuple abbreviates a discarded unit input
     body: Process
 
-    def __init__(self, subject: Name, binders: tuple[Name, ...], body: Process):
-        _set(self, "subject", subject)
-        _set(self, "binders", binders)
-        _set(self, "body", body)
 
-
-@dataclass(frozen=True, slots=True)
+@node
 class RepIn(Process):
     subject: Name
     binders: tuple[Name, ...]
     body: Process
 
-    def __init__(self, subject: Name, binders: tuple[Name, ...], body: Process):
-        _set(self, "subject", subject)
-        _set(self, "binders", binders)
-        _set(self, "body", body)
 
-
-@dataclass(frozen=True, slots=True)
+@node
 class Res(Process):
     name: Name
     annotation: Type | None
     functional: bool
     body: Process
-
-    def __init__(self, name: Name, annotation: Type | None, functional: bool, body: Process):
-        _set(self, "name", name)
-        _set(self, "annotation", annotation)
-        _set(self, "functional", functional)
-        _set(self, "body", body)
 
 
 NIL = Nil()

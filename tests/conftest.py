@@ -12,6 +12,7 @@ import pytest
 
 from piterm.checker import TypeEnv, check, subtype
 from piterm.inference import _facts, _pretty_node, _simple_types
+from piterm.lam import LAbs, LambdaTerm, LApp, LVar
 from piterm.measure import Multiset, multiset_greater
 from piterm.syntax import (
     NAT,
@@ -84,6 +85,23 @@ def simple_types(p: Process, make=_pretty_node) -> dict[Name, object]:
     the term store by `make(kind, label, args)`; printed by default."""
     typing = _simple_types(_facts(p))
     return {n: typing.store.resolve(v, make) for n, v in typing.var.items()}
+
+
+def pretty_lambda(m: LambdaTerm) -> str:
+    """A lambda term in the concrete syntax `lam.parse_lambda_term` reads."""
+    if isinstance(m, LVar):
+        return m.name
+    if isinstance(m, LAbs):
+        return f"\\{m.var}. {pretty_lambda(m.body)}"
+    if isinstance(m, LApp):
+        fn = pretty_lambda(m.fn)
+        if isinstance(m.fn, LAbs):
+            fn = f"({fn})"
+        arg = pretty_lambda(m.arg)
+        if isinstance(m.arg, (LApp, LAbs)):
+            arg = f"({arg})"
+        return f"{fn} {arg}"
+    raise TypeError(f"not a lambda term: {m!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,6 @@ from piterm.lam import (
     check_stlc,
     parse_lambda_file,
     parse_lambda_term,
-    pretty_lambda,
     pretty_lambda_type,
 )
 from piterm.parser import parse_process
@@ -60,7 +59,7 @@ from piterm.syntax import (
     pretty_type,
 )
 
-from conftest import FIXTURES, assert_golden, count_calls, simple_types
+from conftest import FIXTURES, assert_golden, count_calls, pretty_lambda, simple_types
 from test_syntax import random_ast
 
 

@@ -28,7 +28,6 @@ from piterm.lam import (
     encode,
     parse_lambda_file,
     parse_lambda_term,
-    pretty_lambda,
     pretty_lambda_type,
 )
 from piterm.semantics import Verdict, explore, normalize
@@ -47,7 +46,7 @@ from piterm.syntax import (
     fresh,
 )
 
-from conftest import FIXTURES, assert_golden, simple_types
+from conftest import FIXTURES, assert_golden, pretty_lambda, simple_types
 from test_syntax import cyclic_garbage
 
 SIG, TAU = LBase("sig"), LBase("tau")

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import gc
+import inspect
 import random
 import re
 import sys
@@ -224,8 +226,9 @@ def node_classes(*bases: type) -> list[type]:
 
 
 class TestNodes:
-    """AST nodes are frozen dataclasses with slots: one allocation without a
-    `__dict__`, with the generated equality, hash and `repr`."""
+    """AST nodes are made by `syntax.node`: frozen dataclasses with slots, one
+    allocation without a `__dict__`, with the generated equality, hash and
+    `repr` and a constructor that takes the fields."""
 
     A = fresh("a")
 
@@ -279,6 +282,30 @@ class TestNodes:
         assert twin is not node
         assert twin == node and hash(twin) == hash(node)
         assert repr(node) == text
+
+    @pytest.mark.parametrize("cls", CLASSES, ids=lambda cls: cls.__name__)
+    def test_constructor_takes_the_fields(self, cls):
+        args, _ = self.LITERALS[cls]
+        names = [f.name for f in dataclasses.fields(cls)]
+        assert list(inspect.signature(cls).parameters) == names
+        assert cls(**dict(zip(names, args))) == cls(*args)
+
+    @pytest.mark.parametrize("cls", CLASSES, ids=lambda cls: cls.__name__)
+    def test_declared_without_init(self, cls):
+        # `syntax.node` alone makes the constructor
+        (body,) = ast.parse(inspect.getsource(cls)).body
+        assert "__init__" not in [f.name for f in body.body if isinstance(f, ast.FunctionDef)]
+
+    @pytest.mark.parametrize("cls", CLASSES, ids=lambda cls: cls.__name__)
+    def test_frozen_for_any_attribute(self, cls):
+        args, _ = self.LITERALS[cls]
+        node = cls(*args)
+        with pytest.raises(dataclasses.FrozenInstanceError, match="cannot assign to field 'foo'"):
+            node.foo = 1
+        for f in dataclasses.fields(cls):
+            with pytest.raises(dataclasses.FrozenInstanceError, match=f"cannot delete field '{f.name}'"):
+                delattr(node, f.name)
+        assert cls(*args) == node
 
     def test_invariants_still_asserted(self):
         with pytest.raises(AssertionError):
