@@ -11,8 +11,8 @@ levels of the outputs not under replication, and reads the weight off it:
 its greatest level, or 0. `measure` is therefore defined on well-typed
 processes only. The walk copies the caller's environment once, binds every
 binder in place and undoes it on scope exit (`syntax.bind`, `unbind`). The
-impure checker reuses the subject-capability, value and payload rules below
-(`payload_binders` pairs an input's binders with its payload types).
+same walk is the impure checker's (`impure.check_impure`): its impure mode
+changes only the input, restriction and scope-end rules.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 from .errors import (
     CapabilityError,
+    FunctionalInputNotIsolated,
     LevelViolation,
     MissingAnnotation,
     PayloadMismatch,
@@ -238,31 +239,63 @@ def annotation(p: Res) -> Type:
     return p.annotation
 
 
-def _weigh(env: TypeEnv, p: Process, ds: bool, levels: list[int]) -> None:
+def _weigh(
+    env: TypeEnv,
+    p: Process,
+    levels: list[int],
+    ds: bool = False,
+    functional: set[Name] | None = None,
+    isolated: Name | None = None,
+) -> None:
     """Type `p` under `env`; appends each output subject's declared level to
-    `levels`, or to the list of its nearest enclosing replicated input, which
-    is checked against that list once its body is done.
+    `levels`, or to the list of its nearest enclosing checked input, which is
+    checked against that list once its body is done.
+
+    With `functional`, the names known functional, the impure mode, where
+    `isolated` is the name isolated, if any. It changes three rules:
+    - every input is checked, not only a replicated one; a replicated input
+      on the isolated name is its defining input, typed with the name hidden
+      and a non-strict bound; an input on another functional name is refused;
+    - a restriction's annotation must be `o` for `fun`, `#` otherwise, and a
+      `fun` restriction isolates its name in its body;
+    - a restriction's scope end drops its name from `functional`.
 
     Neither `|` width nor prefix depth recurses: the walk goes down the left
     component of each `|` and into each binder's body in place, and leaves
-    on a stack what comes after: a right component with the list its
-    outputs go to, or the end of a binder's scope, with the undo of its
-    binding and, for a replicated input, the node, its level and the list of
-    its body. Components go left to right, and a scope ends after its body,
-    so the first error raised is the one a recursive walk raises."""
-    todo: list = [(p, levels)]
+    on a stack what comes after: a right component with the name isolated
+    there and the list its outputs go to, or the end of a binder's scope,
+    with the undo of its binding, the node and, for a checked input, what
+    its level check needs. Components go left to right, and a scope ends
+    after its body, so the first error raised is the one a recursive walk
+    raises."""
+    todo: list = [(p, isolated, levels)]
     while todo:
-        q, out = todo.pop()
+        q, iso, out = todo.pop()
         if isinstance(q, list):
+            # the end of the scope of `node`, a binder
             unbind(env.bindings, q)
-            if out is not None:
-                rep, level, inner = out
-                if not level > max(inner, default=0):
+            node = iso
+            if out is None:
+                if functional is not None:
+                    functional.discard(node.name)  # a restriction's name
+                continue
+            chan, defining, inner = out
+            w = max(inner, default=0)
+            if defining:
+                env.bindings[node.subject] = chan
+                if not chan.level >= w:
                     raise LevelViolation(
-                        f"replicated input on {rep.subject.display}: level {level} "
-                        f"does not dominate body weight {max(inner, default=0)}",
-                        where=pretty_process(rep),
+                        f"functional input on {node.subject.display}: level {chan.level} "
+                        f"below body weight {w}",
+                        where=pretty_process(node),
                     )
+            elif not chan.level > w:
+                kind = "replicated input" if isinstance(node, RepIn) else "input"
+                raise LevelViolation(
+                    f"{kind} on {node.subject.display}: level {chan.level} "
+                    f"does not dominate body weight {w}",
+                    where=pretty_process(node),
+                )
             continue
         while True:  # down the left of a `|` or into a binder's body
             if isinstance(q, Out):
@@ -271,19 +304,40 @@ def _weigh(env: TypeEnv, p: Process, ds: bool, levels: list[int]) -> None:
                 out.append(chan.level)
                 break
             if isinstance(q, Par):
-                todo.append((q.right, out))
+                todo.append((q.right, iso, out))
                 q = q.left
-            elif isinstance(q, In):
-                chan = subject_chan(env, q, IN, ds)
-                todo.append((env.bind(payload_binders(q, chan)), None))
+            elif isinstance(q, (In, RepIn)):
+                defining = q.subject is iso and isinstance(q, RepIn)
+                if defining:
+                    chan = env.bindings.pop(iso)  # hidden from its defining body
+                elif functional and q.subject in functional:
+                    raise FunctionalInputNotIsolated(
+                        f"input on functional name {q.subject.display} outside its defining scope",
+                        where=pretty_process(q),
+                    )
+                else:
+                    chan = subject_chan(env, q, IN, ds)
+                saved = env.bind(payload_binders(q, chan))
+                if functional is None and isinstance(q, In):
+                    todo.append((saved, q, None))  # binds only
+                else:
+                    inner: list[int] = []
+                    todo.append((saved, q, (chan, defining, inner)))
+                    iso, out = None, inner
                 q = q.body
-            elif isinstance(q, RepIn):
-                chan = subject_chan(env, q, IN, ds)
-                inner: list[int] = []
-                todo.append((env.bind(payload_binders(q, chan)), (q, chan.level, inner)))
-                q, out = q.body, inner
             elif isinstance(q, Res):
-                todo.append((env.bind([(q.name, annotation(q))]), None))
+                ty = annotation(q)
+                impure = functional is not None
+                if impure and not (isinstance(ty, ChanT) and ty.cap == (OUT if q.functional else SHARP)):
+                    kind, need = ("functional", "an o-type") if q.functional else ("imperative", "a full-capability")
+                    raise CapabilityError(
+                        f"{kind} restriction on {q.name.display} needs {need} annotation, has {pretty_type(ty)}",
+                        where=pretty_process(q),
+                    )
+                todo.append((env.bind([(q.name, ty)]), q, None))
+                if impure and q.functional:
+                    functional.add(q.name)
+                    iso = q.name
                 q = q.body
             elif isinstance(q, Nil):
                 break
@@ -319,7 +373,7 @@ def derive(env: TypeEnv, p: Process, ds: bool = False) -> Derivation:
     syntactic payload equality instead of subtyping.
     """
     levels: list[int] = []
-    _weigh(TypeEnv(dict(env.bindings)), p, ds, levels)
+    _weigh(TypeEnv(dict(env.bindings)), p, levels, ds)
     return Derivation(max(levels, default=0), as_multiset(levels))
 
 
