@@ -133,39 +133,45 @@ class _Parser:
     # -- types --------------------------------------------------------------
 
     def parse_type(self) -> Type:
-        toks, i = self.tokens, self.pos
-        tok = toks[i]
-        if tok == "Unit":
-            self.pos = i + 1
-            return UNIT
-        if tok == "Nat":
-            self.pos = i + 1
-            return NAT
-        if tok == "#":
-            level = toks[i + 1]
-            self.pos = i + 2
-            if not level[:1].isdecimal():
-                raise self.error("expected a level after '#'", i + 1)
-            return self._chan(SHARP, int(level))
-        m = _CAP_NAME.match(tok)
-        if m:
-            self.pos = i + 1
-            return self._chan(IN if m.group(1) == "i" else OUT, int(m.group(2)))
-        raise self.error(f"expected a type, found {tok or 'end of input'!r}", i)
-
-    def _chan(self, cap: str, level: int) -> Type:
+        """A type, read off one stack of the channel types still open (their
+        capability, level and payload so far): type depth does not recurse."""
         toks = self.tokens
-        if toks[self.pos] != "[":
-            raise self.missing("[", self.pos)
-        self.pos += 1
-        payload = [self.parse_type()]
-        while toks[self.pos] == ",":
-            self.pos += 1
-            payload.append(self.parse_type())
-        if toks[self.pos] != "]":
-            raise self.missing("]", self.pos)
-        self.pos += 1
-        return ChanT(cap, level, tuple(payload))
+        open_: list[tuple[str, int, list[Type]]] = []
+        while True:
+            i = self.pos
+            tok = toks[i]
+            if tok == "Unit" or tok == "Nat":
+                self.pos = i + 1
+                t = UNIT if tok == "Unit" else NAT
+            else:
+                if tok == "#":
+                    level = toks[i + 1]
+                    self.pos = i + 2
+                    if not level[:1].isdecimal():
+                        raise self.error("expected a level after '#'", i + 1)
+                    open_.append((SHARP, int(level), []))
+                else:
+                    m = _CAP_NAME.match(tok)
+                    if not m:
+                        raise self.error(f"expected a type, found {tok or 'end of input'!r}", i)
+                    self.pos = i + 1
+                    open_.append((IN if m.group(1) == "i" else OUT, int(m.group(2)), []))
+                if toks[self.pos] != "[":
+                    raise self.missing("[", self.pos)
+                self.pos += 1
+                continue
+            while open_:  # `t` ends a payload entry: a `,` starts the next
+                open_[-1][2].append(t)
+                if toks[self.pos] == ",":
+                    self.pos += 1
+                    break
+                if toks[self.pos] != "]":
+                    raise self.missing("]", self.pos)
+                self.pos += 1
+                cap, level, payload = open_.pop()
+                t = ChanT(cap, level, tuple(payload))
+            else:
+                return t
 
     # -- values ---------------------------------------------------------------
 

@@ -476,42 +476,68 @@ def _pretty_value(u: Value, names: dict[int, str], prec: int) -> str:
 
 
 def pretty_process(p: Process) -> str:
-    """Print with binder spellings disambiguated so reparsing is alpha-faithful."""
-    return _pretty(p, True, {}, {n.display for n in free_names(p)})
+    """Print with binder spellings disambiguated so reparsing is alpha-faithful.
+
+    The text is written left to right off one stack of what is still to
+    print, processes and literal pieces, so neither `|` width nor prefix
+    depth recurses. A left-associated `|` chain prints flat; a `|` that is
+    a right component or a body keeps its parentheses."""
+    names: dict[int, str] = {}  # the spelling of each binder met so far
+    used = {n.display: 1 for n in free_names(p)}  # every spelling taken, see `_pick`
+    out: list[str] = []
+    todo: list = [p]
+    while todo:
+        q = todo.pop()
+        while True:  # down the left of a `|` or into a binder's body
+            cls = type(q)  # node classes are final: the commonest tested first
+            if cls is Out:
+                args = ", ".join(_pretty_value(v, names, 0) for v in q.payload)
+                out.append(f"{names.get(q.subject.id, q.subject.display)}<{args}>")
+                break
+            if cls is str:
+                out.append(q)
+                break
+            if cls is Par:
+                r = q.right
+                todo += (")", r, " | (") if type(r) is Par else (r, " | ")
+                q = q.left
+                continue
+            if cls is Nil:
+                out.append("0")
+                break
+            if cls is In or cls is RepIn:
+                for b in q.binders:
+                    names[b.id] = _pick(b.display, used)
+                params = ", ".join([names[b.id] for b in q.binders])
+                bang = "!" if cls is RepIn else ""
+                out.append(f"{bang}{names.get(q.subject.id, q.subject.display)}({params}).")
+            elif cls is Res:
+                names[q.name.id] = _pick(q.name.display, used)
+                ann = f":{pretty_type(q.annotation)}" if q.annotation is not None else ""
+                kind = " fun" if q.functional else ""
+                out.append(f"new {names[q.name.id]}{ann}{kind}.")
+            else:
+                raise TypeError(f"not a process: {q!r}")
+            q = q.body
+            if type(q) is Par:
+                out.append("(")
+                todo.append(")")
+    return "".join(out)
 
 
-def _pick(display: str, used: set[str]) -> str:
-    """`display`, or the first `display1`, `display2`, ... not in `used`; now used."""
-    spelling = display
-    i = 0
-    while spelling in used:
+def _pick(display: str, used: dict[str, int]) -> str:
+    """`display`, or the first `display1`, `display2`, ... not in `used`; now used.
+
+    `used` maps each spelling taken to the least suffix its search may still
+    find free: spellings are never released, so each search goes on where the
+    last one on the same display stopped, and n equal binders cost O(n)."""
+    if display not in used:
+        used[display] = 1
+        return display
+    i = used[display]
+    while f"{display}{i}" in used:
         i += 1
-        spelling = f"{display}{i}"
-    used.add(spelling)
+    used[display] = i + 1
+    spelling = f"{display}{i}"
+    used[spelling] = 1
     return spelling
-
-
-def _pretty(q: Process, top: bool, names: dict[int, str], used: set[str]) -> str:
-    """`names` spells the binders met so far; `used` holds every spelling taken."""
-    if isinstance(q, Nil):
-        return "0"
-    if isinstance(q, Par):
-        # left-associated chains print flat; a right Par keeps its parens
-        s = f"{_pretty(q.left, True, names, used)} | {_pretty(q.right, False, names, used)}"
-        return s if top else f"({s})"
-    if isinstance(q, Out):
-        args = ", ".join(_pretty_value(v, names, 0) for v in q.payload)
-        return f"{names.get(q.subject.id, q.subject.display)}<{args}>"
-    if isinstance(q, (In, RepIn)):
-        bang = "!" if isinstance(q, RepIn) else ""
-        for b in q.binders:
-            names[b.id] = _pick(b.display, used)
-        params = ", ".join(names[b.id] for b in q.binders)
-        head = f"{bang}{names.get(q.subject.id, q.subject.display)}({params})"
-        return f"{head}.{_pretty(q.body, False, names, used)}"
-    if isinstance(q, Res):
-        names[q.name.id] = _pick(q.name.display, used)
-        ann = f":{pretty_type(q.annotation)}" if q.annotation is not None else ""
-        kind = " fun" if q.functional else ""
-        return f"new {names[q.name.id]}{ann}{kind}.{_pretty(q.body, False, names, used)}"
-    raise TypeError(f"not a process: {q!r}")

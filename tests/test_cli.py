@@ -413,13 +413,45 @@ class TestInternalErrors:
         assert code == 0
         assert out.splitlines()[:2] == ["VERDICT=Accepted", "WEIGHT=2"]
 
-    def test_check_deep_chain_rejects_at_the_innermost_input(self, capsys, tmp_path):
+    @pytest.mark.parametrize("flags", [[], ["--ds"], ["--impure"]])
+    def test_check_deep_chain_rejects_at_the_innermost_input(self, capsys, tmp_path, flags):
         # the level check of a replicated input runs after its whole body
         (tmp_path / "deep.pi").write_text("b(x)." * 5000 + "!b(y).b<*>\n")
         (tmp_path / "deep.env").write_text("b : #3[Unit]\n")
-        code, out = run(capsys, "check", tmp_path / "deep.pi", "--format=lines")
+        code, out = run(capsys, "check", tmp_path / "deep.pi", *flags, "--format=lines")
         assert code == 1
         assert out.splitlines() == ["VERDICT=Rejected", "CODE=LVL"]
+
+    @pytest.mark.parametrize("flags", [[], ["--ds"], ["--impure"]])
+    def test_check_deep_chain_rejects_at_the_outermost_input(self, capsys, tmp_path, flags):
+        # the replicated input that fails is printed, with its 10^4 prefixes
+        # of one binder spelling, as the place of the rejection; in the
+        # impure mode the innermost plain input fails first
+        (tmp_path / "deep.pi").write_text("!a(x)." + "a(x)." * (10**4 - 1) + "a<x>\n")
+        (tmp_path / "deep.env").write_text("a : #0[Unit]\n")
+        started = time.perf_counter()
+        code, out = run(capsys, "check", tmp_path / "deep.pi", *flags, "--format=lines")
+        assert time.perf_counter() - started < 10.0  # well under 1 s on a 2-CPU host
+        assert code == 1
+        assert out.splitlines() == ["VERDICT=Rejected", "CODE=LVL"]
+
+    def test_run_prints_wide_states(self, capsys, tmp_path):
+        # the witness prints states of about 10^3 `|` components, each a
+        # right component of the one before
+        (tmp_path / "grow.pi").write_text("!a(x).(b<x> | a<x>) | a<v> | !b(y).0\n")
+        code, out = run(capsys, "run", tmp_path / "grow.pi", "--max-states", 1000, "--format=lines")
+        assert code == 1
+        assert out.splitlines()[:3] == ["VERDICT=Diverges", "STEPS=1998", "STATES=1000"]
+
+    @pytest.mark.parametrize("flags, cap", [([], "o"), (["--ds"], "#")])
+    def test_check_deep_type(self, capsys, tmp_path, flags, cap):
+        # declared types are parsed, compared and printed off a stack
+        inner = f"{cap}0[" * 1000 + "Unit" + "]" * 1000
+        (tmp_path / "deep.pi").write_text("a<b>\n")
+        (tmp_path / "deep.env").write_text(f"b : {inner}\na : {cap}0[{inner}]\n")
+        code, out = run(capsys, "check", tmp_path / "deep.pi", *flags, "--format=lines")
+        assert code == 0
+        assert out.splitlines()[:2] == ["VERDICT=Accepted", "WEIGHT=0"]
 
     def test_infer_deep_prefix_chain(self, capsys, tmp_path):
         # every inference phase and the re-check walk prefix chains without
