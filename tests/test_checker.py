@@ -449,7 +449,7 @@ class TestCheckDs:
 #   PYTHONPATH=src:tests python -c "import test_checker as t; t.write_typing_golden()"
 
 TYPING_GOLDEN = Path(__file__).resolve().parent / "golden" / "typing.txt"
-PIGEN = Path(__file__).resolve().parents[1] / "perfbench" / "pigen.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TYPING_SEED = 10
 TYPING_GRID = [(1, 1), (2, 3), (3, 2), (4, 1), (6, 2), (8, 1)]  # (depth, width)
 TYPING_ROUNDS = 3
@@ -492,11 +492,12 @@ TYPING_CASES = [
 ]
 
 
-def _load_pigen():
-    spec = importlib.util.spec_from_file_location("pigen", PIGEN)
-    pigen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(pigen)
-    return pigen
+def _load_perfbench(name: str):
+    """A module of `perfbench/`, loaded read-only under its own name."""
+    spec = importlib.util.spec_from_file_location(name, PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def typing_pairs() -> list[tuple[str, str, str]]:
@@ -513,7 +514,7 @@ def typing_pairs() -> list[tuple[str, str, str]]:
             role = rng.choice(["", "", "", "fun ", "isolated "])
             decls.append(f"{role}{spelling} : {syntax.pretty_type(gen_type(rng, 2, 3))}")
         pairs.append(("ast", src, "\n".join(decls)))
-    pigen = _load_pigen()
+    pigen = _load_perfbench("pigen")
     modes = ["check", "ds", "impure"]
     for depth, width in TYPING_GRID * TYPING_ROUNDS:
         for mode, defect in product(modes, [None, *PIGEN_DEFECTS]):
@@ -595,3 +596,29 @@ def write_typing_golden() -> None:
 class TestTypingGolden:
     def test_typing_outcomes_unchanged(self):
         assert_golden(TYPING_GOLDEN, typing_text())
+
+
+# The benchmark's tracer patches the functions its `TRACED` table names, and
+# skips a name that is gone, whose per-layer metrics then read 0. These five
+# were deleted or folded into other functions before the tracer followed.
+TRACER_STALE = {
+    ("checker", "check_ds"),
+    ("inference", "infer_simple"),
+    ("inference", "locality_check"),
+    ("inference", "build_graph"),
+    ("inference", "reconstruct"),
+}
+
+
+class TestTracerReach:
+    def test_traced_functions_resolve(self):
+        # moving a traced function, such as `impure.check_impure`, fails
+        # here instead of silently zeroing its metrics
+        traced = {(module, function) for module, function, *_ in _load_perfbench("tracer").TRACED}
+        live = {
+            (module, function)
+            for module, function in traced
+            if callable(getattr(importlib.import_module(f"piterm.{module}"), function, None))
+        }
+        assert live == traced - TRACER_STALE
+        assert TRACER_STALE <= traced
