@@ -272,7 +272,8 @@ def _weigh(
     while todo:
         q, iso, out = todo.pop()
         if isinstance(q, list):
-            # the end of the scope of `node`, a binder
+            # the end of a binder's scope: `q` undoes its binding, and the
+            # binder stands where a component's isolated name does
             unbind(env.bindings, q)
             node = iso
             if out is None:
