@@ -8,11 +8,10 @@ name, an imperative restriction extends the ordinary part with a
 full-capability type. Inputs on imperative names, replicated or not, need a
 subject level strictly above the body weight and contribute weight zero.
 
-`check_impure` is the checker's one typing walk (`checker._weigh`) in its
-impure mode: the isolation rules and the strict bound on every input are
-that walk's variations on the level rules, which it states; subject
-capabilities, payload arity, unit elision, value fit and restriction
-annotations are the rules of the other two modes.
+`check_impure` runs the checker's one typing walk (`checker._weigh`) in its
+impure mode, whose docstring states the isolation rules and the strict
+bound on every input; subject capabilities, payload arity, unit elision,
+value fit and restriction annotations are typed as in the other two modes.
 """
 
 from __future__ import annotations
