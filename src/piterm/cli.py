@@ -182,6 +182,20 @@ def cmd_encode(args, report: _Report) -> int:
     return 0
 
 
+def _at_least(least: int):
+    """An argparse `type=` for an integer bound of at least `least`: a value
+    below it is a usage error, as is a value that is not an integer."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, not {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names it in "invalid int value: ..."
+    return parse
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="piterm", description=__doc__)
@@ -205,13 +219,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--ds-equality", action="store_true", help="unify levels across every flow")
     sp.add_argument("--dump-graph", action="store_true")
 
-    # a string default goes through `type=int`: a bad value is a usage error
+    # a string default goes through `type=`: a bad value is a usage error
     max_states = os.environ.get("PITERM_MAX_STATES", "100000")
+    states_bound, depth_bound = _at_least(1), _at_least(0)
 
     sp = sub.add_parser("run", help="explore the reduction graph")
     common(sp, cmd_run)
-    sp.add_argument("--max-states", type=int, default=max_states)
-    sp.add_argument("--max-depth", type=int, default=100000)
+    sp.add_argument("--max-states", type=states_bound, default=max_states)
+    sp.add_argument("--max-depth", type=depth_bound, default=100000)
     sp.add_argument("--certify", metavar="ENVFILE", help="certify the measure decrease")
 
     sp = sub.add_parser("encode", help="translate a lambda term")
@@ -219,8 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
     mode = sp.add_mutually_exclusive_group()
     mode.add_argument("--infer", action="store_true")
     mode.add_argument("--run", action="store_true")
-    sp.add_argument("--max-states", type=int, default=max_states)
-    sp.add_argument("--max-depth", type=int, default=100000)
+    sp.add_argument("--max-states", type=states_bound, default=max_states)
+    sp.add_argument("--max-depth", type=depth_bound, default=100000)
     return ap
 
 

@@ -37,13 +37,20 @@ the component reuse of hash-consing (Conchon & Filliâtre, "Type-safe modular
 hash-consing", 2006) kept to one run: a successor keeps the components that
 did not fire as the same objects and flattens only the fired body, so each
 component's free names are computed once and its top-level serial once per
-labelling of those names. A normal form keeps its components' top-level
-serials. When neither a state nor the fired body has a restriction, the
-successor's key is spliced from the state's sorted serials, the way explicit-
-state model checkers hash a state from its parent's hash (Nguyen & Ruys,
-"Incremental Hashing for SPIN", 2008); only roots and restricted successors
-are canonicalised. The store is dropped when the run returns. Each stored
-state is printed once.
+labelling of those names. A normal form holds no key text: its `sig` is the
+tuple of its restriction head and its components' top-level serials, the
+store's own strings, so a stored state is a tuple of references to
+components' serials stored once, SPIN's collapse compression (Holzmann,
+"State compression in SPIN: recursive indexing and compression training
+runs", 1997). `sig`s compare as the keys they join into, and the key text
+is built only when asked for. When neither a state nor the fired body has a
+restriction, the successor's `sig` is spliced from the state's sorted
+serials, the way explicit-state model checkers hash a state from its
+parent's hash (Nguyen & Ruys, "Incremental Hashing for SPIN", 2008); only
+roots and restricted successors are canonicalised. An exploration numbers
+its states in breadth-first order: one dict maps a `sig` to its number, and
+depths, edges, measures and printed forms are kept by number. The store is
+dropped when the run returns. Each stored state is printed once.
 """
 
 from __future__ import annotations
@@ -86,10 +93,29 @@ _ANON = "?"  # the one label of the restricted names not yet placed
 
 @node
 class NormalProcess:
+    """Restrictions over components in canonical order, and `sig`: the head
+    `new[…]` tagging the restrictions, then each component's top-level
+    serial, in the order of `components`. The serials are the store's own
+    string objects, so a state holds references to components' serials
+    stored once, the collapse compression of SPIN (Holzmann, "State
+    compression in SPIN: recursive indexing and compression training runs",
+    1997), and no text of its own.
+
+    `key` joins `sig` as `head;s1|s2|…`. Comparing `sig`s compares keys: the
+    head is bracket-balanced and every serial is one balanced `( … )`
+    S-expression (names and type texts hold no parentheses), so no element
+    is a proper prefix of another, two keys first differ inside their first
+    differing elements, and a shorter `sig` whose elements open the longer
+    one gives a key that is a prefix of the other. So tuple order is key
+    order, and equal `sig`s are equal keys."""
+
     restrictions: tuple[Restriction, ...]
     components: tuple[Process, ...]
-    key: str
-    serials: tuple[str, ...]  # each component's top-level serial, in the order of `components`
+    sig: tuple[str, ...]
+
+    @property
+    def key(self) -> str:
+        return self.sig[0] + ";" + "|".join(self.sig[1:])
 
     def rebuild(self) -> Process:
         return _wrap(self.restrictions, self.components)
@@ -373,23 +399,24 @@ def _canonical(canon: _Canon, restrictions: list[Restriction], comps: list[Proce
     # the index keeps equal serials in the order of `comps`
     serials = sorted([(canon.comp(c, env, [0]), k) for k, c in enumerate(comps)])
     head = "new[" + ",".join(_res_tag(r) for r in ordered) + "]"
-    key = head + ";" + "|".join(s for s, _ in serials)
-    return NormalProcess(ordered, tuple([comps[k] for _, k in serials]), key, tuple([s for s, _ in serials]))
+    return NormalProcess(ordered, tuple([comps[k] for _, k in serials]), (head, *[s for s, _ in serials]))
 
 
 def _splice(canon: _Canon, np: NormalProcess, gone: tuple[int, ...], added: list[Process]) -> NormalProcess:
     """The canonical form of a restriction-free `np` less the components at
     `gone`, plus `added`, none restricted, each put after every equal serial:
-    the order `_canonical`'s sort gives when `added` follow the kept ones."""
-    serials, comps = list(np.serials), list(np.components)
+    the order `_canonical`'s sort gives when `added` follow the kept ones.
+    The kept serials are `np`'s own objects; `sig[0]` is the head `new[]`,
+    so the serials are bisected from index 1."""
+    sig, comps = list(np.sig), list(np.components)
     for k in sorted(gone, reverse=True):
-        del serials[k], comps[k]
+        del sig[k + 1], comps[k]
     for c in added:
         s = canon.comp(c, {}, [0])
-        at = bisect_right(serials, s)
-        serials.insert(at, s)
-        comps.insert(at, c)
-    return NormalProcess((), tuple(comps), "new[];" + "|".join(serials), tuple(serials))
+        at = bisect_right(sig, s, 1)
+        sig.insert(at, s)
+        comps.insert(at - 1, c)
+    return NormalProcess((), tuple(comps), tuple(sig))
 
 
 def normalize(p: Process) -> NormalProcess:
@@ -426,13 +453,14 @@ def step(p: Process | NormalProcess, canon: _Canon | None = None) -> list[Normal
     A successor keeps the components of `p` that did not fire as they are and
     flattens only the fired body; `canon` is the store of the exploration.
     When neither `p` nor the fired body has a restriction, the successor's
-    key is spliced from `p`'s sorted serials; otherwise it is canonicalised.
-    Of a run of congruent senders, or of congruent plain receivers, on one
-    subject only the last fires: the others give the same keys, and the last
-    write of a key is the one kept."""
+    `sig` is spliced from `p`'s sorted serials; otherwise it is
+    canonicalised. Successors are deduplicated and sorted by `sig`, which is
+    key order. Of a run of congruent senders, or of congruent plain
+    receivers, on one subject only the last fires: the others give the same
+    `sig`s, and the last write of a `sig` is the one kept."""
     canon = canon or _Canon()
     np = p if isinstance(p, NormalProcess) else normalize(p)
-    comps, serials = np.components, np.serials
+    comps, serials = np.components, np.sig[1:]
 
     def copy_follows(k: int) -> bool:
         # components are sorted by serial, so a congruent copy sits next
@@ -442,7 +470,7 @@ def step(p: Process | NormalProcess, canon: _Canon | None = None) -> list[Normal
     for j, c in enumerate(comps):
         if isinstance(c, RepIn) or (isinstance(c, In) and not copy_follows(j)):
             receivers.setdefault(c.subject.id, []).append(j)
-    succs: dict[str, NormalProcess] = {}
+    succs: dict[tuple[str, ...], NormalProcess] = {}
     for i, sender in enumerate(comps):
         if not isinstance(sender, Out) or copy_follows(i):
             continue
@@ -462,7 +490,7 @@ def step(p: Process | NormalProcess, canon: _Canon | None = None) -> list[Normal
                 succ = _canonical(canon, res, rest)
             else:
                 succ = _splice(canon, np, (i, j), added)
-            succs[succ.key] = succ
+            succs[succ.sig] = succ
     return [succs[k] for k in sorted(succs)]
 
 
@@ -500,24 +528,23 @@ class ExecutionReport:
     witness: list[str] | None = None
 
 
-def _find_cycle(root: str, adj: dict[str, list[str]]) -> list[str] | None:
-    """Iterative DFS; returns a path ending in a repeated state, if any."""
+def _find_cycle(adj: list[list[int]]) -> list[int] | None:
+    """Iterative DFS from state 0 over the states' numbers; returns a path
+    ending in a repeated state, if any."""
     WHITE, GRAY, BLACK = 0, 1, 2
-    color = {k: 0 for k in adj}
-    stack: list[tuple[str, int]] = [(root, 0)]
-    path: list[str] = []
-    color[root] = GRAY
-    path.append(root)
+    color = bytearray(len(adj))
+    stack: list[tuple[int, int]] = [(0, 0)]
+    path: list[int] = [0]
+    color[0] = GRAY
     while stack:
         node, idx = stack[-1]
         targets = adj[node]
         if idx < len(targets):
             stack[-1] = (node, idx + 1)
             nxt = targets[idx]
-            if color.get(nxt, BLACK) == GRAY:
-                loop_start = path.index(nxt)
-                return path[loop_start:] + [nxt]
-            if color.get(nxt, BLACK) == WHITE:
+            if color[nxt] == GRAY:
+                return path[path.index(nxt) :] + [nxt]
+            if color[nxt] == WHITE:
                 color[nxt] = GRAY
                 path.append(nxt)
                 stack.append((nxt, 0))
@@ -549,68 +576,74 @@ def certified_run(
 def _explore(
     p: Process, max_states: int, max_depth: int, env: TypeEnv | None
 ) -> ExecutionReport:
+    """States are numbered in the order they are reached, breadth first:
+    `states` is the queue, and `index` maps a state's `sig` to its number,
+    the one table that holds a `sig`. Depths, edges, measures and printed
+    forms are kept by number, and no key text is built."""
     canon = _Canon()
     root = normalize(p)
-    states: dict[str, NormalProcess] = {root.key: root}
-    depth = {root.key: 0}
-    adj: dict[str, list[str]] = {root.key: []}
-    measures: dict[str, Multiset] = {}
-    printed: dict[str, str] = {}
+    states = [root]
+    index = {root.sig: 0}
+    depth = [0]
+    adj: list[list[int]] = [[]]
+    measures: dict[int, Multiset] = {}
+    printed: dict[int, str] = {}
     trace: list[EdgeCert] | None = [] if env is not None else None
 
-    def state_measure(key: str) -> Multiset:
-        if key not in measures:
+    def state_measure(n: int) -> Multiset:
+        if n not in measures:
             try:
-                measures[key] = measure(env, states[key].rebuild())
+                measures[n] = measure(env, states[n].rebuild())
             except PiError as exc:
                 raise CertificationFailure(
-                    f"reachable state is not typable: {exc}", where=key
+                    f"reachable state is not typable: {exc}", where=states[n].key
                 ) from exc
-        return measures[key]
+        return measures[n]
 
-    def show(state: NormalProcess) -> str:
+    def show(n: int, state: NormalProcess) -> str:
         # a state reached again may order tied components otherwise than the
-        # one stored under its key, and then prints otherwise: it prints itself
-        if states.get(state.key) is not state:
+        # one stored under its number, and then prints otherwise: it prints itself
+        if states[n] is not state:
             return pretty_process(state.rebuild())
-        if state.key not in printed:
-            printed[state.key] = pretty_process(state.rebuild())
-        return printed[state.key]
+        if n not in printed:
+            printed[n] = pretty_process(state.rebuild())
+        return printed[n]
 
-    queue = [root.key]
-    qi = 0
     truncated = False
     edges = 0
-    while qi < len(queue):
-        key = queue[qi]
-        qi += 1
-        succs = step(states[key], canon)
-        if depth[key] >= max_depth:
+    src = 0
+    while src < len(states):
+        succs = step(states[src], canon)
+        if depth[src] >= max_depth:
             if succs:
                 truncated = True
+            src += 1
             continue
+        out = adj[src]
         for succ in succs:
-            if succ.key not in states:
+            dst = index.get(succ.sig)
+            if dst is None:
                 if len(states) >= max_states:
                     truncated = True
                     continue
-                states[succ.key] = succ
-                depth[succ.key] = depth[key] + 1
-                adj[succ.key] = []
-                queue.append(succ.key)
-            adj[key].append(succ.key)
+                dst = index[succ.sig] = len(states)
+                states.append(succ)
+                depth.append(depth[src] + 1)
+                adj.append([])
+            out.append(dst)
             edges += 1
             if env is not None:
-                m_src, m_dst = state_measure(key), state_measure(succ.key)
+                m_src, m_dst = state_measure(src), state_measure(dst)
                 if not multiset_greater(m_src, m_dst):
                     raise CertificationFailure(
                         f"measure did not decrease: {format_multiset(m_src)} "
                         f"vs {format_multiset(m_dst)}",
-                        where=f"{key} --> {succ.key}",
+                        where=f"{states[src].key} --> {succ.key}",
                     )
-                trace.append(EdgeCert(show(states[key]), show(succ), m_src, m_dst))
+                trace.append(EdgeCert(show(src, states[src]), show(dst, succ), m_src, m_dst))
+        src += 1
 
-    cycle = _find_cycle(root.key, adj)
+    cycle = _find_cycle(adj)
     if cycle is not None:
         verdict = Verdict.DIVERGES
     elif truncated:
@@ -621,7 +654,7 @@ def _explore(
         verdict=verdict,
         steps_explored=edges,
         states_explored=len(states),
-        max_depth=max(depth.values()),
+        max_depth=depth[-1],  # breadth first, the last state reached is the deepest
         measure_trace=trace,
-        witness=[show(states[k]) for k in cycle] if cycle else None,
+        witness=[show(n, states[n]) for n in cycle] if cycle else None,
     )

@@ -390,7 +390,7 @@ class TestIncrementalStep:
                 assert [pretty_process(s.rebuild()) for s in got] == [pretty_process(s.rebuild()) for s in want]
                 for succ in got:
                     again = normalize(succ.rebuild())
-                    assert (again.key, again.serials, again.components) == (succ.key, succ.serials, succ.components)
+                    assert (again.key, again.sig, again.components) == (succ.key, succ.sig, succ.components)
                     if succ.key not in seen and len(seen) < self.STATES:
                         seen.add(succ.key)
                         queue.append(succ)

@@ -259,9 +259,9 @@ class TestNodes:
         LArrow: ((LBase("o"), LTVar(2)), "LArrow(left=LBase(name='o'), right=LTVar(id=2))"),
         LTVar: ((2,), "LTVar(id=2)"),
         NormalProcess: (
-            ((), (Out(A, ()),), "k", ("s",)),
+            ((), (Out(A, ()),), ("new[]", "s")),
             f"NormalProcess(restrictions=(), components=(Out(subject=a#{A.id}, payload=()),), "
-            "key='k', serials=('s',))",
+            "sig=('new[]', 's'))",
         ),
     }
 
