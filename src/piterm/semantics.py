@@ -96,10 +96,8 @@ class NormalProcess:
     """Restrictions over components in canonical order, and `sig`: the head
     `new[…]` tagging the restrictions, then each component's top-level
     serial, in the order of `components`. The serials are the store's own
-    string objects, so a state holds references to components' serials
-    stored once, the collapse compression of SPIN (Holzmann, "State
-    compression in SPIN: recursive indexing and compression training runs",
-    1997), and no text of its own.
+    string objects, so a state holds references to serials stored once
+    (SPIN's collapse compression) and no text of its own.
 
     `key` joins `sig` as `head;s1|s2|…`. Comparing `sig`s compares keys: the
     head is bracket-balanced and every serial is one balanced `( … )`
@@ -611,13 +609,11 @@ def _explore(
 
     truncated = False
     edges = 0
-    src = 0
-    while src < len(states):
-        succs = step(states[src], canon)
+    for src, state in enumerate(states):  # the loop reaches the states it appends
+        succs = step(state, canon)
         if depth[src] >= max_depth:
             if succs:
                 truncated = True
-            src += 1
             continue
         out = adj[src]
         for succ in succs:
@@ -638,10 +634,9 @@ def _explore(
                     raise CertificationFailure(
                         f"measure did not decrease: {format_multiset(m_src)} "
                         f"vs {format_multiset(m_dst)}",
-                        where=f"{states[src].key} --> {succ.key}",
+                        where=f"{state.key} --> {succ.key}",
                     )
-                trace.append(EdgeCert(show(src, states[src]), show(dst, succ), m_src, m_dst))
-        src += 1
+                trace.append(EdgeCert(show(src, state), show(dst, succ), m_src, m_dst))
 
     cycle = _find_cycle(adj)
     if cycle is not None:

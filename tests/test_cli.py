@@ -221,6 +221,34 @@ class TestRun:
         assert code == 1
         assert "VERDICT=BoundExceeded" in out
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            pytest.param(argv, message, id=" ".join(argv))
+            for argv, message in [
+                (["run", "omega.pi", "--max-states", "0"], "argument --max-states: must be at least 1, not 0"),
+                (["run", "omega.pi", "--max-states", "-2"], "argument --max-states: must be at least 1, not -2"),
+                (["run", "omega.pi", "--max-depth", "-1"], "argument --max-depth: must be at least 0, not -1"),
+                (["encode", "compose.lam", "--run", "--max-states=0"], "argument --max-states: must be at least 1, not 0"),
+                (["encode", "compose.lam", "--run", "--max-depth=-1"], "argument --max-depth: must be at least 0, not -1"),
+            ]
+        ],
+    )
+    def test_bound_below_its_least_is_a_usage_error(self, capsys, argv, message):
+        # `--max-states 0` answered STATES=1, above its own bound
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], str(FIXTURES / argv[1]), *argv[2:]])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2
+        assert out == ""
+        assert message in err
+
+    def test_least_bounds_accepted(self, capsys):
+        code, out = run(capsys, "run", FIXTURES / "omega.pi", "--max-states", 1, "--format=lines")
+        assert (code, out.splitlines()[:3]) == (1, ["VERDICT=Diverges", "STEPS=1", "STATES=1"])
+        code, out = run(capsys, "run", FIXTURES / "omega.pi", "--max-depth", 0, "--format=lines")
+        assert (code, out.splitlines()) == (1, ["VERDICT=BoundExceeded", "STEPS=0", "STATES=1", "DEPTH=0"])
+
 
 class TestEncode:
     def test_infer_accepts_reused_argument(self, capsys):
@@ -543,6 +571,14 @@ class TestStateBudgetEnvVar:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert "argument --max-states: invalid int value: 'abc'" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("max_states", ["0", "-5"])
+    def test_piterm_max_states_below_one_is_a_usage_error(self, tmp_path, max_states):
+        proc = self.run_chain(tmp_path, max_states)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert f"argument --max-states: must be at least 1, not {max_states}" in proc.stderr
         assert "Traceback" not in proc.stderr
 
 

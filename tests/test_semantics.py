@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import contextlib
+import gc
 import io
 import random
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -487,6 +489,58 @@ class TestExplore:
         )
 
 
+class TestStateStore:
+    """States are stored as tuples of shared serials, numbered breadth first."""
+
+    @staticmethod
+    def bytes_per_state(k: int) -> float:
+        """The `tracemalloc` peak of `explore` on k independent pairs, with
+        the cyclic collector paused, over the states it stores."""
+        p = parse_process(" | ".join(f"a{i}<> | a{i}().0" for i in range(k)))
+        explore(p, 2**k, 2**k)  # one-off allocations (interned text, caches) go to this run
+        enabled = gc.isenabled()
+        gc.disable()
+        # a full collection also empties the free lists of tuples, lists and
+        # dicts, whose reuse `tracemalloc` would not see
+        gc.collect()
+        tracemalloc.start()
+        try:
+            r = explore(p, 2**k, 2**k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            if enabled:
+                gc.enable()
+        assert (r.verdict, r.states_explored) == (Verdict.TERMINATED, 2**k)
+        return peak / r.states_explored
+
+    def test_bytes_per_state(self):
+        # a state holds references to its components' serials, not a joined
+        # key and a copy of it per table: 525 and 536 B/state, against 1202
+        # and 1491 B/state when every state kept its key text
+        at8, at10 = self.bytes_per_state(8), self.bytes_per_state(10)
+        assert at8 <= 700
+        assert at10 <= 1.15 * at8
+
+    def test_runs_build_no_key_text(self, monkeypatch):
+        reads = []
+        key = semantics.NormalProcess.key
+
+        def counted(np):
+            reads.append(np)
+            return key.fget(np)
+
+        monkeypatch.setattr(semantics.NormalProcess, "key", property(counted))
+        for pi in sorted(FIXTURES.glob("*.pi")):
+            explore(parse_process(pi.read_text()), 500, 500)
+        explore(parse_process(" | ".join(f"a{i}<> | a{i}().0" for i in range(6))), 100, 100)
+        env, p = TestCertifiedRun().server()
+        assert certified_run(env, p, 1000, 1000).verdict is Verdict.TERMINATED
+        assert reads == []
+        normalize(p).key  # the counter counts
+        assert len(reads) == 1
+
+
 class TestExploreFuzz:
     def test_untyped_fuzz_never_crashes(self, rng):
         for _ in range(250):
@@ -629,6 +683,29 @@ def write_keys_golden() -> None:
 class TestKeysGolden:
     def test_keys_unchanged(self):
         assert_golden(KEYS_GOLDEN, keys_text())
+
+
+class TestSigOrder:
+    def test_sig_order_is_key_order(self):
+        # on the processes behind keys.txt: `step`'s successors come sorted
+        # by key text, and over every state reached, distinct `sig`s have
+        # distinct keys and sort as their keys do
+        key_of: dict[tuple[str, ...], str] = {}
+        for _, p in keys_processes():
+            root = normalize(p)
+            key_of[root.sig] = root.key
+            queue, seen = [root], {root.sig}
+            for state in queue:
+                succs = step(state)
+                keys = [succ.key for succ in succs]
+                assert keys == sorted(set(keys))
+                for succ in succs:
+                    key_of[succ.sig] = succ.key
+                    if succ.sig not in seen and len(seen) < KEYS_STATES:
+                        seen.add(succ.sig)
+                        queue.append(succ)
+        assert len(set(key_of.values())) == len(key_of) > 400
+        assert [key_of[sig] for sig in sorted(key_of)] == sorted(key_of.values())
 
 
 # ---------------------------------------------------------------------------
