@@ -21,7 +21,7 @@ import re
 from .errors import IllTypedLambda, ParseError
 from .inference import ARROW, BASE, VAR, Mismatch, TermStore
 from .parser import _NAME_START, _Parser
-from .syntax import In, Name, NameRef, Out, Par, Process, RepIn, Res, fresh, node
+from .syntax import In, Name, NameRef, Out, Par, Process, RepIn, Res, bind, fresh, node, unbind
 
 
 class LambdaTerm:
@@ -187,6 +187,7 @@ def _declared(st: TermStore, t: LambdaType) -> int:
 
 
 def _stlc(st: TermStore, free_ctx: dict[str, int], term: LambdaTerm, bound: dict[str, int]) -> int:
+    """`bound` maps the variables bound around `term` and comes back unchanged."""
     if isinstance(term, LVar):
         if term.name in bound:
             return bound[term.name]
@@ -195,9 +196,9 @@ def _stlc(st: TermStore, free_ctx: dict[str, int], term: LambdaTerm, bound: dict
         return free_ctx[term.name]
     if isinstance(term, LAbs):
         a = st.fresh()
-        inner = dict(bound)
-        inner[term.var] = a
-        r = _stlc(st, free_ctx, term.body, inner)
+        saved = bind(bound, [(term.var, a)])
+        r = _stlc(st, free_ctx, term.body, bound)
+        unbind(bound, saved)
         return st.node(ARROW, (a, r))
     if isinstance(term, LApp):
         tf = _stlc(st, free_ctx, term.fn, bound)
@@ -243,8 +244,9 @@ def _numbered(counters: dict[str, int], prefix: str) -> Name:
 
 
 def _encode(term: LambdaTerm, dest: Name, scope: dict[str, Name], state: tuple[dict, dict]) -> Process:
-    """`scope` maps the bound variables; `state` holds the counters of the
-    fresh channel names and the names of the free variables, per `encode`."""
+    """`scope` maps the bound variables and comes back unchanged; `state`
+    holds the counters of the fresh channel names and the names of the free
+    variables, per `encode`."""
     counters, frees = state
     if isinstance(term, LVar):
         name = scope.get(term.name)
@@ -257,9 +259,9 @@ def _encode(term: LambdaTerm, dest: Name, scope: dict[str, Name], state: tuple[d
         y = _numbered(counters, "y")
         q = _numbered(counters, "q")
         x = fresh(term.var)
-        inner = dict(scope)
-        inner[term.var] = x
-        server = RepIn(y, (x, q), _encode(term.body, q, inner, state))
+        saved = bind(scope, [(term.var, x)])
+        server = RepIn(y, (x, q), _encode(term.body, q, scope, state))
+        unbind(scope, saved)
         return Res(y, None, False, Par(server, Out(dest, (NameRef(y),))))
     if isinstance(term, LApp):
         q = _numbered(counters, "q")

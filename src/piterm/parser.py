@@ -39,10 +39,9 @@ from .syntax import (
     Res,
     Type,
     Value,
-    bind_one,
+    bind,
     fresh,
     unbind,
-    unbind_one,
 )
 
 # One `findall` scans a text: whitespace and comments give an empty group, a
@@ -222,15 +221,15 @@ class _Parser:
 
         A loop reads the links as frames (node class, fields before the body,
         undo of the binders, whether a `(new a.P | ...)` group closes after
-        it), wrapped around the end term innermost first: no recursion. An
-        input's undo is its list of (spelling, earlier name) pairs, or None
-        when it binds nothing; a restriction's is the earlier name of its
-        one spelling, as `bind_one` returns it. The
-        tokens are read through locals and the index `i`, which `self.pos`
-        takes over only around a call into another rule."""
+        it), wrapped around the end term innermost first: no recursion. A
+        frame's undo is what `unbind` takes: a restriction's is `bind`'s
+        saved list, an input's the same (spelling, earlier name) pairs made
+        inline, or None when it binds nothing. The tokens are read through
+        locals and the index `i`, which `self.pos` takes over only around a
+        call into another rule."""
         toks, scope = self.tokens, self.scope
         i = self.pos
-        frames: list[tuple[type, tuple, object, bool]] = []
+        frames: list[tuple[type, tuple, list | None, bool]] = []
         while True:
             tok = toks[i]
             if tok == "0":
@@ -247,29 +246,29 @@ class _Parser:
                     i += 1
                     break
                 self.pos = i + 2
-                fields, old = self._restriction_head()
+                fields, saved = self._restriction_head()
                 i = self.pos
                 if toks[i] in (")", "."):
                     # (new a)P, or (new a.P | ...) closed after the frame
-                    frames.append((Res, fields, old, toks[i] == "."))
+                    frames.append((Res, fields, saved, toks[i] == "."))
                     i += 1
                     continue
                 if toks[i] != "(":
                     raise self.error("expected '.', ')' or '(' in restriction", i)
-                proc = self._close_group(Res(*fields, self._group(fields[0], old)))
+                proc = self._close_group(Res(*fields, self._group(saved)))
                 i = self.pos
                 break
             if tok == "new":
                 self.pos = i + 1
-                fields, old = self._restriction_head()
+                fields, saved = self._restriction_head()
                 i = self.pos
                 if toks[i] == ".":
                     i += 1
-                    frames.append((Res, fields, old, False))
+                    frames.append((Res, fields, saved, False))
                     continue
                 if toks[i] != "(":
                     raise self.error("expected '.' or '(' after restriction", i)
-                proc = Res(*fields, self._group(fields[0], old))
+                proc = Res(*fields, self._group(saved))
                 i = self.pos
                 break
             if tok == "!":
@@ -340,7 +339,7 @@ class _Parser:
                 frames.append((cls, (subj, ()), None, False))
                 continue
             binders = []
-            saved = []
+            saved = []  # `bind`'s saved list, made in the loop that makes the binders
             for s in spellings:
                 b = fresh(s)
                 binders.append(b)
@@ -349,30 +348,28 @@ class _Parser:
             frames.append((cls, (subj, tuple(binders)), saved, False))
         self.pos = i
         for cls, fields, undo, closes in reversed(frames):
-            if cls is Res:
-                unbind_one(scope, fields[0].display, undo)
-            elif undo is not None:
+            if undo is not None:
                 unbind(scope, undo)
             proc = cls(*fields, proc)
             if closes:
                 proc = self._close_group(proc)
         return proc
 
-    def _restriction_head(self) -> tuple[tuple, Name | None]:
+    def _restriction_head(self) -> tuple[tuple, list[tuple]]:
         """`a[:T][ fun]` after `new`: the fields of the `Res` before its body,
-        and what `a` meant before its binder, now in scope, took it over."""
+        and `bind`'s saved list of `a`, whose binder is now in scope."""
         spelling = self.take_name_text()
         annotation, functional = self._res_modifiers()
         binder = fresh(spelling)
-        return (binder, annotation, functional), bind_one(self.scope, spelling, binder)
+        return (binder, annotation, functional), bind(self.scope, [(spelling, binder)])
 
-    def _group(self, binder: Name, old: Name | None) -> Process:
-        """`(P)` as the body of a restriction on `binder`, whose spelling
-        meant `old` before it."""
+    def _group(self, saved: list[tuple]) -> Process:
+        """`(P)` as the body of a restriction, whose binder `unbind(saved)`
+        takes out of scope."""
         self.pos += 1
         body = self.parse_process()
         self.expect(")")
-        unbind_one(self.scope, binder.display, old)
+        unbind(self.scope, saved)
         return body
 
     def _close_group(self, proc: Process) -> Process:

@@ -57,22 +57,6 @@ def unbind(scope: dict, saved: list[tuple]) -> None:
             scope[key] = old
 
 
-def bind_one(scope: dict, key, value):
-    """`bind` of one pair, without the pair list and the saved list: returns
-    the key's earlier value, which `unbind_one` restores."""
-    old = scope.get(key)
-    scope[key] = value
-    return old
-
-
-def unbind_one(scope: dict, key, old) -> None:
-    """Undo a `bind_one`: `key` gets back `old`, or leaves `scope`."""
-    if old is None:
-        del scope[key]
-    else:
-        scope[key] = old
-
-
 # ---------------------------------------------------------------------------
 # Nodes
 
@@ -377,13 +361,6 @@ def _substitute(q: Process, ren: dict[int, Value]) -> Process:
         )
     if isinstance(q, (In, RepIn)):
         subj = _subst_subject(q.subject, ren)
-        if len(q.binders) == 1:
-            (b,) = q.binders
-            nb = fresh(b.display)
-            old = bind_one(ren, b.id, NameRef(nb))
-            body = _substitute(q.body, ren)
-            unbind_one(ren, b.id, old)
-            return type(q)(subj, (nb,), body)
         binders = tuple(fresh(b.display) for b in q.binders)
         saved = bind(ren, [(b.id, NameRef(nb)) for b, nb in zip(q.binders, binders)])
         body = _substitute(q.body, ren)
@@ -391,9 +368,9 @@ def _substitute(q: Process, ren: dict[int, Value]) -> Process:
         return type(q)(subj, binders, body)
     if isinstance(q, Res):
         nb = fresh(q.name.display)
-        old = bind_one(ren, q.name.id, NameRef(nb))
+        saved = bind(ren, [(q.name.id, NameRef(nb))])
         body = _substitute(q.body, ren)
-        unbind_one(ren, q.name.id, old)
+        unbind(ren, saved)
         return Res(nb, q.annotation, q.functional, body)
     raise TypeError(f"not a process: {q!r}")
 
@@ -436,12 +413,12 @@ def _serial(p: Process, env: dict[int, str], counter: list[int]) -> str:
         unbind(env, saved)
         return f"({tag} {subj} /{len(p.binders)} {body})"
     if isinstance(p, Res):
-        old = bind_one(env, p.name.id, f"b{counter[0]}")
+        saved = bind(env, [(p.name.id, f"b{counter[0]}")])
         counter[0] += 1
         ann = pretty_type(p.annotation) if p.annotation is not None else "_"
         kind = "fun" if p.functional else "imp"
         body = _serial(p.body, env, counter)
-        unbind_one(env, p.name.id, old)
+        unbind(env, saved)
         return f"(new {kind} {ann} {body})"
     raise TypeError(f"not a process: {p!r}")
 
