@@ -35,7 +35,7 @@ congruent plain inputs, only the last fires, since the others give the same
 successors. An exploration keeps one store of components for the whole run,
 the component reuse of hash-consing (Conchon & Filliâtre, "Type-safe modular
 hash-consing", 2006) kept to one run: a successor keeps the components that
-did not fire as the same objects and flattens only the fired body, so each
+did not fire as the same objects and splits only the fired body, so each
 component's free names are computed once and its top-level serial once per
 labelling of those names. A normal form holds no key text: its `sig` is the
 tuple of its restriction head and its components' top-level serials, the
@@ -131,7 +131,9 @@ def _flatten(canon: _Canon, p: Process) -> tuple[list[Restriction], list[Process
     prefix bodies likewise, each left as its restrictions over its components.
     The `|` spine and restriction chains are walked by a loop, a prefix costs
     one frame. A restriction is kept when its name is free in some component
-    of its scope, read off the free-name sets `canon` keeps."""
+    of its scope, read off the free-name sets `canon` keeps. It runs on roots
+    only: substitution keeps a normal body normal, so `step` splits a fired
+    body with `_scope`."""
     res: list[Restriction] = []
     comps: list[Process] = []
     todo = [p]
@@ -155,7 +157,8 @@ def _flatten(canon: _Canon, p: Process) -> tuple[list[Restriction], list[Process
 
 
 def _scope(body: Process) -> tuple[list[Restriction], list[Process]]:
-    """The restrictions and components of a body `_flatten` has built."""
+    """The restrictions and components of a body `_flatten` has built, or a
+    substitution into one: none for an inert body."""
     res = []
     while isinstance(body, Res):
         res.append((body.name, body.annotation, body.functional))
@@ -164,7 +167,9 @@ def _scope(body: Process) -> tuple[list[Restriction], list[Process]]:
     while isinstance(body, Par):
         comps.append(body.left)
         body = body.right
-    return res, comps + [body]
+    if not isinstance(body, Nil):
+        comps.append(body)
+    return res, comps
 
 
 def _res_kind(r: Restriction) -> tuple[str, str]:
@@ -449,7 +454,8 @@ def step(p: Process | NormalProcess, canon: _Canon | None = None) -> list[Normal
     """All one-step successors, normalized and deduplicated up to congruence.
 
     A successor keeps the components of `p` that did not fire as they are and
-    flattens only the fired body; `canon` is the store of the exploration.
+    splits only the fired body, a normal form already, into its restrictions
+    and components; `canon` is the store of the exploration.
     When neither `p` nor the fired body has a restriction, the successor's
     `sig` is spliced from `p`'s sorted serials; otherwise it is
     canonicalised. Successors are deduplicated and sorted by `sig`, which is
@@ -477,7 +483,7 @@ def step(p: Process | NormalProcess, canon: _Canon | None = None) -> list[Normal
             body = _fire(sender, receiver)
             if body is None:
                 continue
-            res, added = _flatten(canon, body)
+            res, added = _scope(body)
             if isinstance(receiver, RepIn):
                 added.insert(0, receiver)
             if np.restrictions or res:
@@ -559,16 +565,28 @@ def explore(p: Process, max_states: int = 100000, max_depth: int = 100000) -> Ex
     Terminated: every path reaches a stuck state within the bounds.
     Diverges: some canonical state repeats along a path (a cycle exists).
     BoundExceeded: the bounds cut the exploration short and no cycle was seen.
+    `max_states` below 1 or `max_depth` below 0 raises `ValueError`.
     """
+    _check_bounds(max_states, max_depth)
     return _explore(p, max_states, max_depth, env=None)
 
 
 def certified_run(
     env: TypeEnv, p: Process, max_states: int = 100000, max_depth: int = 100000
 ) -> ExecutionReport:
-    """Explore while certifying the strict measure decrease on every edge."""
+    """Explore while certifying the strict measure decrease on every edge;
+    bounds as `explore` takes them, checked before the start process is."""
+    _check_bounds(max_states, max_depth)
     check(env, p)  # precondition: the start process is well typed
     return _explore(p, max_states, max_depth, env=env)
+
+
+def _check_bounds(max_states: int, max_depth: int) -> None:
+    """The root is a state and depth 0 its own, so no run has fewer."""
+    if max_states < 1:
+        raise ValueError(f"max_states must be at least 1, got {max_states}")
+    if max_depth < 0:
+        raise ValueError(f"max_depth must be at least 0, got {max_depth}")
 
 
 def _explore(

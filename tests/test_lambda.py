@@ -23,6 +23,7 @@ from piterm.lam import (
     LApp,
     LArrow,
     LBase,
+    LambdaType,
     LVar,
     check_stlc,
     encode,
@@ -30,6 +31,7 @@ from piterm.lam import (
     parse_lambda_term,
     pretty_lambda_type,
 )
+from piterm.parser import parse_process
 from piterm.semantics import Verdict, explore, normalize
 from piterm.syntax import (
     ChanT,
@@ -42,6 +44,7 @@ from piterm.syntax import (
     RepIn,
     Res,
     UNIT,
+    alpha_key,
     free_names,
     fresh,
 )
@@ -192,6 +195,46 @@ class TestEncode:
         proc, garbage = cyclic_garbage(encode, term, fresh("p"), decls)
         assert garbage == 0
         assert isinstance(proc, Res)
+
+
+# A variable bound again inside its own scope: the inner binder shadows the
+# outer one, which comes back when the inner scope ends. Each term with its
+# declarations, its type with the type variables named in order of first
+# appearance, and its image on `p` written by hand.
+SHADOWING = [
+    ("\\x. \\x. x", {}, "'a -> 'b -> 'b", "new y1.(!y1(x, q1).new y2.(!y2(x2, q2).q2<x2> | q1<y2>) | p<y1>)"),
+    (
+        "\\x. (\\x. x) x",
+        {},
+        "'a -> 'a",
+        "new y1.(!y1(x, q1).new q2.new r1.(new y2.(!y2(x2, q3).q3<x2> | q2<y2>) | (r1<x> | q2(f1).r1(z1).f1<z1, q1>))"
+        " | p<y1>)",
+    ),
+    (
+        "(\\x. \\x. x) a",
+        {"a": SIG},
+        "'a -> 'a",
+        "new q1.new r1.(new y1.(!y1(x, q2).new y2.(!y2(x2, q3).q3<x2> | q2<y2>) | q1<y1>)"
+        " | (r1<a> | q1(f1).r1(z1).f1<z1, p>))",
+    ),
+]
+
+
+def type_shape(t: LambdaType) -> str:
+    """`t` printed with its type variables named 'a, 'b, ... in order of first appearance."""
+    named: dict[str, str] = {}
+    return re.sub(r"'\d+", lambda m: named.setdefault(m.group(), "'" + chr(ord("a") + len(named))), pretty_lambda_type(t))
+
+
+class TestShadowing:
+    @pytest.mark.parametrize("src,delta,shape,image", SHADOWING)
+    def test_type(self, src, delta, shape, image):
+        assert type_shape(check_stlc(delta, parse_lambda_term(src))) == shape
+
+    @pytest.mark.parametrize("src,delta,shape,image", SHADOWING)
+    def test_image(self, src, delta, shape, image):
+        got = encode(parse_lambda_term(src), fresh("p"), delta)
+        assert alpha_key(got) == alpha_key(parse_process(image))
 
 
 class TestImageProperties:

@@ -15,6 +15,7 @@ import pytest
 
 from piterm import checker, semantics
 from piterm.checker import TypeEnv
+from piterm.errors import PiError
 from piterm.measure import multiset_greater
 from piterm.parser import parse_process, parse_type
 from piterm.semantics import (
@@ -36,6 +37,7 @@ from piterm.syntax import (
     Process,
     RepIn,
     Res,
+    alpha_key,
     free_names,
     fresh,
     par,
@@ -449,6 +451,19 @@ class TestExplore:
         r3 = explore(parse_process(src), max_states=100, max_depth=100)
         assert r3.verdict is Verdict.TERMINATED
 
+    @pytest.mark.parametrize("max_states,max_depth", [(0, 10), (-3, 10), (10, -1)])
+    def test_bound_below_its_least_raises(self, monkeypatch, max_states, max_depth):
+        # such bounds answered Diverges from 1 state, or BoundExceeded after 0 steps
+        p = parse_process((FIXTURES / "omega.pi").read_text())
+        normalized = count_calls(monkeypatch, semantics.normalize)
+        with pytest.raises(ValueError, match="max_states must be at least 1|max_depth must be at least 0"):
+            explore(p, max_states, max_depth)
+        assert normalized == []
+
+    def test_least_bounds_accepted(self):
+        r = explore(parse_process((FIXTURES / "omega.pi").read_text()), 1, 0)
+        assert (r.verdict, r.states_explored, r.steps_explored) == (Verdict.BOUND_EXCEEDED, 1, 0)
+
     def test_one_normalize_per_successor(self, monkeypatch):
         # prefix bodies with restrictions and several components are ordered
         # inside the one key walk, not by canonicalising them on their own
@@ -579,6 +594,18 @@ class TestCertifiedRun:
         for edge in r.measure_trace:
             assert multiset_greater(edge.src_measure, edge.dst_measure)
 
+    @pytest.mark.parametrize("max_states,max_depth", [(0, 1000), (1000, -1)])
+    def test_bound_below_its_least_raises_before_the_typing(self, monkeypatch, max_states, max_depth):
+        # the start process is ill typed: the bounds are checked first
+        p = parse_process("a<*>")
+        env = env_for(p, {"a": parse_type("#1[o1[Unit]]")})
+        with pytest.raises(PiError):
+            certified_run(env, p, 1000, 1000)
+        walks = count_calls(monkeypatch, checker.derive)
+        with pytest.raises(ValueError):
+            certified_run(env, p, max_states, max_depth)
+        assert walks == []
+
     def test_one_typing_walk_per_state(self, monkeypatch):
         env, p = self.server()
         walks = count_calls(monkeypatch, checker.derive)
@@ -683,6 +710,24 @@ def write_keys_golden() -> None:
 class TestKeysGolden:
     def test_keys_unchanged(self):
         assert_golden(KEYS_GOLDEN, keys_text())
+
+
+class TestReachedComponentsAreNormal:
+    def test_flatten_keeps_every_reached_component(self):
+        # `step` splits a fired body with `_scope` and flattens nothing, which
+        # holds because every component of a state reached from a root is
+        # already its own `_flatten`, at every depth
+        for _, p in keys_processes():
+            root = normalize(p)
+            queue, seen = [root], {root.sig}
+            for state in queue:
+                for c in state.components:
+                    flat = semantics._wrap(*semantics._flatten(semantics._Canon(), c))
+                    assert alpha_key(flat) == alpha_key(c), pretty_process(c)
+                for succ in step(state):
+                    if succ.sig not in seen and len(seen) < KEYS_STATES:
+                        seen.add(succ.sig)
+                        queue.append(succ)
 
 
 class TestSigOrder:

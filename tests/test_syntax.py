@@ -42,11 +42,13 @@ from piterm.syntax import (
     UnitT,
     Value,
     alpha_key,
+    bind,
     free_names,
     fresh,
     pretty_process,
     pretty_type,
     substitute_many,
+    unbind,
 )
 
 from conftest import assert_golden, well_scoped
@@ -560,6 +562,33 @@ class TestSubstitute:
             assert well_scoped(q)
             allowed = (free_names(p) - {x}) | {v.name}
             assert free_names(q) <= allowed
+
+
+class TestScopes:
+    """`bind` and `unbind`, the package's one pair of scope functions."""
+
+    def test_nested_on_one_key_restore_in_reverse_order(self):
+        scope = {"x": "free"}
+        outer = bind(scope, [("x", "outer")])
+        inner = bind(scope, [("x", "inner"), ("x", "innermost")])  # `a(x, x)` binds x twice
+        assert scope == {"x": "innermost"}
+        unbind(scope, inner)
+        assert scope == {"x": "outer"}
+        unbind(scope, outer)
+        assert scope == {"x": "free"}
+
+    def test_absent_key_leaves_the_scope(self):
+        scope = {"y": 1}
+        saved = bind(scope, [("x", 2), ("y", 3)])
+        unbind(scope, saved)
+        assert scope == {"y": 1}
+
+    @pytest.mark.parametrize("earlier", [0, "", False, ()])
+    def test_falsy_earlier_value_comes_back(self, earlier):
+        # `lam`'s `TermStore` numbers its first node 0
+        scope = {"x": earlier}
+        unbind(scope, bind(scope, [("x", 5)]))
+        assert list(scope) == ["x"] and scope["x"] is earlier
 
 
 @pytest.mark.parametrize("brk", ["\r", "\x0c", "\x85", "\u2028"])
