@@ -574,8 +574,9 @@ def explore(p: Process, max_states: int = 100000, max_depth: int = 100000) -> Ex
 def certified_run(
     env: TypeEnv, p: Process, max_states: int = 100000, max_depth: int = 100000
 ) -> ExecutionReport:
-    """Explore while certifying the strict measure decrease on every edge;
-    bounds as `explore` takes them, checked before the start process is."""
+    """Explore while certifying the strict measure decrease on every edge.
+    The bounds are checked as `explore` checks them, before the start
+    process is typed."""
     _check_bounds(max_states, max_depth)
     check(env, p)  # precondition: the start process is well typed
     return _explore(p, max_states, max_depth, env=env)
