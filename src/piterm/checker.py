@@ -17,8 +17,6 @@ changes only the input, restriction and scope-end rules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import (
     CapabilityError,
     FunctionalInputNotIsolated,
@@ -54,6 +52,7 @@ from .syntax import (
     UnitT,
     Value,
     bind,
+    node,
     pretty_process,
     pretty_type,
     pretty_value,
@@ -61,11 +60,19 @@ from .syntax import (
 )
 
 
-@dataclass(frozen=True)
 class TypeEnv:
-    """Finite map from names to types; binding an already-bound name is an error."""
+    """Finite map from names to types; binding an already-bound name is an
+    error. Two environments are equal when their bindings are."""
 
-    bindings: dict[Name, Type] = field(default_factory=dict)
+    __slots__ = ("bindings",)
+
+    def __init__(self, bindings: dict[Name, Type] | None = None):
+        self.bindings = {} if bindings is None else bindings
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return self.bindings == other.bindings
+        return NotImplemented
 
     def get(self, name: Name) -> Type:
         try:
@@ -353,7 +360,7 @@ def as_multiset(values) -> Multiset:
     return tuple(sorted(values, reverse=True))
 
 
-@dataclass(frozen=True)
+@node
 class Derivation:
     """What one typing walk yields.
 

@@ -16,24 +16,27 @@ value fit and restriction annotations are typed as in the other two modes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .checker import TypeEnv, _weigh
 from .errors import CapabilityError, UnboundName
 from .syntax import OUT, ChanT, Name, Process, pretty_type
 
 
-@dataclass(frozen=True)
 class ImpureEnv:
     """gamma plus an optional isolated functional name (None plays the dummy)."""
 
-    gamma: TypeEnv = field(default_factory=TypeEnv)
-    isolated: tuple[Name, ChanT] | None = None
-    functional: frozenset[Name] = frozenset()  # gamma names known functional
+    __slots__ = ("gamma", "isolated", "functional")
 
-    def __post_init__(self):
-        if self.isolated is not None:
-            name, ty = self.isolated
+    def __init__(
+        self,
+        gamma: TypeEnv | None = None,
+        isolated: tuple[Name, ChanT] | None = None,
+        functional: frozenset[Name] = frozenset(),  # gamma names known functional
+    ):
+        self.gamma = TypeEnv() if gamma is None else gamma
+        self.isolated = isolated
+        self.functional = functional
+        if isolated is not None:
+            name, ty = isolated
             if name in self.gamma:
                 raise UnboundName(f"isolated name {name.display!r} also bound in gamma")
             if ty.cap != OUT:

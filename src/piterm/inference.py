@@ -41,7 +41,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from .checker import TypeEnv, check
@@ -74,6 +73,7 @@ from .syntax import (
     Star,
     Type,
     Value,
+    node,
     pretty_process,
     value_names,
 )
@@ -208,7 +208,7 @@ def _pretty_node(kind: int, label, args: tuple[str, ...]) -> str:
     return "Nat" if kind == NAT_K else "Unit"
 
 
-@dataclass
+@node
 class _Typing:
     """The most general simple typing: each name's variable in the store, in
     the order of first use."""
@@ -285,18 +285,20 @@ def _simple_types(facts: _Facts) -> _Typing:
 # Name facts
 
 
-@dataclass
 class _Facts:
     """What inference needs to know about the names of a process."""
 
-    nodes: list[Process] = field(default_factory=list)  # Res, Out, In and RepIn, in preorder
-    free: set[Name] = field(default_factory=set)
-    restricted: list[Name] = field(default_factory=list)
-    receptions: list[tuple[Name, int, Name]] = field(default_factory=list)  # (carrier, position, received)
-    input_subjects: set[Name] = field(default_factory=set)
-    # per replicated input: its subject and the subjects of the outputs in its
-    # body that no further replication shields
-    replicated: list[tuple[Name, list[Name]]] = field(default_factory=list)
+    __slots__ = ("nodes", "free", "restricted", "receptions", "input_subjects", "replicated")
+
+    def __init__(self):
+        self.nodes: list[Process] = []  # Res, Out, In and RepIn, in preorder
+        self.free: set[Name] = set()
+        self.restricted: list[Name] = []
+        self.receptions: list[tuple[Name, int, Name]] = []  # (carrier, position, received)
+        self.input_subjects: set[Name] = set()
+        # per replicated input: its subject and the subjects of the outputs in
+        # its body that no further replication shields
+        self.replicated: list[tuple[Name, list[Name]]] = []
 
     def non_local(self) -> set[Name]:
         """Received names used as input subjects."""
@@ -348,14 +350,20 @@ def _facts(p: Process) -> _Facts:
 # The level constraint system
 
 
-@dataclass
 class LevelGraph:
     """The visible level graph, by slot name: each node's label set (its own
     name and the received names it carries), and the edges `(src, dst,
     strict)`, `src >= dst` or, strict, `src > dst`."""
 
-    nodes: dict[str, frozenset[str]] = field(default_factory=dict)
-    edges: set[tuple[str, str, bool]] = field(default_factory=set)
+    __slots__ = ("nodes", "edges")
+
+    def __init__(
+        self,
+        nodes: dict[str, frozenset[str]] | None = None,
+        edges: set[tuple[str, str, bool]] | None = None,
+    ):
+        self.nodes = {} if nodes is None else nodes
+        self.edges = set() if edges is None else edges
 
     def dump(self) -> str:
         lines = [f"NODE {n}: {{{', '.join(sorted(self.nodes[n]))}}}" for n in sorted(self.nodes)]

@@ -139,19 +139,21 @@ def parse_lambda_term(text: str, line: int = 1) -> LambdaTerm:
     return m
 
 
+_DECL_RE = re.compile(r"^\s*([A-Za-z_][A-Za-z0-9_']*)\s*:(.*)$")  # a header line `name : type`
+
+
 def parse_lambda_file(text: str) -> tuple[dict[str, LambdaType], LambdaTerm]:
     """Header lines `name : type` declare free variables; the rest is the term.
     Both are read in place: an error is located at the file's line and column."""
     decls: dict[str, LambdaType] = {}
     lines = text.split("\n")
     body_from = 0
-    decl_re = re.compile(r"^\s*([A-Za-z_][A-Za-z0-9_']*)\s*:(.*)$")
     for i, raw in enumerate(lines):
         stripped = raw.split("--", 1)[0]
         if not stripped.strip():
             body_from = i + 1
             continue
-        m = decl_re.match(stripped)
+        m = _DECL_RE.match(stripped)
         if m:
             p = _LamParser(raw, m.start(2), len(stripped.rstrip()), i + 1)
             decls[m.group(1)] = p.parse_type()

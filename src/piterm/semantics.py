@@ -57,8 +57,7 @@ from __future__ import annotations
 
 import enum
 from bisect import bisect_right
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from collections.abc import Callable, Sequence
 
 from .checker import TypeEnv, check
 from .errors import CertificationFailure, PiError, SortError
@@ -508,7 +507,7 @@ class Verdict(enum.Enum):
     DIVERGES = "Diverges"
 
 
-@dataclass
+@node
 class EdgeCert:
     src: str
     dst: str
@@ -522,14 +521,27 @@ class EdgeCert:
         )
 
 
-@dataclass
 class ExecutionReport:
-    verdict: Verdict
-    steps_explored: int
-    states_explored: int
-    max_depth: int
-    measure_trace: list[EdgeCert] | None = None
-    witness: list[str] | None = None
+    """What an exploration found; `measure_trace` is kept by a certified
+    run, `witness` when the verdict is a divergence."""
+
+    __slots__ = ("verdict", "steps_explored", "states_explored", "max_depth", "measure_trace", "witness")
+
+    def __init__(
+        self,
+        verdict: Verdict,
+        steps_explored: int,
+        states_explored: int,
+        max_depth: int,
+        measure_trace: list[EdgeCert] | None = None,
+        witness: list[str] | None = None,
+    ):
+        self.verdict = verdict
+        self.steps_explored = steps_explored
+        self.states_explored = states_explored
+        self.max_depth = max_depth
+        self.measure_trace = measure_trace
+        self.witness = witness
 
 
 def _find_cycle(adj: list[list[int]]) -> list[int] | None:

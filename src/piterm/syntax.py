@@ -10,7 +10,6 @@ compare and hash by identity.
 from __future__ import annotations
 
 import itertools
-from dataclasses import FrozenInstanceError, dataclass, fields
 
 from .errors import SortError
 
@@ -61,29 +60,55 @@ def unbind(scope: dict, saved: list[tuple]) -> None:
 # Nodes
 
 
+class FrozenInstanceError(AttributeError):
+    """Raised on assigning or deleting an attribute of a node."""
+
+
 def node(cls: type) -> type:
-    """Make `cls` a node: a frozen dataclass with slots, so one allocation
-    without a `__dict__` when its bases have empty slots. Its `__init__`, made
-    here from its fields, stores each through one prebound
-    `object.__setattr__` (the generated one looks it up per field) and then
-    runs `__post_init__`, if any. Equality, hashing and `repr` are the
-    generated ones; assigning or deleting any attribute raises
-    `FrozenInstanceError`."""
-    # the generated `__init__` is replaced below, but not skipped: with
-    # `init=False` dataclass writes the class docstring from the signature of
-    # `object.__init__`, which compiles `tokenize`'s regexes on a cold import
-    cls = dataclass(frozen=True, slots=True)(cls)
-    names = [f.name for f in fields(cls)]
-    body = [f"_set(self, {n!r}, {n})" for n in names]
+    """Make `cls` a node: a frozen record of its annotated fields, built as
+    a copy of `cls` with `__slots__`, so one allocation without a `__dict__`
+    when its bases have empty slots. Its fields, in order, are its
+    `__match_args__`, and one `exec` makes its methods from them:
+    `__init__`, by position or keyword, stores each field through one
+    prebound `object.__setattr__` and then runs `__post_init__`, if any;
+    `__eq__` compares the field tuples of two nodes of one class,
+    `__hash__` hashes the field tuple, and `__repr__` reads
+    `Cls(field=value, ...)`. Assigning or deleting any attribute raises
+    `FrozenInstanceError`; `__getstate__`/`__setstate__` keep `copy` and
+    `pickle` working."""
+    names = tuple(cls.__dict__.get("__annotations__", ()))
+    args = ", ".join(["self", *names])
+    own = "".join(f"self.{n}," for n in names)  # the items of the field tuple
+    theirs = "".join(f"other.{n}," for n in names)
+    init = [f"_set(self, {n!r}, {n})" for n in names]
     if hasattr(cls, "__post_init__"):
-        body.append("self.__post_init__()")
-    code: dict = {}
-    source = f"def __init__({', '.join(['self', *names])}):\n    " + ("\n    ".join(body) or "pass")
-    exec(source, {"_set": object.__setattr__}, code)
-    cls.__init__ = code["__init__"]
-    cls.__setattr__ = _frozen_setattr
-    cls.__delattr__ = _frozen_delattr
-    return cls
+        init.append("self.__post_init__()")
+    shown = ", ".join(f"{n}={{self.{n}!r}}" for n in names)
+    source = (
+        f"def __init__({args}):\n    " + ("\n    ".join(init) or "pass") + "\n"
+        "def __eq__(self, other):\n"
+        "    if other.__class__ is self.__class__:\n"
+        f"        return ({own}) == ({theirs})\n"
+        "    return NotImplemented\n"
+        f"def __hash__(self):\n    return hash(({own}))\n"
+        f"def __repr__(self):\n    return self.__class__.__qualname__ + f\"({shown})\"\n"
+    )
+    ns = dict(cls.__dict__)
+    ns.pop("__dict__", None)
+    ns.pop("__weakref__", None)
+    exec(source, {"__name__": cls.__module__, "_set": object.__setattr__}, ns)
+    for name in ("__init__", "__eq__", "__hash__", "__repr__"):
+        ns[name].__qualname__ = f"{cls.__qualname__}.{name}"
+    ns.update(
+        __slots__=names,
+        __match_args__=names,
+        __qualname__=cls.__qualname__,
+        __setattr__=_frozen_setattr,
+        __delattr__=_frozen_delattr,
+        __getstate__=_node_getstate,
+        __setstate__=_node_setstate,
+    )
+    return type(cls)(cls.__name__, cls.__bases__, ns)
 
 
 def _frozen_setattr(self, name: str, value) -> None:
@@ -92,6 +117,15 @@ def _frozen_setattr(self, name: str, value) -> None:
 
 def _frozen_delattr(self, name: str) -> None:
     raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def _node_getstate(self) -> list:
+    return [getattr(self, n) for n in self.__match_args__]
+
+
+def _node_setstate(self, state: list) -> None:
+    for n, value in zip(self.__match_args__, state):
+        object.__setattr__(self, n, value)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,10 @@ from __future__ import annotations
 import argparse
 import contextlib
 import io
+import os
 import re
+import subprocess
+import sys
 import time
 
 import pytest
@@ -536,6 +539,24 @@ class TestSiblingEnv:
         assert cli._sibling_env(str(tmp_path / name)) is None
         (tmp_path / sibling).write_text("")
         assert cli._sibling_env(str(tmp_path / name)) == str(tmp_path / sibling)
+
+
+class TestStartUp:
+    """Importing the CLI builds every class itself: no call pays for loading
+    `dataclasses`, and with it `inspect`, or `typing`."""
+
+    def test_import_loads_no_dataclasses_inspect_or_typing(self):
+        import piterm
+
+        src = os.path.dirname(os.path.dirname(piterm.__file__))
+        code = (
+            f"import sys; sys.path.insert(0, {src!r}); import piterm.cli; "
+            "print(*sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
+        )
+        # `-S`: no `site`, so nothing but the import itself loads modules
+        proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == []
 
 
 class TestStateBudgetEnvVar:

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import ast
+import copy
 import dataclasses
 import gc
 import inspect
+import io
+import pickle
 import random
 import re
 import sys
@@ -25,6 +28,7 @@ from piterm.syntax import (
     UNIT,
     Add,
     ChanT,
+    FrozenInstanceError,
     In,
     Mul,
     Name,
@@ -215,7 +219,7 @@ class TestName:
 
 def node_classes(*bases: type) -> list[type]:
     """Every subclass of `bases`, at any depth, that its module names. The
-    class that `dataclass(slots=True)` replaces by a slotted copy stays among
+    class that `syntax.node` replaces by a slotted copy stays among
     `__subclasses__` until the collector frees it."""
     found = []
     todo = list(bases)
@@ -227,10 +231,33 @@ def node_classes(*bases: type) -> list[type]:
     return found
 
 
+def round_trip(obj):
+    """`obj` through `pickle`, each `Name` in it kept by reference: names
+    compare by identity, so a new one would never be equal."""
+    names: list[Name] = []
+
+    class Pickler(pickle.Pickler):
+        def persistent_id(self, x):
+            if isinstance(x, Name):
+                names.append(x)
+                return len(names) - 1
+            return None
+
+    class Unpickler(pickle.Unpickler):
+        def persistent_load(self, pid):
+            return names[pid]
+
+    buf = io.BytesIO()
+    Pickler(buf).dump(obj)
+    buf.seek(0)
+    return Unpickler(buf).load()
+
+
 class TestNodes:
-    """AST nodes are made by `syntax.node`: frozen dataclasses with slots, one
-    allocation without a `__dict__`, with the generated equality, hash and
-    `repr` and a constructor that takes the fields."""
+    """AST nodes are made by `syntax.node`: frozen records of their fields
+    with slots, one allocation without a `__dict__`, equal and hashed by
+    their field tuples, with a `repr` that names the fields, a constructor
+    that takes them, and state methods that `copy` and `pickle` use."""
 
     A = fresh("a")
 
@@ -277,18 +304,21 @@ class TestNodes:
         args, text = self.LITERALS[cls]
         node = cls(*args)
         assert not hasattr(node, "__dict__")
-        for f in dataclasses.fields(cls):
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                setattr(node, f.name, None)
+        assert cls.__match_args__ == tuple(cls.__annotations__)
+        for name in cls.__match_args__:
+            with pytest.raises(FrozenInstanceError):
+                setattr(node, name, None)
         twin = cls(*args)
         assert twin is not node
         assert twin == node and hash(twin) == hash(node)
+        # the hash of the field tuple, which the iteration order of a set of nodes follows
+        assert hash(node) == hash(tuple(getattr(node, name) for name in cls.__match_args__))
         assert repr(node) == text
 
     @pytest.mark.parametrize("cls", CLASSES, ids=lambda cls: cls.__name__)
     def test_constructor_takes_the_fields(self, cls):
         args, _ = self.LITERALS[cls]
-        names = [f.name for f in dataclasses.fields(cls)]
+        names = list(cls.__match_args__)
         assert list(inspect.signature(cls).parameters) == names
         assert cls(**dict(zip(names, args))) == cls(*args)
 
@@ -302,12 +332,24 @@ class TestNodes:
     def test_frozen_for_any_attribute(self, cls):
         args, _ = self.LITERALS[cls]
         node = cls(*args)
-        with pytest.raises(dataclasses.FrozenInstanceError, match="cannot assign to field 'foo'"):
+        with pytest.raises(FrozenInstanceError, match="cannot assign to field 'foo'"):
             node.foo = 1
-        for f in dataclasses.fields(cls):
-            with pytest.raises(dataclasses.FrozenInstanceError, match=f"cannot delete field '{f.name}'"):
-                delattr(node, f.name)
+        for name in cls.__match_args__:
+            with pytest.raises(FrozenInstanceError, match=f"cannot delete field '{name}'"):
+                delattr(node, name)
         assert cls(*args) == node
+
+    @pytest.mark.parametrize("cls", CLASSES, ids=lambda cls: cls.__name__)
+    def test_copy_and_pickle(self, cls):
+        args, _ = self.LITERALS[cls]
+        node = cls(*args)
+        keep_name = {id(self.A): self.A}  # a deep copy of a name is another name
+        for twin in (copy.copy(node), copy.deepcopy(node, keep_name), round_trip(node)):
+            assert type(twin) is cls and twin is not node
+            assert twin == node
+
+    def test_frozen_error_is_an_attribute_error(self):
+        assert issubclass(FrozenInstanceError, AttributeError)
 
     def test_invariants_still_asserted(self):
         with pytest.raises(AssertionError):
