@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 import re
 
 import pytest
@@ -23,6 +24,7 @@ from piterm.lam import (
     LApp,
     LArrow,
     LBase,
+    LambdaTerm,
     LambdaType,
     LVar,
     check_stlc,
@@ -50,6 +52,8 @@ from piterm.syntax import (
 )
 
 from conftest import FIXTURES, assert_golden, pretty_lambda, simple_types
+from test_checker import _load_perfbench
+from test_inference import LAMGEN_SEED, LAMGEN_SIZES, unify_cases
 from test_syntax import cyclic_garbage
 
 SIG, TAU = LBase("sig"), LBase("tau")
@@ -527,3 +531,64 @@ def write_golden() -> None:
 class TestLamGolden:
     def test_parse_outcomes_unchanged(self):
         assert_golden(LAM_GOLDEN, lam_text())
+
+
+# ---------------------------------------------------------------------------
+# Golden record of the encoding: for each term under its declarations, the
+# image `encode` builds on a fresh `p`, with name ids taken relative to a
+# fresh name made just before, or the `IllTypedLambda` message. The inputs are
+# the lambda terms of `unify.txt`, the `.lam` fixtures, the shadowing terms,
+# and fixed-seed terms of the four `perfbench/lamgen.py` generators (loaded
+# read-only). Regenerate it (only for a deliberate change of output) with
+#   PYTHONPATH=src:tests python -c "import test_lambda as t; t.write_encode_golden()"
+
+ENCODE_GOLDEN = FIXTURES.parent / "tests" / "golden" / "encode.txt"
+LAMGEN_GENERATORS = ("first_order_term", "reused_argument_term", "discarding_term", "ill_typed_term")
+
+
+def encode_cases() -> list[tuple[dict, LambdaTerm]]:
+    """(declarations, term), in golden-file order."""
+    cases = [(decls, term) for kind, decls, term in unify_cases() if kind == "stlc"]
+    cases += [parse_lambda_file(path.read_text(encoding="utf-8")) for path in sorted(FIXTURES.glob("*.lam"))]
+    cases += [(delta, parse_lambda_term(src)) for src, delta, _, _ in SHADOWING]
+    lamgen = _load_perfbench("lamgen")
+    rng = random.Random(LAMGEN_SEED)
+    for size in LAMGEN_SIZES:
+        for gen in LAMGEN_GENERATORS:
+            cases.append(parse_lambda_file(lamgen.lam_file(*getattr(lamgen, gen)(rng, size))))
+    return cases
+
+
+def encode_line(decls: dict, term: LambdaTerm) -> str:
+    head = f"{' '.join(f'{v}:{pretty_lambda_type(t)}' for v, t in decls.items())}\t{pretty_lambda(term)}"
+    base = fresh("_").id
+    try:
+        image = encode(term, fresh("p"), decls)
+    except IllTypedLambda as exc:
+        return f"{head}\tIllTypedLambda: {exc.message}"
+    return f"{head}\tok " + re.sub(r"#(\d+)", lambda m: f"#{int(m.group(1)) - base}", repr(image))
+
+
+def encode_text() -> str:
+    return "".join(encode_line(decls, term) + "\n" for decls, term in encode_cases())
+
+
+def write_encode_golden() -> None:
+    ENCODE_GOLDEN.write_text(encode_text(), encoding="utf-8")
+
+
+class TestEncodeGolden:
+    def test_images_unchanged(self):
+        assert_golden(ENCODE_GOLDEN, encode_text())
+
+    def test_encode_and_check_stlc_agree(self):
+        # `encode` refuses exactly the terms `check_stlc` refuses, alike
+        for decls, term in encode_cases():
+            outcomes = []
+            for run in (lambda: encode(term, fresh("p"), decls), lambda: check_stlc(decls, term)):
+                try:
+                    run()
+                    outcomes.append(None)
+                except IllTypedLambda as exc:
+                    outcomes.append(exc.message)
+            assert outcomes[0] == outcomes[1], pretty_lambda(term)
