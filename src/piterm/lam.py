@@ -169,7 +169,7 @@ def parse_lambda_file(text: str) -> tuple[dict[str, LambdaType], LambdaTerm]:
 
 
 # ---------------------------------------------------------------------------
-# Simple typing
+# Simple typing and the encoding, in one walk
 
 
 def _make_lambda(kind: int, label, args: tuple) -> LambdaType:
@@ -188,89 +188,79 @@ def _declared(st: TermStore, t: LambdaType) -> int:
     raise TypeError(f"not a declared lambda type: {t!r}")
 
 
-def _stlc(st: TermStore, free_ctx: dict[str, int], term: LambdaTerm, bound: dict[str, int]) -> int:
-    """`bound` maps the variables bound around `term` and comes back unchanged."""
-    if isinstance(term, LVar):
-        if term.name in bound:
-            return bound[term.name]
-        if term.name not in free_ctx:
-            free_ctx[term.name] = st.fresh()
-        return free_ctx[term.name]
-    if isinstance(term, LAbs):
-        a = st.fresh()
-        saved = bind(bound, [(term.var, a)])
-        r = _stlc(st, free_ctx, term.body, bound)
-        unbind(bound, saved)
-        return st.node(ARROW, (a, r))
-    if isinstance(term, LApp):
-        tf = _stlc(st, free_ctx, term.fn, bound)
-        ta = _stlc(st, free_ctx, term.arg, bound)
-        res = st.fresh()
-        st.unify(tf, st.node(ARROW, (ta, res)))
-        return res
-    raise TypeError(f"not a lambda term: {term!r}")
+def _walk(m: LambdaTerm, p: Name, delta: dict[str, LambdaType]) -> tuple[TermStore, int, Process]:
+    """The simple type of `m`, a node of the `inference.TermStore` it is
+    unified on, and the image of `m` on `p`, from one walk; a type error
+    raises `IllTypedLambda`. A variable in scope maps to its binder and type
+    variable; a free one gets its name and its declared or fresh type at its
+    first occurrence. Channel names are numbered per prefix, per call.
 
-
-def check_stlc(delta: dict[str, LambdaType], m: LambdaTerm) -> LambdaType:
-    """Principal simple type of `m`; free variables missing from `delta` get
-    fresh type variables shared across all their occurrences. The unification
-    runs on an `inference.TermStore`."""
+    Nesting does not recurse: a stack holds the subterms still to walk, each
+    with its result channel, and the ends of the abstractions and
+    applications entered, each with its names; the finished subterms leave
+    their image and type on a second stack."""
     st = TermStore()
-    free_ctx = {x: _declared(st, t) for x, t in delta.items()}
+    declared = {x: _declared(st, t) for x, t in delta.items()}
+    scope: dict[str, tuple[Name, int]] = {}
+    frees: dict[str, tuple[Name, int]] = {}
+    counters = dict.fromkeys("yqrfz", 0)
+
+    def numbered(prefix: str) -> Name:
+        counters[prefix] += 1
+        return fresh(f"{prefix}{counters[prefix]}")
+
+    done: list[tuple[Process, int]] = []
+    todo: list = [(m, p, None)]
     try:
-        return st.resolve(_stlc(st, free_ctx, m, {}), _make_lambda)
+        while todo:
+            term, dest, names = todo.pop()
+            if names is not None:  # the end of `term`: its body or both its sides are done
+                if isinstance(term, LAbs):
+                    y, q, x, a, saved = names
+                    unbind(scope, saved)
+                    body, r = done.pop()
+                    image = Res(y, None, False, Par(RepIn(y, (x, q), body), Out(dest, (NameRef(y),))))
+                    done.append((image, st.node(ARROW, (a, r))))
+                else:
+                    q, r, f, z = names
+                    (fn, tf), (arg, ta) = done[-2:]
+                    del done[-2:]
+                    res = st.fresh()
+                    st.unify(tf, st.node(ARROW, (ta, res)))
+                    join = In(q, (f,), In(r, (z,), Out(f, (NameRef(z), NameRef(dest)))))
+                    done.append((Res(q, None, False, Res(r, None, False, Par(fn, Par(arg, join)))), res))
+            elif isinstance(term, LVar):
+                var = scope.get(term.name) or frees.get(term.name)
+                if var is None:
+                    t = declared[term.name] if term.name in declared else st.fresh()
+                    var = frees[term.name] = (fresh(term.name), t)
+                done.append((Out(dest, (NameRef(var[0]),)), var[1]))
+            elif isinstance(term, LAbs):
+                y, q, x, a = numbered("y"), numbered("q"), fresh(term.var), st.fresh()
+                todo.append((term, dest, (y, q, x, a, bind(scope, [(term.var, (x, a))]))))
+                todo.append((term.body, q, None))
+            elif isinstance(term, LApp):
+                q, r, f, z = (numbered(c) for c in "qrfz")
+                todo += [(term, dest, (q, r, f, z)), (term.arg, r, None), (term.fn, q, None)]
+            else:
+                raise TypeError(f"not a lambda term: {term!r}")
     except Mismatch as e:
         if e.occurs:
             raise IllTypedLambda("occurs check failed: recursive type required") from None
         a, b = (pretty_lambda_type(st.resolve(t, _make_lambda)) for t in (e.a, e.b))
         raise IllTypedLambda(f"cannot unify {a} with {b}") from None
+    ((image, t),) = done
+    return st, t, image
 
 
-# ---------------------------------------------------------------------------
-# The encoding
+def check_stlc(delta: dict[str, LambdaType], m: LambdaTerm) -> LambdaType:
+    """Principal simple type of `m`; free variables missing from `delta` get
+    fresh type variables shared across all their occurrences."""
+    st, t, _ = _walk(m, fresh("p"), delta)
+    return st.resolve(t, _make_lambda)
 
 
 def encode(m: LambdaTerm, p: Name, delta: dict[str, LambdaType] | None = None) -> Process:
-    """Parallel call-by-value image of `m` with result channel `p`.
-
-    The simple-type gate runs first; fresh channel names are numbered
-    deterministically per call so output is stable.
-    """
-    check_stlc(delta or {}, m)
-    return _encode(m, p, {}, ({"y": 0, "q": 0, "r": 0, "f": 0, "z": 0}, {}))
-
-
-def _numbered(counters: dict[str, int], prefix: str) -> Name:
-    counters[prefix] += 1
-    return fresh(f"{prefix}{counters[prefix]}")
-
-
-def _encode(term: LambdaTerm, dest: Name, scope: dict[str, Name], state: tuple[dict, dict]) -> Process:
-    """`scope` maps the bound variables and comes back unchanged; `state`
-    holds the counters of the fresh channel names and the names of the free
-    variables, per `encode`."""
-    counters, frees = state
-    if isinstance(term, LVar):
-        name = scope.get(term.name)
-        if name is None:
-            name = frees.get(term.name)
-            if name is None:
-                name = frees[term.name] = fresh(term.name)
-        return Out(dest, (NameRef(name),))
-    if isinstance(term, LAbs):
-        y = _numbered(counters, "y")
-        q = _numbered(counters, "q")
-        x = fresh(term.var)
-        saved = bind(scope, [(term.var, x)])
-        server = RepIn(y, (x, q), _encode(term.body, q, scope, state))
-        unbind(scope, saved)
-        return Res(y, None, False, Par(server, Out(dest, (NameRef(y),))))
-    if isinstance(term, LApp):
-        q = _numbered(counters, "q")
-        r = _numbered(counters, "r")
-        f = _numbered(counters, "f")
-        z = _numbered(counters, "z")
-        join = In(q, (f,), In(r, (z,), Out(f, (NameRef(z), NameRef(dest)))))
-        body = Par(_encode(term.fn, q, scope, state), Par(_encode(term.arg, r, scope, state), join))
-        return Res(q, None, False, Res(r, None, False, body))
-    raise TypeError(f"not a lambda term: {term!r}")
+    """Parallel call-by-value image of `m` with result channel `p`; an
+    ill-typed `m` has none."""
+    return _walk(m, p, delta or {})[2]
