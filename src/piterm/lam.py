@@ -106,29 +106,40 @@ class _LamParser(_Parser):
         raise self.error(f"expected a type, found {tok or 'end of input'!r}", self.pos - 1)
 
     def parse_term(self) -> LambdaTerm:
-        if self.peek() == "\\":
-            self.pos += 1
-            if self.peek()[:1] not in _NAME_START:
-                raise self.fail("expected a variable after '\\'")
-            var = self.next()
-            self.expect(".")
-            return LAbs(var, self.parse_term())
-        out = self._term_atom()
-        while self.peek()[:1] in _NAME_START or self.peek() in ("(", "\\"):
-            if self.peek() == "\\":
-                return LApp(out, self.parse_term())
-            out = LApp(out, self._term_atom())
-        return out
-
-    def _term_atom(self) -> LambdaTerm:
-        tok = self.next()
-        if tok == "(":
-            t = self.parse_term()
-            self.expect(")")
-            return t
-        if tok[:1] in _NAME_START:
-            return LVar(tok)
-        raise self.error(f"expected a term, found {tok or 'end of input'!r}", self.pos - 1)
+        """A term, read off one stack of what encloses the application being
+        read: an abstraction `\\x.`, by its variable, or an open `(`, each with
+        the application it continues, if any. Nesting does not recurse."""
+        enclosing: list[tuple[str, LambdaTerm | None]] = []
+        out: LambdaTerm | None = None
+        while True:
+            tok = self.next()
+            if tok == "\\":
+                if self.peek()[:1] not in _NAME_START:
+                    raise self.fail("expected a variable after '\\'")
+                enclosing.append((self.next(), out))
+                self.expect(".")
+                out = None
+            elif tok == "(":
+                enclosing.append((tok, out))
+                out = None
+            elif tok[:1] not in _NAME_START:
+                raise self.error(f"expected a term, found {tok or 'end of input'!r}", self.pos - 1)
+            else:
+                t: LambdaTerm = LVar(tok)
+                while True:  # `t` is the next atom of the application `out`
+                    out = t if out is None else LApp(out, t)
+                    tok = self.peek()
+                    if tok[:1] in _NAME_START or tok in ("(", "\\"):
+                        break
+                    # the application ends, and each abstraction around it up to an open `(`
+                    while enclosing and enclosing[-1][0] != "(":
+                        var, before = enclosing.pop()
+                        t = LAbs(var, out)
+                        out = t if before is None else LApp(before, t)
+                    if not enclosing:
+                        return out
+                    self.expect(")")
+                    t, out = out, enclosing.pop()[1]
 
 
 def parse_lambda_term(text: str, line: int = 1) -> LambdaTerm:

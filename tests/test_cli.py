@@ -16,6 +16,7 @@ import pytest
 from piterm import cli, inference
 from piterm.cli import main
 from piterm.errors import LevelViolation
+from piterm.lam import LBase, LTVar, check_stlc, parse_lambda_file
 from piterm.parser import parse_process, parse_type
 from piterm.syntax import free_names, fresh
 
@@ -503,6 +504,25 @@ class TestInternalErrors:
         assert time.perf_counter() - started < 10.0  # well under 1 s on a 2-CPU host
         assert code == 0
         assert out.splitlines()[:2] == ["VERDICT=Accepted", "WEIGHT=0"]
+
+    @pytest.mark.parametrize(
+        "text, arrows",
+        [("(\\y. " * 1000 + "y" + ")" * 1000, 1000), ("f : sig -> sig\nv : sig\n\n" + "f (" * 1000 + "v" + ")" * 1000, 0)],
+        ids=["abstractions", "applications"],
+    )
+    def test_encode_deep_lambda(self, capsys, tmp_path, text, arrows):
+        # the lambda parser, and the walk that types and translates a term,
+        # take 10^3 nested abstractions or applications off a stack
+        (tmp_path / "deep.lam").write_text(text + "\n")
+        started = time.perf_counter()
+        code, out = run(capsys, "encode", tmp_path / "deep.lam", "--format=lines")
+        assert time.perf_counter() - started < 10.0  # well under 0.5 s on a 2-CPU host
+        assert code == 0
+        assert out.startswith("PROCESS=new ")
+        t = check_stlc(*parse_lambda_file(text))
+        for _ in range(arrows):
+            t = t.right
+        assert isinstance(t, LTVar if arrows else LBase)
 
 
 class TestLoadEnv:
