@@ -430,11 +430,9 @@ def parse_env_file(text: str) -> list[tuple[str, str, Type]]:
         if not line:
             continue
         role = "imp"
-        for marker in ("isolated", "fun"):
-            if line.startswith(marker + " "):
-                role = marker
-                line = line[len(marker) :].strip()
-                break
+        marker = line.split(None, 1)
+        if len(marker) == 2 and marker[0] in ("isolated", "fun"):
+            role, line = marker
         if ":" not in line:
             raise ParseError("expected 'name : type'", lineno, 1)
         spelling = line.split(":", 1)[0].strip()
