@@ -3,7 +3,8 @@ encoding into the localised pi-calculus.
 
 The grammar runs on the process parser's scanner (`parser._Parser`), with
 its own token regex and one-character tokens; errors are located at the
-line and column of the file.
+line and column of the file. One walk types a term and translates it; the
+term parser and the walk take nesting off a stack.
 
 An abstraction becomes a replicated server on a fresh name, a variable is
 returned on its continuation channel, and an application evaluates both
