@@ -37,7 +37,12 @@ the component reuse of hash-consing (Conchon & Filliâtre, "Type-safe modular
 hash-consing", 2006) kept to one run: a successor keeps the components that
 did not fire as the same objects and splits only the fired body, so each
 component's free names are computed once and its top-level serial once per
-labelling of those names. A normal form holds no key text: its `sig` is the
+labelling of those names. The store fires each redex once per run: a
+restriction-free fired body is kept under its sender and receiver objects,
+so a redex that stays enabled is not substituted again and its components
+are the same objects in every successor. A body that restricts a name is
+substituted at each firing, since its restricted names must be fresh each
+time. A normal form holds no key text: its `sig` is the
 tuple of its restriction head and its components' top-level serials, the
 store's own strings, so a stored state is a tuple of references to
 components' serials stored once, SPIN's collapse compression (Holzmann,
@@ -50,7 +55,11 @@ parent's hash (Nguyen & Ruys, "Incremental Hashing for SPIN", 2008); only
 roots and restricted successors are canonicalised. An exploration numbers
 its states in breadth-first order: one dict maps a `sig` to its number, and
 depths, edges, measures and printed forms are kept by number. The store is
-dropped when the run returns. Each stored state is printed once.
+dropped when the run returns. A certified run measures a state as the
+multiset union of its components' measures, each distinct component typed
+once (`_Measures`). A state is printed once per number: a state reached
+again that holds the stored state's own restriction and component objects,
+in order, takes the stored text, and any other prints itself.
 """
 
 from __future__ import annotations
@@ -58,8 +67,9 @@ from __future__ import annotations
 import enum
 from bisect import bisect_right
 from collections.abc import Callable, Sequence
+from operator import is_
 
-from .checker import TypeEnv, check
+from .checker import TypeEnv, _weigh, as_multiset, check
 from .errors import CertificationFailure, PiError, SortError
 from .measure import Multiset, format_multiset, measure, multiset_greater
 from .syntax import (
@@ -86,6 +96,9 @@ from .syntax import (
 )
 
 Restriction = tuple[Name, Type | None, bool]
+_Fired = tuple[Sequence[Restriction], tuple[Process, ...]]  # a fired body's scope
+
+_INERT: _Fired = ((), ())
 
 _ANON = "?"  # the one label of the restricted names not yet placed
 
@@ -200,11 +213,42 @@ class _Canon:
     names of a component are computed once. Each table keyed by `id` holds
     the object whose id it is, so no id is reused while the store lives.
     A successor that `step` splices takes the serials of the components it
-    keeps from its parent, and asks the store only for those of the fired body."""
+    keeps from its parent, and asks the store only for those of the fired body.
+
+    `fired` keeps the outcome of each redex by the ids of its sender and
+    receiver, so a redex is substituted and split once per run. Only
+    restriction-free bodies are kept: `substitute_many` gives every
+    restricted name of a body a fresh name, and a shared body would put one
+    name object in two restrictions when its redex fires again from a
+    successor (as it does when a library-built process holds one sender
+    object twice), where the two would be taken for one."""
 
     def __init__(self) -> None:
         self.free: dict[int, tuple[Process, set[int]]] = {}
         self.memo: dict[tuple, tuple[Process, str, int]] = {}
+        self.fired: dict[tuple[int, int], tuple[Out, In | RepIn, _Fired | None]] = {}
+
+    def fire(self, sender: Out, receiver: In | RepIn) -> _Fired | None:
+        """The restrictions and components of the body that a communication
+        of `sender` with `receiver` leaves, or None if the two do not match;
+        kept in `fired` unless the body restricts a name. An inert body
+        needs only the arity check."""
+        if isinstance(receiver.body, Nil):
+            return _INERT if _matches(sender, receiver) else None
+        pair = (id(sender), id(receiver))
+        known = self.fired.get(pair)
+        if known is not None:
+            return known[2]
+        body = _fire(sender, receiver)
+        if body is None:
+            fired = None
+        else:
+            res, comps = _scope(body)
+            if res:
+                return res, tuple(comps)
+            fired = ((), tuple(comps))
+        self.fired[pair] = (sender, receiver, fired)
+        return fired
 
     def names(self, c: Process) -> set[int]:
         """The ids of the names free in `c`, walked once per component."""
@@ -431,18 +475,18 @@ def normalize(p: Process) -> NormalProcess:
 # Reduction
 
 
+def _matches(sender: Out, receiver: In | RepIn) -> bool:
+    """The sender sends as many values as the receiver binds; a bare `a<>`
+    sends one, the unit, which a receiver with no binder discards."""
+    return max(len(sender.payload), 1) == max(len(receiver.binders), 1)
+
+
 def _fire(sender: Out, receiver: In | RepIn) -> Process | None:
     """Body of a receiver on the sender's subject after the communication, or
     None if the two do not match."""
-    values = sender.payload if sender.payload else (STAR,)
-    if not receiver.binders:
-        if len(values) != 1:
-            return None
-        mapping = {}
-    else:
-        if len(values) != len(receiver.binders):
-            return None
-        mapping = {b: eval_value(v) for b, v in zip(receiver.binders, values)}
+    if not _matches(sender, receiver):
+        return None
+    mapping = {b: eval_value(v) for b, v in zip(receiver.binders, sender.payload or (STAR,))}
     try:
         return substitute_many(receiver.body, mapping)
     except SortError:
@@ -479,17 +523,17 @@ def step(p: Process | NormalProcess, canon: _Canon | None = None) -> list[Normal
             continue
         for j in receivers.get(sender.subject.id, ()):
             receiver = comps[j]
-            body = _fire(sender, receiver)
-            if body is None:
+            fired = canon.fire(sender, receiver)
+            if fired is None:
                 continue
-            res, added = _scope(body)
+            res, added = fired
             if isinstance(receiver, RepIn):
-                added.insert(0, receiver)
+                added = (receiver, *added)
             if np.restrictions or res:
-                rest = [c for k, c in enumerate(comps) if k != i and k != j] + added
+                rest = [c for k, c in enumerate(comps) if k != i and k != j] + list(added)
                 if np.restrictions:
                     live = canon.live(rest)
-                    res = [r for r in np.restrictions if r[0].id in live] + res
+                    res = [r for r in np.restrictions if r[0].id in live] + list(res)
                 succ = _canonical(canon, res, rest)
             else:
                 succ = _splice(canon, np, (i, j), added)
@@ -602,6 +646,66 @@ def _check_bounds(max_states: int, max_depth: int) -> None:
         raise ValueError(f"max_depth must be at least 0, got {max_depth}")
 
 
+class _Measures:
+    """The measures of the states of one certified run.
+
+    A state's measure is the multiset union of its components' measures,
+    since `derive` on `|` is that union. Each component is typed once, by
+    the checker's walk, under one environment: the run's, plus the
+    annotation of every top-level restriction met so far. A restricted name
+    is fresh to the run and restricted in every state it is free in, so a
+    component's free names are typed alike in every state that holds it,
+    and as that state's own restrictions type them. Typing a component adds
+    to the environment only while the walk is in it, so the cost of a new
+    component does not grow with the names met. A state that cannot be
+    measured so is measured whole, as `measure` does, and so is every later
+    one: a walk that raised may have left binders bound."""
+
+    def __init__(self, env: TypeEnv):
+        self.env = env
+        self.scope: TypeEnv | None = TypeEnv(dict(env.bindings))
+        self.declared: dict[int, Restriction] = {}  # by name id, each bound in `scope`
+        self.levels: dict[int, tuple[Process, list[int]]] = {}  # by component id
+
+    def of(self, state: NormalProcess) -> Multiset:
+        if self.scope is not None:
+            try:
+                if self.declare(state.restrictions):
+                    return as_multiset([k for c in state.components for k in self.component(c)])
+            except PiError:
+                pass
+            self.scope = None
+        try:
+            return measure(self.env, state.rebuild())
+        except PiError as exc:
+            raise CertificationFailure(f"reachable state is not typable: {exc}", where=state.key) from exc
+
+    def declare(self, restrictions: Sequence[Restriction]) -> bool:
+        """Bind the annotations of `restrictions` in `scope`; False where the
+        typing of the whole state would find a name bound twice or a
+        restriction with no annotation."""
+        for r in restrictions:
+            name, ann, _ = r
+            known = self.declared.get(name.id)
+            if known is None:
+                if ann is None or name in self.scope:
+                    return False
+                self.scope.bindings[name] = ann
+                self.declared[name.id] = r
+            elif known is not r:
+                return False
+        return True
+
+    def component(self, c: Process) -> list[int]:
+        """The levels of the outputs of `c` not under replication."""
+        known = self.levels.get(id(c))
+        if known is None:
+            levels: list[int] = []
+            _weigh(self.scope, c, levels)
+            known = self.levels[id(c)] = (c, levels)
+        return known[1]
+
+
 def _explore(
     p: Process, max_states: int, max_depth: int, env: TypeEnv | None
 ) -> ExecutionReport:
@@ -615,24 +719,25 @@ def _explore(
     index = {root.sig: 0}
     depth = [0]
     adj: list[list[int]] = [[]]
+    measurer = _Measures(env) if env is not None else None
     measures: dict[int, Multiset] = {}
     printed: dict[int, str] = {}
     trace: list[EdgeCert] | None = [] if env is not None else None
 
     def state_measure(n: int) -> Multiset:
         if n not in measures:
-            try:
-                measures[n] = measure(env, states[n].rebuild())
-            except PiError as exc:
-                raise CertificationFailure(
-                    f"reachable state is not typable: {exc}", where=states[n].key
-                ) from exc
+            measures[n] = measurer.of(states[n])
         return measures[n]
 
     def show(n: int, state: NormalProcess) -> str:
-        # a state reached again may order tied components otherwise than the
-        # one stored under its number, and then prints otherwise: it prints itself
-        if states[n] is not state:
+        # a state reached again may hold other components than the one stored
+        # under its number, or order tied ones otherwise, and then prints
+        # otherwise: it prints itself. `sig`s are equal, so lengths are too
+        stored = states[n]
+        if stored is not state and not (
+            all(map(is_, stored.components, state.components))
+            and all(map(is_, stored.restrictions, state.restrictions))
+        ):
             return pretty_process(state.rebuild())
         if n not in printed:
             printed[n] = pretty_process(state.rebuild())

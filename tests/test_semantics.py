@@ -16,7 +16,8 @@ import pytest
 from piterm import checker, semantics
 from piterm.checker import TypeEnv
 from piterm.errors import PiError
-from piterm.measure import multiset_greater
+from piterm.inference import infer
+from piterm.measure import measure, multiset_greater
 from piterm.parser import parse_process, parse_type
 from piterm.semantics import (
     Verdict,
@@ -472,15 +473,16 @@ class TestExplore:
         )
         normalized = count_calls(monkeypatch, semantics._canonical)
         fired = []
-        fire = semantics._fire
+        fire = semantics._Canon.fire
 
-        def counted_fire(sender, receiver):
-            body = fire(sender, receiver)
+        def counted_fire(canon, sender, receiver):
+            # the store's `fire` gives a successor's body however often `_fire` runs
+            body = fire(canon, sender, receiver)
             if body is not None:
                 fired.append(body)
             return body
 
-        monkeypatch.setattr(semantics, "_fire", counted_fire)
+        monkeypatch.setattr(semantics._Canon, "fire", counted_fire)
         r = explore(p, 1000, 1000)
         assert r.verdict is Verdict.TERMINATED and r.states_explored > 5
         assert len(normalized) == 1 + len(fired)
@@ -606,23 +608,111 @@ class TestCertifiedRun:
             certified_run(env, p, max_states, max_depth)
         assert walks == []
 
+    def recorded_steps(self, monkeypatch) -> list:
+        """Each state `step` is called on, in order, with its successors."""
+        steps = []
+        real = semantics.step
+
+        def recorded(state, canon=None):
+            succs = real(state, canon)
+            steps.append((state, succs))
+            return succs
+
+        monkeypatch.setattr(semantics, "step", recorded)
+        return steps
+
     def test_one_typing_walk_per_state(self, monkeypatch):
         env, p = self.server()
-        walks = count_calls(monkeypatch, checker.derive)
+        steps = self.recorded_steps(monkeypatch)
+        walks = count_calls(monkeypatch, checker._weigh)
         r = certified_run(env, p, 1000, 1000)
-        assert r.states_explored > 1
-        # one walk per reached state, plus the precondition check of the start
-        assert len(walks) == r.states_explored + 1
+        assert r.states_explored > 1 and len(steps) == r.states_explored
+        # the precondition check of the start, then one walk per distinct
+        # component of the reached states, each on that component alone
+        components = {id(c): c for state, _ in steps for c in state.components}
+        assert walks[0][1] is p
+        typed = [args[1] for args in walks[1:]]
+        assert len(typed) == len(components) and {id(c) for c in typed} == set(components)
+        assert len(components) < 2 * r.states_explored
 
     def test_each_stored_state_printed_once(self, monkeypatch):
         env, p = self.server()
+        steps = self.recorded_steps(monkeypatch)
         prints = count_calls(monkeypatch, semantics.pretty_process)
         r = certified_run(env, p, 1000, 1000)
         assert r.steps_explored > r.states_explored > 1
         # every state once, plus the destination of each edge to a state
-        # reached before (the root has an edge, and no bound cut the run)
+        # reached before that holds other objects than the stored state, or
+        # in another order (the root has an edge, and no bound cut the run)
+        def objects(state) -> list[int]:
+            return [id(x) for x in (*state.restrictions, *state.components)]
+
+        stored = {state.sig: state for state, _ in steps}
+        reprints = sum(objects(succ) != objects(stored[succ.sig]) for _, succs in steps for succ in succs)
+        assert len(prints) == r.states_explored + reprints
         revisits = r.steps_explored - (r.states_explored - 1)
-        assert len(prints) == r.states_explored + revisits
+        assert 0 < reprints < revisits
+
+    def test_measures_equal_those_of_the_printed_states(self, monkeypatch):
+        # on every edge, the measures a run keeps by components are those of
+        # the edge's printed states, read back and typed whole
+        runs, instances = [], []
+        sources = [pi.read_text() for pi in sorted(FIXTURES.glob("*.pi"))] + self.RESTRICTED
+        for src in sources:
+            with contextlib.suppress(PiError):  # not typable, so not certifiable
+                typed = infer(parse_process(src))
+                runs.append((typed.env, typed.process))
+        rng = random.Random(26)
+        while len(instances) < 200:
+            env, p, _ = typed_instance(rng, fuel=rng.randrange(6, 13))
+            spellings = [n.display for n in env.bindings]
+            # an edge names free names by spelling, as an environment file does
+            if len(set(spellings)) == len(spellings):
+                instances.append((env, p))
+        runs += instances
+        whole = count_calls(monkeypatch, semantics.measure)
+        edges = restricted = 0
+        for env, p in runs:
+            types = {n.display: t for n, t in env.bindings.items()}
+            for edge in certified_run(env, p, 200, 200).measure_trace:
+                for text, kept in ((edge.src, edge.src_measure), (edge.dst, edge.dst_measure)):
+                    q = parse_process(text)
+                    assert kept == measure(env_for(q, types), q), text
+                edges += 1
+                restricted += edge.src.startswith("new ")
+        assert whole == []  # no state was measured whole
+        assert edges > 350 and restricted > 100
+
+    # restrictions hoisted from fired bodies, so states hold fresh restricted names
+    RESTRICTED = [
+        "!f1(n,r).r<n*n> | !f2(m,r).(new s)(f1<m+1,s> | s(x).r<x+1>)"
+        " | !g(p,x,r).(new s)(p<x,s> | s(y).p<y,r>) | g<f1,4,t1> | g<f2,5,t2>",
+        "(new c)(c<> | c().0 | c().0) | (new d)(d<> | d().0 | d().0) | (new e)(e<> | e().e<> | e().0)",
+        "!a(x).(new r)(r<x> | r(y).b<y>) | a<v> | a<w> | !b(z).z<>",
+    ]
+
+    def test_shared_sender_objects_match_the_parsed_twin(self):
+        # a library-built process may hold one sender object twice, so that a
+        # redex fires again from a successor; firing a body that restricts a
+        # name, or binds one, must still give the states of the parsed twin
+        a, b, c, d, r, y = (fresh(s) for s in "abcdry")
+        level = {k: ChanT("#", k, (UNIT,)) for k in range(3)}
+        restricted = Res(r, level[0], False, Par(Out(r, ()), In(r, (), NIL)))
+        binding = Par(In(c, (y,), Out(d, (NameRef(y),))), Out(c, (NameRef(b),)))
+        types = {"a": "#2[Unit]", "b": "#0[Unit]", "c": "#1[#0[Unit]]", "d": "#1[#0[Unit]]"}
+        for body, twin in [
+            (restricted, "a<> | a<> | !a().(new r:#0[Unit])(r<> | r().0)"),
+            (binding, "a<> | a<> | !a().(c(y).d<y> | c<b>)"),
+        ]:
+            sender = Out(a, ())
+            built, parsed = Par(Par(sender, sender), RepIn(a, (), body)), parse_process(twin)
+            reports = [explore(built, 100, 100), explore(parsed, 100, 100)]
+            for q in (built, parsed):
+                env = env_for(q, {k: parse_type(t) for k, t in types.items()})
+                reports.append(certified_run(env, q, 100, 100))
+            got = [(r.verdict, r.states_explored, r.steps_explored, r.max_depth) for r in reports]
+            assert got[0] == got[1] == got[2] == got[3] and got[0][0] is Verdict.TERMINATED, twin
+            assert [e.render(0) for e in reports[2].measure_trace] == [e.render(0) for e in reports[3].measure_trace]
 
     def test_state_reached_again_prints_itself(self):
         # both paths reach one state, which each spells with its tied
