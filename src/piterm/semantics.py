@@ -96,7 +96,7 @@ from .syntax import (
 )
 
 Restriction = tuple[Name, Type | None, bool]
-_Fired = tuple[Sequence[Restriction], tuple[Process, ...]]  # a fired body's scope
+_Fired = tuple[Sequence[Restriction], Sequence[Process]]  # a fired body's scope, never mutated
 
 _INERT: _Fired = ((), ())
 
@@ -240,14 +240,9 @@ class _Canon:
         if known is not None:
             return known[2]
         body = _fire(sender, receiver)
-        if body is None:
-            fired = None
-        else:
-            res, comps = _scope(body)
-            if res:
-                return res, tuple(comps)
-            fired = ((), tuple(comps))
-        self.fired[pair] = (sender, receiver, fired)
+        fired = None if body is None else _scope(body)
+        if fired is None or not fired[0]:
+            self.fired[pair] = (sender, receiver, fired)
         return fired
 
     def names(self, c: Process) -> set[int]:
