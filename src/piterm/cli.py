@@ -55,13 +55,15 @@ class _Report:
 
 
 def _read(path: str) -> str:
-    """The UTF-8 text of file `path`, less a leading byte-order mark (dropped
+    """The UTF-8 text of file `path`, read in one unbuffered call, with text
+    mode's universal newlines and less a leading byte-order mark (dropped
     here rather than by `utf-8-sig`, whose error offsets start after it)."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise OSError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
+    try:
+        with open(path, "rb", buffering=0) as fh:
+            text = fh.readall().decode()
+    except UnicodeDecodeError as exc:
+        raise OSError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
+    text = text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
     return text.removeprefix("\ufeff")
 
 

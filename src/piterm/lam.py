@@ -21,7 +21,7 @@ import re
 
 from .errors import IllTypedLambda, ParseError
 from .inference import ARROW, BASE, VAR, Mismatch, TermStore
-from .parser import _NAME_START, _Parser
+from .parser import _NAME_START, _outside, _Parser
 from .syntax import In, Name, NameRef, Out, Par, Process, RepIn, Res, bind, fresh, node, unbind
 
 
@@ -67,16 +67,23 @@ class LTVar(LambdaType):
 
 
 def pretty_lambda_type(t: LambdaType) -> str:
-    if isinstance(t, LBase):
-        return t.name
-    if isinstance(t, LTVar):
-        return f"'{t.id}"
-    if isinstance(t, LArrow):
-        left = pretty_lambda_type(t.left)
-        if isinstance(t.left, LArrow):
-            left = f"({left})"
-        return f"{left} -> {pretty_lambda_type(t.right)}"
-    raise TypeError(f"not a lambda type: {t!r}")
+    """The text of `t`, written left to right off one stack of what is still
+    to print, types and literal pieces: nesting does not recurse."""
+    out: list[str] = []
+    todo: list = [t]
+    while todo:
+        t = todo.pop()
+        if isinstance(t, LArrow):
+            todo += (t.right, ") -> ", t.left, "(") if isinstance(t.left, LArrow) else (t.right, " -> ", t.left)
+        elif isinstance(t, LBase):
+            out.append(t.name)
+        elif isinstance(t, LTVar):
+            out.append(f"'{t.id}")
+        elif type(t) is str and todo:  # a piece; the last item popped is never one
+            out.append(t)
+        else:
+            raise TypeError(f"not a lambda type: {t!r}")
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------
@@ -86,25 +93,32 @@ def pretty_lambda_type(t: LambdaType) -> str:
 class _LamParser(_Parser):
     """The lambda grammar on the process parser's scanner."""
 
-    TOKEN_RE = re.compile(r"\s+|--[^\n]*|([A-Za-z_][A-Za-z0-9_']*|->|[\\().:]|.)")
+    TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*|->|--[^\n]*|\S")
     ONE_CHAR_TOKENS = _NAME_START | frozenset("\\().:")
+    STRAY_RE = _outside(ONE_CHAR_TOKENS)
 
     def parse_type(self) -> LambdaType:
-        left = self._type_atom()
-        if self.peek() == "->":
+        """A type, read off one stack of what encloses the atom being read: an
+        open `(`, as None, or the left side of an arrow whose right side the
+        atom starts. Arrows group to the right; nesting does not recurse."""
+        enclosing: list[LambdaType | None] = []
+        while True:
+            tok = self.next()
+            if tok == "(":
+                enclosing.append(None)
+                continue
+            if tok[:1] not in _NAME_START:
+                raise self.error(f"expected a type, found {tok or 'end of input'!r}", self.pos - 1)
+            t: LambdaType = LBase(tok)
+            while self.peek() != "->":  # `t` is an atom; the type it ends closes
+                while enclosing and enclosing[-1] is not None:
+                    t = LArrow(enclosing.pop(), t)
+                if not enclosing:
+                    return t
+                self.expect(")")
+                enclosing.pop()
             self.pos += 1
-            return LArrow(left, self.parse_type())
-        return left
-
-    def _type_atom(self) -> LambdaType:
-        tok = self.next()
-        if tok == "(":
-            t = self.parse_type()
-            self.expect(")")
-            return t
-        if tok[:1] in _NAME_START:
-            return LBase(tok)
-        raise self.error(f"expected a type, found {tok or 'end of input'!r}", self.pos - 1)
+            enclosing.append(t)
 
     def parse_term(self) -> LambdaTerm:
         """A term, read off one stack of what encloses the application being
@@ -193,11 +207,23 @@ def _make_lambda(kind: int, label, args: tuple) -> LambdaType:
 
 
 def _declared(st: TermStore, t: LambdaType) -> int:
-    if isinstance(t, LArrow):
-        return st.node(ARROW, (_declared(st, t.left), _declared(st, t.right)))
-    if isinstance(t, LBase):
-        return st.node(BASE, (), t.name)
-    raise TypeError(f"not a declared lambda type: {t!r}")
+    """The node of `st` for the declared type `t`, its sides made first, off
+    one stack of the types to make, each paired with whether its sides are
+    made: nesting does not recurse."""
+    done: list[int] = []
+    todo: list[tuple[LambdaType, bool]] = [(t, False)]
+    while todo:
+        t, sides_made = todo.pop()
+        if sides_made:
+            right = done.pop()
+            done.append(st.node(ARROW, (done.pop(), right)))
+        elif isinstance(t, LArrow):
+            todo += ((t, True), (t.right, False), (t.left, False))
+        elif isinstance(t, LBase):
+            done.append(st.node(BASE, (), t.name))
+        else:
+            raise TypeError(f"not a declared lambda type: {t!r}")
+    return done.pop()
 
 
 def _walk(m: LambdaTerm, p: Name, delta: dict[str, LambdaType]) -> tuple[TermStore, int, Process]:

@@ -44,12 +44,18 @@ from .syntax import (
     unbind,
 )
 
-# One `findall` scans a text: whitespace and comments give an empty group, a
-# token its text, any other character a one-character token `_Parser` rejects.
-_TOKEN_RE = re.compile(r"\s+|--[^\n]*|([A-Za-z_][A-Za-z0-9_']*|\d+|[<>()\[\].:,|!*+#]|.)")
+# One `findall` scans a text into its tokens and comments: a name, a digit run,
+# a comment, or any other character as a one-character token.
+_TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*|\d+|--[^\n]*|\S")
 
 _NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 _ONE_CHAR_TOKENS = _NAME_START | frozenset("0123456789<>()[].:,|!*+#")
+
+
+def _outside(chars: frozenset[str]) -> re.Pattern:
+    """A search for any character but whitespace and `chars`."""
+    return re.compile("[^\\s%s]" % re.escape("".join(sorted(chars))))
+
 
 KEYWORDS = {"new", "fun"}
 
@@ -60,23 +66,28 @@ class _Parser:
     """Recursive descent on the token strings of `text[pos:endpos]` and an empty
     end sentinel. Locations, from line `line` on, are worked out on error only.
 
-    A subclass brings another grammar: its scanner `TOKEN_RE`, with one group
-    as in `_TOKEN_RE`, and its `ONE_CHAR_TOKENS`. Where these hold the digit
-    0, any decimal digit is a token, as `\\d+` scans one."""
+    A subclass brings another grammar: its scanner `TOKEN_RE`, which matches
+    exactly the tokens and `--` comments, as `_TOKEN_RE` does; its
+    `ONE_CHAR_TOKENS`, where the digit 0 makes any decimal digit a token, as
+    `\\d+` scans one; and `STRAY_RE = _outside(ONE_CHAR_TOKENS)`."""
 
     TOKEN_RE = _TOKEN_RE
     ONE_CHAR_TOKENS = _ONE_CHAR_TOKENS
+    STRAY_RE = _outside(_ONE_CHAR_TOKENS)
 
     def __init__(self, text: str, pos: int = 0, endpos: int | None = None, line: int = 1):
         self.text = text
         self.line = line
-        self.span = (pos, len(text) if endpos is None else endpos)
-        self.tokens = tokens = list(filter(None, self.TOKEN_RE.findall(text, *self.span)))
-        ok = self.ONE_CHAR_TOKENS
-        bad = [t for t in set(tokens) if len(t) == 1 and t not in ok and not (t.isdecimal() and "0" in ok)]
-        if bad:
-            i = min(map(tokens.index, bad))
-            raise self.error(f"unexpected character {tokens[i]!r}", i)
+        self.span = span = (pos, len(text) if endpos is None else endpos)
+        self.tokens = tokens = self.TOKEN_RE.findall(text, *span)
+        if text.find("--", *span) >= 0:
+            self.tokens = tokens = [t for t in tokens if t[:2] != "--"]
+        if self.STRAY_RE.search(text, *span):  # else each character is whitespace or a token
+            ok = self.ONE_CHAR_TOKENS
+            bad = [t for t in set(tokens) if len(t) == 1 and t not in ok and not (t.isdecimal() and "0" in ok)]
+            if bad:
+                i = min(map(tokens.index, bad))
+                raise self.error(f"unexpected character {tokens[i]!r}", i)
         tokens.append("")
         self.pos = 0
         # Spellings in scope, free names included: a binder's undo restores
@@ -86,7 +97,7 @@ class _Parser:
 
     def error(self, message: str, index: int) -> ParseError:
         """A `ParseError` located at token `index`, found by scanning again."""
-        starts = (m.start() for m in self.TOKEN_RE.finditer(self.text, *self.span) if m.group(1))
+        starts = (m.start() for m in self.TOKEN_RE.finditer(self.text, *self.span) if m[0][:2] != "--")
         offset = next(islice(starts, index, None), self.span[1])
         line = self.line + self.text.count("\n", 0, offset)
         return ParseError(message, line, offset - self.text.rfind("\n", 0, offset))

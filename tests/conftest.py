@@ -3,14 +3,16 @@
 from __future__ import annotations
 
 import random
+import re
 import sys
 from collections import Counter
-from itertools import permutations, product
+from itertools import islice, permutations, product
 from pathlib import Path
 
 import pytest
 
 from piterm.checker import TypeEnv, check, subtype
+from piterm.errors import ParseError
 from piterm.inference import _facts, _pretty_node, _simple_types
 from piterm.lam import LAbs, LambdaTerm, LApp, LVar
 from piterm.measure import Multiset, multiset_greater
@@ -449,3 +451,34 @@ def oracle_key(p: Process) -> str:
         if best is None or text < best:
             best = text
     return best if best is not None else ";"
+
+
+# ---------------------------------------------------------------------------
+# The scanner `parser._Parser` had before it matched tokens only: whitespace
+# and comments matched with an empty group, `filter` dropped them, and a set
+# of the tokens found any one-character token the grammar does not have. An
+# oracle for the scanner's tokens and for the locations of its errors.
+
+OLD_TOKEN_RES = {
+    "process": re.compile(r"\s+|--[^\n]*|([A-Za-z_][A-Za-z0-9_']*|\d+|[<>()\[\].:,|!*+#]|.)"),
+    "lambda": re.compile(r"\s+|--[^\n]*|([A-Za-z_][A-Za-z0-9_']*|->|[\\().:]|.)"),
+}
+
+
+def old_error(token_re, text: str, pos: int, endpos: int, line: int, message: str, index: int) -> ParseError:
+    """The earlier scanner's `ParseError` at token `index` of `text[pos:endpos]`."""
+    starts = (m.start() for m in token_re.finditer(text, pos, endpos) if m.group(1))
+    offset = next(islice(starts, index, None), endpos)
+    return ParseError(message, line + text.count("\n", 0, offset), offset - text.rfind("\n", 0, offset))
+
+
+def old_scan(token_re, ok: frozenset, text: str, pos: int, endpos: int, line: int) -> list[str] | ParseError:
+    """The tokens of `text[pos:endpos]` with the empty end sentinel, as the
+    earlier scanner made them, or the error it raised for a character that is
+    not a token, one-character tokens `ok`."""
+    tokens = list(filter(None, token_re.findall(text, pos, endpos)))
+    bad = [t for t in set(tokens) if len(t) == 1 and t not in ok and not (t.isdecimal() and "0" in ok)]
+    if bad:
+        i = min(map(tokens.index, bad))
+        return old_error(token_re, text, pos, endpos, line, f"unexpected character {tokens[i]!r}", i)
+    return tokens + [""]

@@ -16,7 +16,7 @@ import pytest
 from piterm import cli, inference
 from piterm.cli import main
 from piterm.errors import LevelViolation
-from piterm.lam import LBase, LTVar, check_stlc, parse_lambda_file
+from piterm.lam import LBase, LTVar, check_stlc, parse_lambda_file, pretty_lambda_type
 from piterm.parser import parse_process, parse_type
 from piterm.syntax import free_names, fresh
 
@@ -93,6 +93,34 @@ class TestCheck:
         bad.write_bytes(b"\xef\xbb\xbfa<\xff>\n")
         assert main(["check", str(bad)]) == 2
         assert capsys.readouterr().err == f"error: {bad}: not UTF-8 (invalid start byte at byte 5)\n"
+
+    @pytest.mark.parametrize(
+        "mark, newline", [(b"", b"\r\n"), (b"", b"\r"), (b"\xef\xbb\xbf", b"\r\n")], ids=["crlf", "cr", "bom-crlf"]
+    )
+    def test_line_ends_read_as_newlines(self, capsys, tmp_path, mark, newline):
+        # every fixture, its `.env` included, gives the output and exit code of
+        # its LF original with `\r\n` or a lone `\r` for line ends, as text
+        # mode's universal newlines read them; a comment ends at either
+        for folder, head, end in (("lf", b"", b"\n"), ("other", mark, newline)):
+            (tmp_path / folder).mkdir()
+            for path in FIXTURES.iterdir():
+                (tmp_path / folder / path.name).write_bytes(head + path.read_bytes().replace(b"\n", end))
+        commands = {".pi": [["check"], ["infer"], ["run"]], ".lam": [["encode"]]}
+        for path in sorted(FIXTURES.iterdir()):
+            for command in commands.get(path.suffix, []):
+                seen = []
+                for folder in ("lf", "other"):
+                    code = main(command + [str(tmp_path / folder / path.name), "--format=lines"])
+                    seen.append((code, capsys.readouterr().out))
+                assert seen[1] == seen[0], (command, path.name)
+                assert seen[0][1], (command, path.name)
+
+    def test_not_utf8_after_many_bytes_counts_from_the_start(self, capsys, tmp_path):
+        bad = tmp_path / "bad.pi"
+        text = b"a<*> |\r\n" * 1300  # 10400 bytes
+        bad.write_bytes(text + b"\xff")
+        assert main(["check", str(bad)]) == 2
+        assert capsys.readouterr().err == f"error: {bad}: not UTF-8 (invalid start byte at byte {len(text)})\n"
 
     def test_lines_format(self, capsys):
         code, out = run(capsys, "check", "--format=lines", FIXTURES / "server.pi")
@@ -523,6 +551,23 @@ class TestInternalErrors:
         for _ in range(arrows):
             t = t.right
         assert isinstance(t, LTVar if arrows else LBase)
+
+    @pytest.mark.parametrize("arrows", [1000, 10**4])
+    @pytest.mark.parametrize("nesting", ["right", "left"])
+    def test_encode_deep_header_type(self, capsys, tmp_path, nesting, arrows):
+        # the header type parser, `lam._declared` and `pretty_lambda_type`
+        # take 10^3 and 10^4 arrows, grouped either way, off a stack
+        if nesting == "right":
+            ty = "sig -> " * arrows + "sig"
+        else:
+            ty = "(" * (arrows - 1) + "sig" + " -> sig)" * (arrows - 1) + " -> sig"
+        (tmp_path / "deep.lam").write_text(f"f : {ty}\n\nf\n")
+        started = time.perf_counter()
+        code, out = run(capsys, "encode", tmp_path / "deep.lam", "--format=lines")
+        assert time.perf_counter() - started < 10.0  # well under 0.5 s on a 2-CPU host
+        assert (code, out) == (0, "PROCESS=p<f>\n")
+        decls, _ = parse_lambda_file((tmp_path / "deep.lam").read_text())
+        assert pretty_lambda_type(decls["f"]) == ty
 
 
 class TestLoadEnv:

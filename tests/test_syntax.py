@@ -19,8 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from piterm.errors import ParseError, SortError
-from piterm.lam import LAbs, LambdaTerm, LambdaType, LApp, LArrow, LBase, LTVar, LVar
-from piterm.parser import parse_env_file, parse_process, parse_type
+from piterm.lam import LAbs, LambdaTerm, LambdaType, LApp, LArrow, LBase, LTVar, LVar, _LamParser
+from piterm.parser import _Parser, parse_env_file, parse_process, parse_type
 from piterm.semantics import NormalProcess
 from piterm.syntax import (
     NAT,
@@ -55,7 +55,7 @@ from piterm.syntax import (
     unbind,
 )
 
-from conftest import assert_golden, well_scoped
+from conftest import OLD_TOKEN_RES, assert_golden, old_error, old_scan, well_scoped
 
 
 def free_displays(p: Process) -> set[str]:
@@ -797,3 +797,62 @@ def write_golden() -> None:
 class TestSyntaxGolden:
     def test_parse_outcomes_unchanged(self):
         assert_golden(SYNTAX_GOLDEN, syntax_text())
+
+
+# ---------------------------------------------------------------------------
+# The scanner against the one it replaced (`conftest.old_scan`): on every
+# fixture, every text of the two parse goldens and seeded random texts with
+# random spans, both grammars give the same tokens and the same location for
+# an error at each token, or the same `ParseError`.
+
+GRAMMARS = [(_Parser, OLD_TOKEN_RES["process"]), (_LamParser, OLD_TOKEN_RES["lambda"])]
+
+# token characters of both grammars, comments, characters neither has, and
+# whitespace, Unicode's included
+SCAN_PIECES = [
+    *"ab_x0719<>()[].:,|!*+#\\'-é\u0663",
+    "new", "fun", "o1", "Unit", "x'", "12", "--", "-- c ", "->",
+    *"\t \n\r\x0b\x0c\x1c\x85\u00a0\u2028\u3000",
+]
+
+
+def scan_outcome(cls, text: str, pos: int, endpos: int, line: int):
+    try:
+        p = cls(text, pos, endpos, line)
+    except ParseError as exc:
+        return exc.message, exc.line, exc.col
+    return p.tokens, [(e.line, e.col) for e in (p.error("m", i) for i in range(len(p.tokens)))]
+
+
+def old_scan_outcome(cls, token_re, text: str, pos: int, endpos: int, line: int):
+    got = old_scan(token_re, cls.ONE_CHAR_TOKENS, text, pos, endpos, line)
+    if isinstance(got, ParseError):
+        return got.message, got.line, got.col
+    errors = (old_error(token_re, text, pos, endpos, line, "m", i) for i in range(len(got)))
+    return got, [(e.line, e.col) for e in errors]
+
+
+def golden_texts() -> list[str]:
+    texts = [path.read_text(encoding="utf-8") for path in sorted(FIXTURES.iterdir())]
+    for golden in (SYNTAX_GOLDEN, SYNTAX_GOLDEN.with_name("lam_errors.txt")):
+        texts += [ast.literal_eval(line.split("\t")[1]) for line in golden.read_text(encoding="utf-8").splitlines()]
+    return texts
+
+
+class TestScannerAgainstTheOldOne:
+    @pytest.mark.parametrize("cls, token_re", GRAMMARS, ids=["process", "lambda"])
+    def test_fixtures_and_golden_texts(self, cls, token_re):
+        texts = golden_texts()
+        assert len(texts) > 400
+        for text in texts:
+            assert scan_outcome(cls, text, 0, len(text), 1) == old_scan_outcome(cls, token_re, text, 0, len(text), 1), text
+
+    @pytest.mark.parametrize("cls, token_re", GRAMMARS, ids=["process", "lambda"])
+    def test_random_texts_and_spans(self, cls, token_re, rng):
+        for _ in range(5000):
+            text = "".join(rng.choices(SCAN_PIECES, k=rng.randrange(25)))
+            pos = rng.randint(0, len(text))
+            endpos = rng.randint(pos, len(text))
+            line = rng.randint(1, 3)
+            case = (text, pos, endpos, line)
+            assert scan_outcome(cls, *case) == old_scan_outcome(cls, token_re, *case), case
