@@ -2,9 +2,10 @@
 encoding into the localised pi-calculus.
 
 The grammar runs on the process parser's scanner (`parser._Parser`), with
-its own token regex and one-character tokens; errors are located at the
-line and column of the file. One walk types a term and translates it; the
-term parser and the walk take nesting off a stack.
+its own token regex, one-character tokens and stray search; errors are
+located at the line and column of the file. One walk types a term and
+translates it; the type and term parsers, the walk and the type printer
+take nesting off a stack.
 
 An abstraction becomes a replicated server on a fresh name, a variable is
 returned on its continuation channel, and an application evaluates both

@@ -845,7 +845,8 @@ class TestScannerAgainstTheOldOne:
         texts = golden_texts()
         assert len(texts) > 400
         for text in texts:
-            assert scan_outcome(cls, text, 0, len(text), 1) == old_scan_outcome(cls, token_re, text, 0, len(text), 1), text
+            case = (text, 0, len(text), 1)
+            assert scan_outcome(cls, *case) == old_scan_outcome(cls, token_re, *case), text
 
     @pytest.mark.parametrize("cls, token_re", GRAMMARS, ids=["process", "lambda"])
     def test_random_texts_and_spans(self, cls, token_re, rng):
