@@ -10,9 +10,10 @@ One walk (`derive`) yields the termination measure, the multiset of the
 levels of the outputs not under replication, and reads the weight off it:
 its greatest level, or 0. `measure` is therefore defined on well-typed
 processes only. The walk copies the caller's environment once, binds every
-binder in place and undoes it on scope exit (`syntax.bind`, `unbind`). The
-same walk is the impure checker's (`impure.check_impure`): its impure mode
-changes only the input, restriction and scope-end rules.
+binder in place and deletes it on scope exit. Each rule is tested in place,
+and a helper only renders a rejection. The same walk is the impure checker's
+(`impure.check_impure`): its impure mode changes only the input, restriction
+and scope-end rules.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 from .errors import (
     CapabilityError,
     FunctionalInputNotIsolated,
+    IllTyped,
     LevelViolation,
     MissingAnnotation,
     PayloadMismatch,
@@ -51,12 +53,10 @@ from .syntax import (
     Type,
     UnitT,
     Value,
-    bind,
     node,
     pretty_process,
     pretty_type,
     pretty_value,
-    unbind,
 )
 
 
@@ -83,14 +83,6 @@ class TypeEnv:
     def __contains__(self, name: Name) -> bool:
         return name in self.bindings
 
-    def bind(self, pairs: list[tuple[Name, Type]]) -> list[tuple]:
-        """Bind `pairs` in place; `syntax.unbind(self.bindings, saved)` undoes it."""
-        saved = bind(self.bindings, pairs)
-        for name, old in saved:
-            if old is not None:
-                raise UnboundName(f"name {name.display!r} is already bound")
-        return saved
-
     def items(self) -> list[tuple[Name, Type]]:
         return sorted(self.bindings.items(), key=lambda kv: (kv[0].display, kv[0].id))
 
@@ -106,11 +98,6 @@ def subtype(s: Type, u: Type) -> bool:
     types of an inferred typing are shared, each distinct one built once,
     and its re-check compares most of them by identity alone."""
     return s is u or _compare(s, u, False)
-
-
-def same_type(s: Type, u: Type) -> bool:
-    """s == u, structurally: the payload equality of the restricted mode."""
-    return s is u or _compare(s, u, True)
 
 
 def _compare(s: Type, u: Type, exact: bool) -> bool:
@@ -172,78 +159,39 @@ def value_type(env: TypeEnv, v: Value) -> Type:
 # ---------------------------------------------------------------------------
 # Process checking: the typing rules, one walk for weight and measure
 #
-# Every rule receives the offending node and renders it with `pretty_process`
-# only when it raises: an accepted process is never printed.
+# `_weigh` tests each rule in place. Only a failed test calls a renderer,
+# which builds the rule's error with the offending node printed by
+# `pretty_process`: an accepted process is never printed. An unbound name
+# raises at once, from `TypeEnv.get`.
 
 
-def subject_chan(env: TypeEnv, p: Out | In | RepIn, want_cap: str, ds: bool = False) -> ChanT:
-    """Channel type of the subject of `p`, which must grant `want_cap`."""
+def _subject_error(env: TypeEnv, p: Out | In | RepIn, want_cap: str, ds: bool) -> IllTyped:
+    """The subject of `p` lacks `want_cap`, or with `ds` the full capability."""
     ty = env.get(p.subject)
     if not isinstance(ty, ChanT):
-        raise CapabilityError(
-            f"{p.subject.display} has non-channel type {pretty_type(ty)}",
-            where=pretty_process(p),
-        )
-    if ds:
-        if ty.cap != SHARP:
-            raise CapabilityError(
-                f"{p.subject.display} must carry the full capability, has {pretty_type(ty)}",
-                where=pretty_process(p),
-            )
-        return ty
-    if ty.cap not in (SHARP, want_cap):
-        kind = "output" if want_cap == OUT else "input"
-        raise CapabilityError(
-            f"{p.subject.display}: no {kind} capability in {pretty_type(ty)}",
-            where=pretty_process(p),
-        )
-    return ty
+        why = " has non-channel type "
+    elif ds:
+        why = " must carry the full capability, has "
+    else:
+        why = f": no {'output' if want_cap == OUT else 'input'} capability in "
+    return CapabilityError(p.subject.display + why + pretty_type(ty), where=pretty_process(p))
 
 
-def check_values(env: TypeEnv, p: Out, chan: ChanT, ds: bool = False) -> None:
-    """The values sent by `p` match the payload of `chan` in number and type."""
-    values = p.payload if p.payload else (STAR,)
-    if len(values) != len(chan.payload):
-        raise PayloadMismatch(
-            f"{p.subject.display} expects {len(chan.payload)} value(s), got {len(values)}",
-            where=pretty_process(p),
-        )
-    for v, want in zip(values, chan.payload):
-        got = value_type(env, v)
-        if not (same_type(got, want) if ds else subtype(got, want)):
-            raise PayloadMismatch(
-                f"value {pretty_value(v)} : {pretty_type(got)} does not fit {pretty_type(want)}",
-                where=pretty_process(p),
-            )
-
-
-def payload_binders(p: In | RepIn, chan: ChanT) -> list[tuple[Name, Type]]:
-    """The binders of `p` paired with the payload types of `chan`."""
-    if not p.binders:
-        # discarded unit input: the channel must carry a single Unit
-        if chan.payload != (UNIT,):
-            raise PayloadMismatch(
-                f"{p.subject.display} carries {pretty_type(chan)}, "
-                "cannot elide a non-unit message",
-                where=pretty_process(p),
-            )
-        return []
-    if len(p.binders) != len(chan.payload):
-        raise PayloadMismatch(
-            f"{p.subject.display} expects {len(chan.payload)} binder(s), got {len(p.binders)}",
-            where=pretty_process(p),
-        )
-    return list(zip(p.binders, chan.payload))
-
-
-def annotation(p: Res) -> Type:
-    """The declared type of a restriction, which must be present."""
-    if p.annotation is None:
-        raise MissingAnnotation(
-            f"restriction on {p.name.display} lacks a type annotation",
-            where=pretty_process(p),
-        )
-    return p.annotation
+def _payload_error(env: TypeEnv, p: Out | In | RepIn, chan: ChanT, ds: bool) -> PayloadMismatch:
+    """The first misfit of the values `p` sends, or of its binders, with the
+    payload of `chan`: in number, then in type."""
+    sends = isinstance(p, Out)
+    have = p.payload or (STAR,) if sends else p.binders
+    why = f"{p.subject.display} expects {len(chan.payload)} {'value' if sends else 'binder'}(s), got {len(have)}"
+    if not have:  # a discarded unit input: the channel must carry a single Unit
+        why = f"{p.subject.display} carries {pretty_type(chan)}, cannot elide a non-unit message"
+    elif sends and len(have) == len(chan.payload):
+        for v, want in zip(have, chan.payload):
+            got = value_type(env, v)
+            if got is not want and not _compare(got, want, ds):
+                why = f"value {pretty_value(v)} : {pretty_type(got)} does not fit {pretty_type(want)}"
+                break
+    return PayloadMismatch(why, where=pretty_process(p))
 
 
 def _weigh(
@@ -258,6 +206,11 @@ def _weigh(
     `levels`, or to the list of its nearest enclosing checked input, which is
     checked against that list once its body is done.
 
+    Each rule tests in place, in order: the subject's binding, channel and
+    capability; the payload's arity; each value's type, fitting by identity
+    first; the binders, unless already bound; a restriction's annotation.
+    Only a failed test calls a renderer, to build its error.
+
     With `functional`, the names known functional, the impure mode, where
     `isolated` is the name isolated, if any. It changes three rules:
     - every input is checked, not only a replicated one; a replicated input
@@ -271,17 +224,19 @@ def _weigh(
     component of each `|` and into each binder's body in place, and leaves
     on a stack what comes after: a right component with the name isolated
     there and the list its outputs go to, or the end of a binder's scope,
-    with the undo of its binding, the node and, for a checked input, what
-    its level check needs. Components go left to right, and a scope ends
-    after its body, so the first error raised is the one a recursive walk
+    with the names it bound, the node and, for a checked input, what its
+    level check needs. Components go left to right, and a scope ends after
+    its body, so the first error raised is the one a recursive walk
     raises."""
+    bindings = env.bindings
     todo: list = [(p, isolated, levels)]
     while todo:
         q, iso, out = todo.pop()
-        if isinstance(q, list):
-            # the end of a binder's scope: `q` undoes its binding, and the
-            # binder stands where a component's isolated name does
-            unbind(env.bindings, q)
+        if q.__class__ is tuple:
+            # the end of a binder's scope: `q` holds the names it bound, and
+            # the binder stands where a component's isolated name does
+            for name in q:
+                del bindings[name]
             node = iso
             if out is None:
                 if functional is not None:
@@ -290,7 +245,7 @@ def _weigh(
             chan, defining, inner = out
             w = max(inner, default=0)
             if defining:
-                env.bindings[node.subject] = chan
+                bindings[node.subject] = chan
                 if not chan.level >= w:
                     raise LevelViolation(
                         f"functional input on {node.subject.display}: level {chan.level} "
@@ -306,35 +261,57 @@ def _weigh(
                 )
             continue
         while True:  # down the left of a `|` or into a binder's body
-            if isinstance(q, Out):
-                chan = subject_chan(env, q, OUT, ds)
-                check_values(env, q, chan, ds)
+            cls = q.__class__
+            if cls is Out:
+                chan = bindings.get(q.subject)
+                if chan.__class__ is not ChanT or chan.cap != SHARP and (ds or chan.cap != OUT):
+                    raise _subject_error(env, q, OUT, ds)
+                values = q.payload or (STAR,)
+                if len(values) != len(chan.payload):
+                    raise _payload_error(env, q, chan, ds)
+                for v, want in zip(values, chan.payload):
+                    got = bindings.get(v.name) if v.__class__ is NameRef else value_type(env, v)
+                    if got is not want and (got is None or not _compare(got, want, ds)):
+                        raise _payload_error(env, q, chan, ds)
                 out.append(chan.level)
                 break
-            if isinstance(q, Par):
+            if cls is Par:
                 todo.append((q.right, iso, out))
                 q = q.left
-            elif isinstance(q, (In, RepIn)):
-                defining = q.subject is iso and isinstance(q, RepIn)
+            elif cls is In or cls is RepIn:
+                defining = q.subject is iso and cls is RepIn
                 if defining:
-                    chan = env.bindings.pop(iso)  # hidden from its defining body
+                    chan = bindings.pop(iso)  # hidden from its defining body
                 elif functional and q.subject in functional:
                     raise FunctionalInputNotIsolated(
                         f"input on functional name {q.subject.display} outside its defining scope",
                         where=pretty_process(q),
                     )
                 else:
-                    chan = subject_chan(env, q, IN, ds)
-                saved = env.bind(payload_binders(q, chan))
-                if functional is None and isinstance(q, In):
-                    todo.append((saved, q, None))  # binds only
+                    chan = bindings.get(q.subject)
+                    if chan.__class__ is not ChanT or chan.cap != SHARP and (ds or chan.cap != IN):
+                        raise _subject_error(env, q, IN, ds)
+                binders = q.binders
+                if len(binders) != len(chan.payload) if binders else chan.payload != (UNIT,):
+                    raise _payload_error(env, q, chan, ds)
+                for name, ty in zip(binders, chan.payload):
+                    if name in bindings:
+                        raise UnboundName(f"name {name.display!r} is already bound")
+                    bindings[name] = ty
+                if functional is None and cls is In:
+                    todo.append((binders, q, None))  # binds only
                 else:
                     inner: list[int] = []
-                    todo.append((saved, q, (chan, defining, inner)))
+                    todo.append((binders, q, (chan, defining, inner)))
                     iso, out = None, inner
                 q = q.body
-            elif isinstance(q, Res):
-                ty = annotation(q)
+            elif cls is Res:
+                ty = q.annotation
+                if ty is None:
+                    raise MissingAnnotation(
+                        f"restriction on {q.name.display} lacks a type annotation",
+                        where=pretty_process(q),
+                    )
                 impure = functional is not None
                 if impure and not (isinstance(ty, ChanT) and ty.cap == (OUT if q.functional else SHARP)):
                     kind, need = ("functional", "an o-type") if q.functional else ("imperative", "a full-capability")
@@ -342,12 +319,15 @@ def _weigh(
                         f"{kind} restriction on {q.name.display} needs {need} annotation, has {pretty_type(ty)}",
                         where=pretty_process(q),
                     )
-                todo.append((env.bind([(q.name, ty)]), q, None))
+                if q.name in bindings:
+                    raise UnboundName(f"name {q.name.display!r} is already bound")
+                bindings[q.name] = ty
+                todo.append(((q.name,), q, None))
                 if impure and q.functional:
                     functional.add(q.name)
                     iso = q.name
                 q = q.body
-            elif isinstance(q, Nil):
+            elif cls is Nil:
                 break
             else:
                 raise TypeError(f"not a process: {q!r}")

@@ -52,7 +52,7 @@ def check_impure(env: ImpureEnv, p: Process) -> int:
     functional = set(env.functional)
     isolated = env.isolated[0] if env.isolated else None
     if env.isolated:
-        scope.bind([env.isolated])
+        scope.bindings[isolated] = env.isolated[1]  # not in gamma, as `ImpureEnv` checks
         functional.add(isolated)
     levels: list[int] = []
     _weigh(scope, p, levels, functional=functional, isolated=isolated)

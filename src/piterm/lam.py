@@ -2,7 +2,7 @@
 encoding into the localised pi-calculus.
 
 The grammar runs on the process parser's scanner (`parser._Parser`), with
-its own token regex, one-character tokens and stray search; errors are
+its own token regex, one-character tokens and clean-span match; errors are
 located at the line and column of the file. One walk types a term and
 translates it; the type and term parsers, the walk and the type printer
 take nesting off a stack.
@@ -22,7 +22,7 @@ import re
 
 from .errors import IllTypedLambda, ParseError
 from .inference import ARROW, BASE, VAR, Mismatch, TermStore
-from .parser import _NAME_START, _outside, _Parser
+from .parser import _NAME_START, _clean, _Parser
 from .syntax import In, Name, NameRef, Out, Par, Process, RepIn, Res, bind, fresh, node, unbind
 
 
@@ -96,7 +96,7 @@ class _LamParser(_Parser):
 
     TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*|->|--[^\n]*|\S")
     ONE_CHAR_TOKENS = _NAME_START | frozenset("\\().:")
-    STRAY_RE = _outside(ONE_CHAR_TOKENS)
+    CLEAN_RE = _clean(frozenset("\\().:"), r"[A-Za-z_][A-Za-z0-9_']*(?![A-Za-z0-9_'])", "->")
 
     def parse_type(self) -> LambdaType:
         """A type, read off one stack of what encloses the atom being read: an

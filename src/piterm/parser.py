@@ -52,14 +52,14 @@ _NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 _ONE_CHAR_TOKENS = _NAME_START | frozenset("0123456789<>()[].:,|!*+#")
 
 
-def _outside(chars: frozenset[str]) -> re.Pattern:
-    """A search for any character but whitespace and `chars`."""
-    return re.compile("[^\\s%s]" % re.escape("".join(sorted(chars))))
+def _clean(chars: frozenset[str], *tokens: str) -> re.Pattern:
+    """A full match of a span of whitespace, `chars` and tokens that the
+    patterns `tokens` match in one way only; it reads nothing outside the
+    span, unlike a lookbehind. No match: some character may be stray."""
+    return re.compile("(?:%s[\\s%s])*" % ("".join(t + "|" for t in tokens), re.escape("".join(sorted(chars)))))
 
 
 KEYWORDS = {"new", "fun"}
-
-_CAP_NAME = re.compile(r"^([io])(\d+)$")
 
 
 class _Parser:
@@ -69,11 +69,12 @@ class _Parser:
     A subclass brings another grammar: its scanner `TOKEN_RE`, which matches
     exactly the tokens and `--` comments, as `_TOKEN_RE` does; its
     `ONE_CHAR_TOKENS`, where the digit 0 makes any decimal digit a token, as
-    `\\d+` scans one; and `STRAY_RE = _outside(ONE_CHAR_TOKENS)`."""
+    `\\d+` scans one; and `CLEAN_RE`, a `_clean` of one-character tokens and
+of tokens it reads whole, which fully matches only spans without strays."""
 
     TOKEN_RE = _TOKEN_RE
     ONE_CHAR_TOKENS = _ONE_CHAR_TOKENS
-    STRAY_RE = _outside(_ONE_CHAR_TOKENS)
+    CLEAN_RE = _clean(_ONE_CHAR_TOKENS)
 
     def __init__(self, text: str, pos: int = 0, endpos: int | None = None, line: int = 1):
         self.text = text
@@ -82,7 +83,7 @@ class _Parser:
         self.tokens = tokens = self.TOKEN_RE.findall(text, *span)
         if text.find("--", *span) >= 0:
             self.tokens = tokens = [t for t in tokens if t[:2] != "--"]
-        if self.STRAY_RE.search(text, *span):  # else each character is whitespace or a token
+        if not self.CLEAN_RE.fullmatch(text, *span):  # else each character is whitespace or a token
             ok = self.ONE_CHAR_TOKENS
             bad = [t for t in set(tokens) if len(t) == 1 and t not in ok and not (t.isdecimal() and "0" in ok)]
             if bad:
@@ -160,12 +161,11 @@ class _Parser:
                     if not level[:1].isdecimal():
                         raise self.error("expected a level after '#'", i + 1)
                     open_.append((SHARP, int(level), []))
-                else:
-                    m = _CAP_NAME.match(tok)
-                    if not m:
+                else:  # `i3` or `o0`: a name token, so `isdecimal` means ASCII digits
+                    if not (tok[:1] in "io" and tok[1:].isdecimal()):
                         raise self.error(f"expected a type, found {tok or 'end of input'!r}", i)
                     self.pos = i + 1
-                    open_.append((IN if m.group(1) == "i" else OUT, int(m.group(2)), []))
+                    open_.append((IN if tok[0] == "i" else OUT, int(tok[1:]), []))
                 if toks[self.pos] != "[":
                     raise self.missing("[", self.pos)
                 self.pos += 1

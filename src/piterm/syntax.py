@@ -68,47 +68,30 @@ def node(cls: type) -> type:
     """Make `cls` a node: a frozen record of its annotated fields, built as
     a copy of `cls` with `__slots__`, so one allocation without a `__dict__`
     when its bases have empty slots. Its fields, in order, are its
-    `__match_args__`, and one `exec` makes its methods from them:
-    `__init__`, by position or keyword, stores each field through one
-    prebound `object.__setattr__` and then runs `__post_init__`, if any;
-    `__eq__` compares the field tuples of two nodes of one class,
-    `__hash__` hashes the field tuple, and `__repr__` reads
-    `Cls(field=value, ...)`. Assigning or deleting any attribute raises
-    `FrozenInstanceError`; `__getstate__`/`__setstate__` keep `copy` and
-    `pickle` working."""
+    `__match_args__`, and one `exec` makes its `__init__`, by position or
+    keyword: it stores each field through the field's slot descriptor
+    (`Cls.field.__set__`, bound once the class is made), then runs
+    `__post_init__`, if any. `__eq__` compares the field tuples of two nodes
+    of one class, `__hash__` hashes the field tuple, `__repr__` reads
+    `Cls(field=value, ...)`, each off one stack. Assigning or deleting any
+    attribute raises `FrozenInstanceError`; `__getstate__`/`__setstate__`
+    keep `copy` and `pickle` working."""
     names = tuple(cls.__dict__.get("__annotations__", ()))
-    args = ", ".join(["self", *names])
-    own = "".join(f"self.{n}," for n in names)  # the items of the field tuple
-    theirs = "".join(f"other.{n}," for n in names)
-    init = [f"_set(self, {n!r}, {n})" for n in names]
+    init = [f"_set_{n}(self, {n})" for n in names]
     if hasattr(cls, "__post_init__"):
         init.append("self.__post_init__()")
-    shown = ", ".join(f"{n}={{self.{n}!r}}" for n in names)
-    source = (
-        f"def __init__({args}):\n    " + ("\n    ".join(init) or "pass") + "\n"
-        "def __eq__(self, other):\n"
-        "    if other.__class__ is self.__class__:\n"
-        f"        return ({own}) == ({theirs})\n"
-        "    return NotImplemented\n"
-        f"def __hash__(self):\n    return hash(({own}))\n"
-        f"def __repr__(self):\n    return self.__class__.__qualname__ + f\"({shown})\"\n"
-    )
-    ns = dict(cls.__dict__)
-    ns.pop("__dict__", None)
-    ns.pop("__weakref__", None)
-    exec(source, {"__name__": cls.__module__, "_set": object.__setattr__}, ns)
-    for name in ("__init__", "__eq__", "__hash__", "__repr__"):
-        ns[name].__qualname__ = f"{cls.__qualname__}.{name}"
-    ns.update(
-        __slots__=names,
-        __match_args__=names,
-        __qualname__=cls.__qualname__,
-        __setattr__=_frozen_setattr,
-        __delattr__=_frozen_delattr,
-        __getstate__=_node_getstate,
-        __setstate__=_node_setstate,
-    )
-    return type(cls)(cls.__name__, cls.__bases__, ns)
+    source = f"def __init__({', '.join(['self', *names])}):\n    " + ("\n    ".join(init) or "pass")
+    ns = {k: v for k, v in cls.__dict__.items() if k not in ("__dict__", "__weakref__")}
+    setters = {"__name__": cls.__module__}
+    exec(source, setters, ns)
+    ns["__init__"].__qualname__ = f"{cls.__qualname__}.__init__"
+    ns.update(__slots__=names, __match_args__=names, __qualname__=cls.__qualname__,
+              __setattr__=_frozen_setattr, __delattr__=_frozen_delattr,
+              __getstate__=_node_getstate, __setstate__=_node_setstate,
+              __eq__=_node_eq, __hash__=_node_hash, __repr__=_node_repr)
+    made = type(cls)(cls.__name__, cls.__bases__, ns)
+    setters.update((f"_set_{n}", getattr(made, n).__set__) for n in names)
+    return made
 
 
 def _frozen_setattr(self, name: str, value) -> None:
@@ -126,6 +109,82 @@ def _node_getstate(self) -> list:
 def _node_setstate(self, state: list) -> None:
     for n, value in zip(self.__match_args__, state):
         object.__setattr__(self, n, value)
+
+
+def _parts(x) -> list | tuple | None:
+    """The items of a tuple or the fields of a node, which the node methods
+    walk into; None for anything else."""
+    if x.__class__ is tuple:
+        return x
+    return _node_getstate(x) if getattr(x.__class__, "__getstate__", None) is _node_getstate else None
+
+
+def _node_eq(self, other):
+    """Equal field tuples: pairs of tuples, or of nodes of one class, are
+    compared item by item off one stack."""
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    todo = [(self, other)]
+    while todo:
+        a, b = todo.pop()
+        mine = _parts(a) if a.__class__ is b.__class__ and a is not b else None
+        if mine is not None:
+            theirs = _parts(b)
+            if len(mine) != len(theirs):
+                return False
+            todo += zip(mine, theirs)
+        elif a is not b and not a == b:
+            return False
+    return True
+
+
+_XX1, _XX2, _XX5, _MASK = 11400714785074694791, 14029467366897019727, 2870177450012600261, 2**64 - 1
+
+
+def _node_hash(self) -> int:
+    """The hash of the field tuple, as CPython's 64-bit tuple hash (xxHash)
+    folds its items' hashes, off one stack of the tuples and nodes open:
+    each as its items, the index of the next one and the hash so far."""
+    open_ = [[_parts(self), 0, _XX5]]
+    while True:
+        top = open_[-1]
+        items, i, acc = top
+        if i < len(items):
+            inner = _parts(items[i])
+            if inner is not None:
+                open_.append([inner, 0, _XX5])
+                continue
+            lane = hash(items[i])
+        else:  # `top` is done, and its hash is an item's of the one below
+            open_.pop()
+            acc = (acc + (i ^ _XX5 ^ 3527539)) & _MASK
+            lane = 1546275796 if acc == _MASK else acc - (acc >> 63 << 64)
+            if not open_:
+                return lane
+            top = open_[-1]
+        acc = (top[2] + (lane & _MASK) * _XX2) & _MASK
+        top[1:] = top[1] + 1, ((acc << 31 | acc >> 33) & _MASK) * _XX1 & _MASK
+
+
+def _node_repr(self) -> str:
+    """`Cls(field=value, ...)`, left to right off one stack of the text still
+    to write and the tuples and nodes still to print."""
+    out: list[str] = []
+    todo: list = [self]
+    while todo:
+        x = todo.pop()
+        items = None if x.__class__ is str else _parts(x)
+        if items is None:
+            out.append(x)
+            continue
+        plain = x.__class__ is tuple
+        out.append("(" if plain else x.__class__.__qualname__ + "(")
+        todo.append(",)" if plain and len(items) == 1 else ")")
+        for i in range(len(items) - 1, -1, -1):
+            item = items[i]
+            shown = item if _parts(item) is not None else repr(item)
+            todo += (shown, "" if plain else x.__match_args__[i] + "=", ", " if i else "")
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from piterm import syntax
+from piterm import checker, syntax
 from piterm.checker import TypeEnv, check, derive, subtype, value_type
-from piterm.cli import _load_env
+from piterm.cli import _load_env, main
 from piterm.errors import (
     CapabilityError,
     IllTyped,
@@ -24,6 +24,7 @@ from piterm.errors import (
     UnboundName,
 )
 from piterm.impure import ImpureEnv, check_impure
+from piterm.inference import DS_EQUALITY, FLEXIBLE
 from piterm.measure import format_multiset, measure
 from piterm.parser import parse_process, parse_type
 from piterm.syntax import NAT, UNIT, Add, ChanT, In, Mul, NatLit, NameRef, Nil, Out, Res, Star, Type, fresh
@@ -38,6 +39,8 @@ from conftest import (
     sample_supertype,
     typed_instance,
 )
+from test_inference import GOLDEN as INFER_GOLDEN
+from test_inference import golden_line, golden_processes
 from test_syntax import random_ast
 
 
@@ -596,6 +599,55 @@ def write_typing_golden() -> None:
 class TestTypingGolden:
     def test_typing_outcomes_unchanged(self):
         assert_golden(TYPING_GOLDEN, typing_text())
+
+
+# The typing walk tests each rule in place and calls a renderer only to build
+# the error of a test that failed. With every renderer made to raise, the
+# accepted outcomes are unchanged: those of `typing.txt` in its three modes,
+# those of `infer.txt`, whose re-check runs the walk, and `run --certify` on
+# the server fixture. The rejections reach the renderers.
+
+RENDERERS = ("_subject_error", "_payload_error")
+
+
+def renderers_raise(monkeypatch) -> None:
+    def render(*args):
+        raise IllTyped("a renderer was called")
+
+    for name in RENDERERS:
+        monkeypatch.setattr(checker, name, render)
+
+
+class TestAcceptedPathRendersNothing:
+    def test_typing_golden(self, monkeypatch):
+        golden = TYPING_GOLDEN.read_text(encoding="utf-8").splitlines()
+        renderers_raise(monkeypatch)
+        got = typing_text().splitlines()
+        assert len(got) == len(golden)
+        accepted = rendered = 0
+        for mine, theirs in zip(got, golden):
+            for field, want in zip(mine.split("\t"), theirs.split("\t")):
+                if " WEIGHT " in want:
+                    assert field == want
+                    accepted += 1
+                rendered += field != want and "renderer was called" in field
+        assert accepted > 200 and rendered > 500
+
+    def test_infer_golden(self, monkeypatch):
+        golden = INFER_GOLDEN.read_text(encoding="utf-8").splitlines()
+        renderers_raise(monkeypatch)
+        got = [golden_line(q, mode) for q in golden_processes() for mode in (FLEXIBLE, DS_EQUALITY)]
+        accepted = [(mine, theirs) for mine, theirs in zip(got, golden) if "\tWEIGHT " in theirs]
+        assert len(got) == len(golden) and len(accepted) > 300
+        assert all(mine == theirs for mine, theirs in accepted)
+
+    def test_certified_run(self, monkeypatch, capsys):
+        argv = ["run", str(FIXTURES / "server.pi"), "--certify", str(FIXTURES / "server.env")]
+        assert main(argv) == 0
+        want = capsys.readouterr().out
+        renderers_raise(monkeypatch)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == want
 
 
 # The benchmark's tracer patches the functions its `TRACED` table names, and

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib.util
+import json
 
 import pytest
 
@@ -44,3 +45,34 @@ def test_summary_in_the_layout_of_a_bench_file():
     assert block["metrics"]["setup_s"]["change_wins"] == "2/4"  # lower is better: seeds 3 and 4
     assert rate["runs"]["change"] == [120, 100, 95, 130]
     assert pairs.note("typecheck", block).startswith("typecheck, 4 pairs: inputs_per_s 102.5 -> 110 (1.073, change better in 3/4); setup_s ")
+
+
+def test_several_workloads_into_one_file(tmp_path, monkeypatch):
+    runs = []
+
+    def run_once(copy, workload, seed, seconds):
+        runs.append((workload, seed, copy.name.split("-")[0]))
+        return result(100 + seed + (copy.name.startswith("change") and 10), 0.2)
+
+    def git(*args):
+        if args[0] == "rev-parse":
+            return args[-1].split("^")[0].encode() + b"\n"
+        return json.dumps({"end_to_end": END_TO_END}).encode()
+
+    monkeypatch.setattr(pairs, "run_once", run_once)
+    monkeypatch.setattr(pairs, "git", git)
+    monkeypatch.setattr(pairs, "fresh_copy", lambda commit, into: into)
+    monkeypatch.setattr(pairs.shutil, "rmtree", lambda *args, **kwargs: None)
+    monkeypatch.setattr(pairs.tempfile, "mkdtemp", lambda prefix: str(tmp_path / prefix))
+    out = tmp_path / "BENCH_0.json"
+    out.write_text(json.dumps({"machine": "m", "workloads": {"other": {}}}))
+    assert pairs.main(["p", "c", "--workload", "typecheck,explore", "--seeds", "1-2", "--seconds", "1", "--out", str(out)]) == 0
+    # each workload's pairs in turn, the parent first for odd seeds
+    assert runs == [(w, seed, side) for w in ("typecheck", "explore")
+                    for seed, sides in ((1, ("parent", "change")), (2, ("change", "parent"))) for side in sides]
+    data = json.loads(out.read_text())
+    assert data["machine"] == "m" and list(data["workloads"]) == ["other", "typecheck", "explore"]
+    for block in (data["workloads"]["typecheck"], data["workloads"]["explore"]):
+        assert block["seeds"] == [1, 2]
+        assert block["metrics"]["inputs_per_s"]["runs"] == {"parent": [101, 102], "change": [111, 112]}
+        assert block["metrics"]["inputs_per_s"]["change_wins"] == "2/2"

@@ -55,7 +55,7 @@ from piterm.syntax import (
     unbind,
 )
 
-from conftest import OLD_TOKEN_RES, assert_golden, old_error, old_scan, well_scoped
+from conftest import OLD_TOKEN_RES, assert_golden, gen_type, old_error, old_scan, well_scoped
 
 
 def free_displays(p: Process) -> set[str]:
@@ -370,6 +370,94 @@ class TestNodes:
             else:
                 nils.append(q)
         assert len(nils) == 5 and all(q is NIL for q in nils)
+
+
+def recursive_repr(x) -> str:
+    """The `repr` a node had when it printed its fields with `!r`, recursing."""
+    if isinstance(x, tuple):
+        return "(" + ", ".join(map(recursive_repr, x)) + ("," if len(x) == 1 else "") + ")"
+    if hasattr(type(x), "__match_args__"):
+        fields = (f"{n}={recursive_repr(getattr(x, n))}" for n in x.__match_args__)
+        return f"{type(x).__qualname__}({', '.join(fields)})"
+    return repr(x)
+
+
+def rebuilt(x):
+    """A copy of `x` with every tuple and node made again, every leaf shared."""
+    if isinstance(x, tuple):
+        return tuple(map(rebuilt, x))
+    if hasattr(type(x), "__match_args__"):
+        return type(x)(*(rebuilt(getattr(x, n)) for n in x.__match_args__))
+    return x
+
+
+class TestDeepNodes:
+    """`==`, `hash` and `repr` walk nested nodes and tuples off one stack:
+    at the default recursion limit they return on terms, processes and types
+    nested 10^4 deep, and at any depth they give what the field tuples give."""
+
+    DEPTH = 10**4
+
+    @staticmethod
+    def chain(names: list[Name], last: str) -> Process:
+        p = Out(fresh(last), ())
+        for a in reversed(names):
+            p = In(a, (a,), p)
+        return p
+
+    def deep_twins(self):
+        """(x, an equal copy of x, one that differs at the innermost leaf)"""
+        n = self.DEPTH
+        term = "(\\y. " * n + "{}" + ")" * n
+        yield (_LamParser(term.format("y")).parse_term(), _LamParser(term.format("y")).parse_term(),
+               _LamParser(term.format("z")).parse_term())
+        names = [fresh(f"a{i}") for i in range(n)]
+        p = self.chain(names, "b")
+        yield p, rebuilt_deep(p), self.chain(names, "c")
+        ty = "#1[" * n + "{}" + "]" * n
+        yield parse_type(ty.format("Unit")), parse_type(ty.format("Unit")), parse_type(ty.format("Nat"))
+
+    def test_deep_at_the_default_recursion_limit(self):
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            for x, twin, other in self.deep_twins():
+                assert x == twin and x is not twin and not x != twin
+                assert x != other and not x == other
+                assert hash(x) == hash(twin)
+                text = repr(x)
+                assert text == repr(twin) and text != repr(other)
+                assert text.startswith(f"{type(x).__qualname__}(") and len(text) > 10 * self.DEPTH
+        finally:
+            sys.setrecursionlimit(limit)
+
+    def test_as_the_field_tuples(self, rng):
+        for _ in range(200):
+            for x in (random_ast(rng, rng.randrange(1, 6)), gen_type(rng, rng.randrange(1, 5))):
+                fields = tuple(getattr(x, n) for n in x.__match_args__)
+                assert hash(x) == hash(fields)
+                assert repr(x) == recursive_repr(x)
+                assert x == rebuilt(x) and hash(rebuilt(x)) == hash(x)
+
+    def test_mixed_fields(self):
+        a = fresh("a")
+        assert Out(a, (NatLit(1),)) != Out(a, (Star(),))
+        assert Out(a, (NatLit(1),)) != Out(a, (NatLit(1), NatLit(1)))
+        assert Out(a, ()) != Out(fresh("a"), ())
+        assert NatLit(True) == NatLit(1) and hash(NatLit(True)) == hash(NatLit(1))  # as `(True,) == (1,)`
+        assert (Nil() == NIL) and (Nil() != Star()) and Nil().__eq__(()) is NotImplemented
+
+
+def rebuilt_deep(p: Process) -> Process:
+    """A copy of a chain of inputs, made again innermost first without recursing."""
+    chain = []
+    while isinstance(p, In):
+        chain.append(p)
+        p = p.body
+    p = Out(p.subject, p.payload)
+    for q in reversed(chain):
+        p = In(q.subject, q.binders, p)
+    return p
 
 
 class TestFreeNames:

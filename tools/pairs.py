@@ -1,6 +1,6 @@
 """Alternating benchmark pairs of two commits, each run from a fresh copy.
 
-    python3 tools/pairs.py PARENT CHANGE --workload W --seeds 1-5 --seconds 25 [--out BENCH_N.json]
+    python3 tools/pairs.py PARENT CHANGE --workload W[,W...] --seeds 1-5 --seconds 25 [--out BENCH_N.json]
 
 For each seed, `perfbench/run.py` runs once from a fresh `git archive` copy of
 each commit, with PYTHONDONTWRITEBYTECODE=1, so that neither side reads
@@ -10,9 +10,11 @@ one run at a time. The summary is the `workloads` block of a `BENCH_*.json`:
 per end-to-end metric of `BENCHMARK.json`, each side's quartiles
 (`statistics.quantiles(runs, n=4, method='inclusive')`), the change's median
 over the parent's, the parent's interquartile range, the count of pairs in
-which the change was better, and the runs. `--out` writes the block into that
-file under the workload's name, keeping the file's other keys. Standard
-library only.
+which the change was better, and the runs. `--workload` takes a
+comma-separated list, run one workload after the other, so one command
+records a claim and the metrics that must not move. `--out` writes each
+workload's block into that file under the workload's name as soon as it is
+done, keeping the file's other keys. Standard library only.
 """
 
 from __future__ import annotations
@@ -108,41 +110,47 @@ def note(workload: str, block: dict) -> str:
     return f"{workload}, {block['pairs']} pairs: " + "; ".join(parts)
 
 
+def run_pairs(commits: dict[str, str], workload: str, seeds: list[int], seconds: float) -> dict[str, list[dict]]:
+    """Each side's results on `workload`, in seed order, from alternating runs."""
+    results: dict[str, list[dict]] = {side: [] for side in SIDES}
+    work = Path(tempfile.mkdtemp(prefix="pairs-"))
+    try:
+        for seed in seeds:
+            for side in SIDES if seed % 2 else SIDES[::-1]:
+                copy = fresh_copy(commits[side], work / f"{side}-{seed}")
+                try:
+                    result = run_once(copy, workload, seed, seconds)
+                finally:
+                    shutil.rmtree(copy)
+                results[side].append(result)
+                values = ", ".join(f"{k} {v['value']:.4g}" for k, v in result["metrics"].items())
+                print(f"{workload} seed {seed} {side}: {values}", flush=True)
+    finally:
+        shutil.rmtree(work, ignore_errors=True)
+    return results
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent")
     ap.add_argument("change")
-    ap.add_argument("--workload", required=True)
+    ap.add_argument("--workload", type=lambda text: text.split(","), required=True,
+                    help="one workload, or several as typecheck,explore")
     ap.add_argument("--seeds", type=seed_list, required=True, help="as 1-5, or 1,3,7")
     ap.add_argument("--seconds", type=float, required=True)
-    ap.add_argument("--out", type=Path, help="a BENCH_*.json to write the workload's block into")
+    ap.add_argument("--out", type=Path, help="a BENCH_*.json to write each workload's block into")
     args = ap.parse_args(argv)
 
     commits = {side: git("rev-parse", "--verify", f"{rev}^{{commit}}").decode().strip()
                for side, rev in zip(SIDES, (args.parent, args.change))}
     end_to_end = json.loads(git("show", f"{commits['change']}:BENCHMARK.json"))["end_to_end"]
-    results: dict[str, list[dict]] = {side: [] for side in SIDES}
-    work = Path(tempfile.mkdtemp(prefix="pairs-"))
-    try:
-        for seed in args.seeds:
-            for side in SIDES if seed % 2 else SIDES[::-1]:
-                copy = fresh_copy(commits[side], work / f"{side}-{seed}")
-                try:
-                    result = run_once(copy, args.workload, seed, args.seconds)
-                finally:
-                    shutil.rmtree(copy)
-                results[side].append(result)
-                values = ", ".join(f"{k} {v['value']:.4g}" for k, v in result["metrics"].items())
-                print(f"seed {seed} {side}: {values}", flush=True)
-    finally:
-        shutil.rmtree(work, ignore_errors=True)
-
-    block = summarize(args.seeds, results, end_to_end)
-    print(note(args.workload, block))
-    if args.out:
-        data = json.loads(args.out.read_text()) if args.out.exists() else {}
-        data.setdefault("workloads", {})[args.workload] = block
-        args.out.write_text(json.dumps(data, indent=1) + "\n")
+    for workload in args.workload:
+        block = summarize(args.seeds, run_pairs(commits, workload, args.seeds, args.seconds), end_to_end)
+        print(note(workload, block), flush=True)
+        if args.out:
+            data = json.loads(args.out.read_text()) if args.out.exists() else {}
+            data.setdefault("workloads", {})[workload] = block
+            args.out.write_text(json.dumps(data, indent=1) + "\n")
     return 0
 
 
