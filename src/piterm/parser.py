@@ -70,7 +70,7 @@ class _Parser:
     exactly the tokens and `--` comments, as `_TOKEN_RE` does; its
     `ONE_CHAR_TOKENS`, where the digit 0 makes any decimal digit a token, as
     `\\d+` scans one; and `CLEAN_RE`, a `_clean` of one-character tokens and
-of tokens it reads whole, which fully matches only spans without strays."""
+    of tokens it reads whole, which fully matches only spans without strays."""
 
     TOKEN_RE = _TOKEN_RE
     ONE_CHAR_TOKENS = _ONE_CHAR_TOKENS
@@ -83,7 +83,7 @@ of tokens it reads whole, which fully matches only spans without strays."""
         self.tokens = tokens = self.TOKEN_RE.findall(text, *span)
         if text.find("--", *span) >= 0:
             self.tokens = tokens = [t for t in tokens if t[:2] != "--"]
-        if not self.CLEAN_RE.fullmatch(text, *span):  # else each character is whitespace or a token
+        if not self.CLEAN_RE.fullmatch(text, *span):  # else the span is whitespace and tokens only
             ok = self.ONE_CHAR_TOKENS
             bad = [t for t in set(tokens) if len(t) == 1 and t not in ok and not (t.isdecimal() and "0" in ok)]
             if bad:

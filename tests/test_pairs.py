@@ -61,9 +61,7 @@ def test_several_workloads_into_one_file(tmp_path, monkeypatch):
 
     monkeypatch.setattr(pairs, "run_once", run_once)
     monkeypatch.setattr(pairs, "git", git)
-    monkeypatch.setattr(pairs, "fresh_copy", lambda commit, into: into)
-    monkeypatch.setattr(pairs.shutil, "rmtree", lambda *args, **kwargs: None)
-    monkeypatch.setattr(pairs.tempfile, "mkdtemp", lambda prefix: str(tmp_path / prefix))
+    monkeypatch.setattr(pairs, "fresh_copy", lambda commit, into: into.mkdir(parents=True) or into)
     out = tmp_path / "BENCH_0.json"
     out.write_text(json.dumps({"machine": "m", "workloads": {"other": {}}}))
     assert pairs.main(["p", "c", "--workload", "typecheck,explore", "--seeds", "1-2", "--seconds", "1", "--out", str(out)]) == 0
