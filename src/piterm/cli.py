@@ -221,13 +221,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--ds-equality", action="store_true", help="unify levels across every flow")
     sp.add_argument("--dump-graph", action="store_true")
 
-    # a string default goes through `type=`: a bad value is a usage error
-    max_states = os.environ.get("PITERM_MAX_STATES", "100000")
     states_bound, depth_bound = _at_least(1), _at_least(0)
 
     sp = sub.add_parser("run", help="explore the reduction graph")
     common(sp, cmd_run)
-    sp.add_argument("--max-states", type=states_bound, default=max_states)
+    budgets = [sp.add_argument("--max-states", type=states_bound)]
     sp.add_argument("--max-depth", type=depth_bound, default=100000)
     sp.add_argument("--certify", metavar="ENVFILE", help="certify the measure decrease")
 
@@ -236,8 +234,9 @@ def build_parser() -> argparse.ArgumentParser:
     mode = sp.add_mutually_exclusive_group()
     mode.add_argument("--infer", action="store_true")
     mode.add_argument("--run", action="store_true")
-    sp.add_argument("--max-states", type=states_bound, default=max_states)
+    budgets.append(sp.add_argument("--max-states", type=states_bound))
     sp.add_argument("--max-depth", type=depth_bound, default=100000)
+    ap.budgets = budgets  # the `--max-states` actions: `main` sets their default
     return ap
 
 
@@ -245,6 +244,11 @@ def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     ap = build_parser()
+    # read on every call; a string default goes through `type=`, so a bad
+    # value is a usage error
+    budget = os.environ.get("PITERM_MAX_STATES", "100000")
+    for action in ap.budgets:
+        action.default = budget
     # a subcommand's parser reads the rest as the full parser would hand it
     # over; any other call, and leftovers, go through the full parser, which
     # prints help and usage errors

@@ -285,20 +285,18 @@ def _simple_types(facts: _Facts) -> _Typing:
 # Name facts
 
 
+@node
 class _Facts:
     """What inference needs to know about the names of a process."""
 
-    __slots__ = ("nodes", "free", "restricted", "receptions", "input_subjects", "replicated")
-
-    def __init__(self):
-        self.nodes: list[Process] = []  # Res, Out, In and RepIn, in preorder
-        self.free: set[Name] = set()
-        self.restricted: list[Name] = []
-        self.receptions: list[tuple[Name, int, Name]] = []  # (carrier, position, received)
-        self.input_subjects: set[Name] = set()
-        # per replicated input: its subject and the subjects of the outputs in
-        # its body that no further replication shields
-        self.replicated: list[tuple[Name, list[Name]]] = []
+    nodes: list[Process]  # Res, Out, In and RepIn, in preorder
+    free: set[Name]
+    restricted: list[Name]
+    receptions: list[tuple[Name, int, Name]]  # (carrier, position, received)
+    input_subjects: set[Name]
+    # per replicated input: its subject and the subjects of the outputs in
+    # its body that no further replication shields
+    replicated: list[tuple[Name, list[Name]]]
 
     def non_local(self) -> set[Name]:
         """Received names used as input subjects."""
@@ -309,7 +307,11 @@ def _facts(p: Process) -> _Facts:
     """The name facts of a process, gathered in one preorder walk. The free
     names are the names used less the names bound, as bound names are
     distinct from free ones."""
-    f = _Facts()
+    nodes: list[Process] = []
+    restricted: list[Name] = []
+    receptions: list[tuple[Name, int, Name]] = []
+    input_subjects: set[Name] = set()
+    replicated: list[tuple[Name, list[Name]]] = []
     used: set[Name] = set()
     bound: set[Name] = set()
     # `served`: the output subjects of the nearest enclosing replicated input
@@ -322,48 +324,41 @@ def _facts(p: Process) -> _Facts:
             continue
         if isinstance(q, Nil):
             continue
-        f.nodes.append(q)
+        nodes.append(q)
         if isinstance(q, Out):
             served.append(q.subject)
             used.add(q.subject)
             used.update(*map(value_names, q.payload))
         elif isinstance(q, (In, RepIn)):
-            f.input_subjects.add(q.subject)
-            f.receptions.extend((q.subject, i, x) for i, x in enumerate(q.binders))
+            input_subjects.add(q.subject)
+            receptions.extend((q.subject, i, x) for i, x in enumerate(q.binders))
             used.add(q.subject)
             bound.update(q.binders)
             if isinstance(q, RepIn):
                 served = []
-                f.replicated.append((q.subject, served))
+                replicated.append((q.subject, served))
             stack.append((q.body, served))
         elif isinstance(q, Res):
-            f.restricted.append(q.name)
+            restricted.append(q.name)
             bound.add(q.name)
             stack.append((q.body, served))
         else:
             raise TypeError(f"not a process: {q!r}")
-    f.free = used - bound
-    return f
+    return _Facts(nodes, used - bound, restricted, receptions, input_subjects, replicated)
 
 
 # ---------------------------------------------------------------------------
 # The level constraint system
 
 
+@node
 class LevelGraph:
     """The visible level graph, by slot name: each node's label set (its own
     name and the received names it carries), and the edges `(src, dst,
     strict)`, `src >= dst` or, strict, `src > dst`."""
 
-    __slots__ = ("nodes", "edges")
-
-    def __init__(
-        self,
-        nodes: dict[str, frozenset[str]] | None = None,
-        edges: set[tuple[str, str, bool]] | None = None,
-    ):
-        self.nodes = {} if nodes is None else nodes
-        self.edges = set() if edges is None else edges
+    nodes: dict[str, frozenset[str]]
+    edges: set[tuple[str, str, bool]]
 
     def dump(self) -> str:
         lines = [f"NODE {n}: {{{', '.join(sorted(self.nodes[n]))}}}" for n in sorted(self.nodes)]
@@ -499,15 +494,13 @@ def _project(
         for s in (sid, *info.children[sid])
         if s is not None
     }
-    g = LevelGraph({text: frozenset((text,)) for text in visible.values()})
+    nodes = {text: frozenset((text,)) for text in visible.values()}
     for _, _, x in info.facts.receptions:
         sid = info.slot.get(x)
         if sid in visible:
-            g.nodes[visible[sid]] |= {x.display}
-    g.edges = {
-        (visible[s], visible[d], strict) for s, d, strict in edges if s in visible and d in visible
-    }
-    return g, {text: levels[sid] for sid, text in visible.items()}
+            nodes[visible[sid]] |= {x.display}
+    shown = {(visible[s], visible[d], strict) for s, d, strict in edges if s in visible and d in visible}
+    return LevelGraph(nodes, shown), {text: levels[sid] for sid, text in visible.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -560,27 +560,17 @@ class EdgeCert:
         )
 
 
+@node
 class ExecutionReport:
     """What an exploration found; `measure_trace` is kept by a certified
-    run, `witness` when the verdict is a divergence."""
+    run, `witness` when the verdict is a divergence, each None otherwise."""
 
-    __slots__ = ("verdict", "steps_explored", "states_explored", "max_depth", "measure_trace", "witness")
-
-    def __init__(
-        self,
-        verdict: Verdict,
-        steps_explored: int,
-        states_explored: int,
-        max_depth: int,
-        measure_trace: list[EdgeCert] | None = None,
-        witness: list[str] | None = None,
-    ):
-        self.verdict = verdict
-        self.steps_explored = steps_explored
-        self.states_explored = states_explored
-        self.max_depth = max_depth
-        self.measure_trace = measure_trace
-        self.witness = witness
+    verdict: Verdict
+    steps_explored: int
+    states_explored: int
+    max_depth: int
+    measure_trace: list[EdgeCert] | None
+    witness: list[str] | None
 
 
 def _find_cycle(adj: list[list[int]]) -> list[int] | None:

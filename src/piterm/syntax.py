@@ -71,9 +71,10 @@ def node(cls: type) -> type:
     `__match_args__`, and one `exec` makes its `__init__`, by position or
     keyword: it stores each field through the field's slot descriptor
     (`Cls.field.__set__`, bound once the class is made), then runs
-    `__post_init__`, if any. `__eq__` compares the field tuples of two nodes
-    of one class, `__hash__` hashes the field tuple, `__repr__` reads
-    `Cls(field=value, ...)`, each off one stack. Assigning or deleting any
+    `__post_init__`, if any. `__eq__` compares two nodes of one class and
+    `__hash__` hashes one, each by its preorder of nested tuples and nodes,
+    which `_flat` lists off one stack; `__repr__` reads
+    `Cls(field=value, ...)`, off one stack too. Assigning or deleting any
     attribute raises `FrozenInstanceError`; `__getstate__`/`__setstate__`
     keep `copy` and `pickle` working."""
     names = tuple(cls.__dict__.get("__annotations__", ()))
@@ -119,51 +120,32 @@ def _parts(x) -> list | tuple | None:
     return _node_getstate(x) if getattr(x.__class__, "__getstate__", None) is _node_getstate else None
 
 
+def _flat(x) -> list:
+    """The preorder of `x` off one stack: each tuple or node as its class
+    and its length, then its items; any other object as itself."""
+    out = []
+    todo = [x]
+    while todo:
+        x = todo.pop()
+        items = _parts(x)
+        if items is None:
+            out.append(x)
+        else:
+            out += (x.__class__, len(items))
+            todo += reversed(items)
+    return out
+
+
 def _node_eq(self, other):
-    """Equal field tuples: pairs of tuples, or of nodes of one class, are
-    compared item by item off one stack."""
+    """Equal preorders, so equal field tuples, for two nodes of one class."""
     if other.__class__ is not self.__class__:
         return NotImplemented
-    todo = [(self, other)]
-    while todo:
-        a, b = todo.pop()
-        mine = _parts(a) if a.__class__ is b.__class__ and a is not b else None
-        if mine is not None:
-            theirs = _parts(b)
-            if len(mine) != len(theirs):
-                return False
-            todo += zip(mine, theirs)
-        elif a is not b and not a == b:
-            return False
-    return True
-
-
-_XX1, _XX2, _XX5, _MASK = 11400714785074694791, 14029467366897019727, 2870177450012600261, 2**64 - 1
+    return self is other or _flat(self) == _flat(other)
 
 
 def _node_hash(self) -> int:
-    """The hash of the field tuple, as CPython's 64-bit tuple hash (xxHash)
-    folds its items' hashes, off one stack of the tuples and nodes open:
-    each as its items, the index of the next one and the hash so far."""
-    open_ = [[_parts(self), 0, _XX5]]
-    while True:
-        top = open_[-1]
-        items, i, acc = top
-        if i < len(items):
-            inner = _parts(items[i])
-            if inner is not None:
-                open_.append([inner, 0, _XX5])
-                continue
-            lane = hash(items[i])
-        else:  # `top` is done, and its hash is an item's of the one below
-            open_.pop()
-            acc = (acc + (i ^ _XX5 ^ 3527539)) & _MASK
-            lane = 1546275796 if acc == _MASK else acc - (acc >> 63 << 64)
-            if not open_:
-                return lane
-            top = open_[-1]
-        acc = (top[2] + (lane & _MASK) * _XX2) & _MASK
-        top[1:] = top[1] + 1, ((acc << 31 | acc >> 33) & _MASK) * _XX1 & _MASK
+    """The hash of the preorder, so equal nodes hash equal at any depth."""
+    return hash(tuple(_flat(self)))
 
 
 def _node_repr(self) -> str:

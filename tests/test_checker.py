@@ -319,6 +319,23 @@ class TestCheck:
         p = parse_process("new a:#3[Unit]. a<>")
         assert check(TypeEnv(), p) == 3
 
+    @pytest.mark.parametrize("mode", ["default", "ds", "impure"])
+    def test_name_bound_twice_refused(self, mode):
+        # the parser freshens every binder: only a library-built process
+        # binds one name twice, by two nested inputs or two restrictions
+        a, x, r = fresh("a"), fresh("x"), fresh("r")
+        ty = ChanT("#", 1, (UNIT,))
+        env = TypeEnv({a: ty})
+        typings = {
+            "default": lambda p: derive(env, p),
+            "ds": lambda p: derive(env, p, ds=True),
+            "impure": lambda p: check_impure(ImpureEnv(env), p),
+        }
+        twice = {"x": In(a, (x,), In(a, (x,), Nil())), "r": Res(r, ty, False, Res(r, ty, False, Nil()))}
+        for name, p in twice.items():
+            with pytest.raises(UnboundName, match=f"name '{name}' is already bound"):
+                typings[mode](p)
+
     def test_narrowing(self, rng):
         # replacing a hypothesis by a subtype keeps typability, weight <=
         for _ in range(120):

@@ -13,9 +13,9 @@ import time
 
 import pytest
 
-from piterm import cli, inference
+from piterm import cli, inference, semantics
 from piterm.cli import main
-from piterm.errors import LevelViolation
+from piterm.errors import CertificationFailure, LevelViolation
 from piterm.lam import LBase, LTVar, check_stlc, parse_lambda_file, pretty_lambda_type
 from piterm.parser import parse_process, parse_type
 from piterm.syntax import free_names, fresh
@@ -232,6 +232,20 @@ class TestRun:
         assert "verdict: Terminated" in out
         assert "STEP 0:" in out and "; measure {" in out
 
+    def test_measure_not_decreasing_is_rejected(self, capsys, monkeypatch):
+        # where no measure is greater, the first edge fails the certificate
+        monkeypatch.setattr(semantics, "multiset_greater", lambda m1, m2: False)
+        free: dict = {}
+        p = parse_process((FIXTURES / "server.pi").read_text(), free)
+        env, _ = cli._load_env(str(FIXTURES / "server.env"), free)
+        with pytest.raises(CertificationFailure, match="measure did not decrease"):
+            semantics.certified_run(env, p)
+        code, out = run(
+            capsys, "run", FIXTURES / "server.pi", "--certify", FIXTURES / "server.env", "--format=lines"
+        )
+        assert code == 1
+        assert out.splitlines()[:2] == ["VERDICT=Rejected", "CODE=CERT"]
+
     def test_empty(self, capsys):
         code, out = run(capsys, "run", FIXTURES / "empty.pi")
         assert code == 0
@@ -420,6 +434,16 @@ class TestInternalErrors:
         assert "VERDICT" not in out
         assert err.startswith("error: [INTERNAL] inference built a typing its checker rejects: [LVL] planted")
         assert "Traceback" not in err
+
+    def test_recursion_overflow_is_internal(self, capsys, monkeypatch):
+        def overflow(*args, **kwargs):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(cli, "explore", overflow)
+        code = main(["run", str(FIXTURES / "server.pi")])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == "error: [INTERNAL] the input is nested deeper than the recursion limit\n"
 
     def test_deep_prefix_chain_never_rejected(self, capsys, tmp_path):
         (tmp_path / "deep.pi").write_text("a()." * 2000 + "a<>\n")
@@ -625,14 +649,16 @@ class TestStartUp:
 
 
 class TestStateBudgetEnvVar:
-    @staticmethod
-    def run_chain(tmp_path, max_states: str):
+    CHAIN = "a1<> " + "".join(f"| a{i}.a{i+1}<>" for i in range(1, 20))  # 20 states
+
+    @classmethod
+    def run_chain(cls, tmp_path, max_states: str):
         import os
         import subprocess
         import sys
 
         pi = tmp_path / "chain.pi"
-        pi.write_text("a1<> " + "".join(f"| a{i}.a{i+1}<>" for i in range(1, 20)))
+        pi.write_text(cls.CHAIN)
         import piterm
 
         env = dict(os.environ)
@@ -651,6 +677,21 @@ class TestStateBudgetEnvVar:
         proc = self.run_chain(tmp_path, "3")
         assert proc.returncode == 1
         assert "VERDICT=BoundExceeded" in proc.stdout
+
+    def test_read_on_every_call(self, capsys, monkeypatch, tmp_path):
+        # one process: the budget set between two calls holds for the second
+        pi = tmp_path / "chain.pi"
+        pi.write_text(self.CHAIN)
+        monkeypatch.delenv("PITERM_MAX_STATES", raising=False)
+        code, out = run(capsys, "run", pi, "--format=lines")
+        assert code == 0 and "STATES=20" in out.splitlines()
+        code, out = run(capsys, "encode", FIXTURES / "compose.lam", "--run", "--format=lines")
+        assert code == 0 and "VERDICT=Terminated" in out.splitlines()
+        monkeypatch.setenv("PITERM_MAX_STATES", "2")
+        code, out = run(capsys, "run", pi, "--format=lines")
+        assert code == 1 and {"VERDICT=BoundExceeded", "STATES=2"} <= set(out.splitlines())
+        code, out = run(capsys, "encode", FIXTURES / "compose.lam", "--run", "--format=lines")
+        assert code == 1 and "VERDICT=BoundExceeded" in out.splitlines()
 
     def test_bad_piterm_max_states_is_a_usage_error(self, tmp_path):
         proc = self.run_chain(tmp_path, "abc")

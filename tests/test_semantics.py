@@ -15,7 +15,7 @@ import pytest
 
 from piterm import checker, semantics
 from piterm.checker import TypeEnv
-from piterm.errors import PiError
+from piterm.errors import CertificationFailure, PiError
 from piterm.inference import infer
 from piterm.measure import measure, multiset_greater
 from piterm.parser import parse_process, parse_type
@@ -730,6 +730,20 @@ class TestCertifiedRun:
         r = certified_run(env, p, 100, 100)
         assert r.verdict is Verdict.TERMINATED
         assert [(e.src_measure, e.dst_measure) for e in r.measure_trace] == [((2, 2), (2,))]
+
+    def test_state_not_measured_by_components_is_measured_whole(self, monkeypatch):
+        # an unannotated top-level restriction ends the measuring by
+        # components: that state is refused, and a later one is typed whole
+        free: dict = {}
+        refused = normalize(parse_process("new r.(r<> | b<>)", free))
+        typable = normalize(parse_process("b<> | b<>", free))
+        env = TypeEnv({free["b"]: parse_type("#1[Unit]")})
+        whole = count_calls(monkeypatch, semantics.measure)
+        measures = semantics._Measures(env)
+        with pytest.raises(CertificationFailure, match="reachable state is not typable"):
+            measures.of(refused)
+        assert measures.of(typable) == (1, 1)
+        assert len(whole) == 2
 
     def test_nil(self):
         r = certified_run(TypeEnv(), parse_process("0"), 10, 10)

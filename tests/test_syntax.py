@@ -188,6 +188,11 @@ class TestParseType:
         with pytest.raises(ParseError):
             parse_type("chan[Unit]")
 
+    @pytest.mark.parametrize("text", ["#1 Unit", "i1 Unit"])
+    def test_capability_without_payload(self, text):
+        with pytest.raises(ParseError, match=r"expected '\['"):
+            parse_type(text)
+
 
 class TestName:
     """Every name comes from `fresh`, so a name equals itself alone."""
@@ -255,9 +260,10 @@ def round_trip(obj):
 
 class TestNodes:
     """AST nodes are made by `syntax.node`: frozen records of their fields
-    with slots, one allocation without a `__dict__`, equal and hashed by
-    their field tuples, with a `repr` that names the fields, a constructor
-    that takes them, and state methods that `copy` and `pickle` use."""
+    with slots, one allocation without a `__dict__`, equal by their field
+    tuples and hashed alike when equal, with a `repr` that names the
+    fields, a constructor that takes them, and state methods that `copy`
+    and `pickle` use."""
 
     A = fresh("a")
 
@@ -311,8 +317,6 @@ class TestNodes:
         twin = cls(*args)
         assert twin is not node
         assert twin == node and hash(twin) == hash(node)
-        # the hash of the field tuple, which the iteration order of a set of nodes follows
-        assert hash(node) == hash(tuple(getattr(node, name) for name in cls.__match_args__))
         assert repr(node) == text
 
     @pytest.mark.parametrize("cls", CLASSES, ids=lambda cls: cls.__name__)
@@ -394,7 +398,8 @@ def rebuilt(x):
 class TestDeepNodes:
     """`==`, `hash` and `repr` walk nested nodes and tuples off one stack:
     at the default recursion limit they return on terms, processes and types
-    nested 10^4 deep, and at any depth they give what the field tuples give."""
+    nested 10^4 deep, and at any depth `==` and `repr` give what the field
+    tuples give, and equal nodes hash equal."""
 
     DEPTH = 10**4
 
@@ -434,8 +439,6 @@ class TestDeepNodes:
     def test_as_the_field_tuples(self, rng):
         for _ in range(200):
             for x in (random_ast(rng, rng.randrange(1, 6)), gen_type(rng, rng.randrange(1, 5))):
-                fields = tuple(getattr(x, n) for n in x.__match_args__)
-                assert hash(x) == hash(fields)
                 assert repr(x) == recursive_repr(x)
                 assert x == rebuilt(x) and hash(rebuilt(x)) == hash(x)
 
