@@ -145,7 +145,12 @@ def value_type(env: TypeEnv, v: Value) -> Type:
     if isinstance(v, NameRef):
         return env.get(v.name)
     if isinstance(v, (Add, Mul)):
-        for side in (v.left, v.right):
+        todo = [(v.right, v), (v.left, v)]  # operands left to right, each with its sum or product
+        while todo:
+            side, v = todo.pop()
+            if type(side) is Add or type(side) is Mul:
+                todo += ((side.right, side), (side.left, side))
+                continue
             ty = value_type(env, side)
             if not subtype(ty, NAT):
                 raise SortError(

@@ -4,11 +4,13 @@ Pipeline: one walk that gathers the name facts (the restrictions, outputs
 and inputs in preorder, free and restricted names, receptions, input
 subjects, replicated inputs and the outputs they guard); simple-type
 inference by first-order unification over the recorded nodes, in that
-preorder; a locality check on the facts (no received name may be used as an
-input subject); one generator of level constraints over slots, a slot being
-a name with a payload path into its type; minimal level assignment by SCC
-condensation; and reconstruction of an environment that the checker
-accepts.
+preorder, a use whose subject is a channel already unified in place into
+that channel's payload, with no store node of its own; a locality check on
+the facts (no received name may be used as an input subject); one generator
+of level constraints over slots, a slot being a name with a payload path
+into its type; minimal level assignment by SCC condensation, in one walk
+that takes the edges in any order and sorts only to print the witness of a
+cycle; and reconstruction of an environment that the checker accepts.
 
 Simple types live in one `TermStore` per run: a node is a kind, a label and
 a tuple of child ids in flat lists, and a variable is a node in a
@@ -73,6 +75,7 @@ from .syntax import (
     Star,
     Type,
     Value,
+    fold_value,
     node,
     pretty_process,
     value_names,
@@ -231,17 +234,17 @@ _UNIT_NODE, _NAT_NODE = 0, 1  # the first two nodes of `_simple_types`' store
 
 
 def _value_node(st: TermStore, var, v: Value) -> int:
-    """The store node of a value's simple type; arithmetic unifies both of
-    its operands with Nat."""
-    if isinstance(v, NameRef):
+    """The store node of a value's simple type; arithmetic unifies with Nat
+    each operand that is no sum or product, left to right."""
+    cls = type(v)
+    if cls is NameRef:
         return var(v.name)
-    if isinstance(v, Star):
+    if cls is Star:
         return _UNIT_NODE
-    if isinstance(v, NatLit):
+    if cls is NatLit:
         return _NAT_NODE
-    if isinstance(v, (Add, Mul)):
-        st.unify(_value_node(st, var, v.left), _NAT_NODE)
-        st.unify(_value_node(st, var, v.right), _NAT_NODE)
+    if cls is Add or cls is Mul:
+        fold_value(v, lambda u: st.unify(_value_node(st, var, u), _NAT_NODE), lambda u, left, right: None)
         return _NAT_NODE
     raise TypeError(f"not a value: {v!r}")
 
@@ -263,16 +266,24 @@ def _simple_types(facts: _Facts) -> _Typing:
         return v
 
     typing = _Typing(st, var_of)
+    kind, args, find = st.kind, st.args, st.find
     try:
         for q in facts.nodes:
-            if isinstance(q, Res):
+            if type(q) is Res:
                 var(q.name)
                 continue
-            if isinstance(q, Out):
-                payload = tuple([_value_node(st, var, v) for v in q.payload]) if q.payload else (_UNIT_NODE,)
+            if type(q) is Out:
+                payload = [var(v.name) if type(v) is NameRef else _value_node(st, var, v) for v in q.payload]
             else:
-                payload = tuple(map(var, q.binders)) or (_UNIT_NODE,)
-            unify(var(q.subject), node(CHAN, payload))
+                payload = [var(b) for b in q.binders]
+            payload = payload or [_UNIT_NODE]
+            s = var(q.subject)  # made after the payload's variables
+            c = find(s)
+            if kind[c] == CHAN and len(args[c]) == len(payload):  # a channel already: unify into it
+                for a, b in zip(args[c], payload):
+                    unify(a, b)
+            else:
+                unify(s, node(CHAN, tuple(payload)))
         for n in facts.restricted:
             if st.kind[st.find(var_of[n])] == VAR:
                 unify(var_of[n], node(CHAN, (fresh(),)))
@@ -318,27 +329,28 @@ def _facts(p: Process) -> _Facts:
     stack: list[tuple[Process, list[Name]]] = [(p, [])]
     while stack:
         q, served = stack.pop()
-        if isinstance(q, Par):
-            stack.append((q.right, served))
-            stack.append((q.left, served))
+        cls = type(q)
+        if cls is Par:
+            stack += ((q.right, served), (q.left, served))
             continue
-        if isinstance(q, Nil):
+        if cls is Nil:
             continue
         nodes.append(q)
-        if isinstance(q, Out):
+        if cls is Out:
             served.append(q.subject)
             used.add(q.subject)
-            used.update(*map(value_names, q.payload))
-        elif isinstance(q, (In, RepIn)):
+            for v in q.payload:
+                used.update((v.name,) if type(v) is NameRef else value_names(v))
+        elif cls is In or cls is RepIn:
             input_subjects.add(q.subject)
             receptions.extend((q.subject, i, x) for i, x in enumerate(q.binders))
             used.add(q.subject)
             bound.update(q.binders)
-            if isinstance(q, RepIn):
+            if cls is RepIn:
                 served = []
                 replicated.append((q.subject, served))
             stack.append((q.body, served))
-        elif isinstance(q, Res):
+        elif cls is Res:
             restricted.append(q.name)
             bound.add(q.name)
             stack.append((q.body, served))
@@ -376,35 +388,25 @@ class _NameInfo:
 
     def __init__(self, typing: _Typing, facts: _Facts):
         self.facts = facts
-        self.roots: list[Name] = sorted(
-            facts.free | set(facts.restricted), key=lambda n: (n.display, n.id)
-        )
-        # displays, qualified when distinct roots share a spelling
-        seen: dict[str, int] = {}
-        self.root_display: dict[Name, str] = {}
-        for n in self.roots:
-            k = seen.get(n.display, 0)
-            seen[n.display] = k + 1
-            self.root_display[n] = n.display if k == 0 else f"{n.display}~{k}"
+        self.roots: list[Name] = sorted(facts.free | set(facts.restricted), key=lambda n: n.id)
         self.kinds: list[int | None] = [None]
         self.children: list[Sequence[int | None]] = [()]
         self.root_slot: dict[Name, int] = {}
         self.plain: dict[Name, Type] = {}
         store = typing.store
-        kind, args, find = store.kind, store.args, store.find
+        kind, args, up, find = store.kind, store.args, store.up, store.find
         kinds, children = self.kinds, self.children
-        for n in sorted(self.roots, key=lambda n: n.id):
+        for n in self.roots:
             v = typing.var.get(n)
             k = UNIT_K if v is None else kind[find(v)]
             if k != CHAN and k != VAR:
                 self.plain[n] = NAT if k == NAT_K else UNIT
                 continue
-            # number the resolved tree of `v` in preorder
+            # number the resolved tree of `v` in preorder, off representatives
             top: list[int | None] = [None]
-            todo: list[tuple[int, list, int]] = [(v, top, 0)]
+            todo: list[tuple[int, list, int]] = [(find(v), top, 0)]
             while todo:
                 t, into, i = todo.pop()
-                t = find(t)
                 into[i] = len(children)
                 k = kind[t]
                 kinds.append(k)
@@ -415,7 +417,9 @@ class _NameInfo:
                 kids: list[int | None] = [None] * len(payload)
                 children.append(kids)
                 for j in range(len(payload) - 1, -1, -1):  # the first position is numbered first
-                    c = find(payload[j])
+                    c = payload[j]
+                    if up[c] != c:
+                        c = find(c)
                     if kind[c] != NAT_K:
                         todo.append((c, kids, j))
             self.root_slot[n] = top[0]
@@ -427,6 +431,17 @@ class _NameInfo:
         for a, i, x in facts.receptions:
             if a in self.root_slot and children[self.root_slot[a]][i] is not None:
                 self.slot[x] = children[self.root_slot[a]][i]
+
+    @cached_property
+    def root_display(self) -> dict[Name, str]:
+        """Each root's display, qualified when distinct roots share a spelling."""
+        seen: dict[str, int] = {}
+        shown: dict[Name, str] = {}
+        for n in sorted(self.roots, key=lambda n: n.display):  # stable: by id within a spelling
+            k = seen.get(n.display, 0)
+            seen[n.display] = k + 1
+            shown[n] = n.display if k == 0 else f"{n.display}~{k}"
+        return shown
 
     def display(self, sid: int) -> str:
         if sid == 0:
@@ -460,15 +475,14 @@ def _extended_constraints(info: _NameInfo) -> set[tuple[int, int, bool]]:
                     todo.append((children[b][i], c))
 
     for q in info.facts.nodes:
-        subj = slot_of(q.subject) if isinstance(q, Out) else None
+        subj = slot_of(q.subject) if type(q) is Out else None  # an input is skipped at once
         if subj is None:
             continue
         for i, v in enumerate(q.payload):
-            if not isinstance(v, NameRef):
-                continue
-            tgt = slot_of(v.name)
-            if tgt is not None:
-                le(tgt, children[subj][i])
+            if type(v) is NameRef:
+                tgt = slot_of(v.name)
+                if tgt is not None:
+                    le(tgt, children[subj][i])
 
     for a, served in info.facts.replicated:
         src = slot_of(a)
@@ -507,53 +521,6 @@ def _project(
 # Level assignment
 
 
-def _tarjan(adj: list[list[tuple[int, bool]]]) -> tuple[list[list[int]], list[int]]:
-    """Strongly connected components, emitted sinks-first, and the component
-    of each slot."""
-    index = [-1] * len(adj)
-    low = [0] * len(adj)
-    comp_of = [-1] * len(adj)  # visited and still -1: on the stack
-    stack: list[int] = []
-    comps: list[list[int]] = []
-    counter = 0
-
-    for start in range(len(adj)):
-        if index[start] >= 0:
-            continue
-        work: list[tuple[int, int]] = [(start, 0)]
-        while work:
-            node, ei = work[-1]
-            if ei == 0:
-                index[node] = low[node] = counter
-                counter += 1
-                stack.append(node)
-            targets = adj[node]
-            while ei < len(targets):
-                nxt = targets[ei][0]
-                ei += 1
-                if index[nxt] < 0:
-                    work[-1] = (node, ei)
-                    work.append((nxt, 0))
-                    break
-                if comp_of[nxt] < 0 and index[nxt] < low[node]:
-                    low[node] = index[nxt]
-            else:  # every edge followed: the node is finished
-                if low[node] == index[node]:
-                    comp = []
-                    while True:
-                        w = stack.pop()
-                        comp_of[w] = len(comps)
-                        comp.append(w)
-                        if w == node:
-                            break
-                    comps.append(comp)
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[node])
-    return comps, comp_of
-
-
 def _cycle_witness(
     comp_of: list[int], adj: list[list[tuple[int, bool]]], src: int, dst: int
 ) -> list[int]:
@@ -576,29 +543,68 @@ def _cycle_witness(
 
 def _least_levels(count: int, edges, describe) -> list[int]:
     """Pointwise-least levels of slots `0 .. count-1` under the edges
-    `(src, dst, strict)`; a cycle through a strict edge raises, its witness
-    rendered by `describe`."""
-    ordered = sorted(edges)
+    `(src, dst, strict)`, in any order. Tarjan's walk (1972) emits the
+    strongly connected components sinks first, each with its level, the
+    least above every edge that leaves it; a slot's edges are followed
+    through one iterator. A cycle through a strict edge raises, its witness
+    read off adjacency sorted only then and rendered by `describe`."""
     adj: list[list[tuple[int, bool]]] = [[] for _ in range(count)]
-    for src, dst, strict in ordered:
+    for src, dst, strict in edges:
         adj[src].append((dst, strict))
-    comps, comp_of = _tarjan(adj)
-    for src, dst, strict in ordered:
-        if strict and comp_of[src] == comp_of[dst]:
-            cycle = [describe(s) for s in _cycle_witness(comp_of, adj, src, dst)]
-            raise CyclicLevelConstraint(
-                "level constraints form a cycle through a strict edge: " + " -> ".join(cycle),
-                cycle=cycle,
-            )
+    index = [-1] * count
+    low = [0] * count
+    comp_of = [-1] * count  # visited and still -1: on the stack
     levels = [0] * count
-    for ci, comp in enumerate(comps):  # sinks first
-        lvl = 0
-        for s in comp:
-            for dst, strict in adj[s]:
-                if comp_of[dst] != ci and levels[dst] + strict > lvl:
-                    lvl = levels[dst] + strict
-        for s in comp:
-            levels[s] = lvl
+    stack: list[int] = []
+    counter = comps = 0
+    for start in range(count):
+        if index[start] >= 0:
+            continue
+        index[start] = low[start] = counter
+        counter += 1
+        stack.append(start)
+        work = [(start, iter(adj[start]))]
+        while work:
+            node, targets = work[-1]
+            for nxt, _ in targets:
+                if index[nxt] < 0:
+                    index[nxt] = low[nxt] = counter
+                    counter += 1
+                    stack.append(nxt)
+                    work.append((nxt, iter(adj[nxt])))
+                    break
+                if comp_of[nxt] < 0 and index[nxt] < low[node]:
+                    low[node] = index[nxt]
+            else:  # every edge followed: the node is finished
+                work.pop()
+                if low[node] != index[node]:
+                    low[work[-1][0]] = min(low[work[-1][0]], low[node])
+                    continue
+                comp = []
+                while True:
+                    w = stack.pop()
+                    comp_of[w] = comps
+                    comp.append(w)
+                    if w == node:
+                        break
+                lvl = 0
+                for s in comp:
+                    for dst, strict in adj[s]:
+                        if comp_of[dst] != comps and levels[dst] + strict > lvl:
+                            lvl = levels[dst] + strict
+                for s in comp:
+                    levels[s] = lvl
+                comps += 1
+    inside = [e for e in edges if e[2] and comp_of[e[0]] == comp_of[e[1]]]
+    if inside:
+        for targets in adj:
+            targets.sort()
+        src, dst, _ = min(inside)
+        cycle = [describe(s) for s in _cycle_witness(comp_of, adj, src, dst)]
+        raise CyclicLevelConstraint(
+            "level constraints form a cycle through a strict edge: " + " -> ".join(cycle),
+            cycle=cycle,
+        )
     return levels
 
 

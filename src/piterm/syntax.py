@@ -343,12 +343,30 @@ def par(*ps: Process) -> Process:
 # Free names and values
 
 
+def fold_value(v: Value, leaf, join):
+    """`v` folded bottom-up off one stack: `leaf(u)` of each operand `u` that
+    is no sum or product, left to right, and `join(u, left, right)` of each
+    sum or product on what its operands gave."""
+    done: list = []
+    todo: list = [v]
+    while todo:
+        u = todo.pop()
+        if u.__class__ is tuple:  # a sum or product whose operands are done
+            right = done.pop()
+            done[-1] = join(u[0], done[-1], right)
+        elif u.__class__ is Add or u.__class__ is Mul:
+            todo += ((u,), u.right, u.left)
+        else:
+            done.append(leaf(u))
+    return done[0]
+
+
 def value_names(v: Value) -> set[Name]:
-    if isinstance(v, NameRef):
+    if v.__class__ is NameRef:
         return {v.name}
-    if isinstance(v, (Add, Mul)):
-        return value_names(v.left) | value_names(v.right)
-    return set()
+    if v.__class__ is not Add and v.__class__ is not Mul:
+        return set()
+    return fold_value(v, value_names, lambda u, left, right: left | right)
 
 
 def free_names(p: Process) -> set[Name]:
@@ -383,27 +401,23 @@ def free_names(p: Process) -> set[Name]:
 
 def eval_value(v: Value) -> Value:
     """Fold closed Nat arithmetic; leave names, star and open sums alone."""
-    if isinstance(v, Add):
-        left, right = eval_value(v.left), eval_value(v.right)
-        if isinstance(left, NatLit) and isinstance(right, NatLit):
-            return NatLit(left.value + right.value)
-        return Add(left, right)
-    if isinstance(v, Mul):
-        left, right = eval_value(v.left), eval_value(v.right)
-        if isinstance(left, NatLit) and isinstance(right, NatLit):
-            return NatLit(left.value * right.value)
-        return Mul(left, right)
-    return v
+    if v.__class__ is not Add and v.__class__ is not Mul:
+        return v
+    return fold_value(v, eval_value, _eval_join)
+
+
+def _eval_join(u: Value, left: Value, right: Value) -> Value:
+    if left.__class__ is NatLit and right.__class__ is NatLit:
+        return NatLit(left.value + right.value if u.__class__ is Add else left.value * right.value)
+    return u.__class__(left, right)
 
 
 def _subst_value(v: Value, mapping: dict[int, Value]) -> Value:
-    if isinstance(v, NameRef):
+    if v.__class__ is NameRef:
         return mapping.get(v.name.id, v)
-    if isinstance(v, Add):
-        return Add(_subst_value(v.left, mapping), _subst_value(v.right, mapping))
-    if isinstance(v, Mul):
-        return Mul(_subst_value(v.left, mapping), _subst_value(v.right, mapping))
-    return v
+    if v.__class__ is not Add and v.__class__ is not Mul:
+        return v
+    return fold_value(v, lambda u: _subst_value(u, mapping), lambda u, left, right: u.__class__(left, right))
 
 
 def _subst_subject(n: Name, mapping: dict[int, Value]) -> Name:
@@ -455,16 +469,15 @@ def _substitute(q: Process, ren: dict[int, Value]) -> Process:
 
 
 def _serial_value(v: Value, env: dict[int, str]) -> str:
-    if isinstance(v, Star):
+    cls = v.__class__
+    if cls is Star:
         return "*"
-    if isinstance(v, NatLit):
+    if cls is NatLit:
         return str(v.value)
-    if isinstance(v, NameRef):
+    if cls is NameRef:
         return env.get(v.name.id, f"f:{v.name.display}")
-    if isinstance(v, Add):
-        return f"(+ {_serial_value(v.left, env)} {_serial_value(v.right, env)})"
-    if isinstance(v, Mul):
-        return f"(* {_serial_value(v.left, env)} {_serial_value(v.right, env)})"
+    if cls is Add or cls is Mul:
+        return fold_value(v, lambda u: _serial_value(u, env), lambda u, a, b: f"({'+*'[u.__class__ is Mul]} {a} {b})")
     raise TypeError(f"not a value: {v!r}")
 
 
@@ -507,24 +520,24 @@ def alpha_key(p: Process) -> str:
 # Pretty printing (re-parseable concrete syntax)
 
 
-def pretty_value(v: Value, names: dict[int, str] | None = None) -> str:
-    return _pretty_value(v, names or {}, 0)
-
-
-def _pretty_value(u: Value, names: dict[int, str], prec: int) -> str:
-    if isinstance(u, Star):
+def pretty_value(u: Value, names: dict[int, str] | None = None) -> str:
+    cls = u.__class__
+    if cls is Star:
         return "*"
-    if isinstance(u, NatLit):
+    if cls is NatLit:
         return str(u.value)
-    if isinstance(u, NameRef):
-        return names.get(u.name.id, u.name.display)
-    if isinstance(u, Add):
-        s = f"{_pretty_value(u.left, names, 1)} + {_pretty_value(u.right, names, 1)}"
-        return f"({s})" if prec > 1 else s
-    if isinstance(u, Mul):
-        s = f"{_pretty_value(u.left, names, 2)} * {_pretty_value(u.right, names, 2)}"
-        return f"({s})" if prec > 2 else s
+    if cls is NameRef:
+        return names.get(u.name.id, u.name.display) if names else u.name.display
+    if cls is Add or cls is Mul:
+        return fold_value(u, lambda w: pretty_value(w, names), _pretty_join)
     raise TypeError(f"not a value: {u!r}")
+
+
+def _pretty_join(u: Value, left: str, right: str) -> str:
+    """A sum or a product printed; only a sum inside a product is bracketed."""
+    if u.__class__ is Add:
+        return f"{left} + {right}"
+    return " * ".join(f"({s})" if w.__class__ is Add else s for w, s in ((u.left, left), (u.right, right)))
 
 
 def pretty_process(p: Process) -> str:
@@ -543,7 +556,7 @@ def pretty_process(p: Process) -> str:
         while True:  # down the left of a `|` or into a binder's body
             cls = type(q)  # node classes are final: the commonest tested first
             if cls is Out:
-                args = ", ".join(_pretty_value(v, names, 0) for v in q.payload)
+                args = ", ".join(pretty_value(v, names) for v in q.payload)
                 out.append(f"{names.get(q.subject.id, q.subject.display)}<{args}>")
                 break
             if cls is str:

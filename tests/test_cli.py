@@ -519,6 +519,31 @@ class TestInternalErrors:
         assert code == 1
         assert out.splitlines() == ["VERDICT=Rejected", "CODE=LVL"]
 
+    @pytest.mark.parametrize("terms", [10**3, 10**4])
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["check"], ["VERDICT=Accepted", "WEIGHT=0", "MEASURE={0, 0}"]),
+            (["run"], ["VERDICT=Terminated", "STEPS=1", "STATES=2", "DEPTH=1"]),
+            (["run", "--certify", "sum.env"], ["VERDICT=Terminated", "STEPS=1", "STATES=2", "DEPTH=1"]),
+            (["infer"], ["VERDICT=Accepted", "WEIGHT=0", "TYPE.a=#0[Nat]", "TYPE.b=o0[Nat]"]),
+        ],
+        ids=["check", "run", "run-certify", "infer"],
+    )
+    def test_long_sum(self, capsys, tmp_path, argv, expected, terms):
+        # the value walkers take a sum of 10^3 and 10^4 terms off one stack:
+        # its names, type, simple type, serial, arithmetic and printed text
+        (tmp_path / "sum.pi").write_text("a<" + "+".join(["1"] * terms) + "> | a(x).b<x + 1>\n")
+        (tmp_path / "sum.env").write_text("a : #0[Nat]\nb : #0[Nat]\n")
+        argv = [str(tmp_path / a) if a.endswith(".env") else a for a in argv]
+        started = time.perf_counter()
+        code, out = run(capsys, argv[0], tmp_path / "sum.pi", *argv[1:], "--format=lines")
+        assert time.perf_counter() - started < 10.0  # well under 0.5 s on a 2-CPU host
+        assert code == 0
+        assert out.splitlines()[: len(expected)] == expected
+        if "--certify" in argv:
+            assert out.splitlines()[4].endswith(f"--> b<{terms} + 1> ; measure {{0, 0}} > {{0}}")
+
     def test_run_prints_wide_states(self, capsys, tmp_path):
         # the witness prints states of about 10^3 `|` components, each a
         # right component of the one before

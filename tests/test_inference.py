@@ -283,6 +283,33 @@ class TestAssignLevels:
                     assert all(named[d] <= vals[d] for d in names)
 
 
+class TestSolverOrder:
+    """The solver sorts only to print a witness: the order in which the edges
+    come in changes neither the levels nor the witness."""
+
+    def test_levels_and_witness_whatever_the_edge_order(self, rng):
+        seen = {"levels": 0, "cycle": 0}
+        for _ in range(400):
+            count = rng.randrange(2, 12)
+            edges = {
+                (rng.randrange(count), rng.randrange(count), rng.random() < 0.25)
+                for _ in range(rng.randrange(1, 3 * count))
+            }
+            names = [f"s{i}" for i in range(count)]
+            ordered = sorted(edges)
+            shuffled = rng.sample(ordered, len(ordered))
+            outcomes = set()
+            for given in (ordered, ordered[::-1], shuffled, set(edges)):
+                try:
+                    outcomes.add(tuple(_least_levels(count, given, names.__getitem__)))
+                except CyclicLevelConstraint as exc:
+                    outcomes.add(exc.render())
+            assert len(outcomes) == 1, (count, ordered)
+            seen["cycle" if isinstance(outcomes.pop(), str) else "levels"] += 1
+        # with and without a strict edge inside a cycle, both well represented
+        assert min(seen.values()) > 100, seen
+
+
 class TestReconstruct:
     def test_standalone_pipeline_pieces(self):
         # the graph, levels and environment of one `infer`: on a process with

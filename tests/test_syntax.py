@@ -6,6 +6,7 @@ import ast
 import copy
 import dataclasses
 import gc
+import importlib
 import inspect
 import io
 import pickle
@@ -18,9 +19,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from piterm.errors import ParseError, SortError
+from piterm import inference
+from piterm.checker import TypeEnv, subtype, value_type
+from piterm.errors import ParseError, PiError, SortError
 from piterm.lam import LAbs, LambdaTerm, LambdaType, LApp, LArrow, LBase, LTVar, LVar, _LamParser
-from piterm.parser import _Parser, parse_env_file, parse_process, parse_type
+from piterm.parser import _SPELLING, _Parser, parse_env_file, parse_process, parse_type
 from piterm.semantics import NormalProcess
 from piterm.syntax import (
     NAT,
@@ -45,17 +48,22 @@ from piterm.syntax import (
     Type,
     UnitT,
     Value,
+    _serial_value,
+    _subst_value,
     alpha_key,
     bind,
+    eval_value,
     free_names,
     fresh,
     pretty_process,
     pretty_type,
+    pretty_value,
     substitute_many,
     unbind,
+    value_names,
 )
 
-from conftest import OLD_TOKEN_RES, assert_golden, gen_type, old_error, old_scan, well_scoped
+from conftest import OLD_TOKEN_RES, assert_golden, gen_type, old_error, old_scan, simple_types, well_scoped
 
 
 def free_displays(p: Process) -> set[str]:
@@ -948,3 +956,241 @@ class TestScannerAgainstTheOldOne:
             line = rng.randint(1, 3)
             case = (text, pos, endpos, line)
             assert scan_outcome(cls, *case) == old_scan_outcome(cls, token_re, *case), case
+
+
+# ---------------------------------------------------------------------------
+# The value walkers against the recursive ones they replaced, kept here as
+# oracles: on random sums and products of names, literals and stars, the
+# folds off one stack give the same names, arithmetic, substitution, serial,
+# printed text, least type and simple types, errors included; and each
+# answers a sum of 10^4 terms at the default recursion limit.
+
+
+def old_value_names(v):
+    if isinstance(v, NameRef):
+        return {v.name}
+    if isinstance(v, (Add, Mul)):
+        return old_value_names(v.left) | old_value_names(v.right)
+    return set()
+
+
+def old_eval_value(v):
+    if isinstance(v, Add):
+        left, right = old_eval_value(v.left), old_eval_value(v.right)
+        if isinstance(left, NatLit) and isinstance(right, NatLit):
+            return NatLit(left.value + right.value)
+        return Add(left, right)
+    if isinstance(v, Mul):
+        left, right = old_eval_value(v.left), old_eval_value(v.right)
+        if isinstance(left, NatLit) and isinstance(right, NatLit):
+            return NatLit(left.value * right.value)
+        return Mul(left, right)
+    return v
+
+
+def old_subst_value(v, mapping):
+    if isinstance(v, NameRef):
+        return mapping.get(v.name.id, v)
+    if isinstance(v, Add):
+        return Add(old_subst_value(v.left, mapping), old_subst_value(v.right, mapping))
+    if isinstance(v, Mul):
+        return Mul(old_subst_value(v.left, mapping), old_subst_value(v.right, mapping))
+    return v
+
+
+def old_serial_value(v, env):
+    if isinstance(v, Star):
+        return "*"
+    if isinstance(v, NatLit):
+        return str(v.value)
+    if isinstance(v, NameRef):
+        return env.get(v.name.id, f"f:{v.name.display}")
+    if isinstance(v, Add):
+        return f"(+ {old_serial_value(v.left, env)} {old_serial_value(v.right, env)})"
+    return f"(* {old_serial_value(v.left, env)} {old_serial_value(v.right, env)})"
+
+
+def old_pretty_value(u, names, prec=0):
+    if isinstance(u, Star):
+        return "*"
+    if isinstance(u, NatLit):
+        return str(u.value)
+    if isinstance(u, NameRef):
+        return names.get(u.name.id, u.name.display)
+    if isinstance(u, Add):
+        s = f"{old_pretty_value(u.left, names, 1)} + {old_pretty_value(u.right, names, 1)}"
+        return f"({s})" if prec > 1 else s
+    s = f"{old_pretty_value(u.left, names, 2)} * {old_pretty_value(u.right, names, 2)}"
+    return f"({s})" if prec > 2 else s
+
+
+def old_value_type(env, v):
+    if isinstance(v, Star):
+        return UNIT
+    if isinstance(v, NatLit):
+        return NAT
+    if isinstance(v, NameRef):
+        return env.get(v.name)
+    for side in (v.left, v.right):
+        ty = old_value_type(env, side)
+        if not subtype(ty, NAT):
+            raise SortError(f"arithmetic over a non-Nat value of type {pretty_type(ty)}", where=old_pretty_value(v, {}))
+    return NAT
+
+
+def old_value_node(st, var, v):
+    if isinstance(v, NameRef):
+        return var(v.name)
+    if isinstance(v, Star):
+        return 0
+    if isinstance(v, NatLit):
+        return 1
+    st.unify(old_value_node(st, var, v.left), 1)
+    st.unify(old_value_node(st, var, v.right), 1)
+    return 1
+
+
+def random_value(rng: random.Random, depth: int, pool: list[Name]) -> Value:
+    if depth <= 0 or rng.random() < 0.3:
+        roll = rng.random()
+        if roll < 0.15:
+            return Star()
+        return NatLit(rng.randrange(4)) if roll < 0.55 else NameRef(rng.choice(pool))
+    cls = Add if rng.random() < 0.5 else Mul
+    return cls(random_value(rng, depth - 1, pool), random_value(rng, depth - 1, pool))
+
+
+def outcome(fn, *args):
+    """What `fn(*args)` gives, or the text of the error it raises."""
+    try:
+        return fn(*args)
+    except PiError as exc:
+        return f"{type(exc).__name__}: {exc.render()}"
+
+
+def simple_typing(p: Process):
+    return sorted((n.id, t) for n, t in simple_types(p).items())
+
+
+class TestValueWalkers:
+    def test_against_the_recursive_walkers(self, rng, monkeypatch):
+        a, b, c, d = (fresh(s) for s in "abcd")
+        pool = [a, b, c]
+        # `a` is a number, `b` a channel and `c` unbound
+        env = TypeEnv({a: NAT, b: ChanT("#", 1, (UNIT,))})
+        mapping = {a.id: NatLit(3), b.id: NameRef(d)}
+        labels = {a.id: "b0", c.id: "c1"}
+        for _ in range(1000):
+            v, w = random_value(rng, 5, pool), random_value(rng, 3, pool)
+            assert value_names(v) == old_value_names(v)
+            assert eval_value(v) == old_eval_value(v)
+            assert eval_value(_subst_value(v, mapping)) == old_eval_value(old_subst_value(v, mapping))
+            assert _serial_value(v, labels) == old_serial_value(v, labels)
+            assert pretty_value(v) == old_pretty_value(v, {})
+            assert pretty_value(v, labels) == old_pretty_value(v, labels)
+            assert outcome(value_type, env, v) == outcome(old_value_type, env, v)
+            p = Par(Out(c, (v,)), Out(b, (w, v)))
+            new = outcome(simple_typing, p)
+            with monkeypatch.context() as m:
+                m.setattr(inference, "_value_node", old_value_node)
+                assert new == outcome(simple_typing, p)
+
+    def test_a_sum_of_10_4_terms(self):
+        a, b = fresh("a"), fresh("b")
+        v = NatLit(1)
+        for i in range(1, 10**4):
+            v = (Add if i % 100 else Mul)(v, NameRef(a) if i == 5000 else NatLit(1))
+        try:
+            got = [
+                value_names(v),
+                eval_value(_subst_value(v, {a.id: NatLit(1)})).__class__,
+                _serial_value(v, {}).count("("),
+                pretty_value(v).count("1"),
+                value_type(TypeEnv({a: NAT}), v),
+                simple_types(Out(b, (v,))),
+            ]
+        except RecursionError:
+            got = None  # fails below, with no frame holding the deep value
+        assert got == [{a}, NatLit, 10**4 - 1, 10**4 - 1, NAT, {a: "Nat", b: "ch[Nat]"}]
+
+
+# ---------------------------------------------------------------------------
+# The environment reader against the one it replaced, which gave each line a
+# parser of its own, kept here as the oracle: on the environment files of
+# the seed-1 to seed-3 `typecheck` corpora of `perfbench/corpus.py` (loaded
+# read-only) and on one-character mutations of them, both give the same
+# entries or the same error, message and location.
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def old_parse_env_file(text: str) -> list[tuple[str, str, Type]]:
+    entries = []
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        body = raw.split("--", 1)[0]
+        line = body.strip()
+        if not line:
+            continue
+        role = "imp"
+        marker = line.split(None, 1)
+        if len(marker) == 2 and marker[0] in ("isolated", "fun"):
+            role, line = marker
+        if ":" not in line:
+            raise ParseError("expected 'name : type'", lineno, 1)
+        spelling = line.split(":", 1)[0].strip()
+        if not _SPELLING.fullmatch(spelling):
+            raise ParseError(f"bad name {spelling!r}", lineno, 1)
+        p = _Parser(raw, raw.index(":") + 1, len(body.rstrip()), lineno)
+        ty = p.parse_type()
+        p.finish()
+        entries.append((role, spelling, ty))
+    return entries
+
+
+@pytest.fixture(scope="module")
+def typecheck_env_texts() -> list[str]:
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        corpus = importlib.import_module("corpus")
+        return [text for seed in (1, 2, 3) for case in corpus.typecheck(seed).cases
+                for name, text in case.files.items() if name.endswith(".env")]
+    finally:
+        sys.path.remove(str(PERFBENCH))
+        for name in ("corpus", "lamgen", "pigen"):
+            sys.modules.pop(name, None)
+
+
+# what a mutation puts in: separators, comments, type and name characters,
+# strays and the blanks and line breaks of `test_env_file_lines_end_at_newline_only`
+MUTATION_CHARS = [*":#[],.io0123_ab-'\u00e9\u0663\t \n\r\x0c\x85", "--", "fun ", "isolated "]
+
+
+def mutations(rng: random.Random, text: str, count: int) -> list[str]:
+    out = []
+    for _ in range(count):
+        i = rng.randrange(len(text) + 1)
+        piece = rng.choice(MUTATION_CHARS)
+        kind = rng.randrange(3)
+        if kind == 0:
+            out.append(text[:i] + piece + text[i:])
+        elif kind == 1:
+            out.append(text[:i] + piece + text[i + 1 :])
+        else:
+            out.append(text[:i] + text[i + 1 :])
+    return out
+
+
+class TestEnvFileAgainstTheOldReader:
+    def test_typecheck_env_files(self, typecheck_env_texts):
+        assert len(typecheck_env_texts) > 1000
+        for text in typecheck_env_texts:
+            assert parse_env_file(text) == old_parse_env_file(text), text
+
+    def test_one_character_mutations(self, typecheck_env_texts, rng):
+        errors = 0
+        for text in typecheck_env_texts:
+            for mutant in mutations(rng, text, 3):
+                got = outcome(parse_env_file, mutant)
+                assert got == outcome(old_parse_env_file, mutant), mutant
+                errors += isinstance(got, str)
+        assert errors > 1000  # both outcomes are well represented
