@@ -57,6 +57,7 @@ from .syntax import (
     pretty_process,
     pretty_type,
     pretty_value,
+    value_operands,
 )
 
 
@@ -145,17 +146,12 @@ def value_type(env: TypeEnv, v: Value) -> Type:
     if isinstance(v, NameRef):
         return env.get(v.name)
     if isinstance(v, (Add, Mul)):
-        todo = [(v.right, v), (v.left, v)]  # operands left to right, each with its sum or product
-        while todo:
-            side, v = todo.pop()
-            if type(side) is Add or type(side) is Mul:
-                todo += ((side.right, side), (side.left, side))
-                continue
+        for side, whole in value_operands(v):
             ty = value_type(env, side)
             if not subtype(ty, NAT):
                 raise SortError(
                     f"arithmetic over a non-Nat value of type {pretty_type(ty)}",
-                    where=pretty_value(v),
+                    where=pretty_value(whole),
                 )
         return NAT
     raise TypeError(f"not a value: {v!r}")

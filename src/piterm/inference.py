@@ -75,10 +75,10 @@ from .syntax import (
     Star,
     Type,
     Value,
-    fold_value,
     node,
     pretty_process,
     value_names,
+    value_operands,
 )
 
 # ---------------------------------------------------------------------------
@@ -244,7 +244,8 @@ def _value_node(st: TermStore, var, v: Value) -> int:
     if cls is NatLit:
         return _NAT_NODE
     if cls is Add or cls is Mul:
-        fold_value(v, lambda u: st.unify(_value_node(st, var, u), _NAT_NODE), lambda u, left, right: None)
+        for u, _ in value_operands(v):
+            st.unify(_value_node(st, var, u), _NAT_NODE)
         return _NAT_NODE
     raise TypeError(f"not a value: {v!r}")
 

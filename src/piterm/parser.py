@@ -428,27 +428,17 @@ def parse_type(text: str) -> Type:
 _SPELLING = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
 
 
-class _LineParser(_Parser):
-    """Tokens of a whole file; a line break is the empty token, an end of input."""
-
-    TOKEN_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_']*|\d+|--[^\n]*|\S)|\n")
-    CLEAN_RE = re.compile(r"(?s).*")  # a stray character fails the parse of its line
-
-
 def parse_env_file(text: str) -> list[tuple[str, str, Type]]:
     """Parse `name : type` lines; a leading `fun` or `isolated` sets the role.
 
     Returns (role, spelling, type) triples with role in {imp, fun, isolated}.
-    Types are read off one scan of the file; a line that fails is read again
-    alone, so that its error is located, and its strays found, in the line.
+    Each type is read in place, so an error is located in its line.
     """
-    p = _LineParser(text)
     entries: list[tuple[str, str, Type]] = []
     for lineno, raw in enumerate(text.split("\n"), start=1):
         body = raw.split("--", 1)[0]
         line = body.strip()
         if not line:
-            p.pos += 1  # past the line's one token, its end
             continue
         role = "imp"
         marker = line.split(None, 1)
@@ -459,14 +449,8 @@ def parse_env_file(text: str) -> list[tuple[str, str, Type]]:
         spelling = line.split(":", 1)[0].strip()
         if not _SPELLING.fullmatch(spelling):
             raise ParseError(f"bad name {spelling!r}", lineno, 1)
-        p.pos = p.tokens.index(":", p.pos) + 1
-        try:
-            ty = p.parse_type()
-            p.finish()
-        except ParseError:
-            alone = _Parser(raw, raw.index(":") + 1, len(body.rstrip()), lineno)
-            ty = alone.parse_type()
-            alone.finish()
+        p = _Parser(raw, raw.index(":") + 1, len(body.rstrip()), lineno)
+        ty = p.parse_type()
+        p.finish()
         entries.append((role, spelling, ty))
-        p.pos = p.tokens.index("", p.pos) + 1
     return entries

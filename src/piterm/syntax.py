@@ -361,12 +361,24 @@ def fold_value(v: Value, leaf, join):
     return done[0]
 
 
+def value_operands(v: Value):
+    """Each operand of the sum or product `v` that is no sum or product, left
+    to right and off one stack, with the sum or product it is an operand of."""
+    todo = [(v.right, v), (v.left, v)]
+    while todo:
+        u, whole = todo.pop()
+        if u.__class__ is Add or u.__class__ is Mul:
+            todo += ((u.right, u), (u.left, u))
+        else:
+            yield u, whole
+
+
 def value_names(v: Value) -> set[Name]:
     if v.__class__ is NameRef:
         return {v.name}
     if v.__class__ is not Add and v.__class__ is not Mul:
         return set()
-    return fold_value(v, value_names, lambda u, left, right: left | right)
+    return {u.name for u, _ in value_operands(v) if u.__class__ is NameRef}
 
 
 def free_names(p: Process) -> set[Name]:
@@ -537,7 +549,11 @@ def _pretty_join(u: Value, left: str, right: str) -> str:
     """A sum or a product printed; only a sum inside a product is bracketed."""
     if u.__class__ is Add:
         return f"{left} + {right}"
-    return " * ".join(f"({s})" if w.__class__ is Add else s for w, s in ((u.left, left), (u.right, right)))
+    if u.left.__class__ is Add:
+        left = f"({left})"
+    if u.right.__class__ is Add:
+        right = f"({right})"
+    return f"{left} * {right}"
 
 
 def pretty_process(p: Process) -> str:

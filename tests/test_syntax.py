@@ -6,7 +6,6 @@ import ast
 import copy
 import dataclasses
 import gc
-import importlib
 import inspect
 import io
 import pickle
@@ -23,7 +22,7 @@ from piterm import inference
 from piterm.checker import TypeEnv, subtype, value_type
 from piterm.errors import ParseError, PiError, SortError
 from piterm.lam import LAbs, LambdaTerm, LambdaType, LApp, LArrow, LBase, LTVar, LVar, _LamParser
-from piterm.parser import _SPELLING, _Parser, parse_env_file, parse_process, parse_type
+from piterm.parser import _Parser, parse_env_file, parse_process, parse_type
 from piterm.semantics import NormalProcess
 from piterm.syntax import (
     NAT,
@@ -1112,85 +1111,3 @@ class TestValueWalkers:
         except RecursionError:
             got = None  # fails below, with no frame holding the deep value
         assert got == [{a}, NatLit, 10**4 - 1, 10**4 - 1, NAT, {a: "Nat", b: "ch[Nat]"}]
-
-
-# ---------------------------------------------------------------------------
-# The environment reader against the one it replaced, which gave each line a
-# parser of its own, kept here as the oracle: on the environment files of
-# the seed-1 to seed-3 `typecheck` corpora of `perfbench/corpus.py` (loaded
-# read-only) and on one-character mutations of them, both give the same
-# entries or the same error, message and location.
-
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-
-
-def old_parse_env_file(text: str) -> list[tuple[str, str, Type]]:
-    entries = []
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        body = raw.split("--", 1)[0]
-        line = body.strip()
-        if not line:
-            continue
-        role = "imp"
-        marker = line.split(None, 1)
-        if len(marker) == 2 and marker[0] in ("isolated", "fun"):
-            role, line = marker
-        if ":" not in line:
-            raise ParseError("expected 'name : type'", lineno, 1)
-        spelling = line.split(":", 1)[0].strip()
-        if not _SPELLING.fullmatch(spelling):
-            raise ParseError(f"bad name {spelling!r}", lineno, 1)
-        p = _Parser(raw, raw.index(":") + 1, len(body.rstrip()), lineno)
-        ty = p.parse_type()
-        p.finish()
-        entries.append((role, spelling, ty))
-    return entries
-
-
-@pytest.fixture(scope="module")
-def typecheck_env_texts() -> list[str]:
-    sys.path.insert(0, str(PERFBENCH))
-    try:
-        corpus = importlib.import_module("corpus")
-        return [text for seed in (1, 2, 3) for case in corpus.typecheck(seed).cases
-                for name, text in case.files.items() if name.endswith(".env")]
-    finally:
-        sys.path.remove(str(PERFBENCH))
-        for name in ("corpus", "lamgen", "pigen"):
-            sys.modules.pop(name, None)
-
-
-# what a mutation puts in: separators, comments, type and name characters,
-# strays and the blanks and line breaks of `test_env_file_lines_end_at_newline_only`
-MUTATION_CHARS = [*":#[],.io0123_ab-'\u00e9\u0663\t \n\r\x0c\x85", "--", "fun ", "isolated "]
-
-
-def mutations(rng: random.Random, text: str, count: int) -> list[str]:
-    out = []
-    for _ in range(count):
-        i = rng.randrange(len(text) + 1)
-        piece = rng.choice(MUTATION_CHARS)
-        kind = rng.randrange(3)
-        if kind == 0:
-            out.append(text[:i] + piece + text[i:])
-        elif kind == 1:
-            out.append(text[:i] + piece + text[i + 1 :])
-        else:
-            out.append(text[:i] + text[i + 1 :])
-    return out
-
-
-class TestEnvFileAgainstTheOldReader:
-    def test_typecheck_env_files(self, typecheck_env_texts):
-        assert len(typecheck_env_texts) > 1000
-        for text in typecheck_env_texts:
-            assert parse_env_file(text) == old_parse_env_file(text), text
-
-    def test_one_character_mutations(self, typecheck_env_texts, rng):
-        errors = 0
-        for text in typecheck_env_texts:
-            for mutant in mutations(rng, text, 3):
-                got = outcome(parse_env_file, mutant)
-                assert got == outcome(old_parse_env_file, mutant), mutant
-                errors += isinstance(got, str)
-        assert errors > 1000  # both outcomes are well represented
