@@ -651,7 +651,7 @@ def _reconstruct(p: Process, info: _NameInfo, levels: list[int]) -> tuple[TypeEn
     tenv = TypeEnv({n: type_of_root(n) for n in info.facts.free})
 
     # rebuilt after its parts, with a stack: neither `|` width nor prefix
-    # depth recurses
+    # depth recurses; a part that holds no restriction comes back as itself
     done: list[Process] = []
     todo: list[tuple[Process, bool]] = [(p, False)]
     while todo:
@@ -660,7 +660,8 @@ def _reconstruct(p: Process, info: _NameInfo, levels: list[int]) -> tuple[TypeEn
         if cls is Par:
             if ready:
                 right = done.pop()
-                done[-1] = Par(done[-1], right)
+                left = done[-1]
+                done[-1] = q if left is q.left and right is q.right else Par(left, right)
             else:
                 todo += ((q, True), (q.right, False), (q.left, False))
         elif cls is not In and cls is not RepIn and cls is not Res:
@@ -670,7 +671,7 @@ def _reconstruct(p: Process, info: _NameInfo, levels: list[int]) -> tuple[TypeEn
         elif cls is Res:
             done[-1] = Res(q.name, type_of_root(q.name), q.functional, done[-1])
         else:
-            done[-1] = cls(q.subject, q.binders, done[-1])
+            done[-1] = q if done[-1] is q.body else cls(q.subject, q.binders, done[-1])
     return tenv, done[0]
 
 

@@ -35,31 +35,26 @@ congruent plain inputs, only the last fires, since the others give the same
 successors. An exploration keeps one store of components for the whole run,
 the component reuse of hash-consing (Conchon & Filliâtre, "Type-safe modular
 hash-consing", 2006) kept to one run: a successor keeps the components that
-did not fire as the same objects and splits only the fired body, so each
-component's free names are computed once and its top-level serial once per
-labelling of those names. The store fires each redex once per run: a
-restriction-free fired body is kept under its sender and receiver objects,
-so a redex that stays enabled is not substituted again and its components
-are the same objects in every successor. A body that restricts a name is
-substituted at each firing, since its restricted names must be fresh each
-time. A normal form holds no key text: its `sig` is the
-tuple of its restriction head and its components' top-level serials, the
-store's own strings, so a stored state is a tuple of references to
-components' serials stored once, SPIN's collapse compression (Holzmann,
-"State compression in SPIN: recursive indexing and compression training
-runs", 1997). `sig`s compare as the keys they join into, and the key text
-is built only when asked for. When neither a state nor the fired body has a
-restriction, the successor's `sig` is spliced from the state's sorted
-serials, the way explicit-state model checkers hash a state from its
-parent's hash (Nguyen & Ruys, "Incremental Hashing for SPIN", 2008); only
-roots and restricted successors are canonicalised. An exploration numbers
-its states in breadth-first order: one dict maps a `sig` to its number, and
-depths, edges, measures and printed forms are kept by number. The store is
-dropped when the run returns. A certified run measures a state as the
-multiset union of its components' measures, each distinct component typed
-once (`_Measures`). A state is printed once per number: a state reached
-again that holds the stored state's own restriction and component objects,
-in order, takes the stored text, and any other prints itself.
+did not fire as the same objects, so each component's free names are
+computed once and its top-level serial once per labelling of those names.
+A redex whose fired body restricts no name is substituted once per run, and
+its components are the same objects in every successor. A normal form holds
+no key text: its `sig` is the tuple of its restriction head and its
+components' top-level serials, the store's own strings, SPIN's collapse
+compression (Holzmann, "State compression in SPIN: recursive indexing and
+compression training runs", 1997); `sig`s compare as the keys they join
+into. When neither a state nor the fired body has a restriction, the
+successor's `sig` is spliced from its parent's (Nguyen & Ruys, "Incremental
+Hashing for SPIN", 2008) and looked up in the run's one state table before a
+state is built, as SPIN looks a regenerated state up (Holzmann, "The model
+checker SPIN", 1997): a successor stored over the same component objects is
+the stored state. An exploration numbers its states breadth first and keeps
+depths, edges, measures and printed forms by number; it searches for a cycle
+only after an edge to a state no deeper than its source. A certified run
+measures a state as the multiset union of its components' measures, each
+distinct component typed once (`_Measures`). A state is printed once per
+number, and a state reached again over other objects, or in another order,
+prints itself.
 """
 
 from __future__ import annotations
@@ -212,8 +207,6 @@ class _Canon:
     component that a step leaves in place is not serialised again. The free
     names of a component are computed once. Each table keyed by `id` holds
     the object whose id it is, so no id is reused while the store lives.
-    A successor that `step` splices takes the serials of the components it
-    keeps from its parent, and asks the store only for those of the fired body.
 
     `fired` keeps the outcome of each redex by the ids of its sender and
     receiver, so a redex is substituted and split once per run. Only
@@ -221,20 +214,28 @@ class _Canon:
     restricted name of a body a fresh name, and a shared body would put one
     name object in two restrictions when its redex fires again from a
     successor (as it does when a library-built process holds one sender
-    object twice), where the two would be taken for one."""
+    object twice), where the two would be taken for one.
+
+    `states` and `index` are an exploration's one state table (empty outside
+    one): its states breadth first, and each `sig` to its number. A successor
+    that `step` splices takes its kept components' serials from its parent,
+    asks the store only for the fired body's, and is the stored state itself
+    when that state holds the very same component objects."""
 
     def __init__(self) -> None:
         self.free: dict[int, tuple[Process, set[int]]] = {}
         self.memo: dict[tuple, tuple[Process, str, int]] = {}
         self.fired: dict[tuple[int, int], tuple[Out, In | RepIn, _Fired | None]] = {}
+        self.states: list[NormalProcess] = []
+        self.index: dict[tuple[str, ...], int] = {}
 
     def fire(self, sender: Out, receiver: In | RepIn) -> _Fired | None:
         """The restrictions and components of the body that a communication
         of `sender` with `receiver` leaves, or None if the two do not match;
         kept in `fired` unless the body restricts a name. An inert body
-        needs only the arity check."""
-        if isinstance(receiver.body, Nil):
-            return _INERT if _matches(sender, receiver) else None
+        needs only the arity check, `_matches` inline."""
+        if type(receiver.body) is Nil:
+            return _INERT if max(len(sender.payload), 1) == max(len(receiver.binders), 1) else None
         pair = (id(sender), id(receiver))
         known = self.fired.get(pair)
         if known is not None:
@@ -443,21 +444,25 @@ def _canonical(canon: _Canon, restrictions: list[Restriction], comps: list[Proce
     return NormalProcess(ordered, tuple([comps[k] for _, k in serials]), (head, *[s for s, _ in serials]))
 
 
-def _splice(canon: _Canon, np: NormalProcess, gone: tuple[int, ...], added: list[Process]) -> NormalProcess:
+def _splice(canon: _Canon, np: NormalProcess, i: int, j: int, added: Sequence[Process]) -> NormalProcess:
     """The canonical form of a restriction-free `np` less the components at
-    `gone`, plus `added`, none restricted, each put after every equal serial:
-    the order `_canonical`'s sort gives when `added` follow the kept ones.
-    The kept serials are `np`'s own objects; `sig[0]` is the head `new[]`,
-    so the serials are bisected from index 1."""
-    sig, comps = list(np.sig), list(np.components)
-    for k in sorted(gone, reverse=True):
-        del sig[k + 1], comps[k]
+    `i` and `j`, plus `added`, none restricted, each put after every equal
+    serial: the order `_canonical`'s sort gives when `added` follow the kept
+    ones. The kept serials are `np`'s own objects, bisected from index 1,
+    past the head `new[]`. A `sig` the run has stored over the very same
+    component objects gives the stored state, and no copy is built."""
+    i, j = (i, j) if i < j else (j, i)
+    sig, comps = np.sig, np.components
+    sig = sig[: i + 1] + sig[i + 2 : j + 1] + sig[j + 2 :]
+    comps = comps[:i] + comps[i + 1 : j] + comps[j + 1 :]
     for c in added:
         s = canon.comp(c, {}, [0])
         at = bisect_right(sig, s, 1)
-        sig.insert(at, s)
-        comps.insert(at - 1, c)
-    return NormalProcess((), tuple(comps), tuple(sig))
+        sig, comps = sig[:at] + (s,) + sig[at:], comps[: at - 1] + (c,) + comps[at - 1 :]
+    n = canon.index.get(sig)
+    if n is not None and all(map(is_, canon.states[n].components, comps)):
+        return canon.states[n]
+    return NormalProcess((), comps, sig)
 
 
 def normalize(p: Process) -> NormalProcess:
@@ -493,36 +498,38 @@ def step(p: Process | NormalProcess, canon: _Canon | None = None) -> list[Normal
 
     A successor keeps the components of `p` that did not fire as they are and
     splits only the fired body, a normal form already, into its restrictions
-    and components; `canon` is the store of the exploration.
-    When neither `p` nor the fired body has a restriction, the successor's
-    `sig` is spliced from `p`'s sorted serials; otherwise it is
-    canonicalised. Successors are deduplicated and sorted by `sig`, which is
-    key order. Of a run of congruent senders, or of congruent plain
-    receivers, on one subject only the last fires: the others give the same
-    `sig`s, and the last write of a `sig` is the one kept."""
+    and components; `canon` is the store of the exploration. When neither
+    `p` nor the fired body has a restriction, the successor is spliced from
+    `p`'s sorted serials (`_splice`), and is the stored state when the
+    exploration holds it over the same objects; otherwise it is
+    canonicalised. Successors are sorted by `sig`, which is key order. Of a
+    run of congruent senders, or of congruent plain receivers, on one
+    subject only the last fires: the others give the same `sig`s, and the
+    last write of a `sig` is the one kept."""
     canon = canon or _Canon()
     np = p if isinstance(p, NormalProcess) else normalize(p)
-    comps, serials = np.components, np.sig[1:]
-
-    def copy_follows(k: int) -> bool:
-        # components are sorted by serial, so a congruent copy sits next
-        return k + 1 < len(comps) and serials[k + 1] == serials[k] and comps[k + 1].subject == comps[k].subject
-
+    comps, sig = np.components, np.sig
+    senders: list[int] = []
     receivers: dict[int, list[int]] = {}
-    for j, c in enumerate(comps):
-        if isinstance(c, RepIn) or (isinstance(c, In) and not copy_follows(j)):
-            receivers.setdefault(c.subject.id, []).append(j)
-    succs: dict[tuple[str, ...], NormalProcess] = {}
-    for i, sender in enumerate(comps):
-        if not isinstance(sender, Out) or copy_follows(i):
+    for k, c in enumerate(comps):
+        kind = type(c)
+        # components are sorted by serial, so a congruent copy sits next
+        if kind is not RepIn and k + 2 < len(sig) and sig[k + 2] == sig[k + 1] and comps[k + 1].subject is c.subject:
             continue
+        if kind is Out:
+            senders.append(k)
+        else:
+            receivers.setdefault(c.subject.id, []).append(k)
+    succs: dict[tuple[str, ...], NormalProcess] = {}
+    for i in senders:
+        sender = comps[i]
         for j in receivers.get(sender.subject.id, ()):
             receiver = comps[j]
             fired = canon.fire(sender, receiver)
             if fired is None:
                 continue
             res, added = fired
-            if isinstance(receiver, RepIn):
+            if type(receiver) is RepIn:
                 added = (receiver, *added)
             if np.restrictions or res:
                 rest = [c for k, c in enumerate(comps) if k != i and k != j] + list(added)
@@ -531,7 +538,7 @@ def step(p: Process | NormalProcess, canon: _Canon | None = None) -> list[Normal
                     res = [r for r in np.restrictions if r[0].id in live] + list(res)
                 succ = _canonical(canon, res, rest)
             else:
-                succ = _splice(canon, np, (i, j), added)
+                succ = _splice(canon, np, i, j, added)
             succs[succ.sig] = succ
     return [succs[k] for k in sorted(succs)]
 
@@ -578,8 +585,7 @@ def _find_cycle(adj: list[list[int]]) -> list[int] | None:
     ending in a repeated state, if any."""
     WHITE, GRAY, BLACK = 0, 1, 2
     color = bytearray(len(adj))
-    stack: list[tuple[int, int]] = [(0, 0)]
-    path: list[int] = [0]
+    stack: list[tuple[int, int]] = [(0, 0)]  # the path, each state with its next edge
     color[0] = GRAY
     while stack:
         node, idx = stack[-1]
@@ -588,14 +594,13 @@ def _find_cycle(adj: list[list[int]]) -> list[int] | None:
             stack[-1] = (node, idx + 1)
             nxt = targets[idx]
             if color[nxt] == GRAY:
+                path = [n for n, _ in stack]
                 return path[path.index(nxt) :] + [nxt]
             if color[nxt] == WHITE:
                 color[nxt] = GRAY
-                path.append(nxt)
                 stack.append((nxt, 0))
         else:
             color[node] = BLACK
-            path.pop()
             stack.pop()
     return None
 
@@ -691,17 +696,19 @@ class _Measures:
         return known[1]
 
 
-def _explore(
-    p: Process, max_states: int, max_depth: int, env: TypeEnv | None
-) -> ExecutionReport:
+def _explore(p: Process, max_states: int, max_depth: int, env: TypeEnv | None) -> ExecutionReport:
     """States are numbered in the order they are reached, breadth first:
     `states` is the queue, and `index` maps a state's `sig` to its number,
-    the one table that holds a `sig`. Depths, edges, measures and printed
-    forms are kept by number, and no key text is built."""
+    the one table that holds a `sig`. Both live on the run's store, so
+    `step` returns a re-reached restriction-free state as the stored object.
+    Depths, edges, measures and printed forms are kept by number, and no key
+    text is built. A new state lies one deeper than its source, so only an
+    edge to a state no deeper than its source can close a cycle: without
+    one, depth rises along every path and the cycle search is skipped."""
     canon = _Canon()
-    root = normalize(p)
-    states = [root]
-    index = {root.sig: 0}
+    states, index = canon.states, canon.index
+    states.append(normalize(p))
+    index[states[0].sig] = 0
     depth = [0]
     adj: list[list[int]] = [[]]
     measurer = _Measures(env) if env is not None else None
@@ -715,9 +722,8 @@ def _explore(
         return measures[n]
 
     def show(n: int, state: NormalProcess) -> str:
-        # a state reached again may hold other components than the one stored
-        # under its number, or order tied ones otherwise, and then prints
-        # otherwise: it prints itself. `sig`s are equal, so lengths are too
+        # a state reached again over other components than the stored one, or
+        # with tied ones in another order, prints itself; equal `sig`s, equal lengths
         stored = states[n]
         if stored is not state and not (
             all(map(is_, stored.components, state.components))
@@ -728,13 +734,13 @@ def _explore(
             printed[n] = pretty_process(state.rebuild())
         return printed[n]
 
-    truncated = False
+    truncated = backward = False
     edges = 0
     for src, state in enumerate(states):  # the loop reaches the states it appends
         succs = step(state, canon)
-        if depth[src] >= max_depth:
-            if succs:
-                truncated = True
+        d = depth[src]
+        if d >= max_depth:
+            truncated = truncated or bool(succs)
             continue
         out = adj[src]
         for succ in succs:
@@ -745,29 +751,23 @@ def _explore(
                     continue
                 dst = index[succ.sig] = len(states)
                 states.append(succ)
-                depth.append(depth[src] + 1)
+                depth.append(d + 1)
                 adj.append([])
+            elif depth[dst] <= d:
+                backward = True
             out.append(dst)
             edges += 1
             if env is not None:
                 m_src, m_dst = state_measure(src), state_measure(dst)
                 if not multiset_greater(m_src, m_dst):
                     raise CertificationFailure(
-                        f"measure did not decrease: {format_multiset(m_src)} "
-                        f"vs {format_multiset(m_dst)}",
-                        where=f"{state.key} --> {succ.key}",
-                    )
+                        f"measure did not decrease: {format_multiset(m_src)} vs {format_multiset(m_dst)}",
+                        where=f"{state.key} --> {succ.key}")
                 trace.append(EdgeCert(show(src, state), show(dst, succ), m_src, m_dst))
 
-    cycle = _find_cycle(adj)
-    if cycle is not None:
-        verdict = Verdict.DIVERGES
-    elif truncated:
-        verdict = Verdict.BOUND_EXCEEDED
-    else:
-        verdict = Verdict.TERMINATED
+    cycle = _find_cycle(adj) if backward else None
     return ExecutionReport(
-        verdict=verdict,
+        verdict=Verdict.DIVERGES if cycle else Verdict.BOUND_EXCEEDED if truncated else Verdict.TERMINATED,
         steps_explored=edges,
         states_explored=len(states),
         max_depth=depth[-1],  # breadth first, the last state reached is the deepest

@@ -64,6 +64,18 @@ def count_calls(monkeypatch, fn) -> list:
     return calls
 
 
+def unless_recursion(fn, *args):
+    """`fn(*args)`, or the text "RecursionError" if it raised one. A deep
+    test asserts on what this returns, so that a walker that regresses into
+    recursion fails outside the deep frames: pytest reports an error raised
+    through them by comparing the locals of the repeated frames, and on
+    deep nodes that runs for minutes."""
+    try:
+        return fn(*args)
+    except RecursionError:
+        return "RecursionError"
+
+
 def assert_golden(path: Path, text: str) -> None:
     """`text` must equal the golden file at `path`: every line, then the line
     count. A failure names the first line that differs."""

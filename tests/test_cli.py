@@ -20,7 +20,7 @@ from piterm.lam import LBase, LTVar, check_stlc, parse_lambda_file, pretty_lambd
 from piterm.parser import parse_process, parse_type
 from piterm.syntax import free_names, fresh
 
-from conftest import FIXTURES
+from conftest import FIXTURES, unless_recursion
 
 
 def run(capsys, *argv) -> tuple[int, str]:
@@ -596,7 +596,8 @@ class TestInternalErrors:
         assert time.perf_counter() - started < 10.0  # well under 0.5 s on a 2-CPU host
         assert code == 0
         assert out.startswith("PROCESS=new ")
-        t = check_stlc(*parse_lambda_file(text))
+        t = unless_recursion(lambda: check_stlc(*parse_lambda_file(text)))
+        assert t != "RecursionError"
         for _ in range(arrows):
             t = t.right
         assert isinstance(t, LTVar if arrows else LBase)
@@ -615,8 +616,8 @@ class TestInternalErrors:
         code, out = run(capsys, "encode", tmp_path / "deep.lam", "--format=lines")
         assert time.perf_counter() - started < 10.0  # well under 0.5 s on a 2-CPU host
         assert (code, out) == (0, "PROCESS=p<f>\n")
-        decls, _ = parse_lambda_file((tmp_path / "deep.lam").read_text())
-        assert pretty_lambda_type(decls["f"]) == ty
+        printed = unless_recursion(lambda: pretty_lambda_type(parse_lambda_file(f"f : {ty}\n\nf\n")[0]["f"]))
+        assert printed == ty
 
 
 class TestLoadEnv:

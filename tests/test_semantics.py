@@ -557,6 +557,43 @@ class TestStateStore:
         normalize(p).key  # the counter counts
         assert len(reads) == 1
 
+    # six independent redexes in the three shapes of the benchmark's pairs
+    PAIRS_6 = "a0<> | a0().0 | a1<*> | a1(x).0 | a2<> | a2 | a3<> | a3().0 | a4<*> | a4(y).0 | a5<> | a5"
+
+    def test_a_state_reached_again_is_the_stored_object(self, monkeypatch):
+        made = []  # every state object of the run, kept so that no id is reused
+        real = semantics.step
+
+        def recorded(state, canon=None):
+            succs = real(state, canon)
+            made.extend(succs if made else [state, *succs])
+            for succ in succs:
+                n = canon.index.get(succ.sig)
+                assert n is None or succ is canon.states[n]
+            return succs
+
+        monkeypatch.setattr(semantics, "step", recorded)
+        r = explore(parse_process(self.PAIRS_6), 100, 100)
+        assert (r.verdict, r.states_explored, r.steps_explored) == (Verdict.TERMINATED, 2**6, 6 * 2**6 // 2)
+        # each of the 129 edges to a state reached before gives the stored object
+        assert len(made) == 1 + r.steps_explored
+        assert len({id(s) for s in made}) == r.states_explored
+
+    def test_cycle_search_only_after_an_edge_back(self, monkeypatch):
+        # with every edge one level deeper, no path repeats a state
+        searched = count_calls(monkeypatch, semantics._find_cycle)
+        fixtures = [pi for pi in sorted(FIXTURES.glob("*.pi")) if pi.stem != "omega"]
+        reports = [explore(parse_process(pi.read_text()), 500, 500) for pi in fixtures]
+        reports.append(explore(parse_process(self.PAIRS_6), 100, 100))
+        reports.append(certified_run(*TestCertifiedRun().server(), 1000, 1000))
+        assert len(reports) == 7 and {r.verdict for r in reports} == {Verdict.TERMINATED}
+        replicator = explore(parse_process("!a(x).(a<x> | a<x>) | a<v>"), 15, 100)
+        assert (replicator.verdict, replicator.states_explored) == (Verdict.BOUND_EXCEEDED, 15)
+        assert searched == []
+        echo = explore(parse_process("!e(x).e<x> | e<v> | a<> | a().0"), 100, 100)
+        assert (echo.verdict, echo.witness) == (Verdict.DIVERGES, ["a().0 | (a<> | (e<v> | !e(x).e<x>))"] * 2)
+        assert len(searched) == 1
+
 
 class TestExploreFuzz:
     def test_untyped_fuzz_never_crashes(self, rng):

@@ -62,7 +62,16 @@ from piterm.syntax import (
     value_names,
 )
 
-from conftest import OLD_TOKEN_RES, assert_golden, gen_type, old_error, old_scan, simple_types, well_scoped
+from conftest import (
+    OLD_TOKEN_RES,
+    assert_golden,
+    gen_type,
+    old_error,
+    old_scan,
+    simple_types,
+    unless_recursion,
+    well_scoped,
+)
 
 
 def free_displays(p: Process) -> set[str]:
@@ -150,7 +159,8 @@ class TestParseProcess:
 
     def test_total_on_nesting_depth(self):
         links = "a(x).new r.(new s)!x(y).(new t."
-        p = parse_process(links * 2000 + "x<y>" + ")" * 2000)
+        p = unless_recursion(parse_process, links * 2000 + "x<y>" + ")" * 2000)
+        assert p != "RecursionError"
         depth, q = 0, p
         while not isinstance(q, Out):
             if isinstance(q, In):
@@ -429,19 +439,24 @@ class TestDeepNodes:
         ty = "#1[" * n + "{}" + "]" * n
         yield parse_type(ty.format("Unit")), parse_type(ty.format("Unit")), parse_type(ty.format("Nat"))
 
+    def compared(self, x, twin, other) -> list[bool]:
+        text = repr(x)
+        return [
+            x == twin and x is not twin and not x != twin,
+            x != other and not x == other,
+            hash(x) == hash(twin),
+            text == repr(twin) and text != repr(other),
+            text.startswith(f"{type(x).__qualname__}(") and len(text) > 10 * self.DEPTH,
+        ]
+
     def test_deep_at_the_default_recursion_limit(self):
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(1000)
         try:
-            for x, twin, other in self.deep_twins():
-                assert x == twin and x is not twin and not x != twin
-                assert x != other and not x == other
-                assert hash(x) == hash(twin)
-                text = repr(x)
-                assert text == repr(twin) and text != repr(other)
-                assert text.startswith(f"{type(x).__qualname__}(") and len(text) > 10 * self.DEPTH
+            got = unless_recursion(lambda: [self.compared(*twins) for twins in self.deep_twins()])
         finally:
             sys.setrecursionlimit(limit)
+        assert got == [[True] * 5] * 3
 
     def test_as_the_field_tuples(self, rng):
         for _ in range(200):
@@ -1099,15 +1114,12 @@ class TestValueWalkers:
         v = NatLit(1)
         for i in range(1, 10**4):
             v = (Add if i % 100 else Mul)(v, NameRef(a) if i == 5000 else NatLit(1))
-        try:
-            got = [
-                value_names(v),
-                eval_value(_subst_value(v, {a.id: NatLit(1)})).__class__,
-                _serial_value(v, {}).count("("),
-                pretty_value(v).count("1"),
-                value_type(TypeEnv({a: NAT}), v),
-                simple_types(Out(b, (v,))),
-            ]
-        except RecursionError:
-            got = None  # fails below, with no frame holding the deep value
+        got = unless_recursion(lambda: [
+            value_names(v),
+            eval_value(_subst_value(v, {a.id: NatLit(1)})).__class__,
+            _serial_value(v, {}).count("("),
+            pretty_value(v).count("1"),
+            value_type(TypeEnv({a: NAT}), v),
+            simple_types(Out(b, (v,))),
+        ])
         assert got == [{a}, NatLit, 10**4 - 1, 10**4 - 1, NAT, {a: "Nat", b: "ch[Nat]"}]

@@ -1,14 +1,16 @@
 """Where a benchmark pass spends its time: one timer per function `cli` calls
 and per phase of `infer`.
 
-    python3 tools/phases.py --workload lambda --seed 1 --passes 12
+    python3 tools/phases.py --workload lambda --seed 1 --passes 12 [--inputs N]
 
 In this process, each function that `piterm.cli` calls (the readers, the
-typing walks, `infer`, `encode`, `explore`, ...) and each phase of
-`inference.infer` is wrapped in a timer. The seeded corpus of the workload
-(`perfbench/corpus.py`, imported as it is) is written to a scratch
-directory, and `cli.main` is called on every input: one warm pass, then
-`--passes` timed ones. Each timer is keyed by the path of wrapped calls
+typing walks, `infer`, `encode`, `explore`, ...), each phase of
+`inference.infer`, and `step` and the cycle search of an exploration are
+wrapped in a timer, and unwrapped when the passes are done. The seeded
+corpus of the workload (`perfbench/corpus.py`, imported as it is) is written
+to a scratch directory, and `cli.main` is called on every input, or with
+`--inputs N` on the first N inputs of each family (the part of its name
+before the first `/`): one warm pass, then `--passes` timed ones. Each timer is keyed by the path of wrapped calls
 above it (`infer/facts` is `_facts` called from `infer`), so times are
 inclusive and a child's time is part of its parent's. For each path the
 table prints its best ms per pass over the timed passes and that time as a
@@ -32,8 +34,9 @@ sys.path[:0] = [str(REPO / "src"), str(REPO / "perfbench")]
 
 import corpus  # noqa: E402
 
-# (module, attribute, label): the functions `cli` calls, then the phases of
-# `infer`, each looked up through the module that calls it
+# (module, attribute, label): the functions `cli` calls, the phases of
+# `infer`, then the parts of an exploration, each looked up through the
+# module that calls it
 WRAPPED = [
     ("piterm.cli", "main", "main"),
     ("piterm.cli", "build_parser", "build_parser"),
@@ -58,6 +61,8 @@ WRAPPED = [
     ("piterm.inference", "_reconstruct", "reconstruction"),
     ("piterm.inference", "check", "recheck"),
     ("piterm.inference", "_project", "projection"),
+    ("piterm.semantics", "step", "step"),
+    ("piterm.semantics", "_find_cycle", "_find_cycle"),
 ]
 
 
@@ -69,6 +74,7 @@ class Timers:
         self.path: list[str] = []
         self.spent: dict[str, float] = {}
         self.first: dict[str, int] = {}  # each path's rank in order of first entry
+        self.wrapped: list[tuple] = []  # (module, attribute, the function it held)
 
     def wrap(self, fn, label: str):
         path, spent, first, clock = self.path, self.spent, self.first, time.perf_counter
@@ -90,7 +96,26 @@ class Timers:
     def install(self) -> None:
         for module, attr, label in WRAPPED:
             mod = importlib.import_module(module)
+            self.wrapped.append((mod, attr, getattr(mod, attr)))
             setattr(mod, attr, self.wrap(getattr(mod, attr), label))
+
+    def uninstall(self) -> None:
+        while self.wrapped:
+            mod, attr, fn = self.wrapped.pop()
+            setattr(mod, attr, fn)
+
+
+def first_inputs(cases: list, n: int) -> list:
+    """The first `n` cases of each family, named by the part before its
+    first `/`, in corpus order."""
+    taken: dict[str, int] = {}
+    kept = []
+    for case in cases:
+        family = case.family.split("/")[0]
+        taken[family] = taken.get(family, 0) + 1
+        if taken[family] <= n:
+            kept.append(case)
+    return kept
 
 
 def one_pass(main, argvs: list[list[str]]) -> None:
@@ -102,23 +127,29 @@ def one_pass(main, argvs: list[list[str]]) -> None:
             sink.truncate()
 
 
-def measure(workload: str, seed: int, passes: int) -> tuple[dict[str, float], float, dict[str, int]]:
+def measure(workload: str, seed: int, passes: int, inputs: int = 0) -> tuple[dict[str, float], float, dict[str, int]]:
     """The best seconds per pass of each call path, of the whole pass, and
-    the rank of each path in order of first entry."""
+    the rank of each path in order of first entry; with `inputs`, over the
+    first that many inputs of each family."""
+    cases = corpus.WORKLOADS[workload](seed).cases
+    if inputs:
+        cases = first_inputs(cases, inputs)
     timers = Timers()
     timers.install()
-    cli = sys.modules["piterm.cli"]
-    built = corpus.WORKLOADS[workload](seed)
-    with tempfile.TemporaryDirectory(prefix="phases-") as work:
-        corpus.write(built.cases, Path(work))
-        argvs = [case.argv(Path(work)) for case in built.cases]
-        one_pass(cli.main, argvs)  # warm: argparse, regular expressions, caches
-        best: dict[str, float] = {}
-        for _ in range(passes):
-            timers.spent.clear()
-            one_pass(cli.main, argvs)
-            for key, seconds in timers.spent.items():
-                best[key] = min(best.get(key, seconds), seconds)
+    try:
+        cli = sys.modules["piterm.cli"]
+        with tempfile.TemporaryDirectory(prefix="phases-") as work:
+            corpus.write(cases, Path(work))
+            argvs = [case.argv(Path(work)) for case in cases]
+            one_pass(cli.main, argvs)  # warm: argparse, regular expressions, caches
+            best: dict[str, float] = {}
+            for _ in range(passes):
+                timers.spent.clear()
+                one_pass(cli.main, argvs)
+                for key, seconds in timers.spent.items():
+                    best[key] = min(best.get(key, seconds), seconds)
+    finally:
+        timers.uninstall()
     return best, best.get("main", 0.0), timers.first
 
 
@@ -143,11 +174,15 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--workload", choices=sorted(corpus.WORKLOADS), required=True)
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--passes", type=int, default=5)
+    ap.add_argument("--inputs", type=int, default=0, help="only the first N inputs of each family (0: all)")
     args = ap.parse_args(argv)
     if args.passes < 1:
         ap.error("--passes must be at least 1")
-    best, total, first = measure(args.workload, args.seed, args.passes)
-    print(f"{args.workload} seed {args.seed}, best of {args.passes} pass(es), python {sys.version.split()[0]}")
+    if args.inputs < 0:
+        ap.error("--inputs must be at least 0")
+    best, total, first = measure(args.workload, args.seed, args.passes, args.inputs)
+    subset = f", first {args.inputs} input(s) per family" if args.inputs else ""
+    print(f"{args.workload} seed {args.seed}, best of {args.passes} pass(es), python {sys.version.split()[0]}{subset}")
     print(table(best, total, first))
     return 0
 
