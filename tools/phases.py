@@ -10,12 +10,12 @@ wrapped in a timer, and unwrapped when the passes are done. The seeded
 corpus of the workload (`perfbench/corpus.py`, imported as it is) is written
 to a scratch directory, and `cli.main` is called on every input, or with
 `--inputs N` on the first N inputs of each family (the part of its name
-before the first `/`): one warm pass, then `--passes` timed ones. Each timer is keyed by the path of wrapped calls
-above it (`infer/facts` is `_facts` called from `infer`), so times are
-inclusive and a child's time is part of its parent's. For each path the
-table prints its best ms per pass over the timed passes and that time as a
-share of the best pass (the sum over inputs of `cli.main`'s time). Standard
-library only.
+before the first `/`): one warm pass, then `--passes` timed ones. Each
+timer is keyed by the path of wrapped calls above it (`infer/facts` is
+`_facts` called from `infer`), so times are inclusive and a child's time
+is part of its parent's. For each path the table prints its best ms per
+pass over the timed passes and that time as a share of the best pass (the
+sum over inputs of `cli.main`'s time). Standard library only.
 """
 
 from __future__ import annotations
