@@ -75,6 +75,7 @@ from .syntax import (
     Star,
     Type,
     Value,
+    fold_process,
     node,
     pretty_process,
     value_names,
@@ -650,29 +651,15 @@ def _reconstruct(p: Process, info: _NameInfo, levels: list[int]) -> tuple[TypeEn
 
     tenv = TypeEnv({n: type_of_root(n) for n in info.facts.free})
 
-    # rebuilt after its parts, with a stack: neither `|` width nor prefix
-    # depth recurses; a part that holds no restriction comes back as itself
-    done: list[Process] = []
-    todo: list[tuple[Process, bool]] = [(p, False)]
-    while todo:
-        q, ready = todo.pop()
-        cls = type(q)
+    def leave(q: Process, parts: tuple) -> Process:  # a part with no restriction is kept
+        cls = q.__class__
         if cls is Par:
-            if ready:
-                right = done.pop()
-                left = done[-1]
-                done[-1] = q if left is q.left and right is q.right else Par(left, right)
-            else:
-                todo += ((q, True), (q.right, False), (q.left, False))
-        elif cls is not In and cls is not RepIn and cls is not Res:
-            done.append(q)
-        elif not ready:
-            todo += ((q, True), (q.body, False))
-        elif cls is Res:
-            done[-1] = Res(q.name, type_of_root(q.name), q.functional, done[-1])
-        else:
-            done[-1] = q if done[-1] is q.body else cls(q.subject, q.binders, done[-1])
-    return tenv, done[0]
+            return q if parts[0] is q.left and parts[1] is q.right else Par(*parts)
+        if cls is Res:
+            return Res(q.name, type_of_root(q.name), q.functional, parts[0])
+        return q if not parts or parts[0] is q.body else cls(q.subject, q.binders, parts[0])
+
+    return tenv, fold_process(p, leave)
 
 
 # ---------------------------------------------------------------------------

@@ -292,13 +292,6 @@ def _walk(m: LambdaTerm, p: Name, delta: dict[str, LambdaType]) -> tuple[TermSto
     return st, t, image
 
 
-def check_stlc(delta: dict[str, LambdaType], m: LambdaTerm) -> LambdaType:
-    """Principal simple type of `m`; free variables missing from `delta` get
-    fresh type variables shared across all their occurrences."""
-    st, t, _ = _walk(m, fresh("p"), delta)
-    return st.resolve(t, _make_lambda)
-
-
 def encode(m: LambdaTerm, p: Name, delta: dict[str, LambdaType] | None = None) -> Process:
     """Parallel call-by-value image of `m` with result channel `p`; an
     ill-typed `m` has none."""

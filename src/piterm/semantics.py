@@ -2,9 +2,9 @@
 
 A process is normalised by hoisting restrictions to the top of every scope
 (the process itself and every prefix body), flattening parallel composition
-and dropping inert subterms. Its key is `syntax._serial` of that form, with
-the restricted names of each scope put in a canonical order and the
-components of each scope in a canonical order, so that two processes get
+and dropping inert subterms. Its key is `syntax.alpha_key`'s serial of that
+form, with the restricted names of each scope put in a canonical order and
+the components of each scope in a canonical order, so that two processes get
 equal keys exactly when they are structurally congruent:
 
 - Restricted names that never occur free in a common component are
@@ -78,9 +78,11 @@ from .syntax import (
     RepIn,
     Res,
     Type,
-    _serial,
+    _label,
+    _serial_node,
     bind,
     eval_value,
+    fold_process,
     free_names,
     node,
     par,
@@ -96,6 +98,8 @@ _Fired = tuple[Sequence[Restriction], Sequence[Process]]  # a fired body's scope
 _INERT: _Fired = ((), ())
 
 _ANON = "?"  # the one label of the restricted names not yet placed
+
+_PREFIXES, _SCOPES = (In, RepIn), (Res, Par)  # a prefix body of a class in `_SCOPES` is a scope
 
 
 @node
@@ -135,47 +139,40 @@ def _wrap(restrictions: Sequence[Restriction], components: Sequence[Process]) ->
 
 def _flatten(canon: _Canon, p: Process) -> tuple[list[Restriction], list[Process]]:
     """Hoist restrictions, flatten parallel composition, drop inert parts;
-    prefix bodies likewise, each left as its restrictions over its components.
-    The `|` spine and restriction chains are walked by a loop, a prefix costs
-    one frame. A restriction is kept when its name is free in some component
-    of its scope, read off the free-name sets `canon` keeps. It runs on roots
-    only: substitution keeps a normal body normal, so `step` splits a fired
-    body with `_scope`."""
+    prefix bodies likewise, folded. A restriction is kept when its name is
+    free in some component of its scope, as `canon` reads it. It runs on
+    roots only: a fired body is normal, and `step` splits it with `_scope`."""
+
+    def leave(q: Process, parts: tuple) -> Process:
+        # a `|` or `new` is split by the prefix above it; a prefix is kept if its body is
+        cls = q.__class__
+        if cls is Par:
+            return Par(*parts)
+        if cls is Res:
+            return Res(q.name, q.annotation, q.functional, parts[0])
+        if not parts or parts[0] is q.body:
+            return q
+        body = _wrap(*canon.live(*_scope(parts[0]))) if parts[0].__class__ in _SCOPES else parts[0]
+        return cls(q.subject, q.binders, body)
+
+    res, comps = _scope(p)
+    return canon.live(res, [fold_process(c, leave) for c in comps])
+
+
+def _scope(p: Process) -> tuple[list[Restriction], list[Process]]:
+    """The restrictions and the components of the `|` spine of `p`."""
     res: list[Restriction] = []
     comps: list[Process] = []
     todo = [p]
     while todo:
         q = todo.pop()
-        if isinstance(q, Par):
+        if q.__class__ is Par:
             todo += (q.right, q.left)
-        elif isinstance(q, Res):
+        elif q.__class__ is Res:
             res.append((q.name, q.annotation, q.functional))
             todo.append(q.body)
-        elif isinstance(q, Out):
+        elif q.__class__ is not Nil:
             comps.append(q)
-        elif isinstance(q, (In, RepIn)):
-            comps.append(type(q)(q.subject, q.binders, _wrap(*_flatten(canon, q.body))))
-        elif not isinstance(q, Nil):
-            raise TypeError(f"not a process: {q!r}")
-    if res:
-        live = canon.live(comps)
-        res = [r for r in res if r[0].id in live]
-    return res, comps
-
-
-def _scope(body: Process) -> tuple[list[Restriction], list[Process]]:
-    """The restrictions and components of a body `_flatten` has built, or a
-    substitution into one: none for an inert body."""
-    res = []
-    while isinstance(body, Res):
-        res.append((body.name, body.annotation, body.functional))
-        body = body.body
-    comps = []
-    while isinstance(body, Par):
-        comps.append(body.left)
-        body = body.right
-    if not isinstance(body, Nil):
-        comps.append(body)
     return res, comps
 
 
@@ -197,7 +194,7 @@ Key = Callable[[list[Process], dict[int, str]], str]
 
 class _Canon:
     """The component store of one `normalize` call or one exploration, and
-    the serials it gives: `_serial`'s format, with the restricted names and
+    the serials it gives: `alpha_key`'s format, with the restricted names and
     the components of every scope in canonical order.
 
     A component's serial depends only on the component, the binder counter it
@@ -233,7 +230,7 @@ class _Canon:
         """The restrictions and components of the body that a communication
         of `sender` with `receiver` leaves, or None if the two do not match;
         kept in `fired` unless the body restricts a name. An inert body
-        needs only the arity check, `_matches` inline."""
+        needs only `_fire`'s arity check."""
         if type(receiver.body) is Nil:
             return _INERT if max(len(sender.payload), 1) == max(len(receiver.binders), 1) else None
         pair = (id(sender), id(receiver))
@@ -253,36 +250,43 @@ class _Canon:
             known = self.free[id(c)] = (c, {n.id for n in free_names(c)})
         return known[1]
 
-    def live(self, comps: Sequence[Process]) -> set[int]:
-        """The names free in some of `comps`."""
-        return set().union(*map(self.names, comps))
+    def live(self, res: Sequence[Restriction], comps: list[Process]) -> tuple[list[Restriction], list[Process]]:
+        """The restrictions of `res` whose names are free in some of `comps`, and `comps`."""
+        names = set().union(*map(self.names, comps)) if res else ()
+        return [r for r in res if r[0].id in names], comps
 
     def comp(self, c: Process, env: dict[int, str], counter: list[int]) -> str:
-        """The serial of a component, in one frame per prefix, as `_flatten`
-        spends: a prefix chain is not cut short by the recursion limit here.
-        `env` comes back unchanged."""
-        scoped = isinstance(c, (In, RepIn)) and isinstance(c.body, (Res, Par))
-        memo_key = None
-        if scoped or counter[0] == 0:
-            # with no name labelled, the serial depends on the component alone
-            memo_key = (id(c), counter[0], tuple(map(env.get, self.names(c))) if env else ())
-            known = self.memo.get(memo_key)
-            if known is not None:
-                counter[0] = known[2]
-                return known[1]
-        if isinstance(c, (In, RepIn)):
-            tag = "rep" if isinstance(c, RepIn) else "in"
-            subj = env.get(c.subject.id, f"f:{c.subject.display}")
-            base = counter[0]
-            counter[0] += len(c.binders)
-            saved = bind(env, [(b.id, f"b{base + k}") for k, b in enumerate(c.binders)])
-            inner = self.body(*_scope(c.body), env, counter) if scoped else self.comp(c.body, env, counter)
+        """The serial of a component, `alpha_key`'s with each prefix body that
+        is a scope put in canonical order by `body`. A chain of prefixes is
+        walked down by a loop, binding as it goes, and its serials are built
+        back up while unbinding; each prefix over a scope, and each node met
+        with no binder labelled yet, is remembered under its id, the counter
+        and its free names' labels. `env` comes back unchanged."""
+        chain = []  # the prefixes walked, each with its memo key and what its binding saved
+        while True:
+            cls = c.__class__
+            key = None
+            if counter[0] == 0 or cls in _PREFIXES and c.body.__class__ in _SCOPES:
+                key = (id(c), counter[0], tuple(map(env.get, self.names(c))) if env else ())
+                known = self.memo.get(key)
+                if known is not None:
+                    counter[0], s = known[2], known[1]
+                    break
+            if cls not in _PREFIXES:  # an output or `0`
+                s = _serial_node(env, c, ())
+                if key is not None:
+                    self.memo[key] = (c, s, counter[0])
+                break
+            chain.append((c, key, bind(env, [(b.id, _label(counter, b)) for b in c.binders])))
+            c = c.body
+            if c.__class__ in _SCOPES:
+                s = self.body(*_scope(c), env, counter)
+                break
+        for q, key, saved in reversed(chain):
             unbind(env, saved)
-            s = f"({tag} {subj} /{len(c.binders)} {inner})"
-        else:
-            s = _serial(c, env, counter)
-        if memo_key is not None:
-            self.memo[memo_key] = (c, s, counter[0])
+            s = _serial_node(env, q, (s,))
+            if key is not None:
+                self.memo[key] = (q, s, counter[0])
         return s
 
     def body(self, res: list[Restriction], comps: list[Process], env: dict[int, str], counter: list[int]) -> str:
@@ -475,16 +479,11 @@ def normalize(p: Process) -> NormalProcess:
 # Reduction
 
 
-def _matches(sender: Out, receiver: In | RepIn) -> bool:
-    """The sender sends as many values as the receiver binds; a bare `a<>`
-    sends one, the unit, which a receiver with no binder discards."""
-    return max(len(sender.payload), 1) == max(len(receiver.binders), 1)
-
-
 def _fire(sender: Out, receiver: In | RepIn) -> Process | None:
     """Body of a receiver on the sender's subject after the communication, or
-    None if the two do not match."""
-    if not _matches(sender, receiver):
+    None if the two do not match: the sender sends as many values as the
+    receiver binds (a bare `a<>` sends one, the unit), and well-sorted."""
+    if max(len(sender.payload), 1) != max(len(receiver.binders), 1):
         return None
     mapping = {b: eval_value(v) for b, v in zip(receiver.binders, sender.payload or (STAR,))}
     try:
@@ -533,10 +532,7 @@ def step(p: Process | NormalProcess, canon: _Canon | None = None) -> list[Normal
                 added = (receiver, *added)
             if np.restrictions or res:
                 rest = [c for k, c in enumerate(comps) if k != i and k != j] + list(added)
-                if np.restrictions:
-                    live = canon.live(rest)
-                    res = [r for r in np.restrictions if r[0].id in live] + list(res)
-                succ = _canonical(canon, res, rest)
+                succ = _canonical(canon, canon.live(np.restrictions, rest)[0] + list(res), rest)
             else:
                 succ = _splice(canon, np, i, j, added)
             succs[succ.sig] = succ

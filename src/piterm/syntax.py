@@ -10,6 +10,7 @@ compare and hash by identity.
 from __future__ import annotations
 
 import itertools
+from functools import partial
 
 from .errors import SortError
 
@@ -339,6 +340,39 @@ def par(*ps: Process) -> Process:
     return out
 
 
+def fold_process(p: Process, leave, scope: dict | None = None, label=None):
+    """`p` folded bottom-up off one stack: `leave(q, parts)` of each node `q`,
+    left to right, with what its parts gave (none for an output or `0`). With
+    `scope`, each binder of a prefix or restriction is bound in it, by id, to
+    `label(binder)` on the way down, in preorder, and unbound after `leave`."""
+    if p.__class__ is Out or p.__class__ is Nil:
+        return leave(p, ())
+    done: list = []
+    todo: list = [p]
+    while todo:
+        q = todo.pop()
+        cls = q.__class__
+        if cls is tuple:  # a node whose parts are done, and what binding its binders saved
+            q, saved = q
+            if q.__class__ is Par:
+                right = done.pop()
+                done[-1] = leave(q, (done[-1], right))
+            else:
+                done[-1] = leave(q, (done[-1],))
+            if saved:
+                unbind(scope, saved)
+        elif cls is Out or cls is Nil:
+            done.append(leave(q, ()))
+        elif cls is Par:
+            todo += ((q, None), q.right, q.left)
+        elif cls is In or cls is RepIn or cls is Res:
+            binders = (q.name,) if cls is Res else q.binders
+            todo += ((q, None if scope is None else bind(scope, [(b.id, label(b)) for b in binders])), q.body)
+        else:
+            raise TypeError(f"not a process: {q!r}")
+    return done[0]
+
+
 # ---------------------------------------------------------------------------
 # Free names and values
 
@@ -445,35 +479,21 @@ def _subst_subject(n: Name, mapping: dict[int, Value]) -> Name:
 
 
 def substitute_many(p: Process, mapping: dict[Name, Value]) -> Process:
-    """Simultaneous capture-avoiding substitution; the result is re-freshened."""
-    return _substitute(p, {n.id: v for n, v in mapping.items()})
+    """Simultaneous capture-avoiding substitution, folded: the result is
+    re-freshened, each binder bound in preorder to a fresh copy in `ren`."""
+    ren = {n.id: v for n, v in mapping.items()}
 
+    def leave(q: Process, parts: tuple) -> Process:
+        cls = q.__class__
+        if cls is Out:
+            return Out(_subst_subject(q.subject, ren), tuple([_subst_value(v, ren) for v in q.payload]))
+        if cls is Par or cls is Nil:
+            return Par(*parts) if parts else q
+        if cls is Res:
+            return Res(ren[q.name.id].name, q.annotation, q.functional, parts[0])
+        return cls(_subst_subject(q.subject, ren), tuple([ren[b.id].name for b in q.binders]), parts[0])
 
-def _substitute(q: Process, ren: dict[int, Value]) -> Process:
-    """`ren` maps the ids of the names replaced so far and comes back unchanged."""
-    if isinstance(q, Nil):
-        return q
-    if isinstance(q, Par):
-        return Par(_substitute(q.left, ren), _substitute(q.right, ren))
-    if isinstance(q, Out):
-        return Out(
-            _subst_subject(q.subject, ren),
-            tuple(_subst_value(v, ren) for v in q.payload),
-        )
-    if isinstance(q, (In, RepIn)):
-        subj = _subst_subject(q.subject, ren)
-        binders = tuple(fresh(b.display) for b in q.binders)
-        saved = bind(ren, [(b.id, NameRef(nb)) for b, nb in zip(q.binders, binders)])
-        body = _substitute(q.body, ren)
-        unbind(ren, saved)
-        return type(q)(subj, binders, body)
-    if isinstance(q, Res):
-        nb = fresh(q.name.display)
-        saved = bind(ren, [(q.name.id, NameRef(nb))])
-        body = _substitute(q.body, ren)
-        unbind(ren, saved)
-        return Res(nb, q.annotation, q.functional, body)
-    raise TypeError(f"not a process: {q!r}")
+    return fold_process(p, leave, ren, lambda b: NameRef(fresh(b.display)))
 
 
 # ---------------------------------------------------------------------------
@@ -493,39 +513,34 @@ def _serial_value(v: Value, env: dict[int, str]) -> str:
     raise TypeError(f"not a value: {v!r}")
 
 
-def _serial(p: Process, env: dict[int, str], counter: list[int]) -> str:
-    """`env` labels the names bound around `p` and comes back unchanged."""
-    if isinstance(p, Nil):
+def _label(counter: list[int], binder: Name) -> str:
+    """The label of the next binder, `b<n>` of the running counter."""
+    counter[0] += 1
+    return f"b{counter[0] - 1}"
+
+
+def _serial_node(env: dict[int, str], q: Process, parts: tuple) -> str:
+    """The serial of `q` from the serials of its `parts`."""
+    cls = q.__class__
+    if cls is Out:
+        args = " ".join([_serial_value(v, env) for v in q.payload])
+        return f"(out {env.get(q.subject.id, f'f:{q.subject.display}')} [{args}])"
+    if cls is In or cls is RepIn:
+        tag = "rep" if cls is RepIn else "in"
+        return f"({tag} {env.get(q.subject.id, f'f:{q.subject.display}')} /{len(q.binders)} {parts[0]})"
+    if cls is Par:
+        return f"(| {parts[0]} {parts[1]})"
+    if cls is Nil:
         return "0"
-    if isinstance(p, Par):
-        return f"(| {_serial(p.left, env, counter)} {_serial(p.right, env, counter)})"
-    if isinstance(p, Out):
-        subj = env.get(p.subject.id, f"f:{p.subject.display}")
-        args = " ".join(_serial_value(v, env) for v in p.payload)
-        return f"(out {subj} [{args}])"
-    if isinstance(p, (In, RepIn)):
-        tag = "rep" if isinstance(p, RepIn) else "in"
-        subj = env.get(p.subject.id, f"f:{p.subject.display}")
-        base = counter[0]
-        counter[0] += len(p.binders)
-        saved = bind(env, [(b.id, f"b{base + i}") for i, b in enumerate(p.binders)])
-        body = _serial(p.body, env, counter)
-        unbind(env, saved)
-        return f"({tag} {subj} /{len(p.binders)} {body})"
-    if isinstance(p, Res):
-        saved = bind(env, [(p.name.id, f"b{counter[0]}")])
-        counter[0] += 1
-        ann = pretty_type(p.annotation) if p.annotation is not None else "_"
-        kind = "fun" if p.functional else "imp"
-        body = _serial(p.body, env, counter)
-        unbind(env, saved)
-        return f"(new {kind} {ann} {body})"
-    raise TypeError(f"not a process: {p!r}")
+    ann = pretty_type(q.annotation) if q.annotation is not None else "_"
+    return f"(new {'fun' if q.functional else 'imp'} {ann} {parts[0]})"
 
 
 def alpha_key(p: Process) -> str:
-    """Serialization that identifies processes exactly up to alpha-renaming."""
-    return _serial(p, {}, [0])
+    """Serialization that identifies processes exactly up to alpha-renaming:
+    folded, each binder labelled `b<n>` in preorder."""
+    env: dict[int, str] = {}
+    return fold_process(p, partial(_serial_node, env), env, partial(_label, [0]))
 
 
 # ---------------------------------------------------------------------------

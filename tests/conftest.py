@@ -14,7 +14,7 @@ import pytest
 from piterm.checker import TypeEnv, check, subtype
 from piterm.errors import ParseError
 from piterm.inference import _facts, _pretty_node, _simple_types
-from piterm.lam import LAbs, LambdaTerm, LApp, LVar
+from piterm.lam import LAbs, LambdaTerm, LambdaType, LApp, LVar, _make_lambda, _walk
 from piterm.measure import Multiset, multiset_greater
 from piterm.syntax import (
     NAT,
@@ -35,7 +35,7 @@ from piterm.syntax import (
     Star,
     Type,
     Value,
-    _serial,
+    _serial_node,
     free_names,
     fresh,
 )
@@ -74,6 +74,28 @@ def unless_recursion(fn, *args):
         return fn(*args)
     except RecursionError:
         return "RecursionError"
+
+
+def within_frames(frames: int, fn, *args):
+    """`fn(*args)` with the recursion limit `frames` frames above the
+    caller's own depth, then the limit as it was."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + frames)
+    try:
+        return fn(*args)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def check_stlc(delta: dict[str, LambdaType], m: LambdaTerm) -> LambdaType:
+    """Principal simple type of `m`, resolved off the term store of the walk
+    that `encode` runs; free variables missing from `delta` get fresh type
+    variables shared across all their occurrences."""
+    st, t, _ = _walk(m, fresh("p"), delta)
+    return st.resolve(t, _make_lambda)
 
 
 def assert_golden(path: Path, text: str) -> None:
@@ -419,7 +441,7 @@ def _oracle_head(r: Res) -> str:
 
 def _oracle_comp(c: Process, env: dict[int, str], counter: int) -> tuple[str, int]:
     if isinstance(c, Out):
-        return _serial(c, env, [counter]), counter
+        return _serial_node(env, c, ()), counter
     env = dict(env)
     for b in c.binders:
         env[b.id] = f"b{counter}"

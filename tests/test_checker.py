@@ -669,14 +669,16 @@ class TestAcceptedPathRendersNothing:
 
 
 # The benchmark's tracer patches the functions its `TRACED` table names, and
-# skips a name that is gone, whose per-layer metrics then read 0. These five
-# were deleted or folded into other functions before the tracer followed.
+# skips a name that is gone, whose per-layer metrics then read 0. These six
+# were deleted, folded into other functions or (`lam.check_stlc`, called by
+# the tests alone) moved into `tests/conftest.py` before the tracer followed.
 TRACER_STALE = {
     ("checker", "check_ds"),
     ("inference", "infer_simple"),
     ("inference", "locality_check"),
     ("inference", "build_graph"),
     ("inference", "reconstruct"),
+    ("lam", "check_stlc"),
 }
 
 

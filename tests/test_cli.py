@@ -16,11 +16,11 @@ import pytest
 from piterm import cli, inference, semantics
 from piterm.cli import main
 from piterm.errors import CertificationFailure, LevelViolation
-from piterm.lam import LBase, LTVar, check_stlc, parse_lambda_file, pretty_lambda_type
+from piterm.lam import LBase, LTVar, parse_lambda_file, pretty_lambda_type
 from piterm.parser import parse_process, parse_type
 from piterm.syntax import free_names, fresh
 
-from conftest import FIXTURES, unless_recursion
+from conftest import FIXTURES, check_stlc, unless_recursion, within_frames
 
 
 def run(capsys, *argv) -> tuple[int, str]:
@@ -457,11 +457,24 @@ class TestInternalErrors:
             assert out == "" and err.startswith("error: [INTERNAL] ")
 
     def test_run_deep_prefix_chain_terminates(self, capsys, tmp_path):
-        # one frame per prefix in the key walk, at the default recursion limit
-        (tmp_path / "deep.pi").write_text("".join(f"a{i}(x{i})." for i in range(900)) + "0\n")
+        # substitution, flattening, the key walk and the measure walk take a
+        # chain of 10^4 plain prefixes off a stack, at the default recursion
+        # limit: `run` and `run --certify` fire `s` once and stop
+        (tmp_path / "deep.pi").write_text("s<> | s()." + "a(x)." * 10**4 + "0\n")
+        (tmp_path / "deep.env").write_text("s : #1[Unit]\na : #0[Unit]\n")
+        for certify in ([], ["--certify", tmp_path / "deep.env"]):
+            started = time.perf_counter()
+            code, out = run(capsys, "run", tmp_path / "deep.pi", *certify, "--format=lines")
+            assert time.perf_counter() - started < 2.0  # about 0.3 and 0.45 s on a 2-CPU host
+            assert (code, out.splitlines()[:4]) == (0, ["VERDICT=Terminated", "STEPS=1", "STATES=2", "DEPTH=1"])
+
+    def test_run_nested_scopes_terminates(self, capsys, tmp_path):
+        # the key walk takes each chain of prefixes in one frame, so a level
+        # of two prefixes over a scope costs three frames (`comp`, `body`,
+        # `par`); 197 levels is where five frames a level overflowed
+        (tmp_path / "deep.pi").write_text("s<> | s()." + "a(x).b(z).new r.r(y)." * 197 + "0\n")
         code, out = run(capsys, "run", tmp_path / "deep.pi", "--format=lines")
-        assert code == 0
-        assert "VERDICT=Terminated" in out.splitlines()
+        assert (code, out.splitlines()[:2]) == (0, ["VERDICT=Terminated", "STEPS=1"])
 
     def test_run_wide_independent_outputs_terminates(self, capsys, tmp_path):
         # the `|` spine is flattened by a loop, and outputs are paired only
@@ -796,7 +809,10 @@ class TestGolden:
 
     @pytest.mark.parametrize("case", golden_cases(), ids=" ".join)
     def test_lines_output(self, case):
-        text = render_case(case)
+        # every case runs within 100 frames of this test's own depth; the
+        # deepest, `encode --run delegate.lam`, needs about 30 for its
+        # nested scopes
+        text = within_frames(100, render_case, case)
         assert text == golden_sections()[text.splitlines()[0]]
 
     def test_every_section_is_a_case(self):

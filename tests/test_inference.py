@@ -40,7 +40,6 @@ from piterm.lam import (
     LArrow,
     LBase,
     LVar,
-    check_stlc,
     parse_lambda_file,
     parse_lambda_term,
     pretty_lambda_type,
@@ -60,7 +59,7 @@ from piterm.syntax import (
     pretty_type,
 )
 
-from conftest import FIXTURES, assert_golden, count_calls, pretty_lambda, simple_types, unless_recursion
+from conftest import FIXTURES, assert_golden, check_stlc, count_calls, pretty_lambda, simple_types, unless_recursion
 from test_syntax import random_ast
 
 

@@ -27,7 +27,6 @@ from piterm.lam import (
     LambdaTerm,
     LambdaType,
     LVar,
-    check_stlc,
     encode,
     parse_lambda_file,
     parse_lambda_term,
@@ -51,7 +50,7 @@ from piterm.syntax import (
     fresh,
 )
 
-from conftest import FIXTURES, assert_golden, pretty_lambda, simple_types
+from conftest import FIXTURES, assert_golden, check_stlc, pretty_lambda, simple_types
 from test_checker import _load_perfbench
 from test_inference import LAMGEN_SEED, LAMGEN_SIZES, unify_cases
 from test_syntax import cyclic_garbage

@@ -44,9 +44,19 @@ from piterm.syntax import (
     par,
     pretty_process,
     pretty_type,
+    substitute_many,
 )
 
-from conftest import FIXTURES, assert_golden, count_calls, env_for, oracle_key, scope_parts, typed_instance
+from conftest import (
+    FIXTURES,
+    assert_golden,
+    count_calls,
+    env_for,
+    oracle_key,
+    scope_parts,
+    typed_instance,
+    unless_recursion,
+)
 from test_syntax import cyclic_garbage, random_ast
 
 
@@ -223,6 +233,34 @@ class TestNormalize:
         assert congruent(ring, parse_process("(new c)(new a)(new b)(b<c> | a<b> | c<a>)"))
         assert not congruent(ring, parse_process("(new a)(new b)(new c)(a<b> | b<c> | c<c>)"))
         assert not congruent(ring, parse_process("(new a)(new b)(a<b> | b<a>) | (new c)(c<c>)"))
+
+
+class TestDeepPrefixChain:
+    """The process fold takes a chain of 10^4 plain prefixes off one stack:
+    substitution, `alpha_key` and `normalize` answer at the default recursion
+    limit, each well under 0.5 s on a 2-CPU host. A walker that goes back to
+    a frame per prefix fails here, outside its deep frames."""
+
+    DEPTH = 10**4
+
+    def serial(self, subject: str) -> str:
+        n = self.DEPTH
+        return f"(in f:{subject} /1 " * n + f"(out f:b [b{n - 1}])" + ")" * n
+
+    @pytest.mark.parametrize("walk", ["alpha_key", "substitute_many", "normalize"])
+    def test_chain_of_10_4_prefixes(self, walk):
+        p = parse_process("a(x)." * self.DEPTH + "b<x>")
+        a = p.subject
+        runs = {
+            "alpha_key": (lambda: alpha_key(p), self.serial("a")),
+            "substitute_many": (lambda: alpha_key(substitute_many(p, {a: NameRef(fresh("c"))})), self.serial("c")),
+            "normalize": (lambda: normalize(p).key, "new[];" + self.serial("a")),
+        }
+        run, expected = runs[walk]
+        started = time.perf_counter()
+        got = unless_recursion(run)
+        assert time.perf_counter() - started < 2.0  # 0.1 to 0.2 s on a 2-CPU host
+        assert got == expected
 
 
 class TestExactness:

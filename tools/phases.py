@@ -5,10 +5,11 @@ and per phase of `infer`.
 
 In this process, each function that `piterm.cli` calls (the readers, the
 typing walks, `infer`, `encode`, `explore`, ...), each phase of
-`inference.infer`, and `step` and the cycle search of an exploration are
-wrapped in a timer, and unwrapped when the passes are done. The seeded
-corpus of the workload (`perfbench/corpus.py`, imported as it is) is written
-to a scratch directory, and `cli.main` is called on every input, or with
+`inference.infer`, and the root `normalize`, `step`, the substitution a
+communication fires and the cycle search of an exploration are wrapped in a
+timer, and unwrapped when the passes are done. The seeded corpus of the
+workload (`perfbench/corpus.py`, imported as it is) is written to a scratch
+directory, and `cli.main` is called on every input, or with
 `--inputs N` on the first N inputs of each family (the part of its name
 before the first `/`): one warm pass, then `--passes` timed ones. Each
 timer is keyed by the path of wrapped calls above it (`infer/facts` is
@@ -61,7 +62,9 @@ WRAPPED = [
     ("piterm.inference", "_reconstruct", "reconstruction"),
     ("piterm.inference", "check", "recheck"),
     ("piterm.inference", "_project", "projection"),
+    ("piterm.semantics", "normalize", "normalize"),
     ("piterm.semantics", "step", "step"),
+    ("piterm.semantics", "substitute_many", "substitute_many"),
     ("piterm.semantics", "_find_cycle", "_find_cycle"),
 ]
 
