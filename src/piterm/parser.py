@@ -220,151 +220,168 @@ class _Parser:
     # -- processes ------------------------------------------------------------
 
     def parse_process(self) -> Process:
-        left = self.parse_term()
-        toks = self.tokens
-        while toks[self.pos] == "|":
-            self.pos += 1
-            left = Par(left, self.parse_term())
-        return left
-
-    def parse_term(self) -> Process:
-        """A chain of prefixes and restrictions, then the term that ends it.
+        """Terms joined by `|`, left-associated: each a chain of prefixes and
+        restrictions, then the term that ends it.
 
         A loop reads the links as frames (node class, fields before the body,
-        undo of the binders, whether a `(new a.P | ...)` group closes after
-        it), wrapped around the end term innermost first: no recursion. A
-        frame's undo is what `unbind` takes: a restriction's is `bind`'s
-        saved list, an input's the same (spelling, earlier name) pairs made
-        inline, or None when it binds nothing. The tokens are read through
-        locals and the index `i`, which `self.pos` takes over only around a
-        call into another rule."""
+        undo of the binders), wrapped around the end term innermost first. A
+        group, `(P)` or the `(P)` body of a restriction, is read the same way:
+        its opening pushes the frames around it, the `|` terms before it and
+        the restriction whose body it is onto `groups`, and its `)` pops them,
+        the group then ending its term. So neither prefix nor group depth
+        recurses. A frame's undo is what `unbind` takes: a restriction's is
+        `bind`'s saved list, an input's the same (spelling, earlier name)
+        pairs made inline, or None when it binds nothing. The tokens are read
+        through locals and the index `i`, which `self.pos` takes over only
+        around a call into another rule."""
         toks, scope = self.tokens, self.scope
         i = self.pos
-        frames: list[tuple[type, tuple, list | None, bool]] = []
+        groups: list[tuple[list, Process | None, tuple | None]] = []  # (frames, left, (fields, saved) or None)
+        frames: list[tuple[type, tuple, list | None]] = []
+        left: Process | None = None
         while True:
-            tok = toks[i]
-            if tok == "0":
-                i += 1
-                proc: Process = NIL
-                break
-            if tok == "(":
-                if toks[i + 1] != "new":
-                    self.pos = i + 1
-                    proc = self.parse_process()
+            while True:
+                tok = toks[i]
+                if tok == "0":
+                    i += 1
+                    proc: Process = NIL
+                    break
+                if tok == "(":
+                    if toks[i + 1] != "new":
+                        groups.append((frames, left, None))
+                        frames, left = [], None
+                        i += 1
+                        continue
+                    self.pos = i + 2
+                    fields, saved = self._restriction_head()
                     i = self.pos
+                    if toks[i] == ")":  # (new a)P
+                        frames.append((Res, fields, saved))
+                        i += 1
+                        continue
+                    if toks[i] != "." and toks[i] != "(":
+                        raise self.error("expected '.', ')' or '(' in restriction", i)
+                    # (new a.P | ...) is the group (P' | ...) with P' = new a.P
+                    groups.append((frames, left, None))
+                    if toks[i] == ".":
+                        frames = [(Res, fields, saved)]
+                    else:  # (new a(P) | ...)
+                        groups.append(([], None, (fields, saved)))
+                        frames = []
+                    left = None
+                    i += 1
+                    continue
+                if tok == "new":
+                    self.pos = i + 1
+                    fields, saved = self._restriction_head()
+                    i = self.pos
+                    if toks[i] == ".":
+                        i += 1
+                        frames.append((Res, fields, saved))
+                        continue
+                    if toks[i] != "(":
+                        raise self.error("expected '.' or '(' after restriction", i)
+                    groups.append((frames, left, (fields, saved)))
+                    frames, left = [], None
+                    i += 1
+                    continue
+                if tok == "!":
+                    cls: type = RepIn
+                    tok = toks[i + 1]
+                    if tok[:1] not in _NAME_START or tok in KEYWORDS:
+                        raise self.error(f"expected a name, found {tok or 'end of input'!r}", i + 1)
+                    i += 2
+                elif tok[:1] in _NAME_START and tok not in KEYWORDS:
+                    cls = In
+                    i += 1
+                else:
+                    raise self.error(f"expected a process, found {tok or 'end of input'!r}", i)
+                subj = scope.get(tok)
+                if subj is None:
+                    subj = scope[tok] = fresh(tok)
+                after = toks[i]
+                if cls is In and after != "(" and after != ".":
+                    if after != "<":
+                        # bare name: discarded unit input with nil continuation
+                        proc = In(subj, (), NIL)
+                        break
+                    i += 1
+                    payload: list[Value] = []
+                    if toks[i] != ">":
+                        while True:
+                            tok = toks[i]
+                            if tok[:1] in _NAME_START and tok not in KEYWORDS and toks[i + 1] in (",", ">"):
+                                # a lone name, read in place
+                                name = scope.get(tok)
+                                if name is None:
+                                    name = scope[tok] = fresh(tok)
+                                payload.append(NameRef(name))
+                                i += 1
+                            else:
+                                self.pos = i
+                                payload.append(self.parse_value())
+                                i = self.pos
+                            if toks[i] != ",":
+                                break
+                            i += 1
+                    if toks[i] != ">":
+                        raise self.missing(">", i)
+                    i += 1
+                    proc = Out(subj, tuple(payload))
+                    break
+                spellings: list[str] = []
+                if toks[i] == "(":
+                    i += 1
+                    if toks[i] != ")":
+                        while True:
+                            tok = toks[i]
+                            if tok[:1] not in _NAME_START or tok in KEYWORDS:
+                                raise self.error(f"expected a name, found {tok or 'end of input'!r}", i)
+                            spellings.append(tok)
+                            i += 1
+                            if toks[i] != ",":
+                                break
+                            i += 1
                     if toks[i] != ")":
                         raise self.missing(")", i)
                     i += 1
-                    break
-                self.pos = i + 2
-                fields, saved = self._restriction_head()
-                i = self.pos
-                if toks[i] in (")", "."):
-                    # (new a)P, or (new a.P | ...) closed after the frame
-                    frames.append((Res, fields, saved, toks[i] == "."))
-                    i += 1
-                    continue
-                if toks[i] != "(":
-                    raise self.error("expected '.', ')' or '(' in restriction", i)
-                proc = self._close_group(Res(*fields, self._group(saved)))
-                i = self.pos
-                break
-            if tok == "new":
-                self.pos = i + 1
-                fields, saved = self._restriction_head()
-                i = self.pos
-                if toks[i] == ".":
-                    i += 1
-                    frames.append((Res, fields, saved, False))
-                    continue
-                if toks[i] != "(":
-                    raise self.error("expected '.' or '(' after restriction", i)
-                proc = Res(*fields, self._group(saved))
-                i = self.pos
-                break
-            if tok == "!":
-                cls: type = RepIn
-                tok = toks[i + 1]
-                if tok[:1] not in _NAME_START or tok in KEYWORDS:
-                    raise self.error(f"expected a name, found {tok or 'end of input'!r}", i + 1)
-                i += 2
-            elif tok[:1] in _NAME_START and tok not in KEYWORDS:
-                cls = In
-                i += 1
-            else:
-                raise self.error(f"expected a process, found {tok or 'end of input'!r}", i)
-            subj = scope.get(tok)
-            if subj is None:
-                subj = scope[tok] = fresh(tok)
-            after = toks[i]
-            if cls is In and after != "(" and after != ".":
-                if after != "<":
-                    # bare name: discarded unit input with nil continuation
-                    proc = In(subj, (), NIL)
+                if toks[i] != ".":
+                    proc = cls(subj, tuple([fresh(s) for s in spellings]), NIL)
                     break
                 i += 1
-                payload: list[Value] = []
-                if toks[i] != ">":
-                    while True:
-                        tok = toks[i]
-                        if tok[:1] in _NAME_START and tok not in KEYWORDS and toks[i + 1] in (",", ">"):
-                            # a lone name, read in place
-                            name = scope.get(tok)
-                            if name is None:
-                                name = scope[tok] = fresh(tok)
-                            payload.append(NameRef(name))
-                            i += 1
-                        else:
-                            self.pos = i
-                            payload.append(self.parse_value())
-                            i = self.pos
-                        if toks[i] != ",":
-                            break
-                        i += 1
-                if toks[i] != ">":
-                    raise self.missing(">", i)
-                i += 1
-                proc = Out(subj, tuple(payload))
-                break
-            spellings: list[str] = []
-            if toks[i] == "(":
-                i += 1
-                if toks[i] != ")":
-                    while True:
-                        tok = toks[i]
-                        if tok[:1] not in _NAME_START or tok in KEYWORDS:
-                            raise self.error(f"expected a name, found {tok or 'end of input'!r}", i)
-                        spellings.append(tok)
-                        i += 1
-                        if toks[i] != ",":
-                            break
-                        i += 1
+                if not spellings:
+                    frames.append((cls, (subj, ()), None))
+                    continue
+                binders = []
+                saved = []  # `bind`'s saved list, made in the loop that makes the binders
+                for s in spellings:
+                    b = fresh(s)
+                    binders.append(b)
+                    saved.append((s, scope.get(s)))
+                    scope[s] = b
+                frames.append((cls, (subj, tuple(binders)), saved))
+            while True:  # `proc` ends its term, and a `)` the group around it
+                for cls, fields, undo in reversed(frames):
+                    if undo is not None:
+                        unbind(scope, undo)
+                    proc = cls(*fields, proc)
+                left = proc if left is None else Par(left, proc)
+                if toks[i] == "|":
+                    i += 1
+                    frames = []
+                    break
+                if not groups:
+                    self.pos = i
+                    return left
                 if toks[i] != ")":
                     raise self.missing(")", i)
                 i += 1
-            if toks[i] != ".":
-                proc = cls(subj, tuple([fresh(s) for s in spellings]), NIL)
-                break
-            i += 1
-            if not spellings:
-                frames.append((cls, (subj, ()), None, False))
-                continue
-            binders = []
-            saved = []  # `bind`'s saved list, made in the loop that makes the binders
-            for s in spellings:
-                b = fresh(s)
-                binders.append(b)
-                saved.append((s, scope.get(s)))
-                scope[s] = b
-            frames.append((cls, (subj, tuple(binders)), saved, False))
-        self.pos = i
-        for cls, fields, undo, closes in reversed(frames):
-            if undo is not None:
-                unbind(scope, undo)
-            proc = cls(*fields, proc)
-            if closes:
-                proc = self._close_group(proc)
-        return proc
+                frames, outer, res = groups.pop()
+                proc = left
+                if res is not None:
+                    unbind(scope, res[1])
+                    proc = Res(*res[0], proc)
+                left = outer
 
     def _restriction_head(self) -> tuple[tuple, list[tuple]]:
         """`a[:T][ fun]` after `new`: the fields of the `Res` before its body,
@@ -373,23 +390,6 @@ class _Parser:
         annotation, functional = self._res_modifiers()
         binder = fresh(spelling)
         return (binder, annotation, functional), bind(self.scope, [(spelling, binder)])
-
-    def _group(self, saved: list[tuple]) -> Process:
-        """`(P)` as the body of a restriction, whose binder `unbind(saved)`
-        takes out of scope."""
-        self.pos += 1
-        body = self.parse_process()
-        self.expect(")")
-        unbind(self.scope, saved)
-        return body
-
-    def _close_group(self, proc: Process) -> Process:
-        """The rest of `(new a.P | Q ...)` after its first component `proc`."""
-        while self.peek() == "|":
-            self.pos += 1
-            proc = Par(proc, self.parse_term())
-        self.expect(")")
-        return proc
 
     def _res_modifiers(self) -> tuple[Type | None, bool]:
         toks = self.tokens

@@ -32,7 +32,10 @@ Reduction pairs each top-level output with the (replicated) inputs on its
 subject, found through an index by subject. Components are sorted by serial,
 so congruent ones sit side by side: of a run of congruent outputs, or of
 congruent plain inputs, only the last fires, since the others give the same
-successors. An exploration keeps one store of components for the whole run,
+successors. Clusters with equal leaves are isomorphic, and exchanging them
+maps a state onto itself, so of redexes that these exchanges map onto one
+another only the last fires too (Ip & Dill, "Better verification through
+symmetry", 1996). An exploration keeps one component store for the run,
 the component reuse of hash-consing (Conchon & Filliâtre, "Type-safe modular
 hash-consing", 2006) kept to one run: a successor keeps the components that
 did not fire as the same objects, so each component's free names are
@@ -217,7 +220,11 @@ class _Canon:
     one): its states breadth first, and each `sig` to its number. A successor
     that `step` splices takes its kept components' serials from its parent,
     asks the store only for the fired body's, and is the stored state itself
-    when that state holds the very same component objects."""
+    when that state holds the very same component objects. `orbits` keeps
+    the classes (`_orbits`) of a state with isomorphic clusters from when
+    its `sig` is first met until `step` takes them."""
+
+    __slots__ = ("free", "memo", "fired", "states", "index", "orbits")
 
     def __init__(self) -> None:
         self.free: dict[int, tuple[Process, set[int]]] = {}
@@ -225,6 +232,7 @@ class _Canon:
         self.fired: dict[tuple[int, int], tuple[Out, In | RepIn, _Fired | None]] = {}
         self.states: list[NormalProcess] = []
         self.index: dict[tuple[str, ...], int] = {}
+        self.orbits: dict[tuple[str, ...], tuple] = {}
 
     def fire(self, sender: Out, receiver: In | RepIn) -> _Fired | None:
         """The restrictions and components of the body that a communication
@@ -298,7 +306,7 @@ class _Canon:
         def key(cs: list[Process], labels: dict[int, str]) -> str:
             return self.par(cs, {**env, **labels}, [start])
 
-        order = self.order(res, comps, lambda pos: f"b{base + pos}", key)
+        order = [i for _, names, _ in self.clusters(res, comps, lambda pos: f"b{base + pos}", key) for i in names]
         saved = bind(env, [(res[i][0].id, f"b{base + pos}") for pos, i in enumerate(order)])
         heads = "".join("(new {} {} ".format(*_res_kind(res[i])) for i in order)
         counter[0] = start
@@ -329,14 +337,15 @@ class _Canon:
         """The top-level components, each from counter 0, sorted."""
         return "|".join(sorted(self.comp(c, labels, [0]) for c in comps))
 
-    def order(self, res: list[Restriction], comps: list[Process], label: Callable[[int], str], key: Key) -> list[int]:
-        """Indices of `res` in canonical order: clusters of names linked by a
-        common component, each ordered by `search`, concatenated by cluster key.
+    def clusters(self, res: list[Restriction], comps: list[Process], label: Callable[[int], str], key: Key) -> list:
+        """The clusters of `res`, names linked by a common component, in
+        canonical order: each its least leaf (None if it is the only one), its
+        names' indices ordered by `search` and its components, sorted by leaf.
         `label(pos)` spells the name at position `pos`; `key(comps, labels)` is
         a complete invariant of the components under a labelling of the names."""
         n = len(res)
         if n <= 1:
-            return list(range(n))
+            return [(None, list(range(n)), comps)]
         index = {r[0].id: i for i, r in enumerate(res)}
         parent = list(range(n))
 
@@ -362,12 +371,9 @@ class _Canon:
         if len(clusters) == 1:
             ((names, cs),) = clusters.values()
             leaves = self.search(res, names, cs, label, key)
-            return leaves[0][0] if len(leaves) == 1 else _least(res, leaves, cs, key)[1]
-        keyed = sorted(
-            (_least(res, self.search(res, names, cs, label, key), cs, key) for names, cs in clusters.values()),
-            key=lambda leaf: leaf[0],
-        )
-        return [i for _, order in keyed for i in order]
+            return [(None, leaves[0][0] if len(leaves) == 1 else _least(res, leaves, cs, key)[1], cs)]
+        keyed = ((*_least(res, self.search(res, names, cs, label, key), cs, key), cs) for names, cs in clusters.values())
+        return sorted(keyed, key=lambda cluster: cluster[0])
 
     def search(
         self, res: list[Restriction], names: list[int], comps: list[Process], label: Callable[[int], str], key: Key
@@ -439,13 +445,29 @@ def _least(
 def _canonical(canon: _Canon, restrictions: list[Restriction], comps: list[Process]) -> NormalProcess:
     """The canonical form of restrictions over components, both as `_flatten`
     leaves them."""
-    order = canon.order(restrictions, comps, lambda pos: f"v{pos}", canon.multiset)
-    ordered = tuple(restrictions[i] for i in order)
+    clusters = canon.clusters(restrictions, comps, lambda pos: f"v{pos}", canon.multiset) if restrictions else ()
+    ordered = tuple(restrictions[i] for _, order, _ in clusters for i in order)
     env = {r[0].id: f"v{pos}" for pos, r in enumerate(ordered)}
     # the index keeps equal serials in the order of `comps`
     serials = sorted([(canon.comp(c, env, [0]), k) for k, c in enumerate(comps)])
     head = "new[" + ",".join(_res_tag(r) for r in ordered) + "]"
-    return NormalProcess(ordered, tuple([comps[k] for _, k in serials]), (head, *[s for s, _ in serials]))
+    np = NormalProcess(ordered, tuple([comps[k] for _, k in serials]), (head, *[s for s, _ in serials]))
+    if len(clusters) > 1 and any(a[0] == b[0] for a, b in zip(clusters, clusters[1:])) and np.sig not in canon.index:
+        canon.orbits[np.sig] = _orbits(canon, restrictions, clusters, np)
+    return np
+
+
+def _orbits(canon: _Canon, restrictions: list[Restriction], clusters: list, np: NormalProcess) -> tuple:
+    """Each component's class and cluster number: the first cluster with its
+    cluster's leaf and its serial under that leaf's labels, or -1 and its
+    serial outside every cluster. Clusters with one leaf are isomorphic."""
+    of, first = {}, 0
+    for q, (leaf, order, cs) in enumerate(clusters):
+        first = first if leaf == clusters[first][0] else q
+        labels = {restrictions[i][0].id: f"v{pos}" for pos, i in enumerate(order)}
+        for c in cs:
+            of[id(c)] = ((first, canon.comp(c, labels, [0])), q)
+    return tuple([of.get(id(c), ((-1, s), -1)) for c, s in zip(np.components, np.sig[1:])])
 
 
 def _splice(canon: _Canon, np: NormalProcess, i: int, j: int, added: Sequence[Process]) -> NormalProcess:
@@ -503,11 +525,13 @@ def step(p: Process | NormalProcess, canon: _Canon | None = None) -> list[Normal
     exploration holds it over the same objects; otherwise it is
     canonicalised. Successors are sorted by `sig`, which is key order. Of a
     run of congruent senders, or of congruent plain receivers, on one
-    subject only the last fires: the others give the same `sig`s, and the
-    last write of a `sig` is the one kept."""
+    subject only the last fires, and so does the last redex of each orbit
+    under exchanges of isomorphic clusters (`_orbits`): the others give the
+    same `sig`s, and the last write of a `sig` is the one kept."""
     canon = canon or _Canon()
     np = p if isinstance(p, NormalProcess) else normalize(p)
     comps, sig = np.components, np.sig
+    classes = canon.orbits.pop(sig, None) if canon.orbits else None
     senders: list[int] = []
     receivers: dict[int, list[int]] = {}
     for k, c in enumerate(comps):
@@ -519,10 +543,19 @@ def step(p: Process | NormalProcess, canon: _Canon | None = None) -> list[Normal
             senders.append(k)
         else:
             receivers.setdefault(c.subject.id, []).append(k)
+    keep = None
+    if classes:  # the last redex of each orbit; a loop, as a comprehension would put the locals in cells
+        last = {}
+        for i in senders:
+            for j in receivers.get(comps[i].subject.id, ()):
+                last[classes[i][0], classes[j][0], classes[i][1] == classes[j][1]] = i, j
+        keep = set(last.values())
     succs: dict[tuple[str, ...], NormalProcess] = {}
     for i in senders:
         sender = comps[i]
         for j in receivers.get(sender.subject.id, ()):
+            if keep is not None and (i, j) not in keep:
+                continue
             receiver = comps[j]
             fired = canon.fire(sender, receiver)
             if fired is None:
@@ -692,6 +725,13 @@ class _Measures:
         return known[1]
 
 
+def _root(canon: _Canon, p: Process) -> NormalProcess:
+    """The canonical form of `p`, in a store of its own if `p` restricts no
+    name: its successors are then spliced and need none of its serials."""
+    res, comps = _flatten(canon, p)
+    return _canonical(canon if res else _Canon(), res, comps)
+
+
 def _explore(p: Process, max_states: int, max_depth: int, env: TypeEnv | None) -> ExecutionReport:
     """States are numbered in the order they are reached, breadth first:
     `states` is the queue, and `index` maps a state's `sig` to its number,
@@ -703,7 +743,7 @@ def _explore(p: Process, max_states: int, max_depth: int, env: TypeEnv | None) -
     one, depth rises along every path and the cycle search is skipped."""
     canon = _Canon()
     states, index = canon.states, canon.index
-    states.append(normalize(p))
+    states.append(_root(canon, p))
     index[states[0].sig] = 0
     depth = [0]
     adj: list[list[int]] = [[]]

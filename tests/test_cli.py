@@ -468,6 +468,23 @@ class TestInternalErrors:
             assert time.perf_counter() - started < 2.0  # about 0.3 and 0.45 s on a 2-CPU host
             assert (code, out.splitlines()[:4]) == (0, ["VERDICT=Terminated", "STEPS=1", "STATES=2", "DEPTH=1"])
 
+    @pytest.mark.parametrize("command, head", [
+        ("check", ["VERDICT=Accepted", "WEIGHT=2"]),
+        ("infer", ["VERDICT=Accepted", "WEIGHT=0"]),
+        ("run", ["VERDICT=Terminated", "STEPS=1", "STATES=2", "DEPTH=1"]),
+    ])
+    def test_deep_groups(self, capsys, tmp_path, command, head):
+        # the parser keeps open groups on a stack: 10^4 restriction groups,
+        # each closed by `| a<>)`, around 10^4 plain ones
+        n = 10**4
+        text = "(new r:#0[Unit](" * n + "(" * n + "s<> | s().a<>" + ")" * n + ") | a<>)" * n
+        (tmp_path / "deep.pi").write_text(text + "\n")
+        (tmp_path / "deep.env").write_text("a : #1[Unit]\ns : #2[Unit]\n")
+        started = time.perf_counter()
+        code, out = run(capsys, command, tmp_path / "deep.pi", "--format=lines")
+        assert time.perf_counter() - started < 5.0
+        assert (code, out.splitlines()[: len(head)]) == (0, head)
+
     def test_run_nested_scopes_terminates(self, capsys, tmp_path):
         # the key walk takes each chain of prefixes in one frame, so a level
         # of two prefixes over a scope costs three frames (`comp`, `body`,

@@ -18,7 +18,7 @@ _spec.loader.exec_module(phases)
 # functions each workload's pass calls, by their labels in the table
 CALLED = {
     "typecheck": ["main", "_read", "parse_process", "_load_env", "parse_env_file", "derive", "check_impure"],
-    "explore": ["main", "parse_process", "explore", "certified_run", "normalize", "step", "substitute_many", "_find_cycle"],
+    "explore": ["main", "parse_process", "explore", "certified_run", "step", "canonical", "substitute_many", "_find_cycle"],
     "lambda": [
         "main", "encode", "infer", "facts", "simple_types", "numbering", "constraints", "solving",
         "reconstruction", "recheck", "projection",
@@ -33,11 +33,12 @@ def test_one_pass(workload, capsys):
     assert head.startswith(f"{workload} seed 1, best of 1 pass(es), python ")
     assert head.endswith(", first 2 input(s) per family")
     assert columns.split() == ["function", "best", "ms/pass", "share"]
-    table = {}
+    table, depths = {}, {}
     for row in rows:
         name, ms, share = row.split()
         depth = (len(row) - len(row.lstrip())) // 2
         table.setdefault(name, (depth, float(ms), float(share.rstrip("%"))))
+        depths.setdefault(name, set()).add(depth)
     assert set(CALLED[workload]) <= table.keys()
     assert table["main"][0] == 0 and table["main"][2] == 100.0
     # every other timer runs inside `main`, and a phase of `infer` inside it
@@ -46,8 +47,11 @@ def test_one_pass(workload, capsys):
         assert table["solving"][0] == table["infer"][0] + 1
         assert sum(table[p][1] for p in CALLED["lambda"][3:10]) <= table["infer"][1]
     if workload == "explore":
-        assert table["step"][0] == table["_find_cycle"][0] == table["normalize"][0] == table["explore"][0] + 1
+        assert table["step"][0] == table["_find_cycle"][0] == table["explore"][0] + 1
         assert table["substitute_many"][0] == table["step"][0] + 1
+        # the root's canonical form is taken by the exploration itself, a successor's by `step`
+        assert depths["canonical"] == {table["explore"][0] + 1, table["step"][0] + 1}
+        assert "normalize" not in table
     # the timers are gone when the tool returns
     assert not any(hasattr(f, "__wrapped__") for f in (cli.main, cli.explore, inference._reconstruct, semantics.step))
 

@@ -419,12 +419,20 @@ class TestIncrementalStep:
         "(new c)(c<v> | c<v> | c(x).x<> | c(y).y<>) | v().0 | v().0",
         "a<> | a<> | a().(new r)(r<> | r().b<>) | a().(new s)(s<> | s().b<>) | b().0 | b().0",
         "!a(x).(a<x> | a<x>) | a<v> | a(y).b<y> | a(z).b<z>",
+        # isomorphic restricted clusters, of which one redex fires per orbit
+        "(new c)(c<> | c().0 | c().0) | (new d)(d<> | d().0 | d().0) | (new e)(e<> | e().0 | e().0)",
+        "(new c)(a<c> | c().0) | (new d)(a<d> | d().0) | !a(x).x<>",
+        # redexes within a cluster and across two are in different orbits
+        "(new c)(a<c> | a(x).(c<> | x<>)) | (new d)(a<d> | a(y).(d<> | y<>)) | c2<> | c2().0",
+        # clusters alike but for an annotation, or for `fun`, are not isomorphic
+        "(new c:#1[Unit])(c<> | c().0) | (new d:#2[Unit])(d<> | d().0) | (new e:#1[Unit])(e<> | e().0)",
+        "(new c fun)(c<> | c().0) | (new d)(d<> | d().0) | (new e fun)(e<> | e().0)",
     ]
 
     def test_successors_equal_rebuilt_ones(self):
         for p in self.processes():
             canon = semantics._Canon()  # one store for every state of the run, as in `explore`
-            root = normalize(p)
+            root = semantics._root(canon, p)
             queue, seen = [root], {root.key}
             for state in queue:
                 got = step(state, canon)
@@ -444,6 +452,15 @@ class TestIncrementalStep:
         r = explore(parse_process(src), 1000, 1000)
         assert (r.verdict, r.states_explored) == (Verdict.TERMINATED, 2**8)
         assert len(canonical) == 1
+
+    def test_isomorphic_clusters_canonicalise_once_per_state(self, monkeypatch):
+        # a state with k unfired clusters has k redexes in one orbit: one fires
+        n = 6
+        src = " | ".join(f"(new c{i})(c{i}<> | c{i}().0 | c{i}().0)" for i in range(n))
+        canonical = count_calls(monkeypatch, semantics._canonical)
+        r = explore(parse_process(src), 1000, 1000)
+        assert (r.verdict, r.states_explored, r.steps_explored) == (Verdict.TERMINATED, n + 1, n)
+        assert len(canonical) == n + 1  # firing every redex took n(n+1)/2 + 1 = 22
 
     def test_step_kills_a_top_level_restriction(self):
         state = normalize(parse_process("(new c)(c<> | c().0)"))
@@ -494,7 +511,7 @@ class TestExplore:
     def test_bound_below_its_least_raises(self, monkeypatch, max_states, max_depth):
         # such bounds answered Diverges from 1 state, or BoundExceeded after 0 steps
         p = parse_process((FIXTURES / "omega.pi").read_text())
-        normalized = count_calls(monkeypatch, semantics.normalize)
+        normalized = count_calls(monkeypatch, semantics._canonical)
         with pytest.raises(ValueError, match="max_states must be at least 1|max_depth must be at least 0"):
             explore(p, max_states, max_depth)
         assert normalized == []
@@ -670,6 +687,56 @@ class TestCertifiedRun:
         assert r.measure_trace
         for edge in r.measure_trace:
             assert multiset_greater(edge.src_measure, edge.dst_measure)
+
+    # the trace each run printed when every redex fired: of isomorphic
+    # clusters the last fires (e, then d), and the stored states print alike
+    SYMMETRIC = [
+        (
+            "(new c:#1[Unit])(c<> | c().0 | c().0) | (new d:#1[Unit])(d<> | d().0 | d().0)"
+            " | (new e:#1[Unit])(e<> | e().0 | e().0)",
+            {},
+            [
+                "STEP 0: new c:#1[Unit].new d:#1[Unit].new e:#1[Unit].(c().0 | (c().0 | (d().0 | (d().0 | (e().0"
+                " | (e().0 | (c<> | (d<> | e<>)))))))) --> new e:#1[Unit].new c:#1[Unit].new d:#1[Unit].(e().0"
+                " | (c().0 | (c().0 | (d().0 | (d().0 | (c<> | d<>)))))) ; measure {1, 1, 1} > {1, 1}",
+                "STEP 1: new e:#1[Unit].new c:#1[Unit].new d:#1[Unit].(e().0 | (c().0 | (c().0 | (d().0 | (d().0"
+                " | (c<> | d<>)))))) --> new e:#1[Unit].new d:#1[Unit].new c:#1[Unit].(e().0 | (d().0 | (c().0"
+                " | (c().0 | c<>)))) ; measure {1, 1} > {1}",
+                "STEP 2: new e:#1[Unit].new d:#1[Unit].new c:#1[Unit].(e().0 | (d().0 | (c().0 | (c().0 | c<>))))"
+                " --> new e:#1[Unit].new d:#1[Unit].new c:#1[Unit].(e().0 | (d().0 | c().0)) ; measure {1} > {}",
+            ],
+        ),
+        (
+            "(new c:#1[Unit])(a<c> | c().0) | (new d:#1[Unit])(a<d> | d().0) | !a(x).x<>",
+            {"a": "#2[#1[Unit]]"},
+            [
+                "STEP 0: new c:#1[Unit].new d:#1[Unit].(c().0 | (d().0 | (a<c> | (a<d> | !a(x).x<>)))) -->"
+                " new c:#1[Unit].new d:#1[Unit].(c().0 | (d().0 | (a<c> | (d<> | !a(x).x<>)))) ; measure {2, 2} > {2, 1}",
+                "STEP 1: new c:#1[Unit].new d:#1[Unit].(c().0 | (d().0 | (a<c> | (d<> | !a(x).x<>)))) -->"
+                " new c:#1[Unit].new d:#1[Unit].(c().0 | (d().0 | (c<> | (d<> | !a(x).x<>)))) ; measure {2, 1} > {1, 1}",
+                "STEP 2: new c:#1[Unit].new d:#1[Unit].(c().0 | (d().0 | (a<c> | (d<> | !a(x).x<>)))) -->"
+                " new c:#1[Unit].(c().0 | (a<c> | !a(x).x<>)) ; measure {2, 1} > {2}",
+                "STEP 3: new c:#1[Unit].new d:#1[Unit].(c().0 | (d().0 | (c<> | (d<> | !a(x).x<>)))) -->"
+                " new c:#1[Unit].(c().0 | (c<> | !a(x).x<>)) ; measure {1, 1} > {1}",
+                "STEP 4: new c:#1[Unit].(c().0 | (a<c> | !a(x).x<>)) --> new c:#1[Unit].(c().0 | (c<> | !a(x).x<>))"
+                " ; measure {2} > {1}",
+                "STEP 5: new c:#1[Unit].(c().0 | (c<> | !a(x).x<>)) --> !a(x).x<> ; measure {1} > {}",
+            ],
+        ),
+    ]
+
+    @pytest.mark.parametrize("case", range(len(SYMMETRIC)))
+    def test_isomorphic_clusters_trace_as_when_every_redex_fired(self, monkeypatch, case):
+        src, types, trace = self.SYMMETRIC[case]
+        p = parse_process(src)
+        env = env_for(p, {name: parse_type(t) for name, t in types.items()})
+        pruned = certified_run(env, p, 1000, 1000)
+        monkeypatch.setattr(semantics, "_orbits", lambda *args: None)  # no classes: every redex fires
+        unpruned = certified_run(env, p, 1000, 1000)
+        for r in (pruned, unpruned):
+            assert r.verdict is Verdict.TERMINATED
+            assert [edge.render(i) for i, edge in enumerate(r.measure_trace)] == trace
+        assert (pruned.states_explored, pruned.steps_explored) == (unpruned.states_explored, unpruned.steps_explored)
 
     @pytest.mark.parametrize("max_states,max_depth", [(0, 1000), (1000, -1)])
     def test_bound_below_its_least_raises_before_the_typing(self, monkeypatch, max_states, max_depth):

@@ -172,6 +172,28 @@ class TestParseProcess:
         assert depth == 10_000
         assert q.subject == x and q.payload == (NameRef(y),)
 
+    # each group's opening and closing text, and the node it makes around its body
+    GROUPS = {
+        "(P)": ("(", ")", lambda q, a: q),
+        "a<> | (P)": ("a<> | (", ")", lambda q, a: Par(Out(a, ()), q)),
+        "a().(P)": ("a().(", ")", lambda q, a: In(a, (), q)),
+        "new r(P)": ("new r(", ")", lambda q, a: Res(fresh("r"), None, False, q)),
+        "(new r)(P)": ("(new r)(", ")", lambda q, a: Res(fresh("r"), None, False, q)),
+        "(new r(P) | a<>)": ("(new r(", ") | a<>)", lambda q, a: Par(Res(fresh("r"), None, False, q), Out(a, ()))),
+        "(new r.P | a<>)": ("(new r.", " | a<>)", lambda q, a: Par(Res(fresh("r"), None, False, q), Out(a, ()))),
+    }
+
+    @pytest.mark.parametrize("group", list(GROUPS))
+    def test_total_on_group_depth(self, group):
+        # open groups wait on a stack, so nesting them does not recurse
+        opening, closing, wrap = self.GROUPS[group]
+        p = unless_recursion(parse_process, opening * 10**4 + "s<>" + closing * 10**4)
+        assert p != "RecursionError"
+        a, want = fresh("a"), Out(fresh("s"), ())
+        for _ in range(10**4):
+            want = wrap(want, a)
+        assert alpha_key(p) == alpha_key(want)
+
     def test_total_on_width(self):
         p = parse_process(" | ".join(["a<>"] * 10_000))
         width = 1

@@ -5,9 +5,10 @@ and per phase of `infer`.
 
 In this process, each function that `piterm.cli` calls (the readers, the
 typing walks, `infer`, `encode`, `explore`, ...), each phase of
-`inference.infer`, and the root `normalize`, `step`, the substitution a
-communication fires and the cycle search of an exploration are wrapped in a
-timer, and unwrapped when the passes are done. The seeded corpus of the
+`inference.infer`, and `normalize`, `step`, the canonical form of a state
+(`canonical`: an exploration's root, and each successor `step` does not
+splice), the substitution a communication fires and the cycle search of an
+exploration are wrapped in a timer, and unwrapped when the passes are done. The seeded corpus of the
 workload (`perfbench/corpus.py`, imported as it is) is written to a scratch
 directory, and `cli.main` is called on every input, or with
 `--inputs N` on the first N inputs of each family (the part of its name
@@ -64,6 +65,7 @@ WRAPPED = [
     ("piterm.inference", "_project", "projection"),
     ("piterm.semantics", "normalize", "normalize"),
     ("piterm.semantics", "step", "step"),
+    ("piterm.semantics", "_canonical", "canonical"),
     ("piterm.semantics", "substitute_many", "substitute_many"),
     ("piterm.semantics", "_find_cycle", "_find_cycle"),
 ]
