@@ -445,7 +445,7 @@ def _least(
 def _canonical(canon: _Canon, restrictions: list[Restriction], comps: list[Process]) -> NormalProcess:
     """The canonical form of restrictions over components, both as `_flatten`
     leaves them."""
-    clusters = canon.clusters(restrictions, comps, lambda pos: f"v{pos}", canon.multiset) if restrictions else ()
+    clusters = canon.clusters(restrictions, comps, lambda pos: f"v{pos}", canon.multiset)
     ordered = tuple(restrictions[i] for _, order, _ in clusters for i in order)
     env = {r[0].id: f"v{pos}" for pos, r in enumerate(ordered)}
     # the index keeps equal serials in the order of `comps`
