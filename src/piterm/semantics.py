@@ -222,7 +222,7 @@ class _Canon:
     asks the store only for the fired body's, and is the stored state itself
     when that state holds the very same component objects. `orbits` keeps
     the classes (`_orbits`) of a state with isomorphic clusters from when
-    its `sig` is first met until `step` takes them."""
+    its `sig` is first met until `step` takes them; slots keep a store small."""
 
     __slots__ = ("free", "memo", "fired", "states", "index", "orbits")
 
@@ -460,7 +460,7 @@ def _canonical(canon: _Canon, restrictions: list[Restriction], comps: list[Proce
 def _orbits(canon: _Canon, restrictions: list[Restriction], clusters: list, np: NormalProcess) -> tuple:
     """Each component's class and cluster number: the first cluster with its
     cluster's leaf and its serial under that leaf's labels, or -1 and its
-    serial outside every cluster. Clusters with one leaf are isomorphic."""
+    serial outside every cluster. Clusters with equal leaves are isomorphic."""
     of, first = {}, 0
     for q, (leaf, order, cs) in enumerate(clusters):
         first = first if leaf == clusters[first][0] else q

@@ -482,7 +482,7 @@ class TestInternalErrors:
         (tmp_path / "deep.env").write_text("a : #1[Unit]\ns : #2[Unit]\n")
         started = time.perf_counter()
         code, out = run(capsys, command, tmp_path / "deep.pi", "--format=lines")
-        assert time.perf_counter() - started < 5.0
+        assert time.perf_counter() - started < 5.0  # about 0.2 s each on a 2-CPU host
         assert (code, out.splitlines()[: len(head)]) == (0, head)
 
     def test_run_nested_scopes_terminates(self, capsys, tmp_path):

@@ -8,11 +8,12 @@ typing walks, `infer`, `encode`, `explore`, ...), each phase of
 `inference.infer`, and `normalize`, `step`, the canonical form of a state
 (`canonical`: an exploration's root, and each successor `step` does not
 splice), the substitution a communication fires and the cycle search of an
-exploration are wrapped in a timer, and unwrapped when the passes are done. The seeded corpus of the
-workload (`perfbench/corpus.py`, imported as it is) is written to a scratch
-directory, and `cli.main` is called on every input, or with
-`--inputs N` on the first N inputs of each family (the part of its name
-before the first `/`): one warm pass, then `--passes` timed ones. Each
+exploration are wrapped in a timer, and unwrapped when the passes are done.
+The seeded corpus of the workload (`perfbench/corpus.py`, imported as it
+is) is written to a scratch directory, and `cli.main` is called on every
+input, or with `--inputs N` on the first N inputs of each family (the part
+of its name before the first `/`): one warm pass, then `--passes` timed
+ones. Each
 timer is keyed by the path of wrapped calls above it (`infer/facts` is
 `_facts` called from `infer`), so times are inclusive and a child's time
 is part of its parent's. For each path the table prints its best ms per
