@@ -221,8 +221,8 @@ class _Canon:
     that `step` splices takes its kept components' serials from its parent,
     asks the store only for the fired body's, and is the stored state itself
     when that state holds the very same component objects. `orbits` keeps
-    the classes (`_orbits`) of a state with isomorphic clusters from when
-    its `sig` is first met until `step` takes them; slots keep a store small."""
+    the classes (`_orbits`) of a new state with isomorphic clusters until it
+    is stepped or a bound keeps it out; slots keep a store small."""
 
     __slots__ = ("free", "memo", "fired", "states", "index", "orbits")
 
@@ -458,9 +458,8 @@ def _canonical(canon: _Canon, restrictions: list[Restriction], comps: list[Proce
 
 
 def _orbits(canon: _Canon, restrictions: list[Restriction], clusters: list, np: NormalProcess) -> tuple:
-    """Each component's class and cluster number: the first cluster with its
-    cluster's leaf and its serial under that leaf's labels, or -1 and its
-    serial outside every cluster. Clusters with equal leaves are isomorphic."""
+    """Each component's class and cluster number: the first cluster with its cluster's
+    leaf and its serial under that leaf's labels, or -1 and its serial outside every cluster."""
     of, first = {}, 0
     for q, (leaf, order, cs) in enumerate(clusters):
         first = first if leaf == clusters[first][0] else q
@@ -543,7 +542,6 @@ def step(p: Process | NormalProcess, canon: _Canon | None = None) -> list[Normal
             senders.append(k)
         else:
             receivers.setdefault(c.subject.id, []).append(k)
-    keep = None
     if classes:  # the last redex of each orbit; a loop, as a comprehension would put the locals in cells
         last = {}
         for i in senders:
@@ -554,7 +552,7 @@ def step(p: Process | NormalProcess, canon: _Canon | None = None) -> list[Normal
     for i in senders:
         sender = comps[i]
         for j in receivers.get(sender.subject.id, ()):
-            if keep is not None and (i, j) not in keep:
+            if classes and (i, j) not in keep:
                 continue
             receiver = comps[j]
             fired = canon.fire(sender, receiver)
@@ -726,8 +724,7 @@ class _Measures:
 
 
 def _root(canon: _Canon, p: Process) -> NormalProcess:
-    """The canonical form of `p`, in a store of its own if `p` restricts no
-    name: its successors are then spliced and need none of its serials."""
+    """`p`'s canonical form, in a store of its own if restriction-free: its successors are spliced."""
     res, comps = _flatten(canon, p)
     return _canonical(canon if res else _Canon(), res, comps)
 
@@ -777,6 +774,8 @@ def _explore(p: Process, max_states: int, max_depth: int, env: TypeEnv | None) -
         d = depth[src]
         if d >= max_depth:
             truncated = truncated or bool(succs)
+            for sig in {s.sig for s in succs} - index.keys():  # never stored, so never stepped
+                canon.orbits.pop(sig, None)
             continue
         out = adj[src]
         for succ in succs:
@@ -784,6 +783,7 @@ def _explore(p: Process, max_states: int, max_depth: int, env: TypeEnv | None) -
             if dst is None:
                 if len(states) >= max_states:
                     truncated = True
+                    canon.orbits.pop(succ.sig, None)
                     continue
                 dst = index[succ.sig] = len(states)
                 states.append(succ)

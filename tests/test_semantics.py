@@ -462,6 +462,23 @@ class TestIncrementalStep:
         assert (r.verdict, r.states_explored, r.steps_explored) == (Verdict.TERMINATED, n + 1, n)
         assert len(canonical) == n + 1  # firing every redex took n(n+1)/2 + 1 = 22
 
+    @pytest.mark.parametrize("max_states, max_depth", [(1000, 1000), (3, 1000), (1000, 2), (1000, 0)])
+    def test_no_classes_outlive_their_state(self, monkeypatch, max_states, max_depth):
+        # a state's classes go when it is stepped, or when a bound keeps it out
+        stores = []
+
+        class Store(semantics._Canon):
+            __slots__ = ()
+
+            def __init__(self):
+                super().__init__()
+                stores.append(self)
+
+        monkeypatch.setattr(semantics, "_Canon", Store)
+        src = " | ".join(f"(new c{i})(c{i}<> | c{i}().0 | c{i}().0)" for i in range(8))
+        explore(parse_process(src), max_states, max_depth)
+        assert stores and not any(store.orbits for store in stores)
+
     def test_step_kills_a_top_level_restriction(self):
         state = normalize(parse_process("(new c)(c<> | c().0)"))
         assert len(state.restrictions) == 1
