@@ -723,12 +723,6 @@ class _Measures:
         return known[1]
 
 
-def _root(canon: _Canon, p: Process) -> NormalProcess:
-    """`p`'s canonical form, in a store of its own if restriction-free: its successors are spliced."""
-    res, comps = _flatten(canon, p)
-    return _canonical(canon if res else _Canon(), res, comps)
-
-
 def _explore(p: Process, max_states: int, max_depth: int, env: TypeEnv | None) -> ExecutionReport:
     """States are numbered in the order they are reached, breadth first:
     `states` is the queue, and `index` maps a state's `sig` to its number,
@@ -740,7 +734,9 @@ def _explore(p: Process, max_states: int, max_depth: int, env: TypeEnv | None) -
     one, depth rises along every path and the cycle search is skipped."""
     canon = _Canon()
     states, index = canon.states, canon.index
-    states.append(_root(canon, p))
+    # a restriction-free root's successors are spliced, and need none of its serials
+    res, comps = _flatten(canon, p)
+    states.append(_canonical(canon if res else _Canon(), res, comps))
     index[states[0].sig] = 0
     depth = [0]
     adj: list[list[int]] = [[]]
@@ -774,8 +770,9 @@ def _explore(p: Process, max_states: int, max_depth: int, env: TypeEnv | None) -
         d = depth[src]
         if d >= max_depth:
             truncated = truncated or bool(succs)
-            for sig in {s.sig for s in succs} - index.keys():  # never stored, so never stepped
-                canon.orbits.pop(sig, None)
+            for succ in succs:  # never stored, so never stepped
+                if succ.sig not in index:
+                    canon.orbits.pop(succ.sig, None)
             continue
         out = adj[src]
         for succ in succs:
