@@ -458,8 +458,7 @@ def _canonical(canon: _Canon, restrictions: list[Restriction], comps: list[Proce
 
 
 def _orbits(canon: _Canon, restrictions: list[Restriction], clusters: list, np: NormalProcess) -> tuple:
-    """Each component's class and cluster number: the first cluster with its cluster's
-    leaf and its serial under that leaf's labels, or -1 and its serial outside every cluster."""
+    """Each component's class, (first cluster of its leaf, serial under its labels) or (-1, serial), and cluster."""
     of, first = {}, 0
     for q, (leaf, order, cs) in enumerate(clusters):
         first = first if leaf == clusters[first][0] else q
@@ -723,6 +722,13 @@ class _Measures:
         return known[1]
 
 
+def _root(canon: _Canon, p: Process) -> NormalProcess:
+    """`p`'s canonical form in a store of its own, which goes when the call returns; its classes go to `canon`."""
+    own = _Canon()
+    own.orbits = canon.orbits
+    return _canonical(own, *_flatten(own, p))
+
+
 def _explore(p: Process, max_states: int, max_depth: int, env: TypeEnv | None) -> ExecutionReport:
     """States are numbered in the order they are reached, breadth first:
     `states` is the queue, and `index` maps a state's `sig` to its number,
@@ -734,9 +740,7 @@ def _explore(p: Process, max_states: int, max_depth: int, env: TypeEnv | None) -
     one, depth rises along every path and the cycle search is skipped."""
     canon = _Canon()
     states, index = canon.states, canon.index
-    # a restriction-free root's successors are spliced, and need none of its serials
-    res, comps = _flatten(canon, p)
-    states.append(_canonical(canon if res else _Canon(), res, comps))
+    states.append(_root(canon, p))
     index[states[0].sig] = 0
     depth = [0]
     adj: list[list[int]] = [[]]
@@ -770,9 +774,8 @@ def _explore(p: Process, max_states: int, max_depth: int, env: TypeEnv | None) -
         d = depth[src]
         if d >= max_depth:
             truncated = truncated or bool(succs)
-            for succ in succs:  # never stored, so never stepped
-                if succ.sig not in index:
-                    canon.orbits.pop(succ.sig, None)
+            for sig in {s.sig for s in succs} - index.keys():  # never stored, so never stepped
+                canon.orbits.pop(sig, None)
             continue
         out = adj[src]
         for succ in succs:

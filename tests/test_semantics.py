@@ -432,7 +432,7 @@ class TestIncrementalStep:
     def test_successors_equal_rebuilt_ones(self):
         for p in self.processes():
             canon = semantics._Canon()  # one store for every state of the run, as in `explore`
-            root = semantics._canonical(canon, *semantics._flatten(canon, p))  # its classes kept, as in `explore`
+            root = semantics._root(canon, p)
             queue, seen = [root], {root.key}
             for state in queue:
                 got = step(state, canon)
