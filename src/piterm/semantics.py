@@ -65,11 +65,10 @@ from __future__ import annotations
 import enum
 from bisect import bisect_right
 from collections.abc import Callable, Sequence
-from operator import is_
 
 from .checker import TypeEnv, _weigh, as_multiset, check
-from .errors import CertificationFailure, PiError, SortError
-from .measure import Multiset, format_multiset, measure, multiset_greater
+from .errors import CertificationFailure, MissingAnnotation, PiError, SortError, UnboundName
+from .measure import Multiset, format_multiset, multiset_greater
 from .syntax import (
     STAR,
     In,
@@ -484,9 +483,7 @@ def _splice(canon: _Canon, np: NormalProcess, i: int, j: int, added: Sequence[Pr
         at = bisect_right(sig, s, 1)
         sig, comps = sig[:at] + (s,) + sig[at:], comps[: at - 1] + (c,) + comps[at - 1 :]
     n = canon.index.get(sig)
-    if n is not None and all(map(is_, canon.states[n].components, comps)):
-        return canon.states[n]
-    return NormalProcess((), comps, sig)
+    return NormalProcess((), comps, sig) if n is None else canon.states[n]
 
 
 def normalize(p: Process) -> NormalProcess:
@@ -678,39 +675,32 @@ class _Measures:
     one: a walk that raised may have left binders bound."""
 
     def __init__(self, env: TypeEnv):
-        self.env = env
-        self.scope: TypeEnv | None = TypeEnv(dict(env.bindings))
+        self.scope = TypeEnv(dict(env.bindings))
         self.declared: dict[int, Restriction] = {}  # by name id, each bound in `scope`
         self.levels: dict[int, tuple[Process, list[int]]] = {}  # by component id
 
     def of(self, state: NormalProcess) -> Multiset:
-        if self.scope is not None:
-            try:
-                if self.declare(state.restrictions):
-                    return as_multiset([k for c in state.components for k in self.component(c)])
-            except PiError:
-                pass
-            self.scope = None
         try:
-            return measure(self.env, state.rebuild())
+            self.declare(state.restrictions)
+            return as_multiset([k for c in state.components for k in self.component(c)])
         except PiError as exc:
             raise CertificationFailure(f"reachable state is not typable: {exc}", where=state.key) from exc
 
-    def declare(self, restrictions: Sequence[Restriction]) -> bool:
-        """Bind the annotations of `restrictions` in `scope`; False where the
-        typing of the whole state would find a name bound twice or a
-        restriction with no annotation."""
+    def declare(self, restrictions: Sequence[Restriction]) -> None:
+        """Bind the annotations of `restrictions` in `scope`; raise as the
+        typing walk does on a restriction with no annotation or a name bound
+        twice."""
         for r in restrictions:
             name, ann, _ = r
             known = self.declared.get(name.id)
-            if known is None:
-                if ann is None or name in self.scope:
-                    return False
-                self.scope.bindings[name] = ann
-                self.declared[name.id] = r
-            elif known is not r:
-                return False
-        return True
+            if known is r:
+                continue
+            if ann is None:
+                raise MissingAnnotation(f"restriction on {name.display} lacks a type annotation")
+            if known is not None or name in self.scope:
+                raise UnboundName(f"name {name.display!r} is already bound")
+            self.scope.bindings[name] = ann
+            self.declared[name.id] = r
 
     def component(self, c: Process) -> list[int]:
         """The levels of the outputs of `c` not under replication."""
@@ -754,17 +744,9 @@ def _explore(p: Process, max_states: int, max_depth: int, env: TypeEnv | None) -
             measures[n] = measurer.of(states[n])
         return measures[n]
 
-    def show(n: int, state: NormalProcess) -> str:
-        # a state reached again over other components than the stored one, or
-        # with tied ones in another order, prints itself; equal `sig`s, equal lengths
-        stored = states[n]
-        if stored is not state and not (
-            all(map(is_, stored.components, state.components))
-            and all(map(is_, stored.restrictions, state.restrictions))
-        ):
-            return pretty_process(state.rebuild())
+    def show(n: int) -> str:
         if n not in printed:
-            printed[n] = pretty_process(state.rebuild())
+            printed[n] = pretty_process(states[n].rebuild())
         return printed[n]
 
     truncated = backward = False
@@ -799,7 +781,7 @@ def _explore(p: Process, max_states: int, max_depth: int, env: TypeEnv | None) -
                     raise CertificationFailure(
                         f"measure did not decrease: {format_multiset(m_src)} vs {format_multiset(m_dst)}",
                         where=f"{state.key} --> {succ.key}")
-                trace.append(EdgeCert(show(src, state), show(dst, succ), m_src, m_dst))
+                trace.append(EdgeCert(show(src), show(dst), m_src, m_dst))
 
     cycle = _find_cycle(adj) if backward else None
     return ExecutionReport(
@@ -808,5 +790,5 @@ def _explore(p: Process, max_states: int, max_depth: int, env: TypeEnv | None) -
         states_explored=len(states),
         max_depth=depth[-1],  # breadth first, the last state reached is the deepest
         measure_trace=trace,
-        witness=[show(n, states[n]) for n in cycle] if cycle else None,
+        witness=[show(n) for n in cycle] if cycle else None,
     )

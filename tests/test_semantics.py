@@ -632,8 +632,12 @@ class TestStateStore:
     # six independent redexes in the three shapes of the benchmark's pairs
     PAIRS_6 = "a0<> | a0().0 | a1<*> | a1(x).0 | a2<> | a2 | a3<> | a3().0 | a4<*> | a4(y).0 | a5<> | a5"
 
+    # one state reached over its components in two orders: the fired bodies
+    # `d().(b<> | c<>)` and `d().(c<> | b<>)` are congruent, and each path keeps its own order
+    TWO_WAYS = "x<> | x().d().(b<> | c<>) | y<> | y().d().(c<> | b<>)"
+
     def test_a_state_reached_again_is_the_stored_object(self, monkeypatch):
-        made = []  # every state object of the run, kept so that no id is reused
+        made = []  # every state object of the runs, kept so that no id is reused
         real = semantics.step
 
         def recorded(state, canon=None):
@@ -645,11 +649,13 @@ class TestStateStore:
             return succs
 
         monkeypatch.setattr(semantics, "step", recorded)
-        r = explore(parse_process(self.PAIRS_6), 100, 100)
-        assert (r.verdict, r.states_explored, r.steps_explored) == (Verdict.TERMINATED, 2**6, 6 * 2**6 // 2)
-        # each of the 129 edges to a state reached before gives the stored object
-        assert len(made) == 1 + r.steps_explored
-        assert len({id(s) for s in made}) == r.states_explored
+        # the 129 edges of six pairs to a state reached before, and the one of TWO_WAYS
+        for src, states, steps in [(self.PAIRS_6, 2**6, 6 * 2**6 // 2), (self.TWO_WAYS, 4, 4)]:
+            made.clear()
+            r = explore(parse_process(src), 100, 100)
+            assert (r.verdict, r.states_explored, r.steps_explored) == (Verdict.TERMINATED, states, steps)
+            assert len(made) == 1 + r.steps_explored
+            assert len({id(s) for s in made}) == r.states_explored
 
     def test_cycle_search_only_after_an_edge_back(self, monkeypatch):
         # with every edge one level deeper, no path repeats a state
@@ -799,17 +805,19 @@ class TestCertifiedRun:
         prints = count_calls(monkeypatch, semantics.pretty_process)
         r = certified_run(env, p, 1000, 1000)
         assert r.steps_explored > r.states_explored > 1
-        # every state once, plus the destination of each edge to a state
-        # reached before that holds other objects than the stored state, or
-        # in another order (the root has an edge, and no bound cut the run)
-        def objects(state) -> list[int]:
-            return [id(x) for x in (*state.restrictions, *state.components)]
-
-        stored = {state.sig: state for state, _ in steps}
-        reprints = sum(objects(succ) != objects(stored[succ.sig]) for _, succs in steps for succ in succs)
-        assert len(prints) == r.states_explored + reprints
-        revisits = r.steps_explored - (r.states_explored - 1)
-        assert 0 < reprints < revisits
+        # one print per state (the root has an edge, and no bound cut the
+        # run), though some edges reach a state reached before
+        assert len(prints) == r.states_explored
+        # the trace holds each stepped state's edges in turn: every state
+        # reads alike wherever an edge names it
+        edges = iter(r.measure_trace)
+        texts: dict[tuple[str, ...], str] = {}
+        for state, succs in steps:
+            for succ in succs:
+                edge = next(edges)
+                assert texts.setdefault(state.sig, edge.src) == edge.src
+                assert texts.setdefault(succ.sig, edge.dst) == edge.dst
+        assert next(edges, None) is None and len(texts) == r.states_explored
 
     def test_measures_equal_those_of_the_printed_states(self, monkeypatch):
         # on every edge, the measures a run keeps by components are those of
@@ -828,17 +836,28 @@ class TestCertifiedRun:
             if len(set(spellings)) == len(spellings):
                 instances.append((env, p))
         runs += instances
-        whole = count_calls(monkeypatch, semantics.measure)
+        measured = []  # the states each run measures, in order
+        of = semantics._Measures.of
+        monkeypatch.setattr(semantics._Measures, "of", lambda self, state: measured.append(state) or of(self, state))
+        walks = count_calls(monkeypatch, semantics._weigh)
         edges = restricted = 0
         for env, p in runs:
+            measured.clear()
+            start = len(walks)
+            trace = certified_run(env, p, 200, 200).measure_trace
+            # the precondition check of the start, then one walk per distinct component measured
+            components = {id(c) for state in measured for c in state.components}
+            assert walks[start][1] is p and sorted(id(args[1]) for args in walks[start + 1 :]) == sorted(components)
             types = {n.display: t for n, t in env.bindings.items()}
-            for edge in certified_run(env, p, 200, 200).measure_trace:
+            texts: dict[str, str] = {}
+            for edge in trace:
                 for text, kept in ((edge.src, edge.src_measure), (edge.dst, edge.dst_measure)):
                     q = parse_process(text)
                     assert kept == measure(env_for(q, types), q), text
+                    # a state prints alike as a destination and as a source
+                    assert texts.setdefault(normalize(q).key, text) == text
                 edges += 1
                 restricted += edge.src.startswith("new ")
-        assert whole == []  # no state was measured whole
         assert edges > 350 and restricted > 100
 
     # restrictions hoisted from fired bodies, so states hold fresh restricted names
@@ -871,17 +890,19 @@ class TestCertifiedRun:
             assert got[0] == got[1] == got[2] == got[3] and got[0][0] is Verdict.TERMINATED, twin
             assert [e.render(0) for e in reports[2].measure_trace] == [e.render(0) for e in reports[3].measure_trace]
 
-    def test_state_reached_again_prints_itself(self):
-        # both paths reach one state, which each spells with its tied
-        # components in its own order
-        p = parse_process("x<> | x().d().(b<> | c<>) | y<> | y().d().(c<> | b<>)")
+    def test_state_reached_again_prints_as_stored(self):
+        # both paths reach one state, with its tied components in two orders;
+        # it prints as it did when first reached
         types = {"x": "#2[Unit]", "y": "#2[Unit]", "d": "#1[Unit]", "b": "#0[Unit]", "c": "#0[Unit]"}
-        env = env_for(p, {n: parse_type(t) for n, t in types.items()})
-        r = certified_run(env, p, 100, 100)
-        assert [e.dst for e in r.measure_trace[2:]] == [
-            "d().(c<> | b<>) | d().(b<> | c<>)",
-            "d().(b<> | c<>) | d().(c<> | b<>)",
-        ]
+        traces = []
+        for src in (TestStateStore.TWO_WAYS, TestStateStore.TWO_WAYS + " | d<>"):
+            p = parse_process(src)
+            env = env_for(p, {n: parse_type(t) for n, t in types.items()})
+            traces.append(certified_run(env, p, 100, 100).measure_trace)
+        assert [e.dst for e in traces[0][2:]] == ["d().(c<> | b<>) | d().(b<> | c<>)"] * 2
+        # with `d<>` beside, that state steps on, and reads as a source as it does as a destination
+        met = "d().(c<> | b<>) | (d().(b<> | c<>) | d<>)"
+        assert [e.dst for e in traces[1]].count(met) == 2 and traces[1][6].src == met
 
     def test_unit_race_trace(self):
         p = parse_process("a<*> | a<*> | a().0")
@@ -890,19 +911,19 @@ class TestCertifiedRun:
         assert r.verdict is Verdict.TERMINATED
         assert [(e.src_measure, e.dst_measure) for e in r.measure_trace] == [((2, 2), (2,))]
 
-    def test_state_not_measured_by_components_is_measured_whole(self, monkeypatch):
-        # an unannotated top-level restriction ends the measuring by
-        # components: that state is refused, and a later one is typed whole
+    def test_state_not_measured_by_components_is_refused(self, monkeypatch):
+        # a state with an unannotated top-level restriction cannot be declared:
+        # it is refused at once, under its key, and no state is typed whole
         free: dict = {}
         refused = normalize(parse_process("new r.(r<> | b<>)", free))
-        typable = normalize(parse_process("b<> | b<>", free))
         env = TypeEnv({free["b"]: parse_type("#1[Unit]")})
-        whole = count_calls(monkeypatch, semantics.measure)
+        whole = count_calls(monkeypatch, checker.derive)
+        walks = count_calls(monkeypatch, semantics._weigh)
         measures = semantics._Measures(env)
-        with pytest.raises(CertificationFailure, match="reachable state is not typable"):
+        with pytest.raises(CertificationFailure, match="reachable state is not typable") as refusal:
             measures.of(refused)
-        assert measures.of(typable) == (1, 1)
-        assert len(whole) == 2
+        assert refusal.value.where == refused.key
+        assert whole == [] and walks == []
 
     def test_nil(self):
         r = certified_run(TypeEnv(), parse_process("0"), 10, 10)
