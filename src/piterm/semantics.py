@@ -50,14 +50,14 @@ into. When neither a state nor the fired body has a restriction, the
 successor's `sig` is spliced from its parent's (Nguyen & Ruys, "Incremental
 Hashing for SPIN", 2008) and looked up in the run's one state table before a
 state is built, as SPIN looks a regenerated state up (Holzmann, "The model
-checker SPIN", 1997): a successor stored over the same component objects is
-the stored state. An exploration numbers its states breadth first and keeps
-depths, edges, measures and printed forms by number; it searches for a cycle
-only after an edge to a state no deeper than its source. A certified run
-measures a state as the multiset union of its components' measures, each
-distinct component typed once (`_Measures`). A state is printed once per
-number, and a state reached again over other objects, or in another order,
-prints itself.
+checker SPIN", 1997): a successor whose `sig` is stored is the stored state.
+An exploration numbers its states breadth first and keeps depths, edges,
+measures and printed forms by number; it searches for a cycle only after an
+edge to a state no deeper than its source. A certified run measures a state
+as the multiset union of its components' measures, each distinct component
+typed once (`_Measures`), and refuses a state it cannot type so. A state is
+printed once per number: reached again, it reads as it did when first
+reached.
 """
 
 from __future__ import annotations
@@ -219,7 +219,7 @@ class _Canon:
     one): its states breadth first, and each `sig` to its number. A successor
     that `step` splices takes its kept components' serials from its parent,
     asks the store only for the fired body's, and is the stored state itself
-    when that state holds the very same component objects. `orbits` keeps
+    when its `sig` is stored. `orbits` keeps
     the classes (`_orbits`) of a new state with isomorphic clusters until it
     is stepped or a bound keeps it out; slots keep a store small."""
 
@@ -472,8 +472,8 @@ def _splice(canon: _Canon, np: NormalProcess, i: int, j: int, added: Sequence[Pr
     `i` and `j`, plus `added`, none restricted, each put after every equal
     serial: the order `_canonical`'s sort gives when `added` follow the kept
     ones. The kept serials are `np`'s own objects, bisected from index 1,
-    past the head `new[]`. A `sig` the run has stored over the very same
-    component objects gives the stored state, and no copy is built."""
+    past the head `new[]`. A `sig` the run has stored gives the stored
+    state, and no copy is built."""
     i, j = (i, j) if i < j else (j, i)
     sig, comps = np.sig, np.components
     sig = sig[: i + 1] + sig[i + 2 : j + 1] + sig[j + 2 :]
@@ -517,7 +517,7 @@ def step(p: Process | NormalProcess, canon: _Canon | None = None) -> list[Normal
     and components; `canon` is the store of the exploration. When neither
     `p` nor the fired body has a restriction, the successor is spliced from
     `p`'s sorted serials (`_splice`), and is the stored state when the
-    exploration holds it over the same objects; otherwise it is
+    exploration holds its `sig`; otherwise it is
     canonicalised. Successors are sorted by `sig`, which is key order. Of a
     run of congruent senders, or of congruent plain receivers, on one
     subject only the last fires, and so does the last redex of each orbit
@@ -670,9 +670,11 @@ class _Measures:
     component's free names are typed alike in every state that holds it,
     and as that state's own restrictions type them. Typing a component adds
     to the environment only while the walk is in it, so the cost of a new
-    component does not grow with the names met. A state that cannot be
-    measured so is measured whole, as `measure` does, and so is every later
-    one: a walk that raised may have left binders bound."""
+    component does not grow with the names met. `certified_run` types the
+    start first, so by subject reduction every reached state is measured so
+    unless a library-built process breaks the fresh-binder invariant; a
+    state that cannot be declared or typed is refused at once, under its
+    key, and ends the run."""
 
     def __init__(self, env: TypeEnv):
         self.scope = TypeEnv(dict(env.bindings))
@@ -724,8 +726,8 @@ def _explore(p: Process, max_states: int, max_depth: int, env: TypeEnv | None) -
     `states` is the queue, and `index` maps a state's `sig` to its number,
     the one table that holds a `sig`. Both live on the run's store, so
     `step` returns a re-reached restriction-free state as the stored object.
-    Depths, edges, measures and printed forms are kept by number, and no key
-    text is built. A new state lies one deeper than its source, so only an
+    Depths, edges, measures and printed forms are kept by number, so a state
+    prints once, as it was first reached, and no key text is built. A new state lies one deeper than its source, so only an
     edge to a state no deeper than its source can close a cycle: without
     one, depth rises along every path and the cycle search is skipped."""
     canon = _Canon()

@@ -18,7 +18,10 @@ _spec.loader.exec_module(phases)
 # functions each workload's pass calls, by their labels in the table
 CALLED = {
     "typecheck": ["main", "_read", "parse_process", "_load_env", "parse_env_file", "derive", "check_impure"],
-    "explore": ["main", "parse_process", "explore", "certified_run", "step", "canonical", "substitute_many", "_find_cycle"],
+    "explore": [
+        "main", "parse_process", "explore", "certified_run", "step", "canonical", "substitute_many", "_find_cycle",
+        "pretty_process", "_weigh",
+    ],
     "lambda": [
         "main", "encode", "infer", "facts", "simple_types", "numbering", "constraints", "solving",
         "reconstruction", "recheck", "projection",
@@ -52,6 +55,8 @@ def test_one_pass(workload, capsys):
         # the root's canonical form is taken by the exploration itself, a successor's by `step`
         assert depths["canonical"] == {table["explore"][0] + 1, table["step"][0] + 1}
         assert "normalize" not in table
+        # a certified run's TRACE printing and component typing, each timed under it
+        assert table["certified_run"][0] + 1 in depths["pretty_process"] & depths["_weigh"]
     # the timers are gone when the tool returns
     assert not any(hasattr(f, "__wrapped__") for f in (cli.main, cli.explore, inference._reconstruct, semantics.step))
 

@@ -7,8 +7,10 @@ In this process, each function that `piterm.cli` calls (the readers, the
 typing walks, `infer`, `encode`, `explore`, ...), each phase of
 `inference.infer`, and `normalize`, `step`, the canonical form of a state
 (`canonical`: an exploration's root, and each successor `step` does not
-splice), the substitution a communication fires and the cycle search of an
-exploration are wrapped in a timer, and unwrapped when the passes are done.
+splice), the substitution a communication fires, the cycle search of an
+exploration, its printing of states (`pretty_process`: the TRACE and
+WITNESS texts) and a certified run's typing of components (`_weigh`) are
+wrapped in a timer, and unwrapped when the passes are done.
 The seeded corpus of the workload (`perfbench/corpus.py`, imported as it
 is) is written to a scratch directory, and `cli.main` is called on every
 input, or with `--inputs N` on the first N inputs of each family (the part
@@ -69,6 +71,8 @@ WRAPPED = [
     ("piterm.semantics", "_canonical", "canonical"),
     ("piterm.semantics", "substitute_many", "substitute_many"),
     ("piterm.semantics", "_find_cycle", "_find_cycle"),
+    ("piterm.semantics", "pretty_process", "pretty_process"),
+    ("piterm.semantics", "_weigh", "_weigh"),
 ]
 
 
