@@ -219,9 +219,9 @@ class _Canon:
     one): its states breadth first, and each `sig` to its number. A successor
     that `step` splices takes its kept components' serials from its parent,
     asks the store only for the fired body's, and is the stored state itself
-    when its `sig` is stored. `orbits` keeps
-    the classes (`_orbits`) of a new state with isomorphic clusters until it
-    is stepped or a bound keeps it out; slots keep a store small."""
+    when its `sig` is stored. `orbits` keeps the classes (`_orbits`) of a new
+    state with isomorphic clusters until it is stepped or a bound keeps it
+    out; slots keep a store small."""
 
     __slots__ = ("free", "memo", "fired", "states", "index", "orbits")
 
@@ -694,12 +694,11 @@ class _Measures:
         twice."""
         for r in restrictions:
             name, ann, _ = r
-            known = self.declared.get(name.id)
-            if known is r:
+            if self.declared.get(name.id) is r:
                 continue
             if ann is None:
                 raise MissingAnnotation(f"restriction on {name.display} lacks a type annotation")
-            if known is not None or name in self.scope:
+            if name in self.scope:  # by the run's environment or another restriction
                 raise UnboundName(f"name {name.display!r} is already bound")
             self.scope.bindings[name] = ann
             self.declared[name.id] = r
@@ -727,9 +726,10 @@ def _explore(p: Process, max_states: int, max_depth: int, env: TypeEnv | None) -
     the one table that holds a `sig`. Both live on the run's store, so
     `step` returns a re-reached restriction-free state as the stored object.
     Depths, edges, measures and printed forms are kept by number, so a state
-    prints once, as it was first reached, and no key text is built. A new state lies one deeper than its source, so only an
-    edge to a state no deeper than its source can close a cycle: without
-    one, depth rises along every path and the cycle search is skipped."""
+    prints once, as it was first reached, and no key text is built. A new
+    state lies one deeper than its source, so only an edge to a state no
+    deeper than its source can close a cycle: without one, depth rises along
+    every path and the cycle search is skipped."""
     canon = _Canon()
     states, index = canon.states, canon.index
     states.append(_root(canon, p))

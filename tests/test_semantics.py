@@ -912,17 +912,22 @@ class TestCertifiedRun:
         assert [(e.src_measure, e.dst_measure) for e in r.measure_trace] == [((2, 2), (2,))]
 
     def test_state_not_measured_by_components_is_refused(self, monkeypatch):
-        # a state with an unannotated top-level restriction cannot be declared:
-        # it is refused at once, under its key, and no state is typed whole
+        # a state that cannot be declared is refused at once, under its key,
+        # and no state is typed whole: one with an unannotated top-level
+        # restriction, and one whose two restrictions share a name object,
+        # which `check` takes for two scopes
         free: dict = {}
-        refused = normalize(parse_process("new r.(r<> | b<>)", free))
+        unannotated = normalize(parse_process("new r.(r<> | b<>)", free))
         env = TypeEnv({free["b"]: parse_type("#1[Unit]")})
+        r = fresh("r")
+        half = Res(r, parse_type("#1[Unit]"), False, Par(Out(r, ()), In(r, (), NIL)))
+        assert checker.check(env, Par(half, half)) == 1
         whole = count_calls(monkeypatch, checker.derive)
         walks = count_calls(monkeypatch, semantics._weigh)
-        measures = semantics._Measures(env)
-        with pytest.raises(CertificationFailure, match="reachable state is not typable") as refusal:
-            measures.of(refused)
-        assert refusal.value.where == refused.key
+        for refused, why in [(unannotated, "lacks a type annotation"), (normalize(Par(half, half)), "already bound")]:
+            with pytest.raises(CertificationFailure, match="reachable state is not typable") as refusal:
+                semantics._Measures(env).of(refused)
+            assert why in refusal.value.message and refusal.value.where == refused.key
         assert whole == [] and walks == []
 
     def test_nil(self):
